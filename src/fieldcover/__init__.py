@@ -2,6 +2,7 @@
 
 from .errors import (
     DegenerateDataError,
+    GramTooLargeError,
     GridTooLargeError,
     NumericalError,
     VerificationError,
@@ -27,8 +28,6 @@ from .gp import (
     kernel_matrix,
     nlml,
     posterior_mean,
-    posterior_variance,
-    posterior_variance_batch,
     repeated_measurement_variance,
 )
 from .placement import (

@@ -3,7 +3,9 @@
 Every stochastic routine is a pure function of its seed.  The stream
 [seed, 0] belongs to field synthesis; trial t draws its sensor noise
 from [seed, 1, t], so individual trials and batched studies see the
-same noise no matter which path computes them.
+same noise no matter which path computes them. Noise is drawn one
+value per measurement, in the order of the measurement entries, and is
+averaged per distinct site before it reaches the posterior.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import numpy as np
 
 from .fields import FieldGrid
 from .geometry import Environment
-from .gp import Hyperparameters, Posterior, kernel_matrix
+from .gp import Hyperparameters, MeasurementMultiset, Posterior, kernel_matrix
 from .placement import MeasurementPlan, necessary_radius
 from .routing import TimeModel, Tour, cumulative_times, tour_time
 
@@ -85,12 +87,10 @@ class TrialReport:
         return float(np.mean(np.abs(self.squared_errors - self.variances) / v))
 
 
-def _noisy_observations(
-    truth: FieldGrid, design: np.ndarray, sensor: SensorModel, trial_index: int
-) -> np.ndarray:
+def _noise(sensor: SensorModel, trial_index: int, size: int) -> np.ndarray:
+    """Sensor noise of one trial, one value per measurement."""
     rng = np.random.default_rng([sensor.seed, 1, trial_index])
-    clean = truth.value_at(design)
-    return clean + math.sqrt(sensor.noise_variance) * rng.standard_normal(design.shape[0])
+    return math.sqrt(sensor.noise_variance) * rng.standard_normal(size)
 
 
 def simulate_trial(
@@ -105,16 +105,14 @@ def simulate_trial(
     The truth is modeled as a zero-mean field; callers holding an offset
     field should center it first.
     """
-    design = plan.as_multiset().expand()
+    measured = plan.as_multiset()
+    sites, counts = measured.distinct()
     eval_points = truth.points()
     truth_values = truth.values.ravel()
-    post = Posterior(design, hyper)
+    post = Posterior(sites, hyper, counts)
     variances = post.variance(eval_points)
-    if design.shape[0]:
-        observed = _noisy_observations(truth, design, sensor, trial_index)
-        means = post.mean(eval_points, observed)
-    else:
-        means = np.zeros(eval_points.shape[0])
+    noise = measured.site_means(_noise(sensor, trial_index, measured.total))
+    means = post.mean(eval_points, truth.value_at(sites) + noise)
     return TrialReport(means, variances, (means - truth_values) ** 2)
 
 
@@ -135,20 +133,19 @@ def convergence_study(
     if not counts or counts[0] < 1 or any(b <= a for a, b in zip(counts, counts[1:])):
         raise ValueError("trial_counts must be strictly increasing positive integers")
 
-    design = plan.as_multiset().expand()
+    measured = plan.as_multiset()
+    sites, site_counts = measured.distinct()
     eval_points = truth.points()
     truth_values = truth.values.ravel()
-    post = Posterior(design, hyper)
+    post = Posterior(sites, hyper, site_counts)
     variances = post.variance(eval_points)
 
     total = counts[-1]
-    if design.shape[0]:
-        observed = np.empty((design.shape[0], total))
-        for t in range(total):
-            observed[:, t] = _noisy_observations(truth, design, sensor, t)
-        predictions = post.mean_many(eval_points, observed)
-    else:
-        predictions = np.zeros((eval_points.shape[0], total))
+    noise = np.empty((measured.total, total))
+    for t in range(total):
+        noise[:, t] = _noise(sensor, t, measured.total)
+    observed = truth.value_at(sites)[:, None] + measured.site_means(noise)
+    predictions = post.mean_many(eval_points, observed)
 
     squared = (predictions - truth_values[:, None]) ** 2
     running = np.cumsum(squared, axis=1)
@@ -299,13 +296,9 @@ def variance_over_time(
     pts, marks, finished = _finished_by_checkpoint(tour, time, eval_points, checkpoints)
     averages = []
     for c in marks:
-        design = [(loc, n) for e, loc, n in finished if e <= c]
-        locs = (
-            np.repeat([loc for loc, _ in design], [n for _, n in design], axis=0)
-            if design
-            else np.empty((0, 2))
-        )
-        averages.append(float(Posterior(locs, hyper).variance(pts).mean()))
+        measured = MeasurementMultiset(tuple((loc, n) for e, loc, n in finished if e <= c))
+        sites, counts = measured.distinct()
+        averages.append(float(Posterior(sites, hyper, counts).variance(pts).mean()))
     return np.asarray(averages)
 
 
@@ -326,17 +319,13 @@ def single_trial_mse_over_time(
     tour's ordering, which keeps those prefixes well defined.
     """
     pts, marks, finished = _finished_by_checkpoint(tour, time, eval_points, checkpoints)
-    full = np.repeat(
-        [loc for _, loc, _ in finished] or np.empty((0, 2)),
-        [n for _, _, n in finished],
-        axis=0,
-    )
-    observed = _noisy_observations(truth, full, sensor, trial_index)
+    noise = _noise(sensor, trial_index, sum(n for _, _, n in finished))
     actual = truth.value_at(pts)
     curve = []
     for c in marks:
-        size = sum(n for e, _, n in finished if e <= c)
-        post = Posterior(full[:size], hyper)
-        predictions = post.mean(pts, observed[:size])
+        measured = MeasurementMultiset(tuple((loc, n) for e, loc, n in finished if e <= c))
+        sites, counts = measured.distinct()
+        observed = truth.value_at(sites) + measured.site_means(noise[: measured.total])
+        predictions = Posterior(sites, hyper, counts).mean(pts, observed)
         curve.append(float(np.mean((predictions - actual) ** 2)))
     return np.asarray(curve)

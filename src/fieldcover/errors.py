@@ -18,3 +18,7 @@ class VerificationError(RuntimeError):
 
 class GridTooLargeError(ValueError):
     """Raised when a requested sampling grid exceeds the exact-solve budget."""
+
+
+class GramTooLargeError(ValueError):
+    """Raised before allocating a Gram matrix above the dense-solve byte cap."""

@@ -6,6 +6,12 @@ every solve below goes through a Cholesky factorization of an SPD matrix.
 The posterior variance never depends on measured values, only on where
 and how often measurements are taken; the planners in this package lean
 on that fact throughout.
+
+Repeated measurements are never given Gram rows of their own: n noisy
+readings at one location are exactly one reading of their average with
+noise variance w2 / n (Rasmussen & Williams, GPML 2006, sec. 2.2). So
+``Posterior`` factors K(sites) + diag(w2 / counts) over the distinct
+locations, and values are averaged per site before any solve.
 """
 
 from __future__ import annotations
@@ -18,11 +24,14 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
 from scipy.spatial.distance import cdist
 
-from .errors import DegenerateDataError, NumericalError
+from .errors import DegenerateDataError, GramTooLargeError, NumericalError
 
-# Column chunk size for batched variance evaluation. Keeps the triangular
-# solve workspace around 100 MB even for the largest plans we verify.
-_CHUNK = 4096
+# Byte budget of one float64 (rows x columns) temporary in
+# ``Posterior.variance``; a few such temporaries are live at once.
+_CHUNK_BYTES = 32 * 2**20
+# Largest Gram matrix a dense solve may allocate. Factorization is in
+# place, so this is also about the peak of the factorization itself.
+_MAX_GRAM_BYTES = 2 * 2**30
 
 
 def _as_point(p) -> tuple[float, float]:
@@ -112,13 +121,43 @@ class MeasurementMultiset:
     def total(self) -> int:
         return sum(c for _, c in self.entries)
 
-    def expand(self) -> np.ndarray:
-        """Locations as an (N, 2) array with rows repeated per count."""
+    def distinct(self) -> tuple[np.ndarray, np.ndarray]:
+        """Distinct locations as an (m, 2) array and their total counts.
+
+        Exactly equal locations merge, across entries too; sites keep
+        the order of their first appearance.
+        """
+        sites, counts, _ = self._merge()
+        return sites, counts
+
+    def site_means(self, values) -> np.ndarray:
+        """Average per-measurement values over each distinct site.
+
+        ``values`` has one row per measurement, entries in order and each
+        entry's count of rows consecutive; any trailing axes are kept.
+        Rows of the result follow ``distinct()``.
+        """
+        sites, counts, rows = self._merge()
+        vals = np.asarray(values, dtype=float)
+        if vals.shape[0] != rows.size:
+            raise ValueError(f"expected {rows.size} values, got {vals.shape[0]}")
+        sums = np.zeros((sites.shape[0],) + vals.shape[1:])
+        np.add.at(sums, rows, vals)
+        return sums / counts.reshape((-1,) + (1,) * (vals.ndim - 1))
+
+    def _merge(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Distinct sites, their counts, and the site of every measurement."""
         if not self.entries:
-            return np.empty((0, 2), dtype=float)
+            return np.empty((0, 2)), np.empty(0, dtype=int), np.empty(0, dtype=int)
         locs = np.asarray([loc for loc, _ in self.entries], dtype=float)
         counts = np.asarray([c for _, c in self.entries], dtype=int)
-        return np.repeat(locs, counts, axis=0)
+        _, first, inverse = np.unique(locs, axis=0, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        entry_site = rank[inverse.reshape(-1)]
+        site_counts = np.bincount(entry_site, weights=counts).astype(int)
+        return locs[first[order]], site_counts, np.repeat(entry_site, counts)
 
 
 def kernel(a, b, hyper: Hyperparameters) -> float:
@@ -140,29 +179,50 @@ def kernel_matrix(a, b, hyper: Hyperparameters) -> np.ndarray:
 
 
 class Posterior:
-    """GP posterior over a fixed measurement design.
+    """GP posterior given repeated measurements at fixed sites.
 
-    Factors the regularized Gram matrix once so that variance and mean
-    queries at many points reuse the factorization. The design is the
-    expanded multiset: one Gram row per individual measurement.
+    Each of the ``sites`` gets one Gram row; ``counts[i]`` readings were
+    taken at ``sites[i]`` (one each when ``counts`` is omitted). The
+    factored matrix is K(sites) + diag(w2 / counts), which is exact for
+    repeats as long as ``mean`` and ``mean_many`` get each site's average
+    reading (``MeasurementMultiset.site_means``). Sites should be
+    distinct, as ``MeasurementMultiset.distinct`` returns them. Factors
+    once, so variance and mean queries at many points reuse the work.
     """
 
-    def __init__(self, design: np.ndarray, hyper: Hyperparameters):
+    def __init__(self, sites, hyper: Hyperparameters, counts=None):
         self.hyper = hyper
-        self.design = np.asarray(design, dtype=float).reshape(-1, 2)
+        self.design = np.asarray(sites, dtype=float).reshape(-1, 2)
         n = self.design.shape[0]
+        noise = hyper.noise_variance
+        if counts is not None:
+            counts = np.asarray(counts)
+            if counts.shape != (n,) or np.any(counts < 1):
+                raise ValueError(f"need one count >= 1 per site, got shape {counts.shape}")
+            noise = noise / counts
         if n == 0:
             self._factor = None
             return
+        gram_bytes = 8 * n * n
+        if gram_bytes > _MAX_GRAM_BYTES:
+            raise GramTooLargeError(
+                f"a dense solve over {n} distinct sites needs a "
+                f"{gram_bytes / 2**30:.2f} GiB Gram matrix, above the "
+                f"{_MAX_GRAM_BYTES / 2**30:g} GiB cap; raise the variance target "
+                f"or shrink the environment"
+            )
         gram = kernel_matrix(self.design, self.design, hyper)
-        gram[np.diag_indices_from(gram)] += hyper.noise_variance
+        gram[np.diag_indices_from(gram)] += noise
+        # The Gram matrix is exactly symmetric, so its transpose is the
+        # Fortran-ordered view LAPACK factors in place, without a copy.
         try:
-            self._factor = cho_factor(gram, lower=True, check_finite=False)
+            self._factor = cho_factor(gram.T, lower=True, overwrite_a=True, check_finite=False)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"Gram factorization failed: {exc}") from exc
 
     @property
     def size(self) -> int:
+        """Number of Gram rows, one per site."""
         return self.design.shape[0]
 
     def variance(self, points) -> np.ndarray:
@@ -173,15 +233,20 @@ class Posterior:
             return np.full(pts.shape[0], s2)
         out = np.empty(pts.shape[0])
         lower = self._factor[0]
-        for start in range(0, pts.shape[0], _CHUNK):
-            block = pts[start : start + _CHUNK]
-            kxb = kernel_matrix(self.design, block, self.hyper)
-            v = solve_triangular(lower, kxb, lower=True, check_finite=False)
+        step = max(1, _CHUNK_BYTES // (8 * self.size))
+        for start in range(0, pts.shape[0], step):
+            block = pts[start : start + step]
+            # Fortran-ordered (rows x columns), so the solve runs in place.
+            kxb = kernel_matrix(block, self.design, self.hyper).T
+            v = solve_triangular(lower, kxb, lower=True, overwrite_b=True, check_finite=False)
             out[start : start + block.shape[0]] = s2 - np.einsum("ij,ij->j", v, v)
         return np.maximum(out, 0.0)
 
     def mean(self, points, values) -> np.ndarray:
-        """Posterior mean at each query point, zero prior mean."""
+        """Posterior mean at each query point, zero prior mean.
+
+        ``values`` holds one average reading per site.
+        """
         pts = np.asarray(points, dtype=float).reshape(-1, 2)
         if self._factor is None:
             return np.zeros(pts.shape[0])
@@ -195,38 +260,25 @@ class Posterior:
     def mean_many(self, points, value_columns: np.ndarray) -> np.ndarray:
         """Posterior means for several value vectors at once.
 
-        ``value_columns`` has one column per realization; the result has
-        shape (len(points), n_columns).
+        ``value_columns`` has one row per site and one column per
+        realization; the result has shape (len(points), n_columns).
         """
         pts = np.asarray(points, dtype=float).reshape(-1, 2)
         cols = np.asarray(value_columns, dtype=float)
         if self._factor is None:
             return np.zeros((pts.shape[0], cols.shape[1]))
+        if cols.shape[0] != self.size:
+            raise ValueError(f"expected {self.size} value rows, got {cols.shape[0]}")
         alphas = cho_solve(self._factor, cols, check_finite=False)
         kxb = kernel_matrix(pts, self.design, self.hyper)
         return kxb @ alphas
-
-
-def posterior_variance(x, measurements: MeasurementMultiset, hyper: Hyperparameters) -> float:
-    """Posterior variance at ``x`` given a measurement multiset.
-
-    Solves the full expanded system; co-located measurements are handled
-    through the Gram matrix like any others. Result lies in
-    [0, signal_variance].
-    """
-    post = Posterior(measurements.expand(), hyper)
-    return float(post.variance([_as_point(x)])[0])
-
-
-def posterior_variance_batch(points, measurements: MeasurementMultiset, hyper: Hyperparameters) -> np.ndarray:
-    """Posterior variance at many points with one factorization."""
-    return Posterior(measurements.expand(), hyper).variance(points)
 
 
 def posterior_mean(x, observations, hyper: Hyperparameters) -> float:
     """Posterior mean at ``x`` from observations carrying values.
 
     The prior mean is zero; center data upstream if it is not already.
+    Observations at one location are averaged into a single reading.
     """
     obs = list(observations)
     for o in obs:
@@ -234,10 +286,10 @@ def posterior_mean(x, observations, hyper: Hyperparameters) -> float:
             raise ValueError("posterior_mean needs a value on every observation")
     if not obs:
         return 0.0
-    design = np.asarray([o.location for o in obs], dtype=float)
-    values = np.asarray([o.value for o in obs], dtype=float)
-    post = Posterior(design, hyper)
-    return float(post.mean([_as_point(x)], values)[0])
+    measured = MeasurementMultiset.from_points([o.location for o in obs])
+    sites, counts = measured.distinct()
+    post = Posterior(sites, hyper, counts)
+    return float(post.mean([_as_point(x)], measured.site_means([o.value for o in obs]))[0])
 
 
 def repeated_measurement_variance(distance: float, count: int, hyper: Hyperparameters) -> float:

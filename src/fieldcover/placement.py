@@ -240,9 +240,9 @@ def verify_plan(
 ) -> VerificationReport:
     """Exact posterior-variance sweep of the plan over an environment grid.
 
-    Recomputes everything through the generic dense solve; nothing is
-    trusted from the planner. ``passed`` is a strict comparison against
-    the target.
+    Recomputes everything through the dense solve over the plan's
+    distinct sites; nothing is trusted from the planner. ``passed`` is a
+    strict comparison against the target.
     """
     d = float(delta)
     if grid_spacing is None:
@@ -251,8 +251,8 @@ def verify_plan(
     if not math.isfinite(step) or step <= 0.0:
         raise ValueError(f"grid spacing must be finite and > 0, got {step}")
     grid = env.grid(step)
-    post = Posterior(plan.as_multiset().expand(), h)
-    var = post.variance(grid)
+    sites, counts = plan.as_multiset().distinct()
+    var = Posterior(sites, h, counts).variance(grid)
     top = int(np.argmax(var))
     return VerificationReport(
         max_variance=float(var[top]),

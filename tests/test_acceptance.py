@@ -30,7 +30,6 @@ from fieldcover import (
     mis_tour_lower_bound,
     necessary_radius,
     ordered_tour,
-    posterior_variance_batch,
     repeated_measurement_variance,
     sample_gp_field,
     split_tour,
@@ -135,7 +134,8 @@ def test_criterion_03_closed_form_matches_dense_path():
         for n in range(1, 51):
             closed = repeated_measurement_variance(r, n, h)
             multiset = MeasurementMultiset.single_site((0.0, 0.0), n)
-            dense = float(posterior_variance_batch(np.array([[r, 0.0]]), multiset, h)[0])
+            sites, counts = multiset.distinct()
+            dense = float(Posterior(sites, h, counts).variance([(r, 0.0)])[0])
             worst = max(worst, abs(closed - dense) / dense)
     verdict(
         3,

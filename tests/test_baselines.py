@@ -20,12 +20,7 @@ from fieldcover.baselines import (
 )
 from fieldcover.fields import sample_gp_field
 from fieldcover.geometry import Environment
-from fieldcover.gp import (
-    Hyperparameters,
-    MeasurementMultiset,
-    Posterior,
-    posterior_variance_batch,
-)
+from fieldcover.gp import Hyperparameters, Posterior
 from fieldcover.placement import MeasurementPlan, necessary_radius
 from fieldcover.routing import TimeModel, Tour, tour_time
 
@@ -131,7 +126,7 @@ def test_entropy_greedy_each_pick_is_an_argmax():
     chosen: list = []
     for pick in picks:
         rest = [c for c in cands if c not in chosen]
-        var = posterior_variance_batch(np.asarray(rest), MeasurementMultiset.from_points(chosen), h)
+        var = Posterior(np.asarray(chosen).reshape(-1, 2), h).variance(np.asarray(rest))
         assert var[rest.index(pick)] >= var.max() - 1e-9
         chosen.append(pick)
 
@@ -238,7 +233,7 @@ def test_variance_over_time_counts_finished_dwells_only():
     # elapsed times are 2 and 4; at the boundary the first dwell has
     # just finished and the second is still travelling
     value = variance_over_time(tour, h, pts, tm, [2.0])[0]
-    only_first = posterior_variance_batch(pts, MeasurementMultiset.from_points([(1.0, 0.0)]), h).mean()
+    only_first = Posterior([(1.0, 0.0)], h).variance(pts).mean()
     assert value == pytest.approx(only_first, rel=1e-12)
 
 

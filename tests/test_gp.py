@@ -19,8 +19,6 @@ from fieldcover import (
     kernel_matrix,
     nlml,
     posterior_mean,
-    posterior_variance,
-    posterior_variance_batch,
     repeated_measurement_variance,
 )
 
@@ -35,6 +33,12 @@ VAR_ONE_AT_R1 = 0.6655641443895979
 MEAN_SCALAR = 1.1027830176593334
 MEAN_TWO_POINT = 0.9819692968268601
 NLML_ONE_ZERO = 0.9665936231068352
+
+
+def variance_given(points, measurements: MeasurementMultiset, h: Hyperparameters) -> np.ndarray:
+    sites, counts = measurements.distinct()
+    return Posterior(sites, h, counts).variance(points)
+
 
 finite_coord = st.floats(min_value=-50, max_value=50, allow_nan=False)
 point = st.tuples(finite_coord, finite_coord)
@@ -72,12 +76,12 @@ def test_kernel_matrix_is_positive_semidefinite(pts):
 
 
 def test_posterior_variance_empty_is_prior():
-    assert posterior_variance((0.0, 0.0), MeasurementMultiset(()), H1) == 1.0
+    assert variance_given([(0.0, 0.0)], MeasurementMultiset(()), H1)[0] == 1.0
 
 
 def test_posterior_variance_single_measurement_oracle():
     m = MeasurementMultiset.single_site((0.0, 0.0), 1)
-    v = posterior_variance((1.0, 0.0), m, H1)
+    v = variance_given([(1.0, 0.0)], m, H1)[0]
     assert v == pytest.approx(VAR_ONE_AT_R1, rel=1e-12)
 
 
@@ -93,7 +97,7 @@ def test_posterior_variance_matches_closed_form_for_colocated():
         site = tuple(rng.uniform(-5, 5, size=2))
         angle = rng.uniform(0, 2 * math.pi)
         x = (site[0] + r * math.cos(angle), site[1] + r * math.sin(angle))
-        dense = posterior_variance(x, MeasurementMultiset.single_site(site, n), h)
+        dense = variance_given([x], MeasurementMultiset.single_site(site, n), h)[0]
         closed = repeated_measurement_variance(r, n, h)
         assert dense == pytest.approx(closed, rel=1e-9)
 
@@ -133,9 +137,9 @@ def test_extra_measurement_never_hurts_elsewhere():
     base_pts = rng.uniform(-3, 3, size=(6, 2))
     extra = rng.uniform(-3, 3, size=2)
     queries = rng.uniform(-4, 4, size=(40, 2))
-    before = posterior_variance_batch(queries, MeasurementMultiset.from_points(base_pts), H1)
+    before = Posterior(base_pts, H1).variance(queries)
     grown = np.vstack([base_pts, extra])
-    after = posterior_variance_batch(queries, MeasurementMultiset.from_points(grown), H1)
+    after = Posterior(grown, H1).variance(queries)
     assert np.all(after <= before + 1e-12)
 
 
@@ -181,7 +185,7 @@ def test_posterior_object_matches_function_route():
     queries = rng.uniform(-4, 4, size=(17, 2))
     post = Posterior(design, H1)
     via_obj = post.variance(queries)
-    via_fn = posterior_variance_batch(queries, MeasurementMultiset.from_points(design), H1)
+    via_fn = variance_given(queries, MeasurementMultiset.from_points(design), H1)
     np.testing.assert_allclose(via_obj, via_fn, rtol=1e-12)
 
 
@@ -267,7 +271,9 @@ def test_multiset_validation():
         MeasurementMultiset((((0.0, 0.0), 0),))
     m = MeasurementMultiset((((0.0, 0.0), 2), ((1.0, 0.0), 3)))
     assert m.total == 5
-    assert m.expand().shape == (5, 2)
+    sites, counts = m.distinct()
+    assert sites.shape == (2, 2)
+    assert counts.tolist() == [2, 3]
 
 
 def test_observation_rejects_nonfinite():
@@ -284,6 +290,6 @@ def test_observation_rejects_nonfinite():
 )
 def test_noisier_sensors_leave_more_variance(w2a, bump):
     m = MeasurementMultiset.from_points([(0.0, 0.0), (1.0, 1.0)])
-    lo = posterior_variance((0.5, 0.5), m, Hyperparameters(1.0, 1.0, w2a))
-    hi = posterior_variance((0.5, 0.5), m, Hyperparameters(1.0, 1.0, w2a + bump))
+    lo = variance_given([(0.5, 0.5)], m, Hyperparameters(1.0, 1.0, w2a))[0]
+    hi = variance_given([(0.5, 0.5)], m, Hyperparameters(1.0, 1.0, w2a + bump))[0]
     assert hi >= lo - 1e-12

@@ -67,6 +67,7 @@ from .baselines import (
     TrialReport,
     baseline_candidates,
     convergence_study,
+    curves_over_time,
     entropy_greedy,
     lawnmower_plan,
     mi_greedy,

@@ -17,7 +17,7 @@ import numpy as np
 
 from .fields import FieldGrid
 from .geometry import Environment
-from .gp import Hyperparameters, MeasurementMultiset, Posterior, kernel_matrix
+from .gp import Hyperparameters, MeasurementMultiset, Posterior, check_dense_budget, kernel_matrix
 from .placement import MeasurementPlan, necessary_radius
 from .routing import TimeModel, Tour, cumulative_times, tour_time
 
@@ -26,6 +26,7 @@ __all__ = [
     "TrialReport",
     "baseline_candidates",
     "convergence_study",
+    "curves_over_time",
     "entropy_greedy",
     "lawnmower_plan",
     "mi_greedy",
@@ -165,21 +166,62 @@ def _pick_with_tie_break(candidates: np.ndarray, scores: np.ndarray) -> int:
     return int(tied[order[0]])
 
 
-def _greedy_select(candidates, hyper: Hyperparameters, budget: int, score_fn) -> list:
+def _pool_precision(cands: np.ndarray, hyper: Hyperparameters) -> np.ndarray:
+    gram = kernel_matrix(cands, cands, hyper)
+    gram[np.diag_indices_from(gram)] += hyper.noise_variance
+    return np.linalg.inv(gram)
+
+
+def _greedy_select(candidates, hyper: Hyperparameters, budget: int, mutual_information: bool) -> list:
+    """Greedy picks by posterior variance, or by variance ratio for mutual information.
+
+    Both matrices below cover the unpicked candidates only, in candidate
+    order, and lose a row and a column per pick. ``cov`` is their latent
+    posterior covariance given the noisy picks so far; a pick is a
+    rank-one downdate of it. For mutual information ``prec`` is
+    (K_pool + w2 I)^-1 over the unpicked pool, so 1 / diag(prec) - w2 is
+    each candidate's variance given the rest of the pool; a candidate
+    leaving the pool is a Schur-complement downdate. The pool precision
+    shrinks as the pool thins out while rounding accumulates at its
+    starting scale, so it is inverted afresh whenever the pool has halved
+    since the last inversion, which costs about 1.15 inversions in all.
+    Each step is O(C^2) for C candidates.
+    """
     cands = np.asarray(candidates, dtype=float).reshape(-1, 2)
     if not isinstance(budget, int) or budget < 0:
         raise ValueError("budget must be a non-negative integer")
-    if budget > cands.shape[0]:
-        raise ValueError(f"budget {budget} exceeds {cands.shape[0]} candidates")
+    n = cands.shape[0]
+    if budget > n:
+        raise ValueError(f"budget {budget} exceeds {n} candidates")
+    matrices = 2 if mutual_information else 1
+    check_dense_budget(8 * n * n * matrices, f"greedy selection over {n} candidates")
+    w2 = hyper.noise_variance
+    floor = 1e-18 * hyper.signal_variance
+    pool = np.arange(n)
+    cov = kernel_matrix(cands, cands, hyper)
+    if mutual_information:
+        prec, inverted_at = _pool_precision(cands, hyper), n
     picks: list[tuple[float, float]] = []
-    mask = np.ones(cands.shape[0], dtype=bool)
     for _ in range(budget):
-        idx = np.flatnonzero(mask)
-        remaining = cands[idx]
-        scores = score_fn(np.asarray(picks, dtype=float).reshape(-1, 2), remaining)
-        chosen = idx[_pick_with_tie_break(remaining, scores)]
-        picks.append((float(cands[chosen, 0]), float(cands[chosen, 1])))
-        mask[chosen] = False
+        scores = np.maximum(np.diag(cov), 0.0)
+        if mutual_information:
+            scores /= np.maximum(1.0 / np.diag(prec) - w2, floor)
+        k = _pick_with_tie_break(cands[pool], scores)
+        picks.append((float(cands[pool[k], 0]), float(cands[pool[k], 1])))
+        keep = np.flatnonzero(np.arange(pool.size) != k)
+        pool = pool[keep]
+        col = cov[keep, k]
+        pivot = cov[k, k] + w2
+        cov = cov[np.ix_(keep, keep)]
+        cov -= np.outer(col, col / pivot)
+        if mutual_information:
+            if 2 * pool.size <= inverted_at:
+                prec, inverted_at = _pool_precision(cands[pool], hyper), pool.size
+            else:
+                col = prec[keep, k]
+                pivot = prec[k, k]
+                prec = prec[np.ix_(keep, keep)]
+                prec -= np.outer(col, col / pivot)
     return picks
 
 
@@ -187,14 +229,13 @@ def entropy_greedy(candidates, hyper: Hyperparameters, budget: int) -> list:
     """Pick the highest-posterior-variance candidate, one at a time.
 
     Gaussian entropy is monotone in variance, so the variance argmax is
-    the entropy argmax. Ties go to the lexicographically smallest
-    location.
+    the entropy argmax. Ties (within 1e-12 relative) go to the
+    lexicographically smallest location. One C x C candidate covariance
+    is built once and downdated by rank one per pick, so a pick costs
+    O(C^2); more than 16,384 candidates raise GramTooLargeError before
+    anything large is allocated.
     """
-
-    def score(picked: np.ndarray, remaining: np.ndarray) -> np.ndarray:
-        return Posterior(picked, hyper).variance(remaining)
-
-    return _greedy_select(candidates, hyper, budget, score)
+    return _greedy_select(candidates, hyper, budget, mutual_information=False)
 
 
 def mi_greedy(candidates, hyper: Hyperparameters, budget: int) -> list:
@@ -204,20 +245,15 @@ def mi_greedy(candidates, hyper: Hyperparameters, budget: int) -> list:
     picks, divided by its variance given the other unpicked candidates
     (the candidate itself excluded). Both conditionings go through the
     noisy-measurement model; the noise term is subtracted afterwards so
-    the ratio compares latent-field uncertainties.
+    the ratio compares latent-field uncertainties. Ties are broken as in
+    ``entropy_greedy``.
+
+    Two C x C matrices are kept and downdated by rank one per pick (the
+    picks' posterior covariance and the unpicked pool's precision), so
+    after one inverse a pick costs O(C^2); more than 11,585 candidates
+    raise GramTooLargeError before anything large is allocated.
     """
-    w2 = hyper.noise_variance
-
-    def score(picked: np.ndarray, remaining: np.ndarray) -> np.ndarray:
-        numer = Posterior(picked, hyper).variance(remaining)
-        gram = kernel_matrix(remaining, remaining, hyper)
-        gram[np.diag_indices_from(gram)] += w2
-        inv_diag = np.diag(np.linalg.inv(gram))
-        denom = 1.0 / inv_diag - w2
-        denom = np.maximum(denom, 1e-18 * hyper.signal_variance)
-        return numer / denom
-
-    return _greedy_select(candidates, hyper, budget, score)
+    return _greedy_select(candidates, hyper, budget, mutual_information=True)
 
 
 def _survey_axis(lo: float, hi: float, step: float) -> np.ndarray:
@@ -268,8 +304,14 @@ def ordered_tour(locations, depot, dwell_count: int = 1) -> Tour:
     return Tour((float(depot[0]), float(depot[1])), waypoints)
 
 
-def _finished_by_checkpoint(tour: Tour, time: TimeModel, eval_points, checkpoints):
-    """Validate checkpoint queries and list dwell stops with finish times."""
+def _checkpoint_designs(tour: Tour, time: TimeModel, eval_points, checkpoints):
+    """Validate checkpoint queries; return the query points, the measurement
+    count of the whole tour, and per checkpoint the measurements whose dwell
+    has finished by then.
+
+    A waypoint's measurements count once its dwell completes, matching the
+    tour's elapsed-time ledger.
+    """
     pts = np.asarray(eval_points, dtype=float).reshape(-1, 2)
     if pts.shape[0] == 0:
         raise ValueError("need at least one evaluation point")
@@ -282,7 +324,42 @@ def _finished_by_checkpoint(tour: Tour, time: TimeModel, eval_points, checkpoint
     finished = [
         (e, loc, n) for e, (loc, n) in zip(elapsed, tour.waypoints) if n > 0
     ]
-    return pts, marks, finished
+    designs = [
+        MeasurementMultiset(tuple((loc, n) for e, loc, n in finished if e <= c)) for c in marks
+    ]
+    return pts, sum(n for _, _, n in finished), designs
+
+
+def curves_over_time(
+    tour: Tour,
+    truth: FieldGrid,
+    sensor: SensorModel,
+    hyper: Hyperparameters,
+    eval_points,
+    time: TimeModel,
+    checkpoints,
+    trial_index: int = 0,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Average posterior variance and one trial's mean squared prediction
+    error, using the measurements finished by each checkpoint.
+
+    Each checkpoint's posterior is factored once and serves both curves.
+    The noise for the whole tour is drawn up front, so a measurement
+    carries the same reading at every checkpoint that includes it. A
+    checkpoint's design is not a prefix of the next one's Gram rows: a
+    revisit raises an earlier site's count instead of adding a row.
+    """
+    pts, total, designs = _checkpoint_designs(tour, time, eval_points, checkpoints)
+    noise = _noise(sensor, trial_index, total)
+    actual = truth.value_at(pts)
+    variances, errors = [], []
+    for measured in designs:
+        sites, counts = measured.distinct()
+        post = Posterior(sites, hyper, counts)
+        variances.append(float(post.variance(pts).mean()))
+        observed = truth.value_at(sites) + measured.site_means(noise[: measured.total])
+        errors.append(float(np.mean((post.mean(pts, observed) - actual) ** 2)))
+    return np.asarray(variances), np.asarray(errors)
 
 
 def variance_over_time(
@@ -290,13 +367,12 @@ def variance_over_time(
 ) -> np.ndarray:
     """Average posterior variance using measurements finished by each time.
 
-    A waypoint's measurements count once its dwell completes, matching
-    the tour's elapsed-time ledger.
+    The variance half of ``curves_over_time``, for callers without a
+    truth field; it needs no measured values.
     """
-    pts, marks, finished = _finished_by_checkpoint(tour, time, eval_points, checkpoints)
+    pts, _, designs = _checkpoint_designs(tour, time, eval_points, checkpoints)
     averages = []
-    for c in marks:
-        measured = MeasurementMultiset(tuple((loc, n) for e, loc, n in finished if e <= c))
+    for measured in designs:
         sites, counts = measured.distinct()
         averages.append(float(Posterior(sites, hyper, counts).variance(pts).mean()))
     return np.asarray(averages)
@@ -314,18 +390,9 @@ def single_trial_mse_over_time(
 ) -> np.ndarray:
     """Mean squared prediction error over one noisy traversal of the tour.
 
-    The noise for the whole tour is drawn up front, so the design at a
-    checkpoint is a prefix of the full one; finish times inherit the
-    tour's ordering, which keeps those prefixes well defined.
+    The error half of ``curves_over_time``; callers that also need the
+    variance curve should call that instead.
     """
-    pts, marks, finished = _finished_by_checkpoint(tour, time, eval_points, checkpoints)
-    noise = _noise(sensor, trial_index, sum(n for _, _, n in finished))
-    actual = truth.value_at(pts)
-    curve = []
-    for c in marks:
-        measured = MeasurementMultiset(tuple((loc, n) for e, loc, n in finished if e <= c))
-        sites, counts = measured.distinct()
-        observed = truth.value_at(sites) + measured.site_means(noise[: measured.total])
-        predictions = Posterior(sites, hyper, counts).mean(pts, observed)
-        curve.append(float(np.mean((predictions - actual) ** 2)))
-    return np.asarray(curve)
+    return curves_over_time(
+        tour, truth, sensor, hyper, eval_points, time, checkpoints, trial_index
+    )[1]

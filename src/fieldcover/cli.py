@@ -20,13 +20,12 @@ from . import io as fileio
 from .baselines import (
     SensorModel,
     baseline_candidates,
+    curves_over_time,
     entropy_greedy,
     lawnmower_plan,
     mi_greedy,
     ordered_tour,
     simulate_trial,
-    single_trial_mse_over_time,
-    variance_over_time,
 )
 from .errors import DegenerateDataError, NumericalError, VerificationError
 from .fields import sample_gp_field
@@ -312,10 +311,7 @@ def cmd_compare(args: argparse.Namespace) -> None:
     for name, candidate_tour in planners.items():
         horizon = tour_time(candidate_tour, cfg.time)
         marks = [i * horizon / 10.0 for i in range(11)]
-        variances = variance_over_time(
-            candidate_tour, cfg.hyper, eval_points, cfg.time, marks
-        )
-        errors = single_trial_mse_over_time(
+        variances, errors = curves_over_time(
             candidate_tour, truth, sensor, cfg.hyper, eval_points, cfg.time, marks
         )
         fileio.write_curve_csv(

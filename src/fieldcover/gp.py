@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.linalg import cho_factor, cho_solve, eigh, solve_triangular
 from scipy.spatial.distance import cdist
 
 from .errors import DegenerateDataError, GramTooLargeError, NumericalError
@@ -32,6 +32,28 @@ _CHUNK_BYTES = 32 * 2**20
 # Largest Gram matrix a dense solve may allocate. Factorization is in
 # place, so this is also about the peak of the factorization itself.
 _MAX_GRAM_BYTES = 2 * 2**30
+# The grid search scores every point from one eigendecomposition per
+# length scale, then re-scores by Cholesky (``nlml``) every point whose
+# eigen-path NLML lies within this relative distance of the minimum, so
+# rounding in the eigen path cannot change which point wins. The distance
+# is relative to the sum of the magnitudes of the NLML's terms, which is
+# what bounds its rounding error.
+_RESCORE_RTOL = 1e-9
+# An eigen-path score is trusted only while the smallest eigenvalue of the
+# regularized Gram matrix is at least this fraction of its largest. Below
+# that the Cholesky factorization may fail (and the search must skip the
+# point), so such points are always re-scored by Cholesky.
+_EIGEN_FLOOR = 1e-8
+
+
+def check_dense_budget(nbytes: int, what: str) -> None:
+    """Raise GramTooLargeError when ``what`` would allocate more than the dense cap."""
+    if nbytes > _MAX_GRAM_BYTES:
+        raise GramTooLargeError(
+            f"{what} needs {nbytes / 2**30:.2f} GiB of dense matrices, above the "
+            f"{_MAX_GRAM_BYTES / 2**30:g} GiB cap; raise the variance target "
+            f"or shrink the environment"
+        )
 
 
 def _as_point(p) -> tuple[float, float]:
@@ -203,14 +225,7 @@ class Posterior:
         if n == 0:
             self._factor = None
             return
-        gram_bytes = 8 * n * n
-        if gram_bytes > _MAX_GRAM_BYTES:
-            raise GramTooLargeError(
-                f"a dense solve over {n} distinct sites needs a "
-                f"{gram_bytes / 2**30:.2f} GiB Gram matrix, above the "
-                f"{_MAX_GRAM_BYTES / 2**30:g} GiB cap; raise the variance target "
-                f"or shrink the environment"
-            )
+        check_dense_budget(8 * n * n, f"a dense solve over {n} distinct sites")
         gram = kernel_matrix(self.design, self.design, hyper)
         gram[np.diag_indices_from(gram)] += noise
         # The Gram matrix is exactly symmetric, so its transpose is the
@@ -373,12 +388,49 @@ class HyperparameterGrid:
         return itertools.product(self.length_scales, self.signal_variances, self.noise_variances)
 
 
+def _eigen_nlml(d2: np.ndarray, y: np.ndarray, length_scale: float, s2: np.ndarray, w2: np.ndarray):
+    """NLML of every (s2, w2) pair at one length scale, from one eigendecomposition.
+
+    Returns an (len(s2), len(w2)) array of values, NaN where the eigen path
+    is not trusted, and the sum of the magnitudes of each value's terms,
+    which bounds its rounding error.
+    """
+    shape = (s2.size, w2.size)
+    try:
+        lam, vecs = eigh(
+            np.exp(-d2 / (2.0 * length_scale**2)), overwrite_a=True, check_finite=False, driver="evd"
+        )
+    except np.linalg.LinAlgError:
+        return np.full(shape, np.nan), np.full(shape, np.nan)
+    ev = s2[:, None, None] * lam + w2[None, :, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        quad = np.sum((vecs.T @ y) ** 2 / ev, axis=-1)
+        logs = np.log(ev)
+    const = y.size * math.log(2.0 * math.pi)
+    trusted = np.min(ev, axis=-1) >= _EIGEN_FLOOR * np.max(ev, axis=-1)
+    value = 0.5 * (quad + np.sum(logs, axis=-1) + const)
+    magnitude = 0.5 * (quad + np.sum(np.abs(logs), axis=-1) + const)
+    return np.where(trusted, value, np.nan), magnitude
+
+
 def fit_hyperparameters(observations, search: HyperparameterGrid) -> Hyperparameters:
     """Exhaustive NLML grid search, first minimum wins ties.
 
     Needs at least two distinct measurement locations; raises
     DegenerateDataError otherwise. Grid points whose factorization fails
     are skipped.
+
+    The regularized Gram matrix is K = s2 * R_l + w2 * I with R_l the
+    unit-variance correlation matrix, so one eigendecomposition of R_l
+    gives the NLML of every (s2, w2) pair at that length scale in O(n):
+    K's eigenvalues are s2 * lambda + w2 and its eigenvectors are R_l's.
+    The result is the one a Cholesky ``nlml`` of every grid point would
+    select: ``nlml`` re-scores, in grid order, each point whose eigen-path
+    value lies within ``_RESCORE_RTOL`` of the eigen-path minimum and each
+    point whose smallest eigenvalue is below ``_EIGEN_FLOOR`` of its
+    largest (or whose eigen-path value is not finite). The first strict
+    Cholesky minimum among them wins; a failed factorization skips its
+    point.
     """
     obs = list(observations)
     distinct = {o.location for o in obs}
@@ -386,10 +438,29 @@ def fit_hyperparameters(observations, search: HyperparameterGrid) -> Hyperparame
         raise DegenerateDataError(
             f"fitting needs >= 2 distinct locations, got {len(distinct)}"
         )
+    for o in obs:
+        if o.value is None:
+            raise ValueError("nlml needs a value on every observation")
+    design = np.asarray([o.location for o in obs], dtype=float)
+    y = np.asarray([o.value for o in obs], dtype=float)
+    d2 = cdist(design, design, "sqeuclidean")
+    s2 = np.asarray(search.signal_variances)
+    w2 = np.asarray(search.noise_variances)
+    scored = [_eigen_nlml(d2, y, l, s2, w2) for l in search.length_scales]
+    # (length scale, signal variance, noise variance) in C order is the
+    # order of ``search.combinations()``
+    approx = np.ravel([value for value, _ in scored])
+    magnitude = np.ravel([m for _, m in scored])
+    rescore = ~np.isfinite(approx)
+    if not rescore.all():
+        lowest = int(np.nanargmin(approx))
+        rescore |= approx <= approx[lowest] + _RESCORE_RTOL * magnitude[lowest]
     best = None
     best_val = math.inf
-    for l, s2, w2 in search.combinations():
-        h = Hyperparameters(l, s2, w2)
+    for point, again in zip(search.combinations(), rescore):
+        if not again:
+            continue
+        h = Hyperparameters(*point)
         try:
             val = nlml(obs, h)
         except NumericalError:

@@ -9,6 +9,7 @@ from fieldcover.baselines import (
     SensorModel,
     baseline_candidates,
     convergence_study,
+    curves_over_time,
     entropy_greedy,
     lawnmower_plan,
     mi_greedy,
@@ -18,6 +19,7 @@ from fieldcover.baselines import (
     survey_rows,
     variance_over_time,
 )
+from fieldcover.errors import GramTooLargeError
 from fieldcover.fields import sample_gp_field
 from fieldcover.geometry import Environment
 from fieldcover.gp import Hyperparameters, Posterior
@@ -210,31 +212,39 @@ def test_baseline_candidates_use_half_necessary_radius():
 def test_variance_over_time_boundaries():
     h = Hyperparameters(1.5, 1.0, 0.2)
     env = Environment.rectangle((0, 0), (4.0, 4.0))
+    truth = sample_gp_field(env, h, 1.0, 5)
+    sensor = SensorModel(h.noise_variance, 5)
     tour = lawnmower_plan(env, 2.0, (-1.0, -1.0))
     tm = TimeModel(0.5)
     horizon = tour_time(tour, tm)
     pts = env.grid(1.0)
-    curve = variance_over_time(tour, h, pts, tm, [0.0, horizon / 3, 2 * horizon / 3, horizon])
+    marks = [0.0, horizon / 3, 2 * horizon / 3, horizon]
+    curve, _ = curves_over_time(tour, truth, sensor, h, pts, tm, marks)
     assert curve[0] == pytest.approx(h.signal_variance)
     assert all(a >= b - 1e-12 for a, b in zip(curve, curve[1:]))
     full = Posterior(np.asarray([loc for loc, _ in tour.waypoints]), h).variance(pts)
     assert curve[-1] == pytest.approx(full.mean(), rel=1e-12)
-    with pytest.raises(ValueError):
-        variance_over_time(tour, h, pts, tm, [horizon + 1.0])
-    with pytest.raises(ValueError):
-        variance_over_time(tour, h, pts, tm, [-0.5])
+    np.testing.assert_array_equal(variance_over_time(tour, h, pts, tm, marks), curve)
+    for bad in ([horizon + 1.0], [-0.5]):
+        with pytest.raises(ValueError):
+            curves_over_time(tour, truth, sensor, h, pts, tm, bad)
+        with pytest.raises(ValueError):
+            variance_over_time(tour, h, pts, tm, bad)
 
 
 def test_variance_over_time_counts_finished_dwells_only():
     h = Hyperparameters(1.0, 1.0, 0.1)
     tour = Tour((0.0, 0.0), (((1.0, 0.0), 1), ((2.0, 0.0), 1)))
     tm = TimeModel(1.0)
+    truth = sample_gp_field(Environment.rectangle((0.0, 0.0), (3.0, 1.0)), h, 0.5, 8)
+    sensor = SensorModel(h.noise_variance, 8)
     pts = np.array([(0.0, 0.0), (1.5, 0.0)])
     # elapsed times are 2 and 4; at the boundary the first dwell has
     # just finished and the second is still travelling
-    value = variance_over_time(tour, h, pts, tm, [2.0])[0]
+    value = curves_over_time(tour, truth, sensor, h, pts, tm, [2.0])[0][0]
     only_first = Posterior([(1.0, 0.0)], h).variance(pts).mean()
     assert value == pytest.approx(only_first, rel=1e-12)
+    assert variance_over_time(tour, h, pts, tm, [2.0])[0] == value
 
 
 def test_single_trial_mse_noise_free_terminal_matches_direct():
@@ -248,7 +258,7 @@ def test_single_trial_mse_noise_free_terminal_matches_direct():
     # zero sensor noise makes the terminal prediction a pure function of
     # the truth field, so a direct posterior-mean route must agree
     sensor = SensorModel(0.0, 5)
-    curve = single_trial_mse_over_time(tour, truth, sensor, h, pts, tm, [0.0, horizon])
+    _, curve = curves_over_time(tour, truth, sensor, h, pts, tm, [0.0, horizon])
 
     actual = truth.value_at(np.asarray(pts, dtype=float))
     assert curve[0] == pytest.approx(np.mean(actual**2), rel=1e-12)
@@ -268,7 +278,7 @@ def test_single_trial_mse_uses_prefix_design():
     pts = np.array([(0.0, 0.0), (1.5, 0.0)])
     sensor = SensorModel(0.0, 8)
     # elapsed times are 2 and 4, so at 2.0 only the first site reports
-    value = single_trial_mse_over_time(tour, truth, sensor, h, pts, tm, [2.0])[0]
+    value = curves_over_time(tour, truth, sensor, h, pts, tm, [2.0])[1][0]
     obs = truth.value_at(np.array([[1.0, 0.0]]))
     predicted = Posterior(np.array([[1.0, 0.0]]), h).mean(pts, obs)
     actual = truth.value_at(pts)
@@ -285,14 +295,38 @@ def test_single_trial_mse_trial_determinism():
     pts = env.grid(2.0)
     sensor = SensorModel(h.noise_variance, 21)
     marks = [horizon / 2, horizon]
-    a = single_trial_mse_over_time(tour, truth, sensor, h, pts, tm, marks)
-    b = single_trial_mse_over_time(tour, truth, sensor, h, pts, tm, marks)
-    c = single_trial_mse_over_time(tour, truth, sensor, h, pts, tm, marks, trial_index=1)
+    var_a, a = curves_over_time(tour, truth, sensor, h, pts, tm, marks)
+    var_b, b = curves_over_time(tour, truth, sensor, h, pts, tm, marks)
+    var_c, c = curves_over_time(tour, truth, sensor, h, pts, tm, marks, trial_index=1)
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
+    # the variance curve never depends on the draws
+    np.testing.assert_array_equal(var_a, var_b)
+    np.testing.assert_array_equal(var_a, var_c)
+    np.testing.assert_array_equal(
+        single_trial_mse_over_time(tour, truth, sensor, h, pts, tm, marks, trial_index=1), c
+    )
 
 
 def test_ordered_tour_visits_in_order():
     tour = ordered_tour([(1.0, 0.0), (2.0, 5.0)], (0.0, 0.0), dwell_count=3)
     assert tour.depot == (0.0, 0.0)
     assert tour.waypoints == (((1.0, 0.0), 3), ((2.0, 5.0), 3))
+
+
+def test_greedy_refuses_oversized_candidate_matrices(monkeypatch):
+    import fieldcover.baselines as baselines
+
+    def never(*args, **kwargs):
+        raise AssertionError("a candidate matrix was allocated")
+
+    monkeypatch.setattr(baselines, "kernel_matrix", never)
+    side = np.arange(129, dtype=float)
+    # 129^2 = 16,641 candidates: one 8 * 16,641^2 byte matrix is above 2 GiB
+    cands = np.stack(np.meshgrid(side, side), axis=-1).reshape(-1, 2)
+    for select in (entropy_greedy, mi_greedy):
+        with pytest.raises(GramTooLargeError, match="GiB cap"):
+            select(cands, H, 1)
+    # mutual information holds two candidate matrices, so it stops lower
+    with pytest.raises(GramTooLargeError, match="greedy selection over 11586 candidates"):
+        mi_greedy(cands[:11_586], H, 1)

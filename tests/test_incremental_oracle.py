@@ -1,0 +1,204 @@
+"""The incremental greedy baselines and grid-search fit against per-step references.
+
+The references are the straightforward versions of the same algorithms:
+the greedy ones refactor the picks and invert the remaining candidates'
+Gram matrix at every step, and the fit factors every grid point by
+Cholesky. The incremental versions must pick the same sequence, score
+every step to rounding, and select the same hyperparameters.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import pytest
+
+from fieldcover import baselines, cli, gp
+from fieldcover.baselines import _pick_with_tie_break, baseline_candidates, entropy_greedy, mi_greedy
+from fieldcover.errors import NumericalError
+from fieldcover.geometry import Environment
+from fieldcover.gp import (
+    HyperparameterGrid,
+    Hyperparameters,
+    Observation,
+    Posterior,
+    fit_hyperparameters,
+    kernel_matrix,
+    nlml,
+)
+
+README_H = Hyperparameters(8.33, 12.87, 0.0361)
+SCORE_RTOL = 1e-10
+
+
+def reference_greedy(candidates, hyper: Hyperparameters, budget: int, mutual_information: bool):
+    """Picks and per-step scores, refactoring from scratch at every step."""
+    cands = np.asarray(candidates, dtype=float).reshape(-1, 2)
+    w2 = hyper.noise_variance
+    picks, steps = [], []
+    mask = np.ones(cands.shape[0], dtype=bool)
+    for _ in range(budget):
+        idx = np.flatnonzero(mask)
+        remaining = cands[idx]
+        scores = Posterior(np.asarray(picks, dtype=float).reshape(-1, 2), hyper).variance(remaining)
+        if mutual_information:
+            gram = kernel_matrix(remaining, remaining, hyper)
+            gram[np.diag_indices_from(gram)] += w2
+            denom = 1.0 / np.diag(np.linalg.inv(gram)) - w2
+            scores = scores / np.maximum(denom, 1e-18 * hyper.signal_variance)
+        chosen = idx[_pick_with_tie_break(remaining, scores)]
+        steps.append(scores)
+        picks.append((float(cands[chosen, 0]), float(cands[chosen, 1])))
+        mask[chosen] = False
+    return picks, steps
+
+
+def recorded_greedy(monkeypatch, select, candidates, hyper: Hyperparameters, budget: int):
+    """Run a library greedy and record the scores of every step."""
+    steps = []
+
+    def record(remaining, scores):
+        steps.append(np.array(scores))
+        return _pick_with_tie_break(remaining, scores)
+
+    monkeypatch.setattr(baselines, "_pick_with_tie_break", record)
+    return select(candidates, hyper, budget), steps
+
+
+def l_shape() -> Environment:
+    return Environment.polygon([(0.0, 0.0), (24.0, 0.0), (24.0, 12.0), (12.0, 12.0), (12.0, 24.0), (0.0, 24.0)])
+
+
+CASES = {
+    # 20 x 20 regular grid: every first-step score is the prior, and the
+    # grid's symmetry keeps producing exact and near ties
+    "readme-20x20": (Environment.rectangle((0.0, 0.0), (50.0, 50.0)), README_H, 4.0),
+    "l-shape": (l_shape(), Hyperparameters(3.0, 2.0, 0.1), 1.2),
+    "noisy-w2-2": (Environment.rectangle((0.0, 0.0), (30.0, 30.0)), Hyperparameters(8.33, 12.87, 2.0), 4.0),
+}
+
+
+def test_readme_case_is_a_20_by_20_grid():
+    env, hyper, delta = CASES["readme-20x20"]
+    cands = np.asarray(baseline_candidates(env, hyper, delta))
+    assert cands.shape == (400, 2)
+    assert len(np.unique(cands[:, 0])) == len(np.unique(cands[:, 1])) == 20
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+@pytest.mark.parametrize("mutual_information", [False, True], ids=["entropy", "mi"])
+def test_full_budget_picks_and_scores_match_reference(monkeypatch, case, mutual_information):
+    env, hyper, delta = CASES[case]
+    cands = baseline_candidates(env, hyper, delta)
+    budget = len(cands)
+    expected, ref_steps = reference_greedy(cands, hyper, budget, mutual_information)
+    select = mi_greedy if mutual_information else entropy_greedy
+    picks, steps = recorded_greedy(monkeypatch, select, cands, hyper, budget)
+    assert picks == expected
+    assert len(steps) == budget
+    for step, (got, want) in enumerate(zip(steps, ref_steps)):
+        np.testing.assert_allclose(got, want, rtol=SCORE_RTOL, err_msg=f"step {step}")
+
+
+def test_first_entropy_step_is_an_exact_tie_at_the_prior(monkeypatch):
+    env, hyper, delta = CASES["readme-20x20"]
+    cands = baseline_candidates(env, hyper, delta)
+    picks, steps = recorded_greedy(monkeypatch, entropy_greedy, cands, hyper, 1)
+    assert np.all(steps[0] == hyper.signal_variance)
+    assert picks == [min(cands)]
+
+
+# --- grid-search fit ---------------------------------------------------------
+
+
+def reference_fit(observations, search: HyperparameterGrid) -> Hyperparameters:
+    """Cholesky NLML at every grid point in order; first strict minimum wins."""
+    best, best_val = None, math.inf
+    for l, s2, w2 in search.combinations():
+        h = Hyperparameters(l, s2, w2)
+        try:
+            val = nlml(observations, h)
+        except NumericalError:
+            continue
+        if math.isfinite(val) and val < best_val:
+            best, best_val = h, val
+    return best
+
+
+def seeded_survey(seed: int, duplicates: bool = False):
+    rng = np.random.default_rng([seed, 7])
+    n = int(rng.integers(40, 120))
+    side = float(rng.uniform(5.0, 60.0))
+    pts = rng.uniform(0.0, side, size=(n, 2))
+    if duplicates:
+        # a quarter of the points revisit earlier locations
+        pts[: n // 4] = pts[n // 4 : 2 * (n // 4)]
+    truth = Hyperparameters(rng.uniform(0.05, 0.4) * side, rng.uniform(0.5, 5.0), rng.uniform(0.01, 1.0))
+    cov = kernel_matrix(pts, pts, truth) + truth.noise_variance * np.eye(n)
+    values = np.linalg.cholesky(cov) @ rng.standard_normal(n)
+    values -= values.mean()
+    return pts, values
+
+
+def observations_of(pts, values):
+    return [Observation(tuple(p), float(v)) for p, v in zip(pts, values)]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_fit_selects_what_per_point_cholesky_selects(seed):
+    pts, values = seeded_survey(seed, duplicates=seed == 0)
+    if seed == 0:
+        assert len({tuple(p) for p in pts}) < len(pts)
+    obs = observations_of(pts, values)
+    search = cli._default_search(pts, values)
+    assert fit_hyperparameters(obs, search) == reference_fit(obs, search)
+
+
+def counting_nlml(monkeypatch) -> list:
+    """Replace gp.nlml with a wrapper that records each grid point it scores."""
+    scored = []
+    original = gp.nlml
+
+    def counted(observations, hyper):
+        scored.append(hyper)
+        return original(observations, hyper)
+
+    monkeypatch.setattr(gp, "nlml", counted)
+    return scored
+
+
+def test_fit_rescores_only_near_the_minimum(monkeypatch):
+    pts, values = seeded_survey(3)
+    obs = observations_of(pts, values)
+    search = cli._default_search(pts, values)
+    scored = counting_nlml(monkeypatch)
+    best = fit_hyperparameters(obs, search)
+    assert best in scored
+    assert len(scored) < 5
+
+
+def test_forced_near_tie_is_resolved_by_cholesky(monkeypatch):
+    pts, values = seeded_survey(5)
+    obs = observations_of(pts, values)
+    winner = reference_fit(obs, cli._default_search(pts, values))
+    # two length scales one part in 1e13 apart: their NLMLs differ far
+    # below the re-score tolerance, so the eigen path must not decide
+    near = winner.length_scale * (1.0 + 1e-13)
+    for scales in ((winner.length_scale, near), (near, winner.length_scale)):
+        search = HyperparameterGrid(scales, (winner.signal_variance,), (winner.noise_variance,))
+        scored = counting_nlml(monkeypatch)
+        assert fit_hyperparameters(obs, search) == reference_fit(obs, search)
+        assert [h.length_scale for h in scored] == list(scales)
+
+
+def test_fit_skips_points_whose_factorization_fails():
+    # noise far below rounding of the correlation matrix of nearly
+    # coincident points: Cholesky fails there, so the search must skip it
+    pts = np.array([(0.0, 0.0), (1e-9, 0.0), (3.0, 1.0), (5.0, 4.0)])
+    values = np.array([1.0, 1.0, -0.5, 0.3])
+    obs = observations_of(pts, values)
+    search = HyperparameterGrid((50.0, 2.0), (1.0,), (1e-300, 0.1))
+    with pytest.raises(NumericalError):
+        nlml(obs, Hyperparameters(50.0, 1.0, 1e-300))
+    assert fit_hyperparameters(obs, search) == reference_fit(obs, search)

@@ -21,10 +21,9 @@ from fieldcover import io as fileio
 from fieldcover.baselines import (
     SensorModel,
     convergence_study,
+    curves_over_time,
     ordered_tour,
     simulate_trial,
-    single_trial_mse_over_time,
-    variance_over_time,
 )
 from fieldcover.errors import GramTooLargeError
 from fieldcover.fields import sample_gp_field
@@ -203,8 +202,7 @@ def test_curves_over_repeated_dwells_match_expanded_path():
     pts = env.grid(1.0)
     sensor = SensorModel(0.3, 12)
 
-    variances = variance_over_time(tour, h, pts, tm, marks)
-    mse = single_trial_mse_over_time(tour, truth, sensor, h, pts, tm, marks)
+    variances, mse = curves_over_time(tour, truth, sensor, h, pts, tm, marks)
     elapsed = cumulative_times(tour, tm)
     readings = noisy_readings(truth, tour.waypoints, sensor, 0)
     actual = truth.value_at(pts)

@@ -110,10 +110,10 @@ def simulate_trial(
     sites, counts = measured.distinct()
     eval_points = truth.points()
     truth_values = truth.values.ravel()
-    post = Posterior(sites, hyper, counts)
-    variances = post.variance(eval_points)
     noise = measured.site_means(_noise(sensor, trial_index, measured.total))
-    means = post.mean(eval_points, truth.value_at(sites) + noise)
+    means, variances = Posterior(sites, hyper, counts).mean_and_variance(
+        eval_points, truth.value_at(sites) + noise
+    )
     return TrialReport(means, variances, (means - truth_values) ** 2)
 
 
@@ -193,14 +193,19 @@ def _greedy_select(candidates, hyper: Hyperparameters, budget: int, mutual_infor
     n = cands.shape[0]
     if budget > n:
         raise ValueError(f"budget {budget} exceeds {n} candidates")
-    matrices = 2 if mutual_information else 1
+    # Peak C x C matrices held at once. A pick holds ``cov``, its compacted
+    # copy or the outer-product term, and for MI also ``prec``. MI peaks
+    # earlier, inside ``np.linalg.inv``: the Gram matrix, LAPACK's copy of
+    # it, the identity it solves against and the result; so the precision
+    # is built before ``cov`` exists.
+    matrices = 4 if mutual_information else 2
     check_dense_budget(8 * n * n * matrices, f"greedy selection over {n} candidates")
     w2 = hyper.noise_variance
     floor = 1e-18 * hyper.signal_variance
     pool = np.arange(n)
-    cov = kernel_matrix(cands, cands, hyper)
     if mutual_information:
         prec, inverted_at = _pool_precision(cands, hyper), n
+    cov = kernel_matrix(cands, cands, hyper)
     picks: list[tuple[float, float]] = []
     for _ in range(budget):
         scores = np.maximum(np.diag(cov), 0.0)
@@ -232,8 +237,9 @@ def entropy_greedy(candidates, hyper: Hyperparameters, budget: int) -> list:
     the entropy argmax. Ties (within 1e-12 relative) go to the
     lexicographically smallest location. One C x C candidate covariance
     is built once and downdated by rank one per pick, so a pick costs
-    O(C^2); more than 16,384 candidates raise GramTooLargeError before
-    anything large is allocated.
+    O(C^2). It holds at most two C x C matrices at once, so more than
+    11,585 candidates raise GramTooLargeError before anything large is
+    allocated.
     """
     return _greedy_select(candidates, hyper, budget, mutual_information=False)
 
@@ -250,8 +256,9 @@ def mi_greedy(candidates, hyper: Hyperparameters, budget: int) -> list:
 
     Two C x C matrices are kept and downdated by rank one per pick (the
     picks' posterior covariance and the unpicked pool's precision), so
-    after one inverse a pick costs O(C^2); more than 11,585 candidates
-    raise GramTooLargeError before anything large is allocated.
+    after one inverse a pick costs O(C^2). The inverse holds four C x C
+    matrices at once, so more than 8,192 candidates raise
+    GramTooLargeError before anything large is allocated.
     """
     return _greedy_select(candidates, hyper, budget, mutual_information=True)
 
@@ -343,7 +350,8 @@ def curves_over_time(
     """Average posterior variance and one trial's mean squared prediction
     error, using the measurements finished by each checkpoint.
 
-    Each checkpoint's posterior is factored once and serves both curves.
+    Each checkpoint's posterior is factored once, and one pass over its
+    cross-covariance with the query points serves both curves.
     The noise for the whole tour is drawn up front, so a measurement
     carries the same reading at every checkpoint that includes it. A
     checkpoint's design is not a prefix of the next one's Gram rows: a
@@ -355,10 +363,10 @@ def curves_over_time(
     variances, errors = [], []
     for measured in designs:
         sites, counts = measured.distinct()
-        post = Posterior(sites, hyper, counts)
-        variances.append(float(post.variance(pts).mean()))
         observed = truth.value_at(sites) + measured.site_means(noise[: measured.total])
-        errors.append(float(np.mean((post.mean(pts, observed) - actual) ** 2)))
+        means, var = Posterior(sites, hyper, counts).mean_and_variance(pts, observed)
+        variances.append(float(var.mean()))
+        errors.append(float(np.mean((means - actual) ** 2)))
     return np.asarray(variances), np.asarray(errors)
 
 

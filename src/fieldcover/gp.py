@@ -26,8 +26,8 @@ from scipy.spatial.distance import cdist
 
 from .errors import DegenerateDataError, GramTooLargeError, NumericalError
 
-# Byte budget of one float64 (rows x columns) temporary in
-# ``Posterior.variance``; a few such temporaries are live at once.
+# Byte budget of one float64 (sites x query points) cross-covariance chunk
+# in ``Posterior``'s variance and mean queries; a few are live at once.
 _CHUNK_BYTES = 32 * 2**20
 # Largest Gram matrix a dense solve may allocate. Factorization is in
 # place, so this is also about the peak of the factorization itself.
@@ -196,8 +196,15 @@ def kernel_matrix(a, b, hyper: Hyperparameters) -> np.ndarray:
     b = np.atleast_2d(np.asarray(b, dtype=float))
     if a.size == 0 or b.size == 0:
         return np.zeros((a.shape[0], b.shape[0]))
-    d2 = cdist(a, b, "sqeuclidean")
-    return hyper.signal_variance * np.exp(-d2 / (2.0 * hyper.length_scale**2))
+    # s2 * exp(-d2 / (2 l^2)) in the order written, all in the cdist buffer,
+    # so the result is bit-identical to the expression with one temporary
+    # instead of four
+    k = cdist(a, b, "sqeuclidean")
+    np.negative(k, out=k)
+    np.divide(k, 2.0 * hyper.length_scale**2, out=k)
+    np.exp(k, out=k)
+    np.multiply(hyper.signal_variance, k, out=k)
+    return k
 
 
 class Posterior:
@@ -243,18 +250,11 @@ class Posterior:
     def variance(self, points) -> np.ndarray:
         """Posterior variance at each query point. Values play no role."""
         pts = np.asarray(points, dtype=float).reshape(-1, 2)
-        s2 = self.hyper.signal_variance
         if self._factor is None:
-            return np.full(pts.shape[0], s2)
+            return np.full(pts.shape[0], self.hyper.signal_variance)
         out = np.empty(pts.shape[0])
-        lower = self._factor[0]
-        step = max(1, _CHUNK_BYTES // (8 * self.size))
-        for start in range(0, pts.shape[0], step):
-            block = pts[start : start + step]
-            # Fortran-ordered (rows x columns), so the solve runs in place.
-            kxb = kernel_matrix(block, self.design, self.hyper).T
-            v = solve_triangular(lower, kxb, lower=True, overwrite_b=True, check_finite=False)
-            out[start : start + block.shape[0]] = s2 - np.einsum("ij,ij->j", v, v)
+        for rows, kxb in self._cross_covariances(pts):
+            out[rows] = self._chunk_variance(kxb)
         return np.maximum(out, 0.0)
 
     def mean(self, points, values) -> np.ndarray:
@@ -265,12 +265,7 @@ class Posterior:
         pts = np.asarray(points, dtype=float).reshape(-1, 2)
         if self._factor is None:
             return np.zeros(pts.shape[0])
-        y = np.asarray(values, dtype=float)
-        if y.shape[0] != self.size:
-            raise ValueError(f"expected {self.size} values, got {y.shape[0]}")
-        alpha = cho_solve(self._factor, y, check_finite=False)
-        kxb = kernel_matrix(pts, self.design, self.hyper)
-        return kxb @ alpha
+        return self._mean(pts, self._weights(values))
 
     def mean_many(self, points, value_columns: np.ndarray) -> np.ndarray:
         """Posterior means for several value vectors at once.
@@ -282,11 +277,49 @@ class Posterior:
         cols = np.asarray(value_columns, dtype=float)
         if self._factor is None:
             return np.zeros((pts.shape[0], cols.shape[1]))
-        if cols.shape[0] != self.size:
-            raise ValueError(f"expected {self.size} value rows, got {cols.shape[0]}")
-        alphas = cho_solve(self._factor, cols, check_finite=False)
-        kxb = kernel_matrix(pts, self.design, self.hyper)
-        return kxb @ alphas
+        return self._mean(pts, self._weights(cols))
+
+    def mean_and_variance(self, points, values) -> tuple[np.ndarray, np.ndarray]:
+        """``mean(points, values)`` and ``variance(points)`` from one pass
+        over the cross-covariance K(points, sites)."""
+        pts = np.asarray(points, dtype=float).reshape(-1, 2)
+        if self._factor is None:
+            return np.zeros(pts.shape[0]), np.full(pts.shape[0], self.hyper.signal_variance)
+        alpha = self._weights(values)
+        means, variances = np.empty(pts.shape[0]), np.empty(pts.shape[0])
+        for rows, kxb in self._cross_covariances(pts):
+            means[rows] = kxb.T @ alpha
+            variances[rows] = self._chunk_variance(kxb)
+        return means, np.maximum(variances, 0.0)
+
+    def _cross_covariances(self, pts: np.ndarray):
+        """Yield (rows, K(sites, pts[rows])) in chunks of about ``_CHUNK_BYTES``.
+
+        Each chunk is Fortran-ordered (sites x rows), so a triangular solve
+        can run on it in place.
+        """
+        step = max(1, _CHUNK_BYTES // (8 * self.size))
+        for start in range(0, pts.shape[0], step):
+            block = pts[start : start + step]
+            yield slice(start, start + block.shape[0]), kernel_matrix(block, self.design, self.hyper).T
+
+    def _chunk_variance(self, kxb: np.ndarray) -> np.ndarray:
+        """Variance at one chunk's points; overwrites ``kxb``."""
+        v = solve_triangular(self._factor[0], kxb, lower=True, overwrite_b=True, check_finite=False)
+        return self.hyper.signal_variance - np.einsum("ij,ij->j", v, v)
+
+    def _weights(self, values) -> np.ndarray:
+        """(K + diag(w2 / counts))^-1 applied to one value per site (per column)."""
+        y = np.asarray(values, dtype=float)
+        if y.shape[0] != self.size:
+            raise ValueError(f"expected {self.size} value rows, one per site, got {y.shape[0]}")
+        return cho_solve(self._factor, y, check_finite=False)
+
+    def _mean(self, pts: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+        out = np.empty((pts.shape[0],) + alpha.shape[1:])
+        for rows, kxb in self._cross_covariances(pts):
+            out[rows] = kxb.T @ alpha
+        return out
 
 
 def posterior_mean(x, observations, hyper: Hyperparameters) -> float:

@@ -162,6 +162,7 @@ def verification_to_payload(report: VerificationReport) -> dict:
         "passed": report.passed,
         "grid_spacing": report.grid_spacing,
         "grid_count": report.grid_count,
+        "method": report.method,
     }
 
 
@@ -173,6 +174,7 @@ def verification_from_payload(payload) -> VerificationReport:
         bool(payload["passed"]),
         float(payload["grid_spacing"]),
         int(payload["grid_count"]),
+        str(payload["method"]),
     )
 
 

@@ -327,6 +327,30 @@ def test_greedy_refuses_oversized_candidate_matrices(monkeypatch):
     for select in (entropy_greedy, mi_greedy):
         with pytest.raises(GramTooLargeError, match="GiB cap"):
             select(cands, H, 1)
-    # mutual information holds two candidate matrices, so it stops lower
+    # mutual information holds more candidate matrices at once, so it stops lower
     with pytest.raises(GramTooLargeError, match="greedy selection over 11586 candidates"):
         mi_greedy(cands[:11_586], H, 1)
+
+
+@pytest.mark.parametrize(
+    "select, cap",
+    # peak C x C matrices held at once: two for entropy, four for MI
+    # (inside the pool inverse), so 8 * C^2 * peak stays within 2 GiB
+    [(entropy_greedy, 11_585), (mi_greedy, 8_192)],
+)
+def test_greedy_guard_boundary(select, cap, monkeypatch):
+    import fieldcover.baselines as baselines
+
+    class Allocated(Exception):
+        pass
+
+    def allocated(*args, **kwargs):
+        raise Allocated
+
+    monkeypatch.setattr(baselines, "kernel_matrix", allocated)
+    side = np.arange(120, dtype=float)
+    cands = np.stack(np.meshgrid(side, side), axis=-1).reshape(-1, 2)
+    with pytest.raises(Allocated):
+        select(cands[:cap], H, 1)
+    with pytest.raises(GramTooLargeError, match=f"greedy selection over {cap + 1} candidates"):
+        select(cands[: cap + 1], H, 1)

@@ -1,0 +1,226 @@
+"""The tiled local verification bound against the dense sweep.
+
+Dropping observations never lowers GP posterior variance, so the
+variance given only the sites near a tile bounds the true variance from
+above. These tests check that bound against the dense posterior, and
+check that ``verify_plan`` reaches the dense verdict on every plan, with
+exact values wherever the bound alone would fail the plan.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fieldcover import io as fileio
+from fieldcover import placement
+from fieldcover.geometry import Environment
+from fieldcover.gp import Hyperparameters, Posterior
+from fieldcover.placement import (
+    AccuracySpec,
+    VerificationReport,
+    _local_variance_bound,
+    _solve_flops,
+    _tiles,
+    default_grid_spacing,
+    disk_cover_placement,
+    necessary_radius,
+    prune_redundant,
+    verify_plan,
+)
+
+
+def instance(seed: int):
+    """A random rectangle or star polygon a few length scales across, with
+    hyperparameters, target and shrink factor drawn as in the acceptance run."""
+    rng = np.random.default_rng(seed)
+    h = Hyperparameters(
+        float(rng.uniform(1.5, 4.0)),
+        float(rng.uniform(2.0, 10.0)),
+        float(rng.uniform(0.05, 0.5)),
+    )
+    l = h.length_scale
+    if seed % 2 == 0:
+        w, hgt = rng.uniform(2.0, 5.0, size=2) * l
+        x, y = rng.uniform(-2.0, 2.0, size=2) * l
+        env = Environment.rectangle((x, y), (x + w, y + hgt))
+    else:
+        n = 7
+        angles = 2 * math.pi * (np.arange(n) + rng.uniform(0.15, 0.85, size=n)) / n
+        radii = rng.uniform(1.0, 2.5, size=n) * l
+        env = Environment.polygon(np.column_stack([radii * np.cos(angles), radii * np.sin(angles)]))
+    delta = h.signal_variance * float(rng.uniform(0.2, 0.6))
+    alpha = (1.5, 2.0, 3.0)[seed % 3]
+    return env, h, AccuracySpec(delta, alpha)
+
+
+def local_bound(sites, counts, grid, h, delta):
+    return _local_variance_bound(sites, counts, grid, _tiles(sites, grid, h.length_scale), h, delta)
+
+
+def dense_and_local(plan, env, h, delta, spacing):
+    """Exact and tiled variances over the verification grid, and the grid."""
+    sites, counts = plan.as_multiset().distinct()
+    grid = env.grid(spacing)
+    exact = Posterior(sites, h, counts).variance(grid)
+    return exact, local_bound(sites, counts, grid, h, delta), grid
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10_000), keep=st.floats(0.2, 1.0))
+def test_local_bound_never_below_dense(seed, keep):
+    env, h, spec = instance(seed)
+    sites, counts = disk_cover_placement(env, h, spec).as_multiset().distinct()
+    # thinning the plan leaves gaps, so tiles see variances well above zero
+    chosen = np.random.default_rng(seed).random(sites.shape[0]) < keep
+    chosen[0] = True
+    sites, counts = sites[chosen], counts[chosen]
+    grid = env.grid(h.length_scale / 4.0)
+    bound = local_bound(sites, counts, grid, h, math.inf)
+    exact = Posterior(sites, h, counts).variance(grid)
+    assert np.all(bound >= exact - 1e-12 * h.signal_variance)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_local_verdict_matches_dense(seed):
+    env, h, spec = instance(seed)
+    plan = disk_cover_placement(env, h, spec)
+    spacing = h.length_scale / 4.0
+    exact, bound, _ = dense_and_local(plan, env, h, spec.max_variance, spacing)
+    assert exact.max() <= bound.max() <= spec.max_variance
+    assert bound.mean() >= exact.mean()
+
+    # A target between the exact maximum and the bound's: the failing
+    # tiles are recomputed exactly, so the plan still passes.
+    assert bound.max() > exact.max()
+    between = (bound.max() + exact.max()) / 2.0
+    _, rescued, _ = dense_and_local(plan, env, h, between, spacing)
+    assert exact.max() <= rescued.max() <= between
+
+    # A target just below the exact maximum: both fail, on exact values.
+    below = exact.max() * (1.0 - 1e-9)
+    _, failed, _ = dense_and_local(plan, env, h, below, spacing)
+    assert failed.max() > below
+    assert failed.max() == pytest.approx(exact.max(), rel=1e-12)
+    assert int(np.argmax(failed)) == int(np.argmax(exact))
+
+
+def test_ablated_plan_fails_exactly_inside_missing_disk():
+    # the instance of test_placement.test_ablated_plan_fails_inside_missing_disk
+    h = Hyperparameters(1.0, 1.0, 30.0)
+    delta = 0.9
+    s = necessary_radius(h, delta) * math.sqrt(2.0)
+    env = Environment.rectangle((0, 0), (3 * s - 1e-9, s - 1e-9))
+    plan = disk_cover_placement(env, h, AccuracySpec(delta, 2.0))
+    keep = [i for i, p in enumerate(plan.provenance) if p != 1]
+    ablated = dataclasses.replace(
+        plan,
+        entries=tuple(plan.entries[i] for i in keep),
+        provenance=tuple(plan.provenance[i] for i in keep),
+    )
+    spacing = default_grid_spacing(env, h, delta)
+    _, bound, _ = dense_and_local(plan, env, h, delta, spacing)
+    assert bound.max() <= delta
+    exact, bound, grid = dense_and_local(ablated, env, h, delta, spacing)
+    assert exact.max() > delta and bound.max() > delta
+    assert bound.max() == pytest.approx(exact.max(), rel=1e-12)
+    top = int(np.argmax(bound))
+    assert top == int(np.argmax(exact))
+    dropped = plan.sweep_disks[1]
+    assert math.dist(grid[top], dropped.center) <= dropped.radius
+
+
+def test_empty_neighbourhood_falls_back_to_prior():
+    # every tile but the one around the single site sees no local site
+    h = Hyperparameters(1.0, 2.0, 0.1)
+    grid = Environment.rectangle((0.0, 0.0), (12.0, 1.0)).grid(0.5)
+    sites, counts = np.array([[0.5, 0.5]]), np.array([3])
+    bound = local_bound(sites, counts, grid, h, math.inf)
+    # tiles from x = 3 on lie more than 2 l from the site's tile
+    far = grid[:, 0] > 3.0
+    assert np.all(bound[far] == h.signal_variance)
+    exact = Posterior(sites, h, counts).variance(grid)
+    assert np.all(bound >= exact)
+    # with a finite target those tiles are recomputed exactly
+    np.testing.assert_allclose(
+        local_bound(sites, counts, grid, h, 1.0)[far], exact[far], rtol=1e-12
+    )
+
+
+def test_courtyard_sized_plan_stays_dense_and_exact():
+    # the noisy-courtyard benchmark instance: 344 distinct sites, 21,675 points
+    s = 14.0
+    env = Environment.polygon([(0, 0), (s, 0), (s, s / 2), (s / 2, s / 2), (s / 2, s), (0, s)])
+    h = Hyperparameters(8.33, 12.87, 2.0)
+    plan = disk_cover_placement(env, h, AccuracySpec(0.5, 2.0))
+    projected = tuple(
+        (loc if env.contains_point(loc) else env.nearest_point(loc), n) for loc, n in plan.entries
+    )
+    plan = dataclasses.replace(plan, entries=projected)
+    report = verify_plan(plan, env, h, 0.5)
+    assert report.method == "dense" and report.passed
+    # the values the dense sweep gave before the tiled path existed
+    assert report.grid_count == 21_675
+    assert report.argmax == (14.0, 0.0)
+    assert report.max_variance == pytest.approx(0.030122224576622614, rel=1e-12)
+    assert report.mean_variance == pytest.approx(0.006691129438863607, rel=1e-12)
+
+
+def test_method_round_trips_through_verification_json(tmp_path):
+    for method in ("dense", "local"):
+        report = VerificationReport(0.4321, (1.5, 0.25), 0.2, True, 0.05, 2501, method)
+        path = tmp_path / f"{method}.json"
+        fileio.write_json(path, fileio.verification_to_payload(report))
+        assert fileio.read_json(path)["method"] == method
+        assert fileio.verification_from_payload(fileio.read_json(path)) == report
+    with pytest.raises(ValueError, match="method"):
+        dataclasses.replace(report, method="sampled")
+
+
+def test_local_path_is_taken_when_tiles_are_cheaper(monkeypatch):
+    # 2317 distinct sites, 2601 points: above the dense budget, and a
+    # tile sees about a quarter of the sites
+    h = Hyperparameters(1.0, 1.0, 0.1)
+    spec = AccuracySpec(0.5, 2.0)
+    env = Environment.rectangle((0.0, 0.0), (15.0, 15.0))
+    plan = disk_cover_placement(env, h, spec)
+    report = verify_plan(plan, env, h, spec.max_variance, 0.3)
+    assert report.method == "local" and report.passed
+    exact, bound, grid = dense_and_local(plan, env, h, spec.max_variance, 0.3)
+    top = int(np.argmax(bound))
+    assert report.max_variance == float(bound[top]) >= float(exact.max())
+    assert report.argmax == (float(grid[top, 0]), float(grid[top, 1]))
+    assert report.mean_variance == float(bound.mean())
+
+    # prune_redundant re-verifies through verify_plan. The pruned plan is
+    # within the dense budget, so the budget is lowered to reach the
+    # tiled path.
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return _local_variance_bound(*args)
+
+    monkeypatch.setattr(placement, "_DENSE_VERIFY_FLOPS", 0.0)
+    monkeypatch.setattr(placement, "_local_variance_bound", spy)
+    pruned = prune_redundant(plan, env, h, spec, 0.3)
+    assert len(pruned.entries) < len(plan.entries)
+    assert len(calls) == 1
+    np.testing.assert_array_equal(calls[0][0], pruned.as_multiset().distinct()[0])
+
+
+def test_tiles_that_see_most_sites_stay_dense():
+    # 3797 distinct sites in a square 2.4 length scales wide: the dense
+    # sweep is above its budget, but every tile would factor nearly all
+    # sites, so one dense solve is cheaper
+    h = Hyperparameters(8.33, 12.87, 0.0361)
+    env = Environment.rectangle((0.0, 0.0), (20.0, 20.0))
+    plan = disk_cover_placement(env, h, AccuracySpec(0.12, 2.0))
+    sites, _ = plan.as_multiset().distinct()
+    assert _solve_flops(sites.shape[0], env.grid(2.0).shape[0]) > placement._DENSE_VERIFY_FLOPS
+    assert verify_plan(plan, env, h, 0.12, 2.0).method == "dense"

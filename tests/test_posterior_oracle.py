@@ -237,11 +237,53 @@ def test_oversized_gram_is_refused_before_allocation():
 
 
 def test_oversized_plan_exits_2_naming_the_cap(tmp_path, capsys):
+    # r = 0.03 against l = 3: 24,076 distinct sites, all near the one tile,
+    # so tiling saves nothing and the dense solve is above the cap
+    env = tmp_path / "env.json"
+    fileio.write_json(env, {"type": "rectangle", "min": [0.0, 0.0], "max": [2.5, 2.5]})
+    args = [
+        "plan", "--env", str(env), "--hyper", "3,2,0.1", "--delta", "2e-4", "--alpha", "1.5",
+        "--grid-res", "1", "--out", str(tmp_path / "out"),
+    ]
+    assert cli.main(args) == 2
+    assert "GiB cap" in capsys.readouterr().err
+
+
+def test_formerly_oversized_plan_is_certified_locally(tmp_path):
+    # 22,761 distinct sites: too many for one dense solve, but each tile
+    # sees only the few hundred near it
     env = tmp_path / "env.json"
     fileio.write_json(env, {"type": "rectangle", "min": [0.0, 0.0], "max": [240.0, 240.0]})
     args = [
         "plan", "--env", str(env), "--hyper", "3,2,0.1", "--delta", "1.2", "--alpha", "1.5",
         "--grid-res", "20", "--out", str(tmp_path / "out"),
     ]
-    assert cli.main(args) == 2
-    assert "GiB cap" in capsys.readouterr().err
+    assert cli.main(args) == 0
+    report = fileio.read_json(tmp_path / "out" / "verification.json")
+    assert report["method"] == "local"
+    assert report["passed"] is True
+    assert report["max_variance"] <= 1.2
+
+
+def test_chunked_means_match_expanded_reference(monkeypatch):
+    import fieldcover.gp as gp
+
+    rng = np.random.default_rng(7)
+    h = Hyperparameters(2.0, 1.5, 0.2)
+    entries = random_entries(rng, sites=20, entries=45, max_count=3)
+    queries = rng.uniform(-8.0, 8.0, size=(50, 2))
+    measured, post = collapsed(entries, h)
+    # 8 * 20 * 7 bytes: chunks of 7 query points, the last one short
+    monkeypatch.setattr(gp, "_CHUNK_BYTES", 8 * 20 * 7)
+    values = rng.normal(size=measured.total)
+    expected = reference_mean(entries, h, queries, values)
+    np.testing.assert_allclose(post.mean(queries, measured.site_means(values)), expected, rtol=RTOL)
+    means, variances = post.mean_and_variance(queries, measured.site_means(values))
+    np.testing.assert_allclose(means, expected, rtol=RTOL)
+    np.testing.assert_allclose(variances, reference_variance(entries, h, queries), rtol=RTOL)
+    columns = rng.normal(size=(measured.total, 3))
+    batched = post.mean_many(queries, measured.site_means(columns))
+    for j in range(columns.shape[1]):
+        np.testing.assert_allclose(
+            batched[:, j], reference_mean(entries, h, queries, columns[:, j]), rtol=RTOL
+        )

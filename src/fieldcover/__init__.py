@@ -10,7 +10,6 @@ from .errors import (
 from .geometry import (
     Disk,
     Environment,
-    cover_disk_lawnmower,
     cover_environment,
     disks_intersect,
     greedy_mis,
@@ -46,7 +45,6 @@ from .routing import (
     TimeModel,
     Tour,
     cumulative_times,
-    disk_cover_tour,
     intra_disk_travel,
     tour_from_plan,
     tour_time,

@@ -201,8 +201,7 @@ def cmd_plan(args: argparse.Namespace) -> None:
 
 def _build_tour(cfg: RunConfig):
     plan = _build_plan(cfg)
-    tour = tour_from_plan(plan, cfg.spec, cfg.time, depot=cfg.depot)
-    return plan, tour
+    return plan, tour_from_plan(plan, depot=cfg.depot)
 
 
 def _write_tour_outputs(cfg: RunConfig, plan, tour) -> None:
@@ -287,8 +286,7 @@ def cmd_simulate(args: argparse.Namespace) -> None:
 
 def cmd_compare(args: argparse.Namespace) -> None:
     cfg = _config(args)
-    plan = _build_plan(cfg)
-    tour = tour_from_plan(plan, cfg.spec, cfg.time, depot=cfg.depot)
+    plan, tour = _build_tour(cfg)
     depot = tour.depot
 
     candidates = baseline_candidates(cfg.env, cfg.hyper, cfg.delta)

@@ -347,14 +347,6 @@ def lawnmower_rows(big: Disk, small_radius: float) -> list[list[tuple[float, flo
     return rows
 
 
-def cover_disk_lawnmower(big: Disk, small_radius: float) -> list[tuple[float, float]]:
-    """Boustrophedon flattening of ``lawnmower_rows``: alternate row direction."""
-    pts: list[tuple[float, float]] = []
-    for j, row in enumerate(lawnmower_rows(big, small_radius)):
-        pts.extend(row if j % 2 == 0 else row[::-1])
-    return pts
-
-
 def mis_tour_lower_bound(mis: list[Disk]) -> float:
     """0.24 * count * radius, defined for pairwise disjoint equal disks."""
     if not mis:

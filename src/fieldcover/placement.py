@@ -20,7 +20,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import NumericalError, VerificationError
-from .geometry import Disk, Environment, cover_disk_lawnmower, cover_environment, greedy_mis
+from .geometry import Disk, Environment, cover_environment, greedy_mis, lawnmower_rows
 from .gp import Hyperparameters, MeasurementMultiset, Posterior
 
 # Largest dense verification, in flops (``_solve_flops``: N^3 / 3 to
@@ -118,27 +118,33 @@ class MeasurementPlan:
     """Measurement sites with repeat counts and their generating disks.
 
     ``provenance[i]`` is the index into ``sweep_disks`` of the disk whose
-    lawn-mower produced ``entries[i]``. ``mis_disks`` are the independent
-    necessary-radius disks; ``sweep_disks`` are the same centers at three
-    times the radius.
+    lawn-mower produced ``entries[i]``, and ``rows[i]`` is its lawn-mower
+    row within that disk. A disk's entries run row by row, even rows in
+    one direction and odd rows in the other. ``mis_disks`` are the
+    independent necessary-radius disks; ``sweep_disks`` are the same
+    centers at three times the radius.
     """
 
     entries: tuple[tuple[tuple[float, float], int], ...]
     provenance: tuple[int, ...]
+    rows: tuple[int, ...]
     mis_disks: tuple[Disk, ...]
     sweep_disks: tuple[Disk, ...]
     coverage_radius: float
     measurements_per_site: int
 
     def __post_init__(self):
-        if len(self.entries) != len(self.provenance):
-            raise ValueError("one provenance index per entry is required")
+        if not len(self.entries) == len(self.provenance) == len(self.rows):
+            raise ValueError("one provenance index and one row per entry are required")
         for _, count in self.entries:
             if int(count) < 1:
                 raise ValueError(f"plan counts must be >= 1, got {count}")
         for idx in self.provenance:
             if not 0 <= int(idx) < len(self.sweep_disks):
                 raise ValueError(f"provenance index {idx} out of range")
+        for row in self.rows:
+            if int(row) < 0:
+                raise ValueError(f"row index must be >= 0, got {row}")
 
     @classmethod
     def from_sites(cls, entries) -> "MeasurementPlan":
@@ -146,7 +152,7 @@ class MeasurementPlan:
 
         All counts must agree. The synthetic disk pair just spans the
         sites so provenance stays well formed; it is a placeholder, not
-        a coverage guarantee.
+        a coverage guarantee. The sites form one row, in the given order.
         """
         norm = tuple(((float(x), float(y)), int(c)) for (x, y), c in entries)
         if not norm:
@@ -158,7 +164,8 @@ class MeasurementPlan:
         center = (float(locs[:, 0].mean()), float(locs[:, 1].mean()))
         radius = max(float(np.linalg.norm(locs - center, axis=1).max()), 1e-9)
         disk = Disk(center, radius)
-        return cls(norm, (0,) * len(norm), (disk,), (disk,), radius, counts.pop())
+        zeros = (0,) * len(norm)
+        return cls(norm, zeros, zeros, (disk,), (disk,), radius, counts.pop())
 
     @property
     def locations(self) -> np.ndarray:
@@ -222,7 +229,9 @@ def disk_cover_placement(env: Environment, h: Hyperparameters, spec: AccuracySpe
     Cover the environment with necessary-radius disks, keep a greedy
     maximal independent set, sweep a 3-radius disk around each kept
     center with sites spaced for radius r/shrink_factor, and assign every
-    site the required repeat count. Per-disk site counts are bounded by
+    site the required repeat count. Each sweep runs its lawn-mower rows
+    bottom to top in boustrophedon order: even rows left to right, odd
+    rows right to left. Per-disk site counts are bounded by
     ceil(6 a / sqrt(2))^2.
     """
     r_max = necessary_radius(h, spec.max_variance)
@@ -232,18 +241,23 @@ def disk_cover_placement(env: Environment, h: Hyperparameters, spec: AccuracySpe
     per_disk_cap = math.ceil(6.0 * spec.shrink_factor / math.sqrt(2.0)) ** 2
     entries: list[tuple[tuple[float, float], int]] = []
     provenance: list[int] = []
+    rows: list[int] = []
     small = r_max / spec.shrink_factor
     for i, big in enumerate(sweep):
-        pts = cover_disk_lawnmower(big, small)
-        if len(pts) > per_disk_cap:
+        lanes = lawnmower_rows(big, small)
+        count = sum(len(lane) for lane in lanes)
+        if count > per_disk_cap:
             raise NumericalError(
-                f"sweep of disk {i} produced {len(pts)} sites, above the cap {per_disk_cap}"
+                f"sweep of disk {i} produced {count} sites, above the cap {per_disk_cap}"
             )
-        entries.extend((p, n_site) for p in pts)
-        provenance.extend([i] * len(pts))
+        for j, lane in enumerate(lanes):
+            entries.extend((p, n_site) for p in (lane if j % 2 == 0 else lane[::-1]))
+            provenance.extend([i] * len(lane))
+            rows.extend([j] * len(lane))
     return MeasurementPlan(
         entries=tuple(entries),
         provenance=tuple(provenance),
+        rows=tuple(rows),
         mis_disks=mis,
         sweep_disks=sweep,
         coverage_radius=r_max,
@@ -395,6 +409,7 @@ def prune_redundant(
     pruned = MeasurementPlan(
         entries=tuple(e for e, a in zip(plan.entries, alive) if a),
         provenance=tuple(p for p, a in zip(plan.provenance, alive) if a),
+        rows=tuple(r for r, a in zip(plan.rows, alive) if a),
         mis_disks=plan.mis_disks,
         sweep_disks=plan.sweep_disks,
         coverage_radius=plan.coverage_radius,

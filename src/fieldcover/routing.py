@@ -1,10 +1,12 @@
-"""Single-robot touring of a measurement plan.
+"""Single-robot touring of a measurement plan's own sites.
 
 The route structure is fixed: an approximate traveling-salesman order
-over the sweep-disk centers, with a boustrophedon detour through each
-disk's measurement sites wedged between center visits. Travel runs at
-the time model's speed and every measurement costs a fixed dwell, so
-tour time is one number with no hidden state.
+over the sweep-disk centers, with a serpentine detour through each
+disk's plan entries wedged between center visits. The tour visits
+exactly the entries it is given, each with its own count as dwell, so
+it measures the sites that verification certified. Travel runs at the
+time model's speed and every measurement costs a fixed dwell, so tour
+time is one number with no hidden state.
 """
 
 from __future__ import annotations
@@ -15,9 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .geometry import lawnmower_rows, mis_tour_lower_bound
-from .gp import Hyperparameters
-from .placement import AccuracySpec, MeasurementPlan, disk_cover_placement
+from .geometry import mis_tour_lower_bound
+from .placement import MeasurementPlan
 
 _IMPROVE_TOL = -1e-12
 
@@ -161,11 +162,11 @@ def tsp_heuristic(points, depot) -> list[tuple[float, float]]:
     return order
 
 
-def _serpentine_variants(rows) -> list[list[tuple[float, float]]]:
+def _serpentine_variants(rows) -> list[list]:
     variants = []
     for row_seq in (rows, rows[::-1]):
         for first_flip in (False, True):
-            pts: list[tuple[float, float]] = []
+            pts: list = []
             for idx, row in enumerate(row_seq):
                 flip = (idx % 2 == 1) != first_flip
                 pts.extend(row[::-1] if flip else row)
@@ -173,20 +174,16 @@ def _serpentine_variants(rows) -> list[list[tuple[float, float]]]:
     return variants
 
 
-def tour_from_plan(
-    plan: MeasurementPlan,
-    spec: AccuracySpec,
-    time: TimeModel,
-    depot: tuple[float, float] | None = None,
-) -> Tour:
-    """Build the center-tour-plus-detours route for an existing plan.
+def tour_from_plan(plan: MeasurementPlan, depot: tuple[float, float] | None = None) -> Tour:
+    """Build the center-tour-plus-detours route through the plan's entries.
 
     Visits sweep disks in the heuristic center order from the depot
-    (default: the first sweep center). Within each disk the serpentine
-    runs in whichever of its four orientations couples best with the
-    incoming center and the next leg; measurement sites keep the plan's
-    repeat count as their dwell. The independent-set travel lower bound
-    is re-checked on every call.
+    (default: the first sweep center). Within each disk the entries are
+    grouped by ``plan.rows`` and run as a serpentine in whichever of its
+    four orientations couples best with the incoming center and the next
+    leg. Every entry is one waypoint with its own count as dwell, so the
+    tour measures exactly the plan's multiset. The independent-set
+    travel lower bound is re-checked on every call.
     """
     if not plan.sweep_disks:
         raise ValueError("plan has no sweep disks to tour")
@@ -196,23 +193,29 @@ def tour_from_plan(
     depot = (float(depot[0]), float(depot[1]))
     center_order = tsp_heuristic(centers, depot)
     index_of = {c: i for i, c in enumerate(centers)}
-    small = plan.coverage_radius / spec.shrink_factor
-    n_site = plan.measurements_per_site
+    disk_rows: dict[int, dict[int, list[int]]] = {}
+    for k, (disk_i, row) in enumerate(zip(plan.provenance, plan.rows)):
+        disk_rows.setdefault(disk_i, {}).setdefault(row, []).append(k)
     waypoints: list[tuple[tuple[float, float], int]] = []
     tags: list[int] = []
     for pos, center in enumerate(center_order):
         disk_i = index_of[center]
-        rows = lawnmower_rows(plan.sweep_disks[disk_i], small)
-        next_anchor = depot if pos == len(center_order) - 1 else center_order[pos + 1]
-        best = None
-        for pts in _serpentine_variants(rows):
-            cost = math.dist(center, pts[0]) + math.dist(pts[-1], next_anchor)
-            if best is None or cost < best[0] - 1e-15:
-                best = (cost, pts)
         waypoints.append((center, 0))
         tags.append(disk_i)
-        for p in best[1]:
-            waypoints.append((p, n_site))
+        # odd rows are stored backwards; undo that so every row reads one way
+        by_row = sorted(disk_rows.get(disk_i, {}).items())
+        rows = [idx[::-1] if row % 2 else idx for row, idx in by_row]
+        if not rows:
+            continue
+        next_anchor = depot if pos == len(center_order) - 1 else center_order[pos + 1]
+        best = None
+        for order in _serpentine_variants(rows):
+            first, last = plan.entries[order[0]][0], plan.entries[order[-1]][0]
+            cost = math.dist(center, first) + math.dist(last, next_anchor)
+            if best is None or cost < best[0] - 1e-15:
+                best = (cost, order)
+        for k in best[1]:
+            waypoints.append(plan.entries[k])
             tags.append(disk_i)
     tour = Tour(depot=depot, waypoints=tuple(waypoints), closed=True, disk_index=tuple(tags))
     floor = mis_tour_lower_bound(list(plan.mis_disks))
@@ -223,17 +226,6 @@ def tour_from_plan(
     if len(centers) >= 2 and _route_length(depot, center_order) < floor * (1.0 - 1e-12):
         raise NumericalError("center route under the independent-set floor")
     return tour
-
-
-def disk_cover_tour(
-    env,
-    h: Hyperparameters,
-    spec: AccuracySpec,
-    time: TimeModel,
-    depot: tuple[float, float] | None = None,
-) -> Tour:
-    """Plan the measurement sites, then tour them."""
-    return tour_from_plan(disk_cover_placement(env, h, spec), spec, time, depot)
 
 
 def intra_disk_travel(tour: Tour) -> dict[int, float]:

@@ -328,7 +328,7 @@ def test_criterion_09_variance_curves_and_baseline_failure():
     candidates = baseline_candidates(env, FIELD_H, FIELD_DELTA)
     budget = min(len(candidates), plan.total_measurements)
     tours = {
-        "disk cover": tour_from_plan(plan, FIELD_SPEC, time_model, depot=depot),
+        "disk cover": tour_from_plan(plan, depot=depot),
         "entropy": ordered_tour(entropy_greedy(candidates, FIELD_H, budget), depot),
         "mutual information": ordered_tour(mi_greedy(candidates, FIELD_H, budget), depot),
         "lawnmower": lawnmower_plan(env, coarse, depot),

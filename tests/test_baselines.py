@@ -58,7 +58,7 @@ def test_trials_are_seed_deterministic():
 
 def test_empty_plan_reports_the_prior():
     truth = sample_gp_field(ENV, H, 2.0, 11)
-    empty = MeasurementPlan((), (), (), (), 1.0, 1)
+    empty = MeasurementPlan((), (), (), (), (), 1.0, 1)
     report = simulate_trial(truth, empty, SensorModel(0.1, 5), H)
     assert np.all(report.means == 0.0)
     assert np.all(report.variances == H.signal_variance)

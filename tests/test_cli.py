@@ -1,6 +1,7 @@
 """End-to-end runs of every subcommand in scratch directories."""
 
 import xml.etree.ElementTree as ET
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -135,7 +136,34 @@ class TestTour:
         assert len(legs) == 1
 
 
+def dwell_multiset(waypoints) -> Counter:
+    """Location -> summed dwell over the measuring stops."""
+    out: Counter = Counter()
+    for loc, n in waypoints:
+        if n > 0:
+            out[loc] += n
+    return out
+
+
 class TestSplit:
+    def test_hard_boundary_stops_are_planned_sites_inside_the_environment(self, tmp_path):
+        env_path = tmp_path / "triangle.json"
+        fileio.write_json(env_path, {"type": "polygon", "vertices": [[0, 0], [30, 0], [0, 30]]})
+        out = tmp_path / "out"
+        args = ["--env", str(env_path), "--hyper", HYPER, "--delta", "1.2", "--hard-boundary"]
+        assert cli.main(["split", *args, "--out", str(out)]) == 0
+        env = fileio.load_environment(env_path)
+        planned = dwell_multiset(fileio.read_plan_entries(out / "plan.csv"))
+        tour = fileio.tour_from_payload(fileio.read_json(out / "tour.json"))
+        assert dwell_multiset(tour.waypoints) == planned
+        subtours = sorted(out.glob("subtour_*.json"))
+        assert len(subtours) == 2
+        stops = [
+            w for path in subtours for w in fileio.tour_from_payload(fileio.read_json(path)).waypoints
+        ]
+        assert dwell_multiset(stops) == planned
+        assert all(env.contains_point(loc) for loc, n in stops if n > 0)
+
     def test_split_outputs_and_certificate(self, tmp_path):
         args = plan_args(tmp_path, "out", "--eta", "0.5", "--depot", "0,0", "--k", "3")
         assert cli.main(["split", *args]) == 0

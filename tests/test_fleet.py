@@ -212,7 +212,7 @@ def test_split_of_planned_tour_keeps_measurements():
     spec = AccuracySpec(0.5, 2.0)
     plan = disk_cover_placement(env, h, spec)
     time = TimeModel(1.0)
-    tour = tour_from_plan(plan, spec, time)
+    tour = tour_from_plan(plan)
     params = SplitParameters.for_tour(tour, 3, plan.measurements_per_site, 1.0)
     split = split_tour(tour, params)
 

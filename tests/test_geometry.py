@@ -11,10 +11,10 @@ from scipy.spatial import cKDTree
 from fieldcover.geometry import (
     Disk,
     Environment,
-    cover_disk_lawnmower,
     cover_environment,
     disks_intersect,
     greedy_mis,
+    lawnmower_rows,
     mis_tour_lower_bound,
 )
 
@@ -208,23 +208,28 @@ def test_mis_properties_random(seed):
     assert greedy_mis(shuffled) == mis
 
 
+def lawnmower_points(big: Disk, small_radius: float) -> list:
+    return [p for row in lawnmower_rows(big, small_radius) for p in row]
+
+
 def test_lawnmower_degenerate_single_point():
-    assert cover_disk_lawnmower(Disk((3, 4), 2.0), 2.0) == [(3.0, 4.0)]
-    assert cover_disk_lawnmower(Disk((3, 4), 2.0), 5.0) == [(3.0, 4.0)]
+    assert lawnmower_rows(Disk((3, 4), 2.0), 2.0) == [[(3.0, 4.0)]]
+    assert lawnmower_rows(Disk((3, 4), 2.0), 5.0) == [[(3.0, 4.0)]]
 
 
 def test_lawnmower_boustrophedon_order():
-    # 2x2 grid, no projection: row 0 left-to-right, row 1 right-to-left.
-    pts = cover_disk_lawnmower(Disk((0, 0), 1.0), 0.9)
+    # 2x2 grid, no projection: rows bottom to top, each left to right;
+    # placement runs the odd rows backwards (test_placement checks that).
+    rows = lawnmower_rows(Disk((0, 0), 1.0), 0.9)
     h = 0.9 * math.sqrt(2.0) / 2.0
-    expected = [(-h, -h), (h, -h), (h, h), (-h, h)]
-    assert np.allclose(pts, expected)
+    expected = [[(-h, -h), (h, -h)], [(-h, h), (h, h)]]
+    assert np.allclose(rows, expected)
 
 
 def test_lawnmower_alpha2_count_and_coverage():
     big = Disk((0, 0), 3.0)
     small = 0.5
-    pts = np.array(cover_disk_lawnmower(big, small))
+    pts = np.array(lawnmower_points(big, small))
     assert len(pts) <= math.ceil(2 * 3.0 / (small * math.sqrt(2))) ** 2 == 81
     assert big.contains(pts).all()
     xs = np.arange(-3.0, 3.0 + 0.005, 0.01)
@@ -241,8 +246,8 @@ def test_lawnmower_alpha2_count_and_coverage():
     cy=st.floats(min_value=-50, max_value=50, allow_nan=False),
 )
 def test_lawnmower_count_translation_invariant(cx, cy):
-    base = cover_disk_lawnmower(Disk((0, 0), 3.0), 0.5)
-    moved = cover_disk_lawnmower(Disk((cx, cy), 3.0), 0.5)
+    base = lawnmower_points(Disk((0, 0), 3.0), 0.5)
+    moved = lawnmower_points(Disk((cx, cy), 3.0), 0.5)
     assert len(moved) == len(base)
 
 
@@ -252,7 +257,7 @@ def test_lawnmower_coverage_random_ratios():
         big_r = rng.uniform(1.0, 10.0)
         small = big_r * rng.uniform(0.1, 0.95)
         big = Disk(tuple(rng.uniform(-5, 5, 2)), big_r)
-        pts = np.array(cover_disk_lawnmower(big, small))
+        pts = np.array(lawnmower_points(big, small))
         grid_sp = big_r / 40.0
         xs = np.arange(big.center[0] - big_r, big.center[0] + big_r + grid_sp / 2, grid_sp)
         ys = np.arange(big.center[1] - big_r, big.center[1] + big_r + grid_sp / 2, grid_sp)

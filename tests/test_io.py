@@ -159,7 +159,7 @@ class TestPayloads:
     def test_tour_round_trip_with_disk_tags(self, tmp_path):
         env, plan = small_instance()
         time = TimeModel(0.5)
-        tour = tour_from_plan(plan, SPEC, time)
+        tour = tour_from_plan(plan)
         assert tour.disk_index is not None
 
         payload = fileio.tour_to_payload(tour, time)
@@ -253,7 +253,7 @@ class TestSvg:
 
     def test_tour_svg_adds_one_line_per_leg(self):
         env, plan = small_instance()
-        tour = tour_from_plan(plan, SPEC, TimeModel(1.0))
+        tour = tour_from_plan(plan)
         root = ET.fromstring(fileio.tour_svg(env, plan, tour))
         groups = {g.get("id"): g for g in root.iter(f"{SVG}g") if g.get("id")}
         assert "legs" in groups

@@ -122,6 +122,7 @@ def test_ablated_plan_fails_exactly_inside_missing_disk():
         plan,
         entries=tuple(plan.entries[i] for i in keep),
         provenance=tuple(plan.provenance[i] for i in keep),
+        rows=tuple(plan.rows[i] for i in keep),
     )
     spacing = default_grid_spacing(env, h, delta)
     _, bound, _ = dense_and_local(plan, env, h, delta, spacing)

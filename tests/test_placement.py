@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
-from fieldcover.geometry import Disk, Environment, cover_disk_lawnmower
+from fieldcover.geometry import Disk, Environment, lawnmower_rows
 from fieldcover.gp import Hyperparameters
 from fieldcover.placement import (
     AccuracySpec,
@@ -22,6 +23,7 @@ from fieldcover.placement import (
     sufficient_radius,
     verify_plan,
 )
+from fieldcover.routing import tour_from_plan
 
 H1 = Hyperparameters(1.0, 1.0, 0.1)
 
@@ -136,8 +138,11 @@ def test_single_disk_env_plan_is_one_sweep():
     assert plan.measurements_per_site == 1
     sweep = plan.sweep_disks[0]
     assert sweep.radius == pytest.approx(3.0 * r)
-    expected = cover_disk_lawnmower(sweep, r / 2.0)
+    # boustrophedon: even rows left to right, odd rows right to left
+    lanes = lawnmower_rows(sweep, r / 2.0)
+    expected = [p for j, lane in enumerate(lanes) for p in (lane if j % 2 == 0 else lane[::-1])]
     assert [loc for loc, _ in plan.entries] == expected
+    assert plan.rows == tuple(j for j, lane in enumerate(lanes) for _ in lane)
     assert all(c == 1 for _, c in plan.entries)
 
 
@@ -189,7 +194,7 @@ def test_verify_plan_passes_on_generated_plan():
 
 
 def test_verify_empty_plan_reports_prior():
-    empty = MeasurementPlan((), (), (), (), 1.0, 1)
+    empty = MeasurementPlan((), (), (), (), (), 1.0, 1)
     env = square_env(2.0)
     report = verify_plan(empty, env, H1, 0.5, grid_spacing=0.25)
     assert report.max_variance == pytest.approx(1.0)
@@ -203,6 +208,7 @@ def _drop_disk(plan: MeasurementPlan, disk_index: int) -> MeasurementPlan:
     return MeasurementPlan(
         entries=tuple(plan.entries[i] for i in keep),
         provenance=tuple(plan.provenance[i] for i in keep),
+        rows=tuple(plan.rows[i] for i in keep),
         mis_disks=plan.mis_disks,
         sweep_disks=plan.sweep_disks,
         coverage_radius=plan.coverage_radius,
@@ -269,7 +275,8 @@ def test_prune_removes_redundancy_and_keeps_guarantee():
     assert verify_plan(pruned, env, H1, 0.5).passed
 
 
-def test_prune_drops_one_of_two_coincident_sites():
+def doubled_plan():
+    """A single-sweep plan with its most central entry listed twice."""
     h = Hyperparameters(1.0, 1.0, 10.0)
     spec = AccuracySpec(0.5, 2.0)
     side = necessary_radius(h, 0.5) * math.sqrt(2.0) - 1e-9
@@ -283,20 +290,47 @@ def test_prune_drops_one_of_two_coincident_sites():
     doubled = MeasurementPlan(
         entries=plan.entries + (plan.entries[mid],),
         provenance=plan.provenance + (plan.provenance[mid],),
+        rows=plan.rows + (plan.rows[mid],),
         mis_disks=plan.mis_disks,
         sweep_disks=plan.sweep_disks,
         coverage_radius=plan.coverage_radius,
         measurements_per_site=plan.measurements_per_site,
     )
+    return env, h, spec, plan, doubled, mid
+
+
+def test_prune_drops_one_of_two_coincident_sites():
+    env, h, spec, plan, doubled, mid = doubled_plan()
     pruned = prune_redundant(doubled, env, h, spec)
     assert len(pruned.entries) == len(plan.entries)
     assert sum(1 for e in pruned.entries if e == plan.entries[mid]) == 1
+    # rows are filtered with their entries
+    assert sorted(zip(pruned.entries, pruned.rows)) == sorted(zip(plan.entries, plan.rows))
+
+
+def test_tour_sums_dwells_of_coincident_entries():
+    _, _, _, plan, doubled, mid = doubled_plan()
+    tour = tour_from_plan(doubled)
+    dwells = Counter()
+    for loc, n in tour.dwell_waypoints():
+        dwells[loc] += n
+    expected = Counter()
+    for loc, n in doubled.entries:
+        expected[loc] += n
+    assert dwells == expected
+    assert dwells[plan.entries[mid][0]] == 2 * plan.measurements_per_site
 
 
 def test_plan_validation():
+    disk = (Disk((0, 0), 1.0),)
     with pytest.raises(ValueError):
-        MeasurementPlan((((0.0, 0.0), 0),), (0,), (), (Disk((0, 0), 1.0),), 1.0, 1)
+        MeasurementPlan((((0.0, 0.0), 0),), (0,), (0,), (), disk, 1.0, 1)
     with pytest.raises(ValueError):
-        MeasurementPlan((((0.0, 0.0), 1),), (2,), (), (Disk((0, 0), 1.0),), 1.0, 1)
+        MeasurementPlan((((0.0, 0.0), 1),), (2,), (0,), (), disk, 1.0, 1)
     with pytest.raises(ValueError):
-        MeasurementPlan((((0.0, 0.0), 1),), (0, 1), (), (Disk((0, 0), 1.0),), 1.0, 1)
+        MeasurementPlan((((0.0, 0.0), 1),), (0, 1), (0,), (), disk, 1.0, 1)
+    with pytest.raises(ValueError):
+        MeasurementPlan((((0.0, 0.0), 1),), (0,), (0, 1), (), disk, 1.0, 1)
+    with pytest.raises(ValueError):
+        MeasurementPlan((((0.0, 0.0), 1),), (0,), (-1,), (), disk, 1.0, 1)
+    assert MeasurementPlan((((0.0, 0.0), 1),), (0,), (3,), (), disk, 1.0, 1).rows == (3,)

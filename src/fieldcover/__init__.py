@@ -36,6 +36,7 @@ from .placement import (
     default_grid_spacing,
     disk_cover_placement,
     necessary_radius,
+    project_into_environment,
     prune_redundant,
     required_measurements,
     sufficient_radius,

@@ -8,7 +8,6 @@ check tripped).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import sys
 from dataclasses import dataclass
@@ -43,6 +42,7 @@ from .placement import (
     default_grid_spacing,
     disk_cover_placement,
     necessary_radius,
+    project_into_environment,
     verify_plan,
 )
 from .routing import TimeModel, tour_from_plan, tour_time
@@ -174,13 +174,7 @@ def cmd_fit(args: argparse.Namespace) -> None:
 
 def _build_plan(cfg: RunConfig):
     plan = disk_cover_placement(cfg.env, cfg.hyper, cfg.spec)
-    if cfg.hard_boundary:
-        entries = tuple(
-            (loc if cfg.env.contains_point(loc) else cfg.env.nearest_point(loc), n)
-            for loc, n in plan.entries
-        )
-        plan = dataclasses.replace(plan, entries=entries)
-    return plan
+    return project_into_environment(plan, cfg.env) if cfg.hard_boundary else plan
 
 
 def _write_plan_outputs(cfg: RunConfig, plan) -> None:

@@ -222,22 +222,36 @@ class Environment:
     def nearest_point(self, p) -> tuple[float, float]:
         """Closest point of the region to ``p`` (``p`` itself when inside)."""
         px, py = float(p[0]), float(p[1])
+        if self.kind == "polygon" and self.contains_point((px, py)):
+            return (px, py)
+        return self._nearest_from_outside(px, py)
+
+    def project(self, points) -> np.ndarray:
+        """Each point where it lies inside the region, else the region's closest point to it."""
+        pts = np.array(points, dtype=float).reshape(-1, 2)
+        for i in np.flatnonzero(~self.contains(pts)):
+            pts[i] = self._nearest_from_outside(pts[i, 0], pts[i, 1])
+        return pts
+
+    def _nearest_from_outside(self, px: float, py: float) -> tuple[float, float]:
+        """``nearest_point`` of a point known to lie outside (rectangles clamp any point).
+
+        A polygon's closest point is the first edge projection with the
+        strictly smallest squared distance. The stacked 1x2 @ 2x1 products
+        round exactly like the scalar ``(q - a) @ d``; an elementwise sum
+        does not.
+        """
         if self.kind == "rectangle":
             x0, y0, x1, y1 = self.bounds
             return (min(max(px, x0), x1), min(max(py, y0), y1))
-        if self.contains_point((px, py)):
-            return (px, py)
-        q = np.array([px, py])
-        nxt = np.roll(self._verts, -1, axis=0)
-        best, best_d2 = None, math.inf
-        for a, b in zip(self._verts, nxt):
-            d = b - a
-            t = min(max(float((q - a) @ d) / float(d @ d), 0.0), 1.0)
-            c = a + t * d
-            d2 = float(np.sum((q - c) ** 2))
-            if d2 < best_d2:
-                best, best_d2 = c, d2
-        return (float(best[0]), float(best[1]))
+        q, a = np.array([px, py]), self._verts
+        d = np.roll(a, -1, axis=0) - a
+        w = q - a
+        dots = (w[:, None, :] @ d[:, :, None])[:, 0, 0]
+        lengths2 = (d[:, None, :] @ d[:, :, None])[:, 0, 0]
+        c = a + np.clip(dots / lengths2, 0.0, 1.0)[:, None] * d
+        best = int(np.argmin(np.sum((q - c) ** 2, axis=1)))
+        return (float(c[best, 0]), float(c[best, 1]))
 
     def _square_touches(self, x0: float, y0: float, side: float) -> bool:
         x1, y1 = x0 + side, y0 + side

@@ -163,6 +163,7 @@ def verification_to_payload(report: VerificationReport) -> dict:
         "grid_spacing": report.grid_spacing,
         "grid_count": report.grid_count,
         "method": report.method,
+        "tiles": list(report.tiles),
     }
 
 
@@ -175,6 +176,7 @@ def verification_from_payload(payload) -> VerificationReport:
         float(payload["grid_spacing"]),
         int(payload["grid_count"]),
         str(payload["method"]),
+        tuple(int(n) for n in payload["tiles"]),
     )
 
 

@@ -13,6 +13,7 @@ environment point ends up within the sufficient radius of a site.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -28,6 +29,13 @@ from .gp import Hyperparameters, MeasurementMultiset, Posterior
 # bound may take over. 1e10 is about 0.3 s on two cores: cheap enough
 # that small plans keep exact reported values.
 _DENSE_VERIFY_FLOPS = 1e10
+
+# Margins, in length scales, of the tiled bound's rungs: every tile is
+# first bounded from the sites within the first margin of it, and a tile
+# whose bound fails the target is bounded again at the next. Any margin
+# gives a sound bound; a small one is cheap and still sits far below
+# the target on a plan that passes.
+_TILE_MARGINS = (0.5, 2.0)
 
 
 @dataclass(frozen=True)
@@ -194,6 +202,10 @@ class VerificationReport:
     upper bounds, except in tiles that were recomputed exactly, so
     ``max_variance``, ``argmax`` and ``mean_variance`` describe the bound;
     ``passed`` is the exact verdict either way.
+
+    ``tiles`` counts the tiles the local path settled at each margin of
+    ``_TILE_MARGINS`` (l/2, then 2l), then the tiles it recomputed
+    exactly; it is all zeros for ``"dense"``.
     """
 
     max_variance: float
@@ -203,10 +215,19 @@ class VerificationReport:
     grid_spacing: float
     grid_count: int
     method: str = "dense"
+    tiles: tuple[int, ...] = (0,) * (len(_TILE_MARGINS) + 1)
 
     def __post_init__(self):
         if self.method not in ("dense", "local"):
             raise ValueError(f"method must be 'dense' or 'local', got {self.method!r}")
+        tiles = tuple(int(n) for n in self.tiles)
+        if len(tiles) != len(_TILE_MARGINS) + 1 or min(tiles) < 0:
+            raise ValueError(
+                f"tiles needs {len(_TILE_MARGINS) + 1} counts >= 0, got {self.tiles!r}"
+            )
+        if (self.method == "dense") != (sum(tiles) == 0):
+            raise ValueError(f"tiles {tiles} do not fit method {self.method!r}")
+        object.__setattr__(self, "tiles", tiles)
 
 
 def default_grid_spacing(env: Environment, h: Hyperparameters, delta: float) -> float:
@@ -265,6 +286,19 @@ def disk_cover_placement(env: Environment, h: Hyperparameters, spec: AccuracySpe
     )
 
 
+def project_into_environment(plan: MeasurementPlan, env: Environment) -> MeasurementPlan:
+    """The plan with every site outside ``env`` moved to the closest point of ``env``.
+
+    The lawn-mower puts sites outside the environment near its boundary,
+    since sweep disks cross it; this keeps them where a robot may go
+    (the CLI's ``--hard-boundary``). Counts, provenance and rows stay
+    with their entries, so several entries may land on one point.
+    """
+    locations = env.project(plan.locations).tolist()
+    entries = tuple((tuple(loc), n) for loc, (_, n) in zip(locations, plan.entries))
+    return dataclasses.replace(plan, entries=entries)
+
+
 def verify_plan(
     plan: MeasurementPlan,
     env: Environment,
@@ -280,11 +314,12 @@ def verify_plan(
 
     While the dense solve costs at most ``_DENSE_VERIFY_FLOPS``, every
     grid value is exact (``method="dense"``). Above that, and when the
-    tiles' solves together cost less than the dense one, each point gets
-    the variance given only the sites near it (``method="local"``, see
-    ``_local_variance_bound``), a sound upper bound because adding
-    measurements never raises GP posterior variance. Tiles whose bound
-    exceeds the target are recomputed exactly through the dense solve,
+    tiles' solves at the first margin of ``_TILE_MARGINS`` together cost
+    less than the dense one, each point gets the variance given only the
+    sites near it (``method="local"``, see ``_local_variance_bound``), a
+    sound upper bound because adding measurements never raises GP
+    posterior variance. Tiles whose bound exceeds the target climb the
+    margins and are finally recomputed exactly through the dense solve,
     so a failing plan reports exact values and the verdict is the dense
     one.
     """
@@ -297,13 +332,20 @@ def verify_plan(
     grid = env.grid(step)
     sites, counts = plan.as_multiset().distinct()
     dense_flops = _solve_flops(sites.shape[0], grid.shape[0])
-    tiles = _tiles(sites, grid, h.length_scale) if dense_flops > _DENSE_VERIFY_FLOPS else []
-    # In an environment a few length scales wide every tile sees most
-    # sites, and one dense solve is cheaper than one per tile.
-    if tiles and sum(_solve_flops(near.size, points.size) for points, near in tiles) < dense_flops:
-        var, method = _local_variance_bound(sites, counts, grid, tiles, h, d), "local"
+    tiles = []
+    if dense_flops > _DENSE_VERIFY_FLOPS:
+        l = h.length_scale
+        tiles = _tiles(sites, grid, l, [m * l for m in _TILE_MARGINS])
+    # In an environment about a length scale wide every tile sees most
+    # sites even at the narrow margin, and one dense solve is cheaper
+    # than one per tile.
+    narrow_flops = sum(_solve_flops(near[0].size, points.size) for points, near in tiles)
+    if tiles and narrow_flops < dense_flops:
+        var, settled = _local_variance_bound(sites, counts, grid, tiles, h, d)
+        method = "local"
     else:
         var, method = Posterior(sites, h, counts).variance(grid), "dense"
+        settled = (0,) * (len(_TILE_MARGINS) + 1)
     top = int(np.argmax(var))
     return VerificationReport(
         max_variance=float(var[top]),
@@ -313,6 +355,7 @@ def verify_plan(
         grid_spacing=step,
         grid_count=int(grid.shape[0]),
         method=method,
+        tiles=settled,
     )
 
 
@@ -321,13 +364,13 @@ def _solve_flops(sites: int, points: int) -> float:
     return sites**3 / 3.0 + float(sites) * sites * points
 
 
-def _tiles(sites: np.ndarray, grid: np.ndarray, side: float) -> list:
-    """(grid point indices, nearby site indices) of each square tile of the grid.
+def _tiles(sites: np.ndarray, grid: np.ndarray, side: float, margins) -> list:
+    """(grid point indices, nearby site indices per margin) of each square tile of the grid.
 
     Tiles of the given side are anchored at the grid's lower-left point
     and listed in lexicographic order, so every run sees the same tiles.
-    A tile's nearby sites, in site order, are those within 2 * side of it
-    along each axis.
+    For each of ``margins`` (distances), a tile's nearby sites, in site
+    order, are those within that margin of the tile along each axis.
     """
     origin = grid.min(axis=0)
     keys = np.floor((grid - origin) / side).astype(np.int64)
@@ -336,9 +379,13 @@ def _tiles(sites: np.ndarray, grid: np.ndarray, side: float) -> list:
     rows = int(keys[:, 1].max()) + 1
     tiles, tile_of = np.unique(keys[:, 0] * rows + keys[:, 1], return_inverse=True)
     members = np.split(np.argsort(tile_of, kind="stable"), np.cumsum(np.bincount(tile_of))[:-1])
-    corners = np.column_stack(np.divmod(tiles, rows))
-    near = cKDTree(sites).query_ball_point(origin + (corners + 0.5) * side, 2.5 * side, p=np.inf)
-    return [(points, np.sort(np.asarray(n, dtype=np.int64))) for points, n in zip(members, near)]
+    centres = origin + (np.column_stack(np.divmod(tiles, rows)) + 0.5) * side
+    tree = cKDTree(sites)
+    near = [tree.query_ball_point(centres, 0.5 * side + m, p=np.inf) for m in margins]
+    return [
+        (points, tuple(np.sort(np.asarray(n, dtype=np.int64)) for n in by_margin))
+        for points, *by_margin in zip(members, *near)
+    ]
 
 
 def _local_variance_bound(
@@ -348,24 +395,47 @@ def _local_variance_bound(
     tiles: list,
     h: Hyperparameters,
     delta: float,
-) -> np.ndarray:
+) -> tuple[np.ndarray, tuple[int, ...]]:
     """Per-grid-point upper bound on the posterior variance, exact where it exceeds ``delta``.
 
     Each tile's points (see ``_tiles``) get the variance given only the
-    tile's nearby sites, factored once per tile; dropping observations
-    never lowers GP posterior variance, so this bounds the variance given
-    all sites from above. The points of every tile whose bound exceeds
-    ``delta`` are recomputed through one dense solve over all sites,
+    tile's nearby sites at the first margin, factored once per tile;
+    dropping observations never lowers GP posterior variance, so this
+    bounds the variance given all sites from above. Tiles whose bound
+    exceeds ``delta`` are bounded again at the next margin, but only
+    while the flops spent so far plus those re-runs stay below one dense
+    solve over all sites; otherwise they skip straight to it. The points
+    of every tile still failing are recomputed through that dense solve,
     factored on first need.
+
+    Returns the values and the number of tiles settled at each margin,
+    then the number recomputed exactly.
     """
     var = np.empty(grid.shape[0])
-    exact = np.zeros(grid.shape[0], dtype=bool)
-    for points, near in tiles:
-        var[points] = Posterior(sites[near], h, counts[near]).variance(grid[points])
-        exact[points] = var[points].max() > delta
-    if exact.any():
+    rungs = len(tiles[0][1])
+    settled = [0] * (rungs + 1)
+    budget, spent = _solve_flops(sites.shape[0], grid.shape[0]), 0.0
+    pending = range(len(tiles))
+    for rung in range(rungs):
+        cost = sum(_solve_flops(tiles[t][1][rung].size, tiles[t][0].size) for t in pending)
+        if not pending or (rung and spent + cost >= budget):
+            break
+        spent += cost
+        failing = []
+        for t in pending:
+            points, near = tiles[t][0], tiles[t][1][rung]
+            var[points] = Posterior(sites[near], h, counts[near]).variance(grid[points])
+            if var[points].max() > delta:
+                failing.append(t)
+        settled[rung] = len(pending) - len(failing)
+        pending = failing
+    settled[rungs] = len(pending)
+    if pending:
+        exact = np.zeros(grid.shape[0], dtype=bool)
+        for t in pending:
+            exact[tiles[t][0]] = True
         var[exact] = Posterior(sites, h, counts).variance(grid[exact])
-    return var
+    return var, tuple(settled)
 
 
 def prune_redundant(

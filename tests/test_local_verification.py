@@ -2,9 +2,10 @@
 
 Dropping observations never lowers GP posterior variance, so the
 variance given only the sites near a tile bounds the true variance from
-above. These tests check that bound against the dense posterior, and
-check that ``verify_plan`` reaches the dense verdict on every plan, with
-exact values wherever the bound alone would fail the plan.
+above, at every margin of ``_TILE_MARGINS``. These tests check that
+bound against the dense posterior, check how tiles climb the margins,
+and check that ``verify_plan`` reaches the dense verdict on every plan,
+with exact values wherever the bound alone would fail the plan.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from fieldcover.gp import Hyperparameters, Posterior
 from fieldcover.placement import (
     AccuracySpec,
     VerificationReport,
+    _TILE_MARGINS,
     _local_variance_bound,
     _solve_flops,
     _tiles,
@@ -59,8 +61,15 @@ def instance(seed: int):
     return env, h, AccuracySpec(delta, alpha)
 
 
-def local_bound(sites, counts, grid, h, delta):
-    return _local_variance_bound(sites, counts, grid, _tiles(sites, grid, h.length_scale), h, delta)
+def ladder(sites, counts, grid, h, delta, margins=_TILE_MARGINS):
+    """The tiled values and the tiles settled per rung, for margins in length scales."""
+    l = h.length_scale
+    tiles = _tiles(sites, grid, l, [m * l for m in margins])
+    return _local_variance_bound(sites, counts, grid, tiles, h, delta)
+
+
+def local_bound(sites, counts, grid, h, delta, margins=_TILE_MARGINS):
+    return ladder(sites, counts, grid, h, delta, margins)[0]
 
 
 def dense_and_local(plan, env, h, delta, spacing):
@@ -69,6 +78,19 @@ def dense_and_local(plan, env, h, delta, spacing):
     grid = env.grid(spacing)
     exact = Posterior(sites, h, counts).variance(grid)
     return exact, local_bound(sites, counts, grid, h, delta), grid
+
+
+def spy_factorizations(monkeypatch) -> list:
+    """Record the site count of every ``Posterior`` that placement factors."""
+    sizes = []
+
+    class Spy(Posterior):
+        def __init__(self, sites, *args, **kwargs):
+            sizes.append(len(sites))
+            super().__init__(sites, *args, **kwargs)
+
+    monkeypatch.setattr(placement, "Posterior", Spy)
+    return sizes
 
 
 @settings(max_examples=30, deadline=None)
@@ -81,9 +103,17 @@ def test_local_bound_never_below_dense(seed, keep):
     chosen[0] = True
     sites, counts = sites[chosen], counts[chosen]
     grid = env.grid(h.length_scale / 4.0)
-    bound = local_bound(sites, counts, grid, h, math.inf)
     exact = Posterior(sites, h, counts).variance(grid)
-    assert np.all(bound >= exact - 1e-12 * h.signal_variance)
+    wider = None
+    for margin in reversed(_TILE_MARGINS):
+        # one rung and no target: every tile keeps its bound at this margin
+        bound, settled = ladder(sites, counts, grid, h, math.inf, (margin,))
+        assert settled[1] == 0
+        assert np.all(bound >= exact - 1e-12 * h.signal_variance)
+        # a narrower margin drops sites, so its bound is no lower
+        if wider is not None:
+            assert np.all(bound >= wider - 1e-12 * h.signal_variance)
+        wider = bound
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -108,6 +138,79 @@ def test_local_verdict_matches_dense(seed):
     assert failed.max() > below
     assert failed.max() == pytest.approx(exact.max(), rel=1e-12)
     assert int(np.argmax(failed)) == int(np.argmax(exact))
+
+
+def test_tiles_failing_at_the_narrow_margin_settle_at_the_wide_one(monkeypatch):
+    env, h, spec = instance(0)
+    sites, counts = disk_cover_placement(env, h, spec).as_multiset().distinct()
+    grid = env.grid(h.length_scale / 4.0)
+    narrow = local_bound(sites, counts, grid, h, math.inf, _TILE_MARGINS[:1])
+    wide = local_bound(sites, counts, grid, h, math.inf, _TILE_MARGINS[1:])
+    # a target the wide bound meets everywhere and the narrow one does not
+    assert wide.max() < narrow.max()
+    target = (narrow.max() + wide.max()) / 2.0
+    sizes = spy_factorizations(monkeypatch)
+    var, settled = ladder(sites, counts, grid, h, target)
+    assert settled[0] > 0 and settled[1] > 0 and settled[2] == 0
+    # one factorization per tile, one per re-run tile, no dense solve
+    assert len(sizes) == settled[0] + 2 * settled[1]
+    for points, _ in _tiles(sites, grid, h.length_scale, [0.0]):
+        rerun = narrow[points].max() > target
+        np.testing.assert_array_equal(var[points], (wide if rerun else narrow)[points])
+    assert var.max() <= target
+
+
+def test_tiles_failing_both_margins_report_exact_values(monkeypatch):
+    env, h, spec = instance(0)
+    sites, counts = disk_cover_placement(env, h, spec).as_multiset().distinct()
+    grid = env.grid(h.length_scale / 4.0)
+    exact = Posterior(sites, h, counts).variance(grid)
+    wide = local_bound(sites, counts, grid, h, math.inf, _TILE_MARGINS[1:])
+    target = exact.max() * (1.0 - 1e-9)
+    sizes = spy_factorizations(monkeypatch)
+    var, settled = ladder(sites, counts, grid, h, target)
+    assert settled[1] > 0 and settled[2] > 0
+    # every tile failed the narrow margin, so each was re-run at the wide
+    # one before the dense solve over all sites
+    assert settled[0] == 0 and len(sizes) == 2 * sum(settled) + 1
+    assert sizes[-1] == sites.shape[0]
+    for points, _ in _tiles(sites, grid, h.length_scale, [0.0]):
+        if wide[points].max() > target:
+            np.testing.assert_allclose(var[points], exact[points], rtol=1e-12)
+        else:
+            np.testing.assert_array_equal(var[points], wide[points])
+    assert var.max() == pytest.approx(exact.max(), rel=1e-12)
+    assert int(np.argmax(var)) == int(np.argmax(exact))
+
+
+def test_failing_tiles_skip_the_wide_margin_when_it_costs_more_than_dense(monkeypatch):
+    env, h, spec = instance(5)
+    plan = disk_cover_placement(env, h, spec)
+    sites, counts = plan.as_multiset().distinct()
+    spacing = h.length_scale / 4.0
+    grid = env.grid(spacing)
+    exact = Posterior(sites, h, counts).variance(grid)
+    target = exact.max() * (1.0 - 1e-9)
+    l = h.length_scale
+    tiles = _tiles(sites, grid, l, [m * l for m in _TILE_MARGINS])
+    narrow = local_bound(sites, counts, grid, h, math.inf, _TILE_MARGINS[:1])
+    failing = [t for t, (points, _) in enumerate(tiles) if narrow[points].max() > target]
+    # the narrow bound fails almost everywhere, and re-running those tiles
+    # at the wide margin would cost more than the dense solve
+    assert len(failing) >= 0.75 * len(tiles)
+    spent = sum(_solve_flops(near[0].size, points.size) for points, near in tiles)
+    rerun = sum(_solve_flops(tiles[t][1][1].size, tiles[t][0].size) for t in failing)
+    assert spent + rerun >= _solve_flops(sites.shape[0], grid.shape[0])
+
+    monkeypatch.setattr(placement, "_DENSE_VERIFY_FLOPS", 0.0)
+    sizes = spy_factorizations(monkeypatch)
+    report = verify_plan(plan, env, h, target, spacing)
+    assert sizes == [near[0].size for _, near in tiles] + [sites.shape[0]]
+    assert report.method == "local" and not report.passed
+    assert report.tiles == (len(tiles) - len(failing), 0, len(failing))
+    top = int(np.argmax(exact))
+    assert report.max_variance == pytest.approx(exact[top], rel=1e-12)
+    assert report.argmax == (float(grid[top, 0]), float(grid[top, 1]))
 
 
 def test_ablated_plan_fails_exactly_inside_missing_disk():
@@ -137,20 +240,22 @@ def test_ablated_plan_fails_exactly_inside_missing_disk():
 
 
 def test_empty_neighbourhood_falls_back_to_prior():
-    # every tile but the one around the single site sees no local site
+    # every tile but the few around the single site sees no local site
     h = Hyperparameters(1.0, 2.0, 0.1)
     grid = Environment.rectangle((0.0, 0.0), (12.0, 1.0)).grid(0.5)
     sites, counts = np.array([[0.5, 0.5]]), np.array([3])
-    bound = local_bound(sites, counts, grid, h, math.inf)
-    # tiles from x = 3 on lie more than 2 l from the site's tile
-    far = grid[:, 0] > 3.0
-    assert np.all(bound[far] == h.signal_variance)
     exact = Posterior(sites, h, counts).variance(grid)
-    assert np.all(bound >= exact)
-    # with a finite target those tiles are recomputed exactly
-    np.testing.assert_allclose(
-        local_bound(sites, counts, grid, h, 1.0)[far], exact[far], rtol=1e-12
-    )
+    for margin in _TILE_MARGINS:
+        bound = local_bound(sites, counts, grid, h, math.inf, (margin,))
+        # the tile [k, k + 1) sees the site only while k <= margin + 0.5
+        far = grid[:, 0] >= math.floor(margin + 0.5) + 1.0
+        assert np.all(bound[far] == h.signal_variance)
+        assert np.all(bound[~far] < h.signal_variance)
+        assert np.all(bound >= exact)
+        # with a finite target those tiles are recomputed exactly
+        np.testing.assert_allclose(
+            local_bound(sites, counts, grid, h, 1.0, (margin,))[far], exact[far], rtol=1e-12
+        )
 
 
 def test_courtyard_sized_plan_stays_dense_and_exact():
@@ -173,14 +278,19 @@ def test_courtyard_sized_plan_stays_dense_and_exact():
 
 
 def test_method_round_trips_through_verification_json(tmp_path):
-    for method in ("dense", "local"):
-        report = VerificationReport(0.4321, (1.5, 0.25), 0.2, True, 0.05, 2501, method)
+    for method, tiles in (("dense", (0, 0, 0)), ("local", (61, 2, 1))):
+        report = VerificationReport(0.4321, (1.5, 0.25), 0.2, True, 0.05, 2501, method, tiles)
         path = tmp_path / f"{method}.json"
         fileio.write_json(path, fileio.verification_to_payload(report))
         assert fileio.read_json(path)["method"] == method
+        assert fileio.read_json(path)["tiles"] == list(tiles)
         assert fileio.verification_from_payload(fileio.read_json(path)) == report
     with pytest.raises(ValueError, match="method"):
         dataclasses.replace(report, method="sampled")
+    mismatched = (("dense", (1, 0, 0)), ("local", (0, 0, 0)), ("local", (3, 1)), ("local", (3, -1, 0)))
+    for method, tiles in mismatched:
+        with pytest.raises(ValueError, match="tiles"):
+            dataclasses.replace(report, method=method, tiles=tiles)
 
 
 def test_local_path_is_taken_when_tiles_are_cheaper(monkeypatch):
@@ -192,7 +302,12 @@ def test_local_path_is_taken_when_tiles_are_cheaper(monkeypatch):
     plan = disk_cover_placement(env, h, spec)
     report = verify_plan(plan, env, h, spec.max_variance, 0.3)
     assert report.method == "local" and report.passed
-    exact, bound, grid = dense_and_local(plan, env, h, spec.max_variance, 0.3)
+    sites, counts = plan.as_multiset().distinct()
+    grid = env.grid(0.3)
+    exact = Posterior(sites, h, counts).variance(grid)
+    bound, settled = ladder(sites, counts, grid, h, spec.max_variance)
+    # the narrow margin certifies every tile
+    assert report.tiles == settled == (len(_tiles(sites, grid, h.length_scale, [0.0])), 0, 0)
     top = int(np.argmax(bound))
     assert report.max_variance == float(bound[top]) >= float(exact.max())
     assert report.argmax == (float(grid[top, 0]), float(grid[top, 1]))
@@ -216,12 +331,27 @@ def test_local_path_is_taken_when_tiles_are_cheaper(monkeypatch):
 
 
 def test_tiles_that_see_most_sites_stay_dense():
-    # 3797 distinct sites in a square 2.4 length scales wide: the dense
-    # sweep is above its budget, but every tile would factor nearly all
-    # sites, so one dense solve is cheaper
+    # 3373 distinct sites in a square 1.2 length scales wide: the dense
+    # sweep is above its budget, but even at the narrow margin the four
+    # tiles would factor most sites, so one dense solve is cheaper
+    h = Hyperparameters(8.33, 12.87, 0.0361)
+    env = Environment.rectangle((0.0, 0.0), (10.0, 10.0))
+    plan = disk_cover_placement(env, h, AccuracySpec(0.03, 2.0))
+    sites, _ = plan.as_multiset().distinct()
+    assert _solve_flops(sites.shape[0], env.grid(2.0).shape[0]) > placement._DENSE_VERIFY_FLOPS
+    report = verify_plan(plan, env, h, 0.03, 2.0)
+    assert report.method == "dense" and report.tiles == (0, 0, 0)
+
+
+def test_square_a_few_length_scales_wide_takes_the_local_path_with_the_dense_verdict():
+    # 3797 distinct sites in a square 2.4 length scales wide: a tile sees
+    # under half of them at the narrow margin
     h = Hyperparameters(8.33, 12.87, 0.0361)
     env = Environment.rectangle((0.0, 0.0), (20.0, 20.0))
     plan = disk_cover_placement(env, h, AccuracySpec(0.12, 2.0))
-    sites, _ = plan.as_multiset().distinct()
-    assert _solve_flops(sites.shape[0], env.grid(2.0).shape[0]) > placement._DENSE_VERIFY_FLOPS
-    assert verify_plan(plan, env, h, 0.12, 2.0).method == "dense"
+    report = verify_plan(plan, env, h, 0.12, 2.0)
+    assert report.method == "local"
+    sites, counts = plan.as_multiset().distinct()
+    exact = Posterior(sites, h, counts).variance(env.grid(2.0))
+    assert report.passed == bool(exact.max() <= 0.12)
+    assert report.max_variance >= exact.max()

@@ -23,10 +23,8 @@ from .gp import (
     Observation,
     Posterior,
     fit_hyperparameters,
-    kernel,
     kernel_matrix,
     nlml,
-    posterior_mean,
     repeated_measurement_variance,
 )
 from .placement import (
@@ -72,6 +70,7 @@ from .baselines import (
     mi_greedy,
     ordered_tour,
     simulate_trial,
+    simulate_trials,
     single_trial_mse_over_time,
     survey_rows,
     variance_over_time,

@@ -5,7 +5,8 @@ Every stochastic routine is a pure function of its seed.  The stream
 from [seed, 1, t], so individual trials and batched studies see the
 same noise no matter which path computes them. Noise is drawn one
 value per measurement, in the order of the measurement entries, and is
-averaged per distinct site before it reaches the posterior.
+averaged per distinct site (per waypoint, for the curves over time)
+before it reaches the posterior.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from .fields import FieldGrid
 from .geometry import Environment
-from .gp import Hyperparameters, MeasurementMultiset, Posterior, check_dense_budget, kernel_matrix
+from .gp import Hyperparameters, Posterior, check_dense_budget, kernel_matrix
 from .placement import MeasurementPlan, necessary_radius
 from .routing import TimeModel, Tour, cumulative_times, tour_time
 
@@ -32,6 +33,7 @@ __all__ = [
     "mi_greedy",
     "ordered_tour",
     "simulate_trial",
+    "simulate_trials",
     "single_trial_mse_over_time",
     "survey_rows",
     "variance_over_time",
@@ -106,15 +108,38 @@ def simulate_trial(
     The truth is modeled as a zero-mean field; callers holding an offset
     field should center it first.
     """
+    return simulate_trials(truth, plan, sensor, hyper, (trial_index,))[0]
+
+
+def simulate_trials(
+    truth: FieldGrid,
+    plan: MeasurementPlan,
+    sensor: SensorModel,
+    hyper: Hyperparameters,
+    trial_indices,
+) -> list[TrialReport]:
+    """``simulate_trial`` for each of ``trial_indices``, from one factorization.
+
+    The design is the same in every trial, so the posterior is factored
+    and its variance computed once, in one pass over the cross-covariance
+    chunks that also gives every trial its own weights solve and its own
+    mat-vec. So each report is the one its trial gets alone, to the bit.
+    The reports share one variance array.
+    """
     measured = plan.as_multiset()
     sites, counts = measured.distinct()
-    eval_points = truth.points()
-    truth_values = truth.values.ravel()
-    noise = measured.site_means(_noise(sensor, trial_index, measured.total))
+    trials = list(trial_indices)
+    readings = np.empty((sites.shape[0], len(trials)))
+    for k, t in enumerate(trials):
+        readings[:, k] = measured.site_means(_noise(sensor, t, measured.total))
     means, variances = Posterior(sites, hyper, counts).mean_and_variance(
-        eval_points, truth.value_at(sites) + noise
+        truth.points(), truth.value_at(sites)[:, None] + readings
     )
-    return TrialReport(means, variances, (means - truth_values) ** 2)
+    truth_values = truth.values.ravel()
+    return [
+        TrialReport(means[:, k], variances, (means[:, k] - truth_values) ** 2)
+        for k in range(len(trials))
+    ]
 
 
 def convergence_study(
@@ -311,13 +336,14 @@ def ordered_tour(locations, depot, dwell_count: int = 1) -> Tour:
     return Tour((float(depot[0]), float(depot[1])), waypoints)
 
 
-def _checkpoint_designs(tour: Tour, time: TimeModel, eval_points, checkpoints):
-    """Validate checkpoint queries; return the query points, the measurement
-    count of the whole tour, and per checkpoint the measurements whose dwell
-    has finished by then.
+def _finished_waypoints(tour: Tour, time: TimeModel, eval_points, checkpoints):
+    """Validate checkpoint queries; return the query points, the locations
+    and dwell counts of the measuring waypoints in visiting order, and per
+    checkpoint how many of them have finished by then.
 
     A waypoint's measurements count once its dwell completes, matching the
-    tour's elapsed-time ledger.
+    tour's elapsed-time ledger; pass-through waypoints (no dwell) measure
+    nothing and are dropped.
     """
     pts = np.asarray(eval_points, dtype=float).reshape(-1, 2)
     if pts.shape[0] == 0:
@@ -327,14 +353,20 @@ def _checkpoint_designs(tour: Tour, time: TimeModel, eval_points, checkpoints):
     for c in marks:
         if not math.isfinite(c) or c < -1e-9 or c > horizon + 1e-9:
             raise ValueError(f"checkpoint {c} outside [0, {horizon}]")
-    elapsed = cumulative_times(tour, time)
-    finished = [
-        (e, loc, n) for e, (loc, n) in zip(elapsed, tour.waypoints) if n > 0
-    ]
-    designs = [
-        MeasurementMultiset(tuple((loc, n) for e, loc, n in finished if e <= c)) for c in marks
-    ]
-    return pts, sum(n for _, _, n in finished), designs
+    dwells = np.asarray([n for _, n in tour.waypoints], dtype=int)
+    measuring = dwells > 0
+    locations = np.asarray([loc for loc, _ in tour.waypoints], dtype=float).reshape(-1, 2)[measuring]
+    # the ledger never decreases, so the waypoints finished by a checkpoint
+    # are a prefix of the measuring ones
+    finished = np.searchsorted(cumulative_times(tour, time)[measuring], marks, side="right")
+    return pts, locations, dwells[measuring], finished
+
+
+def _waypoint_posterior(locations: np.ndarray, counts: np.ndarray, hyper: Hyperparameters) -> Posterior:
+    """One Gram row per measuring waypoint, in visiting order."""
+    n = locations.shape[0]
+    check_dense_budget(8 * n * n, f"the curves of a tour with {n} finished waypoints")
+    return Posterior(locations, hyper, counts)
 
 
 def curves_over_time(
@@ -350,24 +382,24 @@ def curves_over_time(
     """Average posterior variance and one trial's mean squared prediction
     error, using the measurements finished by each checkpoint.
 
-    Each checkpoint's posterior is factored once, and one pass over its
-    cross-covariance with the query points serves both curves.
-    The noise for the whole tour is drawn up front, so a measurement
-    carries the same reading at every checkpoint that includes it. A
-    checkpoint's design is not a prefix of the next one's Gram rows: a
-    revisit raises an earlier site's count instead of adding a row.
+    Every measuring waypoint gets its own Gram row, with noise w2 / dwell
+    count and a reading that averages its own draws, in visiting order.
+    A revisit adds a row rather than raising an earlier row's count;
+    both give the same posterior, and this way each checkpoint's design
+    is a prefix of the whole tour's. So the tour is factored once and
+    ``Posterior.prefix_mean_and_variance`` reads every checkpoint off
+    one triangular solve. The noise for the whole tour is drawn up front,
+    one value per measurement in waypoint order, so a measurement carries
+    the same reading at every checkpoint that includes it.
     """
-    pts, total, designs = _checkpoint_designs(tour, time, eval_points, checkpoints)
-    noise = _noise(sensor, trial_index, total)
-    actual = truth.value_at(pts)
-    variances, errors = [], []
-    for measured in designs:
-        sites, counts = measured.distinct()
-        observed = truth.value_at(sites) + measured.site_means(noise[: measured.total])
-        means, var = Posterior(sites, hyper, counts).mean_and_variance(pts, observed)
-        variances.append(float(var.mean()))
-        errors.append(float(np.mean((means - actual) ** 2)))
-    return np.asarray(variances), np.asarray(errors)
+    pts, locations, counts, finished = _finished_waypoints(tour, time, eval_points, checkpoints)
+    post = _waypoint_posterior(locations, counts, hyper)
+    noise = _noise(sensor, trial_index, int(counts.sum()))
+    readings = np.add.reduceat(noise, np.cumsum(counts) - counts) / counts
+    means, variances = post.prefix_mean_and_variance(
+        pts, truth.value_at(locations) + readings, finished
+    )
+    return variances.mean(axis=1), np.mean((means - truth.value_at(pts)) ** 2, axis=1)
 
 
 def variance_over_time(
@@ -378,12 +410,10 @@ def variance_over_time(
     The variance half of ``curves_over_time``, for callers without a
     truth field; it needs no measured values.
     """
-    pts, _, designs = _checkpoint_designs(tour, time, eval_points, checkpoints)
-    averages = []
-    for measured in designs:
-        sites, counts = measured.distinct()
-        averages.append(float(Posterior(sites, hyper, counts).variance(pts).mean()))
-    return np.asarray(averages)
+    pts, locations, counts, finished = _finished_waypoints(tour, time, eval_points, checkpoints)
+    post = _waypoint_posterior(locations, counts, hyper)
+    _, variances = post.prefix_mean_and_variance(pts, np.zeros(post.size), finished)
+    return variances.mean(axis=1)
 
 
 def single_trial_mse_over_time(

@@ -24,7 +24,7 @@ from .baselines import (
     lawnmower_plan,
     mi_greedy,
     ordered_tour,
-    simulate_trial,
+    simulate_trials,
 )
 from .errors import DegenerateDataError, NumericalError, VerificationError
 from .fields import sample_gp_field
@@ -253,10 +253,7 @@ def cmd_simulate(args: argparse.Namespace) -> None:
     box = _truth_env(cfg, plan)
     truth = sample_gp_field(box, cfg.hyper, _truth_spacing(cfg, box), cfg.seed)
     sensor = SensorModel(cfg.hyper.noise_variance, cfg.seed)
-    reports = [
-        simulate_trial(truth, plan, sensor, cfg.hyper, trial_index=t)
-        for t in range(cfg.trials)
-    ]
+    reports = simulate_trials(truth, plan, sensor, cfg.hyper, range(cfg.trials))
     fileio.write_curve_csv(
         cfg.out / "trial_summary.csv",
         ("trial", "average_variance", "average_mse", "mean_percent_difference"),

@@ -10,8 +10,10 @@ on that fact throughout.
 Repeated measurements are never given Gram rows of their own: n noisy
 readings at one location are exactly one reading of their average with
 noise variance w2 / n (Rasmussen & Williams, GPML 2006, sec. 2.2). So
-``Posterior`` factors K(sites) + diag(w2 / counts) over the distinct
-locations, and values are averaged per site before any solve.
+``Posterior`` factors K(sites) + diag(w2 / counts), and values are
+averaged per row before any solve. The rows are the distinct locations,
+except where one factorization must serve every prefix of a visiting
+order; there a revisit gets a row of its own.
 """
 
 from __future__ import annotations
@@ -182,14 +184,6 @@ class MeasurementMultiset:
         return locs[first[order]], site_counts, np.repeat(entry_site, counts)
 
 
-def kernel(a, b, hyper: Hyperparameters) -> float:
-    """Squared-exponential covariance between two points."""
-    ax, ay = _as_point(a)
-    bx, by = _as_point(b)
-    d2 = (ax - bx) ** 2 + (ay - by) ** 2
-    return hyper.signal_variance * math.exp(-d2 / (2.0 * hyper.length_scale**2))
-
-
 def kernel_matrix(a, b, hyper: Hyperparameters) -> np.ndarray:
     """Cross-covariance matrix between two point sets, shape (len(a), len(b))."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
@@ -213,10 +207,14 @@ class Posterior:
     Each of the ``sites`` gets one Gram row; ``counts[i]`` readings were
     taken at ``sites[i]`` (one each when ``counts`` is omitted). The
     factored matrix is K(sites) + diag(w2 / counts), which is exact for
-    repeats as long as ``mean`` and ``mean_many`` get each site's average
-    reading (``MeasurementMultiset.site_means``). Sites should be
-    distinct, as ``MeasurementMultiset.distinct`` returns them. Factors
-    once, so variance and mean queries at many points reuse the work.
+    repeats as long as ``mean`` and ``mean_many`` get each row's average
+    reading (``MeasurementMultiset.site_means``). A location may have
+    several rows: rows with counts c1 and c2 at one spot give the
+    posterior of one row with count c1 + c2 and the count-weighted
+    average reading. Distinct sites, as ``MeasurementMultiset.distinct``
+    returns them, keep the system smallest; ``prefix_mean_and_variance``
+    relies on the rows staying in visiting order instead. Factors once,
+    so variance and mean queries at many points reuse the work.
     """
 
     def __init__(self, sites, hyper: Hyperparameters, counts=None):
@@ -232,7 +230,7 @@ class Posterior:
         if n == 0:
             self._factor = None
             return
-        check_dense_budget(8 * n * n, f"a dense solve over {n} distinct sites")
+        check_dense_budget(8 * n * n, f"a dense solve over {n} Gram rows")
         gram = kernel_matrix(self.design, self.design, hyper)
         gram[np.diag_indices_from(gram)] += noise
         # The Gram matrix is exactly symmetric, so its transpose is the
@@ -281,15 +279,65 @@ class Posterior:
 
     def mean_and_variance(self, points, values) -> tuple[np.ndarray, np.ndarray]:
         """``mean(points, values)`` and ``variance(points)`` from one pass
-        over the cross-covariance K(points, sites)."""
+        over the cross-covariance K(points, sites).
+
+        ``values`` may hold one realization per column, as in
+        ``mean_many``. Each column gets its own solve and its own mat-vec
+        on every chunk, so column k of the means is bit for bit
+        ``mean(points, values[:, k])``, and is contiguous.
+        """
         pts = np.asarray(points, dtype=float).reshape(-1, 2)
+        y = np.asarray(values, dtype=float)
         if self._factor is None:
-            return np.zeros(pts.shape[0]), np.full(pts.shape[0], self.hyper.signal_variance)
-        alpha = self._weights(values)
-        means, variances = np.empty(pts.shape[0]), np.empty(pts.shape[0])
+            return np.zeros(pts.shape[:1] + y.shape[1:]), np.full(pts.shape[0], self.hyper.signal_variance)
+        alphas = [self._weights(column) for column in y.reshape(y.shape[0], -1).T]
+        means, variances = np.empty((len(alphas), pts.shape[0])), np.empty(pts.shape[0])
         for rows, kxb in self._cross_covariances(pts):
-            means[rows] = kxb.T @ alpha
+            for k, alpha in enumerate(alphas):
+                means[k, rows] = kxb.T @ alpha
             variances[rows] = self._chunk_variance(kxb)
+        return means.T.reshape(pts.shape[:1] + y.shape[1:]), np.maximum(variances, 0.0)
+
+    def prefix_mean_and_variance(self, points, values, lengths) -> tuple[np.ndarray, np.ndarray]:
+        """Mean and variance at the points given each leading block of rows.
+
+        Row j of both results conditions on the first ``lengths[j]`` rows
+        alone, with ``values`` (one average reading per row) cut the same
+        way; a length of 0 gives the prior. The leading block of a
+        Cholesky factor L is the factor of the leading block of the Gram
+        matrix, so one factorization serves every prefix: with
+        V = L^-1 K(rows, points) and b = L^-1 values, the first n rows give
+        variance s2 - sum_{i<n} V_i^2 and mean sum_{i<n} b_i V_i. The sums
+        run over the rows in order, so a longer prefix never reports a
+        larger variance at any point.
+        """
+        pts = np.asarray(points, dtype=float).reshape(-1, 2)
+        ns = np.asarray(lengths, dtype=int).reshape(-1)
+        if np.any(ns < 0) or np.any(ns > self.size):
+            raise ValueError(f"prefix lengths must lie in [0, {self.size}]")
+        means = np.zeros((ns.size, pts.shape[0]))
+        variances = np.full((ns.size, pts.shape[0]), self.hyper.signal_variance)
+        if self._factor is None:
+            return means, variances
+        y = np.asarray(values, dtype=float)
+        if y.shape != (self.size,):
+            raise ValueError(f"expected {self.size} values, one per row, got shape {y.shape}")
+        lower = self._factor[0]
+        beta = solve_triangular(lower, y, lower=True, check_finite=False)
+        order = np.argsort(ns, kind="stable")
+        for cols, kxb in self._cross_covariances(pts):
+            v = solve_triangular(lower, kxb, lower=True, overwrite_b=True, check_finite=False)
+            explained = np.zeros(v.shape[1])
+            mean = np.zeros(v.shape[1])
+            done = 0
+            for j in order:
+                if ns[j] > done:
+                    block = v[done : ns[j]]
+                    explained += np.einsum("ij,ij->j", block, block)
+                    mean += beta[done : ns[j]] @ block
+                    done = ns[j]
+                variances[j, cols] = self.hyper.signal_variance - explained
+                means[j, cols] = mean
         return means, np.maximum(variances, 0.0)
 
     def _cross_covariances(self, pts: np.ndarray):
@@ -320,24 +368,6 @@ class Posterior:
         for rows, kxb in self._cross_covariances(pts):
             out[rows] = kxb.T @ alpha
         return out
-
-
-def posterior_mean(x, observations, hyper: Hyperparameters) -> float:
-    """Posterior mean at ``x`` from observations carrying values.
-
-    The prior mean is zero; center data upstream if it is not already.
-    Observations at one location are averaged into a single reading.
-    """
-    obs = list(observations)
-    for o in obs:
-        if o.value is None:
-            raise ValueError("posterior_mean needs a value on every observation")
-    if not obs:
-        return 0.0
-    measured = MeasurementMultiset.from_points([o.location for o in obs])
-    sites, counts = measured.distinct()
-    post = Posterior(sites, hyper, counts)
-    return float(post.mean([_as_point(x)], measured.site_means([o.value for o in obs]))[0])
 
 
 def repeated_measurement_variance(distance: float, count: int, hyper: Hyperparameters) -> float:

@@ -15,6 +15,7 @@ from fieldcover.baselines import (
     mi_greedy,
     ordered_tour,
     simulate_trial,
+    simulate_trials,
     single_trial_mse_over_time,
     survey_rows,
     variance_over_time,
@@ -23,7 +24,13 @@ from fieldcover.errors import GramTooLargeError
 from fieldcover.fields import sample_gp_field
 from fieldcover.geometry import Environment
 from fieldcover.gp import Hyperparameters, Posterior
-from fieldcover.placement import MeasurementPlan, necessary_radius
+from fieldcover.placement import (
+    AccuracySpec,
+    MeasurementPlan,
+    disk_cover_placement,
+    necessary_radius,
+    project_into_environment,
+)
 from fieldcover.routing import TimeModel, Tour, tour_time
 
 H = Hyperparameters(2.0, 1.5, 0.1)
@@ -54,6 +61,37 @@ def test_trials_are_seed_deterministic():
     np.testing.assert_array_equal(a.squared_errors, b.squared_errors)
     assert not np.array_equal(a.means, c.means)
     np.testing.assert_array_equal(a.variances, c.variances)
+
+
+def test_batched_trials_equal_single_trials_on_a_hard_boundary_plan():
+    # an L-shaped courtyard whose sites outside were projected onto it
+    env = Environment.polygon([(0, 0), (6, 0), (6, 3), (3, 3), (3, 6), (0, 6)])
+    h = Hyperparameters(2.0, 1.5, 0.4)
+    raw = disk_cover_placement(env, h, AccuracySpec(0.3, 2.0))
+    plan = project_into_environment(raw, env)
+    assert plan.entries != raw.entries
+    assert len(plan.as_multiset().distinct()[0]) < len(plan.entries)
+    truth = sample_gp_field(Environment.rectangle((-1.0, -1.0), (7.0, 7.0)), h, 0.5, 6)
+    sensor = SensorModel(h.noise_variance, 13)
+    batched = simulate_trials(truth, plan, sensor, h, range(5))
+    assert len(batched) == 5
+
+    # the per-trial route with its own factorization, as each trial once ran
+    measured = plan.as_multiset()
+    sites, counts = measured.distinct()
+    for t, report in enumerate(batched):
+        alone = simulate_trial(truth, plan, sensor, h, trial_index=t)
+        noise = math.sqrt(sensor.noise_variance) * np.random.default_rng([13, 1, t]).standard_normal(
+            measured.total
+        )
+        post = Posterior(sites, h, counts)
+        means = post.mean(truth.points(), truth.value_at(sites) + measured.site_means(noise))
+        variances = post.variance(truth.points())
+        for got in (report, alone):
+            np.testing.assert_array_equal(got.means, means)
+            np.testing.assert_array_equal(got.variances, variances)
+            np.testing.assert_array_equal(got.squared_errors, (means - truth.values.ravel()) ** 2)
+    assert not np.array_equal(batched[0].means, batched[1].means)
 
 
 def test_empty_plan_reports_the_prior():

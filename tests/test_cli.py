@@ -8,7 +8,7 @@ import pytest
 
 from fieldcover import cli
 from fieldcover import io as fileio
-from fieldcover.gp import Hyperparameters, kernel_matrix
+from fieldcover.gp import Hyperparameters, Posterior, kernel_matrix
 from fieldcover.placement import VerificationReport
 
 HYPER = "3,2,0.1"
@@ -218,6 +218,20 @@ class TestSimulate:
     def test_oversized_truth_grid_exits_2(self, tmp_path):
         args = plan_args(tmp_path, "out", "--seed", "7", "--trials", "2", "--grid-res", "0.1")
         assert cli.main(["simulate", *args]) == 2
+
+    def test_trials_share_one_factorization(self, tmp_path, monkeypatch):
+        factored = []
+        init = Posterior.__init__
+
+        def spy(self, sites, *args, **kwargs):
+            factored.append(len(sites))
+            init(self, sites, *args, **kwargs)
+
+        monkeypatch.setattr(Posterior, "__init__", spy)
+        args = plan_args(tmp_path, "out", "--seed", "7", "--trials", "5", "--hard-boundary")
+        assert cli.main(["simulate", *args]) == 0
+        assert len(fileio.read_curve_csv(tmp_path / "out" / "trial_summary.csv")[1]) == 5
+        assert len(factored) == 1 and factored[0] > 0
 
 
 class TestCompare:

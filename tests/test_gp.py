@@ -15,10 +15,8 @@ from fieldcover import (
     Observation,
     Posterior,
     fit_hyperparameters,
-    kernel,
     kernel_matrix,
     nlml,
-    posterior_mean,
     repeated_measurement_variance,
 )
 
@@ -38,6 +36,19 @@ NLML_ONE_ZERO = 0.9665936231068352
 def variance_given(points, measurements: MeasurementMultiset, h: Hyperparameters) -> np.ndarray:
     sites, counts = measurements.distinct()
     return Posterior(sites, h, counts).variance(points)
+
+
+def kernel(a, b, h: Hyperparameters) -> float:
+    """Covariance between two points, from one-point sets."""
+    return float(kernel_matrix([a], [b], h)[0, 0])
+
+
+def posterior_mean(x, observations, h: Hyperparameters) -> float:
+    """Posterior mean at ``x``, with readings averaged per distinct site."""
+    measured = MeasurementMultiset.from_points([o.location for o in observations])
+    sites, counts = measured.distinct()
+    values = measured.site_means([o.value for o in observations])
+    return float(Posterior(sites, h, counts).mean([x], values)[0])
 
 
 finite_coord = st.floats(min_value=-50, max_value=50, allow_nan=False)
@@ -175,8 +186,13 @@ def test_posterior_mean_linear_in_values():
 
 
 def test_posterior_mean_requires_values():
+    # a site without its reading is refused, at averaging and at the solve
+    measured = MeasurementMultiset.from_points([(1.0, 1.0)])
+    sites, counts = measured.distinct()
     with pytest.raises(ValueError):
-        posterior_mean((0.0, 0.0), [Observation((1.0, 1.0))], H1)
+        measured.site_means([])
+    with pytest.raises(ValueError):
+        Posterior(sites, H1, counts).mean([(0.0, 0.0)], [])
 
 
 def test_posterior_object_matches_function_route():
@@ -293,3 +309,22 @@ def test_noisier_sensors_leave_more_variance(w2a, bump):
     lo = variance_given([(0.5, 0.5)], m, Hyperparameters(1.0, 1.0, w2a))[0]
     hi = variance_given([(0.5, 0.5)], m, Hyperparameters(1.0, 1.0, w2a + bump))[0]
     assert hi >= lo - 1e-12
+
+
+def test_mean_and_variance_columns_match_single_queries_bitwise():
+    rng = np.random.default_rng(6)
+    design = rng.uniform(-2, 2, size=(12, 2))
+    queries = rng.uniform(-2, 2, size=(9, 2))
+    cols = rng.normal(size=(12, 4))
+    post = Posterior(design, H1)
+    means, variances = post.mean_and_variance(queries, cols)
+    assert means.shape == (9, 4)
+    np.testing.assert_array_equal(variances, post.variance(queries))
+    for j in range(4):
+        np.testing.assert_array_equal(means[:, j], post.mean(queries, cols[:, j]))
+        assert means[:, j].flags.c_contiguous
+    single, _ = post.mean_and_variance(queries, cols[:, 1])
+    np.testing.assert_array_equal(single, means[:, 1])
+    empty_means, empty_var = Posterior(np.empty((0, 2)), H1).mean_and_variance(queries, np.empty((0, 4)))
+    np.testing.assert_array_equal(empty_means, np.zeros((9, 4)))
+    np.testing.assert_array_equal(empty_var, np.full(9, H1.signal_variance))

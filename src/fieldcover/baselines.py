@@ -200,17 +200,25 @@ def _pool_precision(cands: np.ndarray, hyper: Hyperparameters) -> np.ndarray:
 def _greedy_select(candidates, hyper: Hyperparameters, budget: int, mutual_information: bool) -> list:
     """Greedy picks by posterior variance, or by variance ratio for mutual information.
 
-    Both matrices below cover the unpicked candidates only, in candidate
-    order, and lose a row and a column per pick. ``cov`` is their latent
-    posterior covariance given the noisy picks so far; a pick is a
-    rank-one downdate of it. For mutual information ``prec`` is
-    (K_pool + w2 I)^-1 over the unpicked pool, so 1 / diag(prec) - w2 is
-    each candidate's variance given the rest of the pool; a candidate
-    leaving the pool is a Schur-complement downdate. The pool precision
-    shrinks as the pool thins out while rounding accumulates at its
-    starting scale, so it is inverted afresh whenever the pool has halved
-    since the last inversion, which costs about 1.15 inversions in all.
-    Each step is O(C^2) for C candidates.
+    Picking the largest posterior variance is a pivoted Cholesky
+    factorization of K + w2 I with the largest-diagonal pivot, so it is
+    built left-looking, one column per pick, and no downdated C x C
+    matrix is ever formed. ``var`` is every candidate's latent posterior
+    variance given the noisy picks so far. A pick's column is its kernel
+    column less the earlier columns' share of it, over the square root
+    of its own variance plus w2; it is stored as a row of ``factor`` and
+    lowers ``var`` by its square. For mutual information ``prec`` is
+    (K_pool + w2 I)^-1 over the pool at its last inversion. A candidate
+    leaving the pool is a Schur-complement downdate of it, kept the same
+    way: the leaver's precision column less ``pfactor``'s share, over
+    the square root of its own entry, lowers ``pdiag`` by its square, so
+    1 / pdiag - w2 is each unpicked candidate's variance given the rest
+    of the pool. The pool precision shrinks as the pool thins out while
+    rounding accumulates at its starting scale, so it is inverted afresh
+    whenever the pool has halved since the last inversion, which costs
+    about 1.15 inversions in all. The scores go to the tie break over the
+    unpicked candidates in candidate order. Pick j costs O(C j) plus one
+    kernel column.
     """
     cands = np.asarray(candidates, dtype=float).reshape(-1, 2)
     if not isinstance(budget, int) or budget < 0:
@@ -218,11 +226,12 @@ def _greedy_select(candidates, hyper: Hyperparameters, budget: int, mutual_infor
     n = cands.shape[0]
     if budget > n:
         raise ValueError(f"budget {budget} exceeds {n} candidates")
-    # Peak C x C matrices held at once. A pick holds ``cov``, its compacted
-    # copy or the outer-product term, and for MI also ``prec``. MI peaks
-    # earlier, inside ``np.linalg.inv``: the Gram matrix, LAPACK's copy of
-    # it, the identity it solves against and the result; so the precision
-    # is built before ``cov`` exists.
+    # Peak C x C matrices counted at once; the count is an upper bound.
+    # Entropy holds a budget x C factor and one kernel column, at most
+    # one C x C matrix. MI peaks inside ``np.linalg.inv``: the Gram
+    # matrix, LAPACK's copy of it, the identity it solves against and the
+    # result. After it MI holds the pool precision, its factor of at most
+    # C/2 leavers and the entropy factor: at most 2.5 C x C matrices.
     matrices = 4 if mutual_information else 2
     check_dense_budget(8 * n * n * matrices, f"greedy selection over {n} candidates")
     w2 = hyper.noise_variance
@@ -230,28 +239,38 @@ def _greedy_select(candidates, hyper: Hyperparameters, budget: int, mutual_infor
     pool = np.arange(n)
     if mutual_information:
         prec, inverted_at = _pool_precision(cands, hyper), n
-    cov = kernel_matrix(cands, cands, hyper)
+        pdiag, alive = np.diag(prec).copy(), np.arange(n)
+        pfactor, dropped = np.empty((min(budget, (n + 1) // 2), n)), 0
+    var = np.full(n, hyper.signal_variance)
+    factor = np.empty((budget, n))
     picks: list[tuple[float, float]] = []
-    for _ in range(budget):
-        scores = np.maximum(np.diag(cov), 0.0)
+    for j in range(budget):
+        scores = np.maximum(var[pool], 0.0)
         if mutual_information:
-            scores /= np.maximum(1.0 / np.diag(prec) - w2, floor)
+            scores /= np.maximum(1.0 / pdiag[alive] - w2, floor)
         k = _pick_with_tie_break(cands[pool], scores)
-        picks.append((float(cands[pool[k], 0]), float(cands[pool[k], 1])))
+        g = pool[k]
+        picks.append((float(cands[g, 0]), float(cands[g, 1])))
+        col = kernel_matrix(cands, cands[g : g + 1], hyper)[:, 0]
+        col -= factor[:j, g] @ factor[:j]
+        col /= math.sqrt(var[g] + w2)
+        var -= col * col
+        factor[j] = col
         keep = np.flatnonzero(np.arange(pool.size) != k)
         pool = pool[keep]
-        col = cov[keep, k]
-        pivot = cov[k, k] + w2
-        cov = cov[np.ix_(keep, keep)]
-        cov -= np.outer(col, col / pivot)
         if mutual_information:
+            leaver, alive = alive[k], alive[keep]
             if 2 * pool.size <= inverted_at:
+                prec = pfactor = None  # freed before the new inverse allocates
                 prec, inverted_at = _pool_precision(cands[pool], hyper), pool.size
+                pdiag, alive = np.diag(prec).copy(), np.arange(pool.size)
+                pfactor, dropped = np.empty((min(budget - j - 1, (pool.size + 1) // 2), pool.size)), 0
             else:
-                col = prec[keep, k]
-                pivot = prec[k, k]
-                prec = prec[np.ix_(keep, keep)]
-                prec -= np.outer(col, col / pivot)
+                pcol = prec[:, leaver] - pfactor[:dropped, leaver] @ pfactor[:dropped]
+                pcol /= math.sqrt(pcol[leaver])
+                pdiag -= pcol * pcol
+                pfactor[dropped] = pcol
+                dropped += 1
     return picks
 
 
@@ -260,9 +279,11 @@ def entropy_greedy(candidates, hyper: Hyperparameters, budget: int) -> list:
 
     Gaussian entropy is monotone in variance, so the variance argmax is
     the entropy argmax. Ties (within 1e-12 relative) go to the
-    lexicographically smallest location. One C x C candidate covariance
-    is built once and downdated by rank one per pick, so a pick costs
-    O(C^2). It holds at most two C x C matrices at once, so more than
+    lexicographically smallest location. The picks are the pivots of a
+    left-looking pivoted Cholesky factorization: pick j computes one
+    kernel column and subtracts the j earlier columns from it, so it
+    costs O(C j). It holds a C x budget factor plus one kernel column, at
+    most one C x C matrix; the guard still counts two, so more than
     11,585 candidates raise GramTooLargeError before anything large is
     allocated.
     """
@@ -279,10 +300,11 @@ def mi_greedy(candidates, hyper: Hyperparameters, budget: int) -> list:
     the ratio compares latent-field uncertainties. Ties are broken as in
     ``entropy_greedy``.
 
-    Two C x C matrices are kept and downdated by rank one per pick (the
-    picks' posterior covariance and the unpicked pool's precision), so
-    after one inverse a pick costs O(C^2). The inverse holds four C x C
-    matrices at once, so more than 8,192 candidates raise
+    The picks' posterior variances are kept as in ``entropy_greedy``. The
+    unpicked pool's precision is inverted once and then kept as that C x C
+    matrix plus a C x budget factor of the candidates that left the pool
+    since, so after the inverse a pick costs O(C j). The inverse holds four
+    C x C matrices at once, so more than 8,192 candidates raise
     GramTooLargeError before anything large is allocated.
     """
     return _greedy_select(candidates, hyper, budget, mutual_information=True)

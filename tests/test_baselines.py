@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -392,3 +393,24 @@ def test_greedy_guard_boundary(select, cap, monkeypatch):
         select(cands[:cap], H, 1)
     with pytest.raises(GramTooLargeError, match=f"greedy selection over {cap + 1} candidates"):
         select(cands[: cap + 1], H, 1)
+
+
+@pytest.mark.parametrize(
+    "select, budget, matrices",
+    # entropy holds a budget x C factor and one kernel column; MI peaks
+    # inside the pool inverse, then holds the pool precision and two
+    # factors of C x budget
+    [(entropy_greedy, 8, 1.0), (mi_greedy, 400, 2.5)],
+)
+def test_greedy_peak_memory(select, budget, matrices):
+    side = 2.0 * np.arange(40, dtype=float)
+    cands = np.stack(np.meshgrid(side, side), axis=-1).reshape(-1, 2)
+    one = 8 * cands.shape[0] ** 2  # one 1,600 x 1,600 matrix: 20.5 MB
+    tracemalloc.start()
+    try:
+        picks = select(cands, Hyperparameters(8.33, 12.87, 0.0361), budget)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(picks) == budget
+    assert peak < matrices * one

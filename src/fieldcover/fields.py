@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import dtrmv
+from scipy.linalg.lapack import dpotrf
 
 from .errors import GridTooLargeError
 from .geometry import Environment
@@ -87,13 +89,23 @@ def _axis_nodes(lo: float, hi: float, spacing: float) -> np.ndarray:
     return lo + spacing * np.arange(steps + 1)
 
 
+def _node_covariance(pts: np.ndarray, hyper: Hyperparameters) -> np.ndarray:
+    cov = kernel_matrix(pts, pts, hyper)
+    cov[np.diag_indices_from(cov)] += 1e-10 * hyper.signal_variance
+    return cov
+
+
 def sample_gp_field(
     env: Environment, hyper: Hyperparameters, spacing: float, seed: int
 ) -> FieldGrid:
     """One exact draw of the zero-mean process on a grid covering ``env``.
 
     Deterministic per seed; stream [seed, 0] is reserved for field
-    synthesis, stream [seed, 1, t] for per-trial sensor noise.
+    synthesis, stream [seed, 1, t] for per-trial sensor noise. The draw
+    is L z for the Cholesky factor L of the node covariance (plus a
+    1e-10 * s2 jitter), factored in place, so the draw peaks at one
+    n x n matrix over the n nodes. A covariance too ill-conditioned to
+    factor is drawn from its eigendecomposition instead.
     """
     if not (math.isfinite(spacing) and spacing > 0.0):
         raise ValueError("spacing must be positive and finite")
@@ -111,13 +123,16 @@ def sample_gp_field(
 
     rng = np.random.default_rng([seed, 0])
     z = rng.standard_normal(count)
-    cov = kernel_matrix(pts, pts, hyper)
-    jitter = 1e-10 * hyper.signal_variance
-    cov[np.diag_indices_from(cov)] += jitter
-    try:
-        draw = np.linalg.cholesky(cov) @ z
-    except np.linalg.LinAlgError:
-        # dense grids make the covariance numerically rank-deficient
-        w, vecs = np.linalg.eigh(cov)
+    # The covariance is exactly symmetric, so its transpose is the Fortran
+    # view LAPACK factors in place; the upper triangle is left as it was,
+    # and dtrmv reads only the lower one.
+    lower, info = dpotrf(_node_covariance(pts, hyper).T, lower=1, overwrite_a=1, clean=0)
+    if info == 0:
+        draw = dtrmv(lower, z, lower=1)
+    else:
+        # dense grids make the covariance numerically rank-deficient; the
+        # failed factorization overwrote it, so build it again
+        del lower
+        w, vecs = np.linalg.eigh(_node_covariance(pts, hyper))
         draw = vecs @ (np.sqrt(np.clip(w, 0.0, None)) * z)
     return FieldGrid((float(x0), float(y0)), float(spacing), draw.reshape(xs.size, ys.size))

@@ -29,7 +29,7 @@ from scipy.spatial.distance import cdist
 from .errors import DegenerateDataError, GramTooLargeError, NumericalError
 
 # Byte budget of one float64 (sites x query points) cross-covariance chunk
-# in ``Posterior``'s variance and mean queries; a few are live at once.
+# in ``Posterior``'s variance and mean queries; one chunk is live at a time.
 _CHUNK_BYTES = 32 * 2**20
 # Largest Gram matrix a dense solve may allocate. Factorization is in
 # place, so this is also about the peak of the factorization itself.
@@ -253,6 +253,7 @@ class Posterior:
         out = np.empty(pts.shape[0])
         for rows, kxb in self._cross_covariances(pts):
             out[rows] = self._chunk_variance(kxb)
+            del kxb
         return np.maximum(out, 0.0)
 
     def mean(self, points, values) -> np.ndarray:
@@ -296,6 +297,7 @@ class Posterior:
             for k, alpha in enumerate(alphas):
                 means[k, rows] = kxb.T @ alpha
             variances[rows] = self._chunk_variance(kxb)
+            del kxb
         return means.T.reshape(pts.shape[:1] + y.shape[1:]), np.maximum(variances, 0.0)
 
     def prefix_mean_and_variance(self, points, values, lengths) -> tuple[np.ndarray, np.ndarray]:
@@ -332,19 +334,21 @@ class Posterior:
             done = 0
             for j in order:
                 if ns[j] > done:
-                    block = v[done : ns[j]]
-                    explained += np.einsum("ij,ij->j", block, block)
-                    mean += beta[done : ns[j]] @ block
+                    new = slice(done, ns[j])
+                    explained += np.einsum("ij,ij->j", v[new], v[new])
+                    mean += beta[new] @ v[new]
                     done = ns[j]
                 variances[j, cols] = self.hyper.signal_variance - explained
                 means[j, cols] = mean
+            del kxb, v
         return means, np.maximum(variances, 0.0)
 
     def _cross_covariances(self, pts: np.ndarray):
         """Yield (rows, K(sites, pts[rows])) in chunks of about ``_CHUNK_BYTES``.
 
         Each chunk is Fortran-ordered (sites x rows), so a triangular solve
-        can run on it in place.
+        can run on it in place. Callers ``del`` a chunk, and anything built
+        from it, before asking for the next one, so that only one is live.
         """
         step = max(1, _CHUNK_BYTES // (8 * self.size))
         for start in range(0, pts.shape[0], step):
@@ -367,6 +371,7 @@ class Posterior:
         out = np.empty((pts.shape[0],) + alpha.shape[1:])
         for rows, kxb in self._cross_covariances(pts):
             out[rows] = kxb.T @ alpha
+            del kxb
         return out
 
 

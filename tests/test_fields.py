@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -72,6 +73,19 @@ def test_deterministic_per_seed():
     c = sample_gp_field(ENV, H, 2.0, 8)
     np.testing.assert_array_equal(a.values, b.values)
     assert not np.array_equal(a.values, c.values)
+
+
+def test_draw_peaks_at_one_covariance_matrix():
+    env = Environment.rectangle((0, 0), (40.0, 40.0))
+    one = 8 * 41**4  # the 1,681 x 1,681 node covariance: 22.6 MB
+    tracemalloc.start()
+    try:
+        grid = sample_gp_field(env, H, 1.0, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert grid.shape == (41, 41)
+    assert peak <= 1.5 * one
 
 
 def test_near_zero_prior_gives_near_zero_field():

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fieldcover import gp
 from fieldcover import (
     DegenerateDataError,
     Hyperparameters,
@@ -328,3 +330,29 @@ def test_mean_and_variance_columns_match_single_queries_bitwise():
     empty_means, empty_var = Posterior(np.empty((0, 2)), H1).mean_and_variance(queries, np.empty((0, 4)))
     np.testing.assert_array_equal(empty_means, np.zeros((9, 4)))
     np.testing.assert_array_equal(empty_var, np.full(9, H1.signal_variance))
+
+
+@pytest.mark.parametrize(
+    "query",
+    [
+        lambda post, pts, y: post.variance(pts),
+        lambda post, pts, y: post.mean(pts, y),
+        lambda post, pts, y: post.mean_and_variance(pts, y),
+        lambda post, pts, y: post.prefix_mean_and_variance(pts, y, [0, 50, 200]),
+    ],
+    ids=["variance", "mean", "mean_and_variance", "prefix_mean_and_variance"],
+)
+def test_queries_hold_one_cross_covariance_chunk_at_a_time(monkeypatch, query):
+    monkeypatch.setattr(gp, "_CHUNK_BYTES", 2**20)
+    rng = np.random.default_rng(3)
+    post = Posterior(rng.uniform(0, 20, size=(200, 2)), H1)
+    y = rng.normal(size=200)
+    pts = rng.uniform(0, 20, size=(3000, 2))
+    chunk = 8 * post.size * (2**20 // (8 * post.size))  # 655 points: 5 chunks
+    tracemalloc.start()
+    try:
+        query(post, pts, y)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * chunk

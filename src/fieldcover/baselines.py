@@ -121,8 +121,8 @@ def simulate_trials(
     """``simulate_trial`` for each of ``trial_indices``, from one factorization.
 
     The design is the same in every trial, so the posterior is factored
-    and its variance computed once, in one pass over the cross-covariance
-    chunks that also gives every trial its own weights solve and its own
+    and its variance computed once, in one ``Posterior.mean_and_variance``
+    read that gives every trial its own triangular solve and its own
     mat-vec. So each report is the one its trial gets alone, to the bit.
     The reports share one variance array.
     """
@@ -153,33 +153,23 @@ def convergence_study(
 
     For each count N the squared errors of trials 0..N-1 are averaged
     per grid point and compared to the posterior variance there; the
-    result is one mean percent difference per requested count.
+    result is one mean percent difference per requested count. The
+    trials are ``simulate_trials``' reports, so trial t here is
+    ``simulate_trial(..., t)``.
     """
     counts = [int(c) for c in trial_counts]
     if not counts or counts[0] < 1 or any(b <= a for a, b in zip(counts, counts[1:])):
         raise ValueError("trial_counts must be strictly increasing positive integers")
 
-    measured = plan.as_multiset()
-    sites, site_counts = measured.distinct()
-    eval_points = truth.points()
-    truth_values = truth.values.ravel()
-    post = Posterior(sites, hyper, site_counts)
-    variances = post.variance(eval_points)
-
-    total = counts[-1]
-    noise = np.empty((measured.total, total))
-    for t in range(total):
-        noise[:, t] = _noise(sensor, t, measured.total)
-    observed = truth.value_at(sites)[:, None] + measured.site_means(noise)
-    predictions = post.mean_many(eval_points, observed)
-
-    squared = (predictions - truth_values[:, None]) ** 2
-    running = np.cumsum(squared, axis=1)
+    reports = simulate_trials(truth, plan, sensor, hyper, range(counts[-1]))
+    variances = reports[0].variances
     floor = np.maximum(variances, 1e-300)
+    running = np.zeros_like(variances)
     gaps = []
-    for n in counts:
-        mse = running[:, n - 1] / n
-        gaps.append(float(np.mean(np.abs(mse - variances) / floor)))
+    for n, report in enumerate(reports, start=1):
+        running += report.squared_errors
+        if n in counts:
+            gaps.append(float(np.mean(np.abs(running / n - variances) / floor)))
     return np.asarray(gaps)
 
 

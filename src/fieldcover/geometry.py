@@ -219,13 +219,6 @@ class Environment:
         pts = np.column_stack([gx.ravel(), gy.ravel()])
         return pts[self.contains(pts)]
 
-    def nearest_point(self, p) -> tuple[float, float]:
-        """Closest point of the region to ``p`` (``p`` itself when inside)."""
-        px, py = float(p[0]), float(p[1])
-        if self.kind == "polygon" and self.contains_point((px, py)):
-            return (px, py)
-        return self._nearest_from_outside(px, py)
-
     def project(self, points) -> np.ndarray:
         """Each point where it lies inside the region, else the region's closest point to it."""
         pts = np.array(points, dtype=float).reshape(-1, 2)
@@ -234,7 +227,7 @@ class Environment:
         return pts
 
     def _nearest_from_outside(self, px: float, py: float) -> tuple[float, float]:
-        """``nearest_point`` of a point known to lie outside (rectangles clamp any point).
+        """Closest point of the region to one known to lie outside (rectangles clamp any point).
 
         A polygon's closest point is the first edge projection with the
         strictly smallest squared distance. The stacked 1x2 @ 2x1 products

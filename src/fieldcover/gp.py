@@ -14,6 +14,10 @@ noise variance w2 / n (Rasmussen & Williams, GPML 2006, sec. 2.2). So
 averaged per row before any solve. The rows are the distinct locations,
 except where one factorization must serve every prefix of a visiting
 order; there a revisit gets a row of its own.
+
+Every posterior query is one read of V = L^-1 K(sites, points), with L
+the Cholesky factor: the variance is s2 - sum_i V_i^2 and the mean b . V
+with b = L^-1 y, summed over all rows or over a leading block of them.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from scipy.spatial.distance import cdist
 from .errors import DegenerateDataError, GramTooLargeError, NumericalError
 
 # Byte budget of one float64 (sites x query points) cross-covariance chunk
-# in ``Posterior``'s variance and mean queries; one chunk is live at a time.
+# in ``Posterior``'s read; one chunk is live at a time.
 _CHUNK_BYTES = 32 * 2**20
 # Largest Gram matrix a dense solve may allocate. Factorization is in
 # place, so this is also about the peak of the factorization itself.
@@ -213,8 +217,11 @@ class Posterior:
     posterior of one row with count c1 + c2 and the count-weighted
     average reading. Distinct sites, as ``MeasurementMultiset.distinct``
     returns them, keep the system smallest; ``prefix_mean_and_variance``
-    relies on the rows staying in visiting order instead. Factors once,
-    so variance and mean queries at many points reuse the work.
+    relies on the rows staying in visiting order instead. Factors once;
+    every query then goes through one chunked read of
+    V = L^-1 K(sites, points) that gives variances and any number of
+    means together, so a variance is the same bits whichever query
+    asked for it.
     """
 
     def __init__(self, sites, hyper: Hyperparameters, counts=None):
@@ -247,24 +254,14 @@ class Posterior:
 
     def variance(self, points) -> np.ndarray:
         """Posterior variance at each query point. Values play no role."""
-        pts = np.asarray(points, dtype=float).reshape(-1, 2)
-        if self._factor is None:
-            return np.full(pts.shape[0], self.hyper.signal_variance)
-        out = np.empty(pts.shape[0])
-        for rows, kxb in self._cross_covariances(pts):
-            out[rows] = self._chunk_variance(kxb)
-            del kxb
-        return np.maximum(out, 0.0)
+        return self._read(points, np.empty((self.size, 0)), [self.size])[1][0]
 
     def mean(self, points, values) -> np.ndarray:
         """Posterior mean at each query point, zero prior mean.
 
         ``values`` holds one average reading per site.
         """
-        pts = np.asarray(points, dtype=float).reshape(-1, 2)
-        if self._factor is None:
-            return np.zeros(pts.shape[0])
-        return self._mean(pts, self._weights(values))
+        return self._read(points, values, [self.size])[0][0]
 
     def mean_many(self, points, value_columns: np.ndarray) -> np.ndarray:
         """Posterior means for several value vectors at once.
@@ -272,107 +269,79 @@ class Posterior:
         ``value_columns`` has one row per site and one column per
         realization; the result has shape (len(points), n_columns).
         """
-        pts = np.asarray(points, dtype=float).reshape(-1, 2)
-        cols = np.asarray(value_columns, dtype=float)
-        if self._factor is None:
-            return np.zeros((pts.shape[0], cols.shape[1]))
-        return self._mean(pts, self._weights(cols))
+        return self._read(points, value_columns, [self.size])[0][0]
 
     def mean_and_variance(self, points, values) -> tuple[np.ndarray, np.ndarray]:
-        """``mean(points, values)`` and ``variance(points)`` from one pass
-        over the cross-covariance K(points, sites).
+        """``mean(points, values)`` and ``variance(points)`` from one read.
 
         ``values`` may hold one realization per column, as in
-        ``mean_many``. Each column gets its own solve and its own mat-vec
-        on every chunk, so column k of the means is bit for bit
+        ``mean_many``; column k of the means is bit for bit
         ``mean(points, values[:, k])``, and is contiguous.
         """
-        pts = np.asarray(points, dtype=float).reshape(-1, 2)
-        y = np.asarray(values, dtype=float)
-        if self._factor is None:
-            return np.zeros(pts.shape[:1] + y.shape[1:]), np.full(pts.shape[0], self.hyper.signal_variance)
-        alphas = [self._weights(column) for column in y.reshape(y.shape[0], -1).T]
-        means, variances = np.empty((len(alphas), pts.shape[0])), np.empty(pts.shape[0])
-        for rows, kxb in self._cross_covariances(pts):
-            for k, alpha in enumerate(alphas):
-                means[k, rows] = kxb.T @ alpha
-            variances[rows] = self._chunk_variance(kxb)
-            del kxb
-        return means.T.reshape(pts.shape[:1] + y.shape[1:]), np.maximum(variances, 0.0)
+        means, variances = self._read(points, values, [self.size])
+        return means[0], variances[0]
 
     def prefix_mean_and_variance(self, points, values, lengths) -> tuple[np.ndarray, np.ndarray]:
         """Mean and variance at the points given each leading block of rows.
 
         Row j of both results conditions on the first ``lengths[j]`` rows
         alone, with ``values`` (one average reading per row) cut the same
-        way; a length of 0 gives the prior. The leading block of a
-        Cholesky factor L is the factor of the leading block of the Gram
-        matrix, so one factorization serves every prefix: with
-        V = L^-1 K(rows, points) and b = L^-1 values, the first n rows give
-        variance s2 - sum_{i<n} V_i^2 and mean sum_{i<n} b_i V_i. The sums
-        run over the rows in order, so a longer prefix never reports a
-        larger variance at any point.
+        way; a length of 0 gives the prior. With ``lengths`` = [size] it is
+        ``mean_and_variance``, bit for bit.
         """
-        pts = np.asarray(points, dtype=float).reshape(-1, 2)
         ns = np.asarray(lengths, dtype=int).reshape(-1)
         if np.any(ns < 0) or np.any(ns > self.size):
             raise ValueError(f"prefix lengths must lie in [0, {self.size}]")
-        means = np.zeros((ns.size, pts.shape[0]))
-        variances = np.full((ns.size, pts.shape[0]), self.hyper.signal_variance)
-        if self._factor is None:
-            return means, variances
-        y = np.asarray(values, dtype=float)
-        if y.shape != (self.size,):
-            raise ValueError(f"expected {self.size} values, one per row, got shape {y.shape}")
-        lower = self._factor[0]
-        beta = solve_triangular(lower, y, lower=True, check_finite=False)
-        order = np.argsort(ns, kind="stable")
-        for cols, kxb in self._cross_covariances(pts):
-            v = solve_triangular(lower, kxb, lower=True, overwrite_b=True, check_finite=False)
-            explained = np.zeros(v.shape[1])
-            mean = np.zeros(v.shape[1])
-            done = 0
-            for j in order:
-                if ns[j] > done:
-                    new = slice(done, ns[j])
-                    explained += np.einsum("ij,ij->j", v[new], v[new])
-                    mean += beta[new] @ v[new]
-                    done = ns[j]
-                variances[j, cols] = self.hyper.signal_variance - explained
-                means[j, cols] = mean
-            del kxb, v
-        return means, np.maximum(variances, 0.0)
+        return self._read(points, values, ns.tolist())
 
-    def _cross_covariances(self, pts: np.ndarray):
-        """Yield (rows, K(sites, pts[rows])) in chunks of about ``_CHUNK_BYTES``.
+    def _read(self, points, values, lengths: list[int]) -> tuple[np.ndarray, np.ndarray]:
+        """Means and variances at the points given each leading block of rows.
 
-        Each chunk is Fortran-ordered (sites x rows), so a triangular solve
-        can run on it in place. Callers ``del`` a chunk, and anything built
-        from it, before asking for the next one, so that only one is live.
+        ``values`` has one row per site and any trailing shape, zero
+        columns included. The leading block of a Cholesky factor L is the
+        factor of the leading block of the Gram matrix, so one
+        factorization serves every prefix: with V = L^-1 K(sites, points)
+        and b = L^-1 y solved once per value column, the first n rows give
+        variance s2 - sum_{i<n} V_i^2 and mean sum_{i<n} b_i V_i. The sums
+        run over the rows in order, so a longer prefix never reports a
+        larger variance at any point. V is built in chunks of about
+        ``_CHUNK_BYTES``, each solved in place and dropped before the next
+        is built, so one chunk is live at a time. Returns means of shape
+        (len(lengths), len(points)) + the trailing shape of ``values`` and
+        variances of shape (len(lengths), len(points)).
         """
-        step = max(1, _CHUNK_BYTES // (8 * self.size))
-        for start in range(0, pts.shape[0], step):
-            block = pts[start : start + step]
-            yield slice(start, start + block.shape[0]), kernel_matrix(block, self.design, self.hyper).T
-
-    def _chunk_variance(self, kxb: np.ndarray) -> np.ndarray:
-        """Variance at one chunk's points; overwrites ``kxb``."""
-        v = solve_triangular(self._factor[0], kxb, lower=True, overwrite_b=True, check_finite=False)
-        return self.hyper.signal_variance - np.einsum("ij,ij->j", v, v)
-
-    def _weights(self, values) -> np.ndarray:
-        """(K + diag(w2 / counts))^-1 applied to one value per site (per column)."""
+        pts = np.asarray(points, dtype=float).reshape(-1, 2)
         y = np.asarray(values, dtype=float)
         if y.shape[0] != self.size:
             raise ValueError(f"expected {self.size} value rows, one per site, got {y.shape[0]}")
-        return cho_solve(self._factor, y, check_finite=False)
-
-    def _mean(self, pts: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-        out = np.empty((pts.shape[0],) + alpha.shape[1:])
-        for rows, kxb in self._cross_covariances(pts):
-            out[rows] = kxb.T @ alpha
-            del kxb
-        return out
+        columns = y.reshape(self.size, math.prod(y.shape[1:])).T
+        s2 = self.hyper.signal_variance
+        # column-major, so each column's means are contiguous
+        means = np.zeros((columns.shape[0], len(lengths), pts.shape[0])).transpose(1, 2, 0)
+        variances = np.full((len(lengths), pts.shape[0]), s2)
+        if self._factor is not None:
+            lower = self._factor[0]
+            betas = [solve_triangular(lower, c, lower=True, check_finite=False) for c in columns]
+            order = sorted(range(len(lengths)), key=lengths.__getitem__)
+            step = max(1, _CHUNK_BYTES // (8 * self.size))
+            for start in range(0, pts.shape[0], step):
+                chunk = slice(start, start + step)
+                # K(sites, chunk) is Fortran-ordered, so the solve runs in place
+                kxb = kernel_matrix(pts[chunk], self.design, self.hyper).T
+                v = solve_triangular(lower, kxb, lower=True, overwrite_b=True, check_finite=False)
+                explained, sums, done = 0.0, [0.0] * len(betas), 0
+                for j in order:
+                    n = lengths[j]
+                    if n > done:
+                        explained = explained + np.einsum("ij,ij->j", v[done:n], v[done:n])
+                        sums = [total + beta[done:n] @ v[done:n] for total, beta in zip(sums, betas)]
+                        done = n
+                    variances[j, chunk] = s2 - explained
+                    for k, total in enumerate(sums):
+                        means[j, chunk, k] = total
+                del kxb, v
+        np.maximum(variances, 0.0, out=variances)
+        return means.reshape(variances.shape + y.shape[1:]), variances
 
 
 def repeated_measurement_variance(distance: float, count: int, hyper: Hyperparameters) -> float:
@@ -408,6 +377,9 @@ def nlml(observations, hyper: Hyperparameters) -> float:
     for o in obs:
         if o.value is None:
             raise ValueError("nlml needs a value on every observation")
+    n = len(obs)
+    # the Gram matrix and its factor
+    check_dense_budget(2 * 8 * n * n, f"an NLML over {n} observations")
     design = np.asarray([o.location for o in obs], dtype=float)
     y = np.asarray([o.value for o in obs], dtype=float)
     gram = kernel_matrix(design, design, hyper)
@@ -418,7 +390,6 @@ def nlml(observations, hyper: Hyperparameters) -> float:
         raise NumericalError(f"Gram factorization failed: {exc}") from exc
     alpha = cho_solve(factor, y, check_finite=False)
     logdet = 2.0 * float(np.sum(np.log(np.diag(factor[0]))))
-    n = y.shape[0]
     return 0.5 * (float(y @ alpha) + logdet + n * math.log(2.0 * math.pi))
 
 
@@ -486,7 +457,8 @@ def fit_hyperparameters(observations, search: HyperparameterGrid) -> Hyperparame
 
     Needs at least two distinct measurement locations; raises
     DegenerateDataError otherwise. Grid points whose factorization fails
-    are skipped.
+    are skipped. The search holds five n x n matrices at once, so more
+    than 7,327 observations raise GramTooLargeError before any is built.
 
     The regularized Gram matrix is K = s2 * R_l + w2 * I with R_l the
     unit-variance correlation matrix, so one eigendecomposition of R_l
@@ -509,6 +481,10 @@ def fit_hyperparameters(observations, search: HyperparameterGrid) -> Hyperparame
     for o in obs:
         if o.value is None:
             raise ValueError("nlml needs a value on every observation")
+    n = len(obs)
+    # Peak n x n matrices held at once (tracemalloc): the squared distances
+    # plus four while one length scale's correlation matrix is decomposed
+    check_dense_budget(5 * 8 * n * n, f"a hyperparameter fit over {n} observations")
     design = np.asarray([o.location for o in obs], dtype=float)
     y = np.asarray([o.value for o in obs], dtype=float)
     d2 = cdist(design, design, "sqeuclidean")

@@ -75,12 +75,6 @@ class Tour:
             object.__setattr__(self, "disk_index", idx)
 
     @property
-    def locations(self) -> np.ndarray:
-        if not self.waypoints:
-            return np.empty((0, 2))
-        return np.asarray([loc for loc, _ in self.waypoints], dtype=float)
-
-    @property
     def total_dwells(self) -> int:
         return sum(d for _, d in self.waypoints)
 

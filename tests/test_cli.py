@@ -60,6 +60,33 @@ class TestFit:
         missing = str(tmp_path / "nope.csv")
         assert cli.main(["fit", "--data", missing, "--out", str(tmp_path / "o")]) == 2
 
+    def test_oversized_dataset_exits_2_before_any_matrix(self, tmp_path, monkeypatch, capsys):
+        import fieldcover.gp as gp
+
+        class Allocated(Exception):
+            pass
+
+        def allocated(*args, **kwargs):
+            raise Allocated
+
+        monkeypatch.setattr(gp, "cdist", allocated)
+        # five 8 * n^2 byte matrices at once: 7,327 rows fit in 2 GiB, 7,328 do not
+        pts = np.column_stack([np.arange(7_328) % 100, np.arange(7_328) // 100]).astype(float)
+        data = tmp_path / "big.csv"
+        fileio.write_dataset(data, pts, np.sin(pts[:, 0]))
+        assert cli.main(["fit", "--data", str(data), "--out", str(tmp_path / "o")]) == 2
+        assert "hyperparameter fit over 7328 observations" in capsys.readouterr().err
+        observations = [gp.Observation(tuple(p), 0.0) for p in pts[:7_327]]
+        with pytest.raises(Allocated):
+            gp.fit_hyperparameters(observations, gp.HyperparameterGrid((1.0,), (1.0,), (0.1,)))
+        # the NLML holds two: the Gram matrix and its factor
+        monkeypatch.setattr(gp, "kernel_matrix", allocated)
+        observations = (observations * 2)[:11_586]
+        with pytest.raises(gp.GramTooLargeError, match="NLML over 11586 observations"):
+            gp.nlml(observations, Hyperparameters(1.0, 1.0, 0.1))
+        with pytest.raises(Allocated):
+            gp.nlml(observations[:-1], Hyperparameters(1.0, 1.0, 0.1))
+
 
 class TestPlan:
     def test_writes_verified_outputs(self, tmp_path):

@@ -103,16 +103,15 @@ def test_grid_respects_polygon():
 
 def test_nearest_point_rectangle_clamps():
     env = Environment.rectangle((0, 0), (10, 10))
-    assert env.nearest_point((-3, 5)) == (0.0, 5.0)
-    assert env.nearest_point((12, 14)) == (10.0, 10.0)
-    assert env.nearest_point((4, 4)) == (4.0, 4.0)
+    got = env.project([(-3, 5), (12, 14), (4, 4)])
+    np.testing.assert_array_equal(got, [(0.0, 5.0), (10.0, 10.0), (4.0, 4.0)])
 
 
 def test_nearest_point_polygon():
     env = Environment.polygon([(0, 0), (4, 0), (4, 4), (0, 4)])
-    assert env.nearest_point((2, 2)) == (2.0, 2.0)
-    nx, ny = env.nearest_point((2, 7))
-    assert (nx, ny) == pytest.approx((2.0, 4.0))
+    inside, outside = env.project([(2, 2), (2, 7)])
+    assert tuple(inside) == (2.0, 2.0)
+    assert tuple(outside) == pytest.approx((2.0, 4.0))
 
 
 def test_disk_validation():

@@ -264,10 +264,7 @@ def test_courtyard_sized_plan_stays_dense_and_exact():
     env = Environment.polygon([(0, 0), (s, 0), (s, s / 2), (s / 2, s / 2), (s / 2, s), (0, s)])
     h = Hyperparameters(8.33, 12.87, 2.0)
     plan = disk_cover_placement(env, h, AccuracySpec(0.5, 2.0))
-    projected = tuple(
-        (loc if env.contains_point(loc) else env.nearest_point(loc), n) for loc, n in plan.entries
-    )
-    plan = dataclasses.replace(plan, entries=projected)
+    plan = placement.project_into_environment(plan, env)
     report = verify_plan(plan, env, h, 0.5)
     assert report.method == "dense" and report.passed
     # the values the dense sweep gave before the tiled path existed

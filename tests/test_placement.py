@@ -177,8 +177,7 @@ def test_plan_locations_stay_near_environment():
     env = Environment.polygon([(0, 0), (8, 0), (9, 4), (4, 7), (-1, 3)])
     plan = disk_cover_placement(env, H1, spec)
     r = plan.coverage_radius
-    for loc in plan.locations:
-        nx, ny = env.nearest_point(loc)
+    for loc, (nx, ny) in zip(plan.locations, env.project(plan.locations)):
         assert math.hypot(loc[0] - nx, loc[1] - ny) <= 4.0 * r + 1e-9
 
 

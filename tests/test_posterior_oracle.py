@@ -8,7 +8,6 @@ the two must agree to rounding.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 
 import numpy as np
@@ -29,7 +28,13 @@ from fieldcover.errors import GramTooLargeError
 from fieldcover.fields import sample_gp_field
 from fieldcover.geometry import Environment
 from fieldcover.gp import Hyperparameters, MeasurementMultiset, Posterior
-from fieldcover.placement import AccuracySpec, MeasurementPlan, disk_cover_placement, verify_plan
+from fieldcover.placement import (
+    AccuracySpec,
+    MeasurementPlan,
+    disk_cover_placement,
+    project_into_environment,
+    verify_plan,
+)
 from fieldcover.routing import TimeModel, cumulative_times, tour_time
 
 RTOL = 1e-10
@@ -125,10 +130,7 @@ def test_hard_boundary_projected_plan_matches_expanded_reference():
     env = Environment.polygon([(0.0, 0.0), (30.0, 0.0), (0.0, 30.0)])
     h = Hyperparameters(3.0, 2.0, 0.1)
     plan = disk_cover_placement(env, h, AccuracySpec(1.2, 2.0))
-    projected = tuple(
-        (loc if env.contains_point(loc) else env.nearest_point(loc), n) for loc, n in plan.entries
-    )
-    plan = dataclasses.replace(plan, entries=projected)
+    plan = project_into_environment(plan, env)
     sites, counts = plan.as_multiset().distinct()
     # projection lands several sites on the same boundary point
     assert sites.shape[0] < len(plan.entries)

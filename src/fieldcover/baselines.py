@@ -223,7 +223,9 @@ def _greedy_select(candidates, hyper: Hyperparameters, budget: int, mutual_infor
     # result. After it MI holds the pool precision, its factor of at most
     # C/2 leavers and the entropy factor: at most 2.5 C x C matrices.
     matrices = 4 if mutual_information else 2
-    check_dense_budget(8 * n * n * matrices, f"greedy selection over {n} candidates")
+    check_dense_budget(
+        8 * n * n * matrices, f"greedy selection over {n} candidates; use fewer candidates"
+    )
     w2 = hyper.noise_variance
     floor = 1e-18 * hyper.signal_variance
     pool = np.arange(n)
@@ -377,7 +379,9 @@ def _finished_waypoints(tour: Tour, time: TimeModel, eval_points, checkpoints):
 def _waypoint_posterior(locations: np.ndarray, counts: np.ndarray, hyper: Hyperparameters) -> Posterior:
     """One Gram row per measuring waypoint, in visiting order."""
     n = locations.shape[0]
-    check_dense_budget(8 * n * n, f"the curves of a tour with {n} finished waypoints")
+    check_dense_budget(
+        8 * n * n, f"the curves of a tour with {n} finished waypoints; use a tour with fewer stops"
+    )
     return Posterior(locations, hyper, counts)
 
 

@@ -53,12 +53,14 @@ _EIGEN_FLOOR = 1e-8
 
 
 def check_dense_budget(nbytes: int, what: str) -> None:
-    """Raise GramTooLargeError when ``what`` would allocate more than the dense cap."""
+    """Raise GramTooLargeError when ``what`` would allocate more than the dense cap.
+
+    ``what`` names the computation, then the caller's remedy after a semicolon.
+    """
     if nbytes > _MAX_GRAM_BYTES:
         raise GramTooLargeError(
-            f"{what} needs {nbytes / 2**30:.2f} GiB of dense matrices, above the "
-            f"{_MAX_GRAM_BYTES / 2**30:g} GiB cap; raise the variance target "
-            f"or shrink the environment"
+            f"need {nbytes / 2**30:.2f} GiB of dense matrices, above the "
+            f"{_MAX_GRAM_BYTES / 2**30:g} GiB cap, for {what}"
         )
 
 
@@ -136,14 +138,6 @@ class MeasurementMultiset:
                 raise ValueError(f"measurement count must be >= 1, got {count}")
             norm.append((_as_point(loc), count))
         object.__setattr__(self, "entries", tuple(norm))
-
-    @classmethod
-    def from_points(cls, points, count: int = 1) -> "MeasurementMultiset":
-        return cls(tuple((tuple(p), count) for p in points))
-
-    @classmethod
-    def single_site(cls, location, count: int) -> "MeasurementMultiset":
-        return cls(((tuple(location), count),))
 
     @property
     def total(self) -> int:
@@ -237,7 +231,10 @@ class Posterior:
         if n == 0:
             self._factor = None
             return
-        check_dense_budget(8 * n * n, f"a dense solve over {n} Gram rows")
+        check_dense_budget(
+            8 * n * n,
+            f"a dense solve over {n} Gram rows; raise the variance target or shrink the environment",
+        )
         gram = kernel_matrix(self.design, self.design, hyper)
         gram[np.diag_indices_from(gram)] += noise
         # The Gram matrix is exactly symmetric, so its transpose is the
@@ -379,7 +376,7 @@ def nlml(observations, hyper: Hyperparameters) -> float:
             raise ValueError("nlml needs a value on every observation")
     n = len(obs)
     # the Gram matrix and its factor
-    check_dense_budget(2 * 8 * n * n, f"an NLML over {n} observations")
+    check_dense_budget(2 * 8 * n * n, f"an NLML over {n} observations; use fewer CSV rows")
     design = np.asarray([o.location for o in obs], dtype=float)
     y = np.asarray([o.value for o in obs], dtype=float)
     gram = kernel_matrix(design, design, hyper)
@@ -484,7 +481,7 @@ def fit_hyperparameters(observations, search: HyperparameterGrid) -> Hyperparame
     n = len(obs)
     # Peak n x n matrices held at once (tracemalloc): the squared distances
     # plus four while one length scale's correlation matrix is decomposed
-    check_dense_budget(5 * 8 * n * n, f"a hyperparameter fit over {n} observations")
+    check_dense_budget(5 * 8 * n * n, f"a hyperparameter fit over {n} observations; use fewer CSV rows")
     design = np.asarray([o.location for o in obs], dtype=float)
     y = np.asarray([o.value for o in obs], dtype=float)
     d2 = cdist(design, design, "sqeuclidean")

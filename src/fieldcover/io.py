@@ -168,16 +168,19 @@ def verification_to_payload(report: VerificationReport) -> dict:
 
 
 def verification_from_payload(payload) -> VerificationReport:
-    return VerificationReport(
+    """The report a ``verification_to_payload`` dict describes; its ``method`` must fit its ``tiles``."""
+    report = VerificationReport(
         float(payload["max_variance"]),
         (payload["argmax"][0], payload["argmax"][1]),
         float(payload["mean_variance"]),
         bool(payload["passed"]),
         float(payload["grid_spacing"]),
         int(payload["grid_count"]),
-        str(payload["method"]),
         tuple(int(n) for n in payload["tiles"]),
     )
+    if payload["method"] != report.method:
+        raise ValueError(f"method {payload['method']!r} does not fit tiles {list(report.tiles)}")
+    return report
 
 
 def tour_to_payload(tour: Tour, time: TimeModel) -> dict:

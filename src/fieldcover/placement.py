@@ -197,15 +197,14 @@ class MeasurementPlan:
 class VerificationReport:
     """Outcome of ``verify_plan``.
 
-    ``method`` says how the grid values were computed. With ``"dense"``
-    they are exact posterior variances. With ``"local"`` they are sound
-    upper bounds, except in tiles that were recomputed exactly, so
-    ``max_variance``, ``argmax`` and ``mean_variance`` describe the bound;
-    ``passed`` is the exact verdict either way.
-
-    ``tiles`` counts the tiles the local path settled at each margin of
-    ``_TILE_MARGINS`` (l/2, then 2l), then the tiles it recomputed
-    exactly; it is all zeros for ``"dense"``.
+    ``tiles`` counts the tiles that settled at each margin of
+    ``_TILE_MARGINS`` (l/2, then 2l), then the tiles that took the exact
+    rung over all sites. ``method`` follows from it: ``"dense"`` when
+    no tile was cut, so every grid value is an exact posterior variance,
+    and ``"local"`` otherwise. Local values are sound upper bounds,
+    except in tiles recomputed exactly, so ``max_variance``, ``argmax``
+    and ``mean_variance`` describe the bound; ``passed`` is the exact
+    verdict either way.
     """
 
     max_variance: float
@@ -214,20 +213,19 @@ class VerificationReport:
     passed: bool
     grid_spacing: float
     grid_count: int
-    method: str = "dense"
     tiles: tuple[int, ...] = (0,) * (len(_TILE_MARGINS) + 1)
 
     def __post_init__(self):
-        if self.method not in ("dense", "local"):
-            raise ValueError(f"method must be 'dense' or 'local', got {self.method!r}")
         tiles = tuple(int(n) for n in self.tiles)
         if len(tiles) != len(_TILE_MARGINS) + 1 or min(tiles) < 0:
             raise ValueError(
                 f"tiles needs {len(_TILE_MARGINS) + 1} counts >= 0, got {self.tiles!r}"
             )
-        if (self.method == "dense") != (sum(tiles) == 0):
-            raise ValueError(f"tiles {tiles} do not fit method {self.method!r}")
         object.__setattr__(self, "tiles", tiles)
+
+    @property
+    def method(self) -> str:
+        return "local" if sum(self.tiles) > 0 else "dense"
 
 
 def default_grid_spacing(env: Environment, h: Hyperparameters, delta: float) -> float:
@@ -309,19 +307,12 @@ def verify_plan(
     """Posterior-variance sweep of the plan over an environment grid.
 
     Recomputes everything from the plan's distinct sites; nothing is
-    trusted from the planner. ``passed`` is a strict comparison of the
-    exact variance against the target.
-
-    While the dense solve costs at most ``_DENSE_VERIFY_FLOPS``, every
-    grid value is exact (``method="dense"``). Above that, and when the
-    tiles' solves at the first margin of ``_TILE_MARGINS`` together cost
-    less than the dense one, each point gets the variance given only the
-    sites near it (``method="local"``, see ``_local_variance_bound``), a
-    sound upper bound because adding measurements never raises GP
-    posterior variance. Tiles whose bound exceeds the target climb the
-    margins and are finally recomputed exactly through the dense solve,
-    so a failing plan reports exact values and the verdict is the dense
-    one.
+    trusted from the planner. The grid values come from
+    ``_variance_ladder`` over the tiles of ``_ladder_tiles``, and
+    ``passed`` holds when their maximum is at most ``delta``, with no
+    tolerance. With no tiles every value is exact; with tiles a value
+    may be an upper bound, but only where it is at most ``delta``, so
+    the verdict is the exact one either way.
     """
     d = float(delta)
     if grid_spacing is None:
@@ -331,21 +322,8 @@ def verify_plan(
         raise ValueError(f"grid spacing must be finite and > 0, got {step}")
     grid = env.grid(step)
     sites, counts = plan.as_multiset().distinct()
-    dense_flops = _solve_flops(sites.shape[0], grid.shape[0])
-    tiles = []
-    if dense_flops > _DENSE_VERIFY_FLOPS:
-        l = h.length_scale
-        tiles = _tiles(sites, grid, l, [m * l for m in _TILE_MARGINS])
-    # In an environment about a length scale wide every tile sees most
-    # sites even at the narrow margin, and one dense solve is cheaper
-    # than one per tile.
-    narrow_flops = sum(_solve_flops(near[0].size, points.size) for points, near in tiles)
-    if tiles and narrow_flops < dense_flops:
-        var, settled = _local_variance_bound(sites, counts, grid, tiles, h, d)
-        method = "local"
-    else:
-        var, method = Posterior(sites, h, counts).variance(grid), "dense"
-        settled = (0,) * (len(_TILE_MARGINS) + 1)
+    tiles = _ladder_tiles(sites, grid, h)
+    var, settled = _variance_ladder(sites, counts, grid, tiles, h, d)
     top = int(np.argmax(var))
     return VerificationReport(
         max_variance=float(var[top]),
@@ -354,7 +332,6 @@ def verify_plan(
         passed=bool(var[top] <= d),
         grid_spacing=step,
         grid_count=int(grid.shape[0]),
-        method=method,
         tiles=settled,
     )
 
@@ -362,6 +339,22 @@ def verify_plan(
 def _solve_flops(sites: int, points: int) -> float:
     """Flops of a dense variance sweep: N^3 / 3 to factor, N^2 per query point."""
     return sites**3 / 3.0 + float(sites) * sites * points
+
+
+def _ladder_tiles(sites: np.ndarray, grid: np.ndarray, h: Hyperparameters) -> list:
+    """``_tiles`` for the ladder, or none when the dense solve alone is cheap enough.
+
+    Tiles pay only above ``_DENSE_VERIFY_FLOPS``, and only when their
+    solves at the first margin cost less than the dense one: in an
+    environment about a length scale wide every tile sees most sites.
+    """
+    dense_flops = _solve_flops(sites.shape[0], grid.shape[0])
+    if dense_flops <= _DENSE_VERIFY_FLOPS:
+        return []
+    l = h.length_scale
+    tiles = _tiles(sites, grid, l, [m * l for m in _TILE_MARGINS])
+    narrow_flops = sum(_solve_flops(near[0].size, points.size) for points, near in tiles)
+    return tiles if narrow_flops < dense_flops else []
 
 
 def _tiles(sites: np.ndarray, grid: np.ndarray, side: float, margins) -> list:
@@ -388,7 +381,7 @@ def _tiles(sites: np.ndarray, grid: np.ndarray, side: float, margins) -> list:
     ]
 
 
-def _local_variance_bound(
+def _variance_ladder(
     sites: np.ndarray,
     counts: np.ndarray,
     grid: np.ndarray,
@@ -396,7 +389,7 @@ def _local_variance_bound(
     h: Hyperparameters,
     delta: float,
 ) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Per-grid-point upper bound on the posterior variance, exact where it exceeds ``delta``.
+    """Posterior variance at every grid point, or an upper bound on it that meets ``delta``.
 
     Each tile's points (see ``_tiles``) get the variance given only the
     tile's nearby sites at the first margin, factored once per tile;
@@ -404,15 +397,16 @@ def _local_variance_bound(
     bounds the variance given all sites from above. Tiles whose bound
     exceeds ``delta`` are bounded again at the next margin, but only
     while the flops spent so far plus those re-runs stay below one dense
-    solve over all sites; otherwise they skip straight to it. The points
-    of every tile still failing are recomputed through that dense solve,
-    factored on first need.
+    solve over all sites; otherwise they skip straight to it. The last
+    rung is that dense solve: it takes the points of every tile still
+    failing, or the whole grid when ``tiles`` is empty.
 
     Returns the values and the number of tiles settled at each margin,
-    then the number recomputed exactly.
+    then the number that took the exact rung; with no tiles there are
+    ``len(_TILE_MARGINS)`` margins and every count is zero.
     """
     var = np.empty(grid.shape[0])
-    rungs = len(tiles[0][1])
+    rungs = len(tiles[0][1]) if tiles else len(_TILE_MARGINS)
     settled = [0] * (rungs + 1)
     budget, spent = _solve_flops(sites.shape[0], grid.shape[0]), 0.0
     pending = range(len(tiles))
@@ -430,7 +424,9 @@ def _local_variance_bound(
         settled[rung] = len(pending) - len(failing)
         pending = failing
     settled[rungs] = len(pending)
-    if pending:
+    if len(pending) == len(tiles):
+        var = Posterior(sites, h, counts).variance(grid)
+    elif pending:
         exact = np.zeros(grid.shape[0], dtype=bool)
         for t in pending:
             exact[tiles[t][0]] = True
@@ -450,9 +446,8 @@ def prune_redundant(
     Sites are visited in lexicographic location order; a site is removed
     when every environment grid point within the sufficient radius of it
     is within that radius of some other surviving site. The pruned plan
-    is re-verified by ``verify_plan`` (dense or tiled local, by size, as
-    for any plan) and the routine refuses to return a plan that lost the
-    guarantee.
+    is re-verified by ``verify_plan``, as any plan is, and the routine
+    refuses to return a plan that lost the guarantee.
     """
     if not plan.entries:
         return plan

@@ -78,9 +78,6 @@ class Tour:
     def total_dwells(self) -> int:
         return sum(d for _, d in self.waypoints)
 
-    def dwell_waypoints(self) -> tuple[tuple[tuple[float, float], int], ...]:
-        return tuple((loc, d) for loc, d in self.waypoints if d > 0)
-
     def travel_length(self) -> float:
         pts = [self.depot] + [loc for loc, _ in self.waypoints]
         if self.closed:

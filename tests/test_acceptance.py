@@ -133,7 +133,7 @@ def test_criterion_03_closed_form_matches_dense_path():
         r = float(rng.uniform(0.0, 3.0 * h.length_scale))
         for n in range(1, 51):
             closed = repeated_measurement_variance(r, n, h)
-            multiset = MeasurementMultiset.single_site((0.0, 0.0), n)
+            multiset = MeasurementMultiset((((0.0, 0.0), n),))
             sites, counts = multiset.distinct()
             dense = float(Posterior(sites, h, counts).variance([(r, 0.0)])[0])
             worst = max(worst, abs(closed - dense) / dense)

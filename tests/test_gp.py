@@ -47,7 +47,7 @@ def kernel(a, b, h: Hyperparameters) -> float:
 
 def posterior_mean(x, observations, h: Hyperparameters) -> float:
     """Posterior mean at ``x``, with readings averaged per distinct site."""
-    measured = MeasurementMultiset.from_points([o.location for o in observations])
+    measured = MeasurementMultiset([(o.location, 1) for o in observations])
     sites, counts = measured.distinct()
     values = measured.site_means([o.value for o in observations])
     return float(Posterior(sites, h, counts).mean([x], values)[0])
@@ -93,7 +93,7 @@ def test_posterior_variance_empty_is_prior():
 
 
 def test_posterior_variance_single_measurement_oracle():
-    m = MeasurementMultiset.single_site((0.0, 0.0), 1)
+    m = MeasurementMultiset((((0.0, 0.0), 1),))
     v = variance_given([(1.0, 0.0)], m, H1)[0]
     assert v == pytest.approx(VAR_ONE_AT_R1, rel=1e-12)
 
@@ -110,7 +110,7 @@ def test_posterior_variance_matches_closed_form_for_colocated():
         site = tuple(rng.uniform(-5, 5, size=2))
         angle = rng.uniform(0, 2 * math.pi)
         x = (site[0] + r * math.cos(angle), site[1] + r * math.sin(angle))
-        dense = variance_given([x], MeasurementMultiset.single_site(site, n), h)[0]
+        dense = variance_given([x], MeasurementMultiset(((site, n),)), h)[0]
         closed = repeated_measurement_variance(r, n, h)
         assert dense == pytest.approx(closed, rel=1e-9)
 
@@ -189,7 +189,7 @@ def test_posterior_mean_linear_in_values():
 
 def test_posterior_mean_requires_values():
     # a site without its reading is refused, at averaging and at the solve
-    measured = MeasurementMultiset.from_points([(1.0, 1.0)])
+    measured = MeasurementMultiset((((1.0, 1.0), 1),))
     sites, counts = measured.distinct()
     with pytest.raises(ValueError):
         measured.site_means([])
@@ -203,7 +203,7 @@ def test_posterior_object_matches_function_route():
     queries = rng.uniform(-4, 4, size=(17, 2))
     post = Posterior(design, H1)
     via_obj = post.variance(queries)
-    via_fn = variance_given(queries, MeasurementMultiset.from_points(design), H1)
+    via_fn = variance_given(queries, MeasurementMultiset([(p, 1) for p in design]), H1)
     np.testing.assert_allclose(via_obj, via_fn, rtol=1e-12)
 
 
@@ -307,7 +307,7 @@ def test_observation_rejects_nonfinite():
     bump=st.floats(min_value=1e-3, max_value=5.0, allow_nan=False),
 )
 def test_noisier_sensors_leave_more_variance(w2a, bump):
-    m = MeasurementMultiset.from_points([(0.0, 0.0), (1.0, 1.0)])
+    m = MeasurementMultiset((((0.0, 0.0), 1), ((1.0, 1.0), 1)))
     lo = variance_given([(0.5, 0.5)], m, Hyperparameters(1.0, 1.0, w2a))[0]
     hi = variance_given([(0.5, 0.5)], m, Hyperparameters(1.0, 1.0, w2a + bump))[0]
     assert hi >= lo - 1e-12

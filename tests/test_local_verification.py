@@ -26,9 +26,9 @@ from fieldcover.placement import (
     AccuracySpec,
     VerificationReport,
     _TILE_MARGINS,
-    _local_variance_bound,
     _solve_flops,
     _tiles,
+    _variance_ladder,
     default_grid_spacing,
     disk_cover_placement,
     necessary_radius,
@@ -65,7 +65,7 @@ def ladder(sites, counts, grid, h, delta, margins=_TILE_MARGINS):
     """The tiled values and the tiles settled per rung, for margins in length scales."""
     l = h.length_scale
     tiles = _tiles(sites, grid, l, [m * l for m in margins])
-    return _local_variance_bound(sites, counts, grid, tiles, h, delta)
+    return _variance_ladder(sites, counts, grid, tiles, h, delta)
 
 
 def local_bound(sites, counts, grid, h, delta, margins=_TILE_MARGINS):
@@ -104,11 +104,13 @@ def test_local_bound_never_below_dense(seed, keep):
     sites, counts = sites[chosen], counts[chosen]
     grid = env.grid(h.length_scale / 4.0)
     exact = Posterior(sites, h, counts).variance(grid)
+    tiles = len(_tiles(sites, grid, h.length_scale, [0.0]))
     wider = None
     for margin in reversed(_TILE_MARGINS):
-        # one rung and no target: every tile keeps its bound at this margin
+        # one rung and no target: every tile keeps its bound at this margin,
+        # so no value below comes from the exact rung
         bound, settled = ladder(sites, counts, grid, h, math.inf, (margin,))
-        assert settled[1] == 0
+        assert settled == (tiles, 0)
         assert np.all(bound >= exact - 1e-12 * h.signal_variance)
         # a narrower margin drops sites, so its bound is no lower
         if wider is not None:
@@ -274,20 +276,40 @@ def test_courtyard_sized_plan_stays_dense_and_exact():
     assert report.mean_variance == pytest.approx(0.006691129438863607, rel=1e-12)
 
 
+def test_open_field_sized_plan_is_certified_by_the_narrow_margin():
+    # the open-field benchmark instance: 1,180 distinct sites, 56,644 points
+    h = Hyperparameters(8.33, 12.87, 0.0361)
+    env = Environment.rectangle((0.0, 0.0), (60.0, 60.0))
+    plan = disk_cover_placement(env, h, AccuracySpec(4.0, 2.0))
+    report = verify_plan(plan, env, h, 4.0)
+    assert report.method == "local" and report.passed
+    assert report.tiles == (64, 0, 0)
+    # the values the tiled bound gave when this case was pinned
+    assert report.grid_count == 56_644
+    assert report.argmax == (0.0, 0.0)
+    assert report.max_variance == pytest.approx(0.013113902703421942, rel=1e-12)
+    assert report.mean_variance == pytest.approx(0.004684430038499047, rel=1e-12)
+
+
 def test_method_round_trips_through_verification_json(tmp_path):
-    for method, tiles in (("dense", (0, 0, 0)), ("local", (61, 2, 1))):
-        report = VerificationReport(0.4321, (1.5, 0.25), 0.2, True, 0.05, 2501, method, tiles)
+    for method, tiles in (("dense", (0, 0, 0)), ("local", (61, 2, 1)), ("local", (0, 0, 5))):
+        report = VerificationReport(0.4321, (1.5, 0.25), 0.2, True, 0.05, 2501, tiles)
+        assert report.method == method
         path = tmp_path / f"{method}.json"
         fileio.write_json(path, fileio.verification_to_payload(report))
         assert fileio.read_json(path)["method"] == method
         assert fileio.read_json(path)["tiles"] == list(tiles)
         assert fileio.verification_from_payload(fileio.read_json(path)) == report
-    with pytest.raises(ValueError, match="method"):
-        dataclasses.replace(report, method="sampled")
-    mismatched = (("dense", (1, 0, 0)), ("local", (0, 0, 0)), ("local", (3, 1)), ("local", (3, -1, 0)))
-    for method, tiles in mismatched:
+    # a file is outside input: its method must be known and fit its tiles
+    payload = fileio.verification_to_payload(report)
+    for method, tiles in (("sampled", [0, 0, 5]), ("dense", [1, 0, 0]), ("local", [0, 0, 0])):
+        with pytest.raises(ValueError, match="method .* does not fit tiles"):
+            fileio.verification_from_payload({**payload, "method": method, "tiles": tiles})
+    for tiles in ((3, 1), (3, -1, 0)):
         with pytest.raises(ValueError, match="tiles"):
-            dataclasses.replace(report, method=method, tiles=tiles)
+            dataclasses.replace(report, tiles=tiles)
+    with pytest.raises(TypeError):
+        VerificationReport(0.4321, (1.5, 0.25), 0.2, True, 0.05, 2501, method="local")
 
 
 def test_local_path_is_taken_when_tiles_are_cheaper(monkeypatch):
@@ -317,13 +339,13 @@ def test_local_path_is_taken_when_tiles_are_cheaper(monkeypatch):
 
     def spy(*args):
         calls.append(args)
-        return _local_variance_bound(*args)
+        return _variance_ladder(*args)
 
     monkeypatch.setattr(placement, "_DENSE_VERIFY_FLOPS", 0.0)
-    monkeypatch.setattr(placement, "_local_variance_bound", spy)
+    monkeypatch.setattr(placement, "_variance_ladder", spy)
     pruned = prune_redundant(plan, env, h, spec, 0.3)
     assert len(pruned.entries) < len(plan.entries)
-    assert len(calls) == 1
+    assert len(calls) == 1 and calls[0][3]
     np.testing.assert_array_equal(calls[0][0], pruned.as_multiset().distinct()[0])
 
 

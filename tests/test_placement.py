@@ -311,7 +311,7 @@ def test_tour_sums_dwells_of_coincident_entries():
     _, _, _, plan, doubled, mid = doubled_plan()
     tour = tour_from_plan(doubled)
     dwells = Counter()
-    for loc, n in tour.dwell_waypoints():
+    for loc, n in tour.waypoints:
         dwells[loc] += n
     expected = Counter()
     for loc, n in doubled.entries:

@@ -153,7 +153,7 @@ def small_instance():
 def test_tour_matches_plan_dwell_set():
     env, plan = small_instance()
     tour = tour_from_plan(plan)
-    dwell = tour.dwell_waypoints()
+    dwell = [(loc, d) for loc, d in tour.waypoints if d > 0]
     assert {loc for loc, _ in dwell} == {loc for loc, _ in plan.entries}
     assert all(d == plan.measurements_per_site for _, d in dwell)
     assert tour.closed

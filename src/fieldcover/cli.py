@@ -8,6 +8,7 @@ check tripped).
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import sys
 from dataclasses import dataclass
@@ -195,11 +196,14 @@ def cmd_plan(args: argparse.Namespace) -> None:
 
 def _build_tour(cfg: RunConfig):
     plan = _build_plan(cfg)
-    return plan, tour_from_plan(plan, depot=cfg.depot)
+    tour = tour_from_plan(plan, depot=cfg.depot)
+    if not math.isfinite(tour_time(tour, cfg.time)):
+        raise ValueError(f"the tour's travel time from depot {tour.depot} overflows")
+    return plan, tour
 
 
 def _write_tour_outputs(cfg: RunConfig, plan, tour) -> None:
-    fileio.write_json(cfg.out / "tour.json", fileio.tour_to_payload(tour, cfg.time))
+    fileio.write_tour_json(cfg.out / "tour.json", tour, cfg.time)
     (cfg.out / "tour.svg").write_text(fileio.tour_svg(cfg.env, plan, tour), encoding="utf-8")
     _write_plan_outputs(cfg, plan)
 
@@ -216,7 +220,7 @@ def cmd_split(args: argparse.Namespace) -> None:
     params = SplitParameters.for_tour(tour, cfg.robots, plan.measurements_per_site, cfg.eta)
     split = split_tour(tour, params)
     for i, sub in enumerate(split.subtours, start=1):
-        fileio.write_json(cfg.out / f"subtour_{i}.json", fileio.tour_to_payload(sub, cfg.time))
+        fileio.write_tour_json(cfg.out / f"subtour_{i}.json", sub, cfg.time)
     cert = makespan_certificate(split, params, cfg.time)
     fileio.write_json(
         cfg.out / "certificate.json",
@@ -371,6 +375,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # The modules imported so far (numpy, scipy, argparse: ~44k objects)
+    # outlive the command, yet every full collection would rescan them;
+    # frozen, they are skipped, while objects the command makes are
+    # still collected. A caller's own freeze is left alone.
+    freeze = gc.get_freeze_count() == 0
+    if freeze:
+        gc.freeze()
     try:
         args.handler(args)
     except DegenerateDataError as exc:
@@ -382,6 +393,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if freeze:
+            gc.unfreeze()
     return 0
 
 

@@ -1,14 +1,34 @@
 """Flat-file formats: environment json, dataset csv, results, svg.
 
 Serialization is deterministic: json keys are sorted, floats print with
-their shortest round-trip repr, and svg documents are assembled from
-fixed templates. Identical inputs produce byte-identical files.
+their shortest round-trip repr, and identical inputs produce
+byte-identical files.
+
+Small payloads (verification, certificate, hyperparameters) go through
+``json.dumps(..., sort_keys=True, indent=2, allow_nan=False)``. With
+``indent`` set, ``json`` runs its pure-Python encoder, one generator
+call per value, which is too slow for a tour of thousands of
+waypoints. So ``write_tour_json`` renders ``tour_to_payload``'s schema
+itself: ``json.dumps`` writes the header (every key but
+``"waypoints"``, which sorts last) and each waypoint is one
+%-template with its keys in sorted order. That encoder prints an int
+with ``int.__repr__`` and a float with ``float.__repr__``, and ``%r``
+of a Python int or float is the same call, so the bytes match
+``write_json(path, tour_to_payload(tour, time))``. Non-finite numbers
+are refused, not written.
+
+SVG elements and plan and curve CSV rows are likewise one %r template
+each, filled with Python floats: a numpy scalar goes through
+``float()`` or ``.tolist()`` first, because numpy 2 prints
+``np.float64(...)``. That is the same ``repr(float(value))`` every
+cell got before, so the bytes match.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +57,7 @@ __all__ = [
     "write_dataset",
     "write_json",
     "write_plan_csv",
+    "write_tour_json",
 ]
 
 _DATASET_HEADER = "x,y,value"
@@ -122,10 +143,12 @@ def write_dataset(path, points, values) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _dumps(payload) -> str:
+    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+
+
 def write_json(path, payload) -> None:
-    Path(path).write_text(
-        json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    Path(path).write_text(_dumps(payload) + "\n", encoding="utf-8")
 
 
 def read_json(path):
@@ -134,7 +157,7 @@ def read_json(path):
 
 def write_plan_csv(path, plan: MeasurementPlan) -> None:
     lines = [_PLAN_HEADER]
-    lines.extend(f"{_fmt(x)},{_fmt(y)},{int(n)}" for (x, y), n in plan.entries)
+    lines.extend("%r,%r,%d" % (float(x), float(y), int(n)) for (x, y), n in plan.entries)
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -183,32 +206,66 @@ def verification_from_payload(payload) -> VerificationReport:
     return report
 
 
-def tour_to_payload(tour: Tour, time: TimeModel) -> dict:
-    """Tour as json-ready dict, cumulative elapsed time per waypoint.
-
-    The elapsed column makes split thresholds auditable from the file
-    alone.
-    """
-    elapsed = cumulative_times(tour, time)
-    waypoints = []
-    for i, ((loc, dwell), t) in enumerate(zip(tour.waypoints, elapsed)):
-        waypoints.append(
-            {
-                "location": [loc[0], loc[1]],
-                "dwell": int(dwell),
-                "elapsed": float(t),
-                "disk": None if tour.disk_index is None else int(tour.disk_index[i]),
-            }
-        )
+def _tour_header(tour: Tour, time: TimeModel) -> dict:
     return {
         "depot": [tour.depot[0], tour.depot[1]],
         "closed": tour.closed,
-        "waypoints": waypoints,
         "travel_length": tour.travel_length(),
         "total_time": tour_time(tour, time),
         "measurement_time": time.measurement_time,
         "speed": time.speed,
     }
+
+
+def tour_to_payload(tour: Tour, time: TimeModel) -> dict:
+    """Tour as json-ready dict, cumulative elapsed time per waypoint.
+
+    The elapsed column makes split thresholds auditable from the file
+    alone. This is the schema ``write_tour_json`` renders.
+    """
+    elapsed = cumulative_times(tour, time)
+    payload = _tour_header(tour, time)
+    payload["waypoints"] = [
+        {
+            "location": [loc[0], loc[1]],
+            "dwell": int(dwell),
+            "elapsed": float(t),
+            "disk": None if tour.disk_index is None else int(tour.disk_index[i]),
+        }
+        for i, ((loc, dwell), t) in enumerate(zip(tour.waypoints, elapsed))
+    ]
+    return payload
+
+
+# One waypoint of ``tour_to_payload`` at json's indent=2, keys sorted:
+# disk, dwell, elapsed, location.
+_WAYPOINT = (
+    '    {\n      "disk": %s,\n      "dwell": %d,\n      "elapsed": %r,\n'
+    '      "location": [\n        %r,\n        %r\n      ]\n    }'
+)
+
+
+def write_tour_json(path, tour: Tour, time: TimeModel) -> None:
+    """Write the bytes of ``write_json(path, tour_to_payload(tour, time))``.
+
+    A tour whose travel time overflows to infinity raises ValueError.
+    """
+    elapsed = cumulative_times(tour, time)
+    header = _tour_header(tour, time)
+    if not (math.isfinite(header["total_time"]) and np.isfinite(elapsed).all()):
+        raise ValueError(f"the travel time of a tour from depot {tour.depot} overflows")
+    header["waypoints"] = []
+    text = _dumps(header)
+    if tour.waypoints:
+        tags = repeat("null") if tour.disk_index is None else tour.disk_index
+        rows = ",\n".join(
+            _WAYPOINT % (tag, dwell, t, x, y)
+            for tag, ((x, y), dwell), t in zip(tags, tour.waypoints, elapsed.tolist())
+        )
+        # "waypoints" sorts last, so its [] is the last one in the text
+        head, tail = text.rsplit("[]", 1)
+        text = head + "[\n" + rows + "\n  ]" + tail
+    Path(path).write_text(text + "\n", encoding="utf-8")
 
 
 def tour_from_payload(payload) -> Tour:
@@ -246,9 +303,11 @@ def certificate_to_payload(
 
 
 def write_curve_csv(path, header, rows) -> None:
+    """One line per row; every row has one number per header column."""
+    header = tuple(header)
+    template = ",".join(["%r"] * len(header))
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(c) for c in row))
+    lines.extend(template % tuple(map(float, row)) for row in rows)
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -262,9 +321,9 @@ def read_curve_csv(path):
 
 
 def _env_path_data(env: Environment) -> str:
-    verts = env.vertices
-    parts = [f"M {_fmt(verts[0, 0])} {_fmt(verts[0, 1])}"]
-    parts.extend(f"L {_fmt(x)} {_fmt(y)}" for x, y in verts[1:])
+    first, *rest = env.vertices.tolist()
+    parts = ["M %r %r" % tuple(first)]
+    parts.extend(["L %r %r" % tuple(v) for v in rest])
     parts.append("Z")
     return " ".join(parts)
 
@@ -274,7 +333,16 @@ def _svg_document(env: Environment, plan: MeasurementPlan, tour: Tour | None) ->
     pad = max((d.radius for d in plan.sweep_disks), default=0.0) + 0.05 * env.diameter
     view = f"{_fmt(x0 - pad)} {_fmt(y0 - pad)} {_fmt(x1 - x0 + 2 * pad)} {_fmt(y1 - y0 + 2 * pad)}"
     stroke = env.diameter / 500.0
-    dot = env.diameter / 300.0
+    width, dash, dot = _fmt(stroke), _fmt(4 * stroke), _fmt(env.diameter / 300.0)
+    # disk centers and radii, tour stops: floats already (Disk and Tour
+    # normalize them); plan entries may hold numpy scalars or ints
+    mis = f'<circle cx="%r" cy="%r" r="%r" fill="none" stroke="#1f77b4" stroke-width="{width}"/>'
+    sweep = (
+        f'<circle cx="%r" cy="%r" r="%r" fill="none" stroke="#2ca02c" '
+        f'stroke-dasharray="{dash}" stroke-width="{width}"/>'
+    )
+    leg = f'<line x1="%r" y1="%r" x2="%r" y2="%r" stroke="#d62728" stroke-width="{width}"/>'
+    site = f'<circle cx="%r" cy="%r" r="{dot}" fill="#202020"/>'
 
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{view}">',
@@ -283,34 +351,20 @@ def _svg_document(env: Environment, plan: MeasurementPlan, tour: Tour | None) ->
         f'<path d="{_env_path_data(env)}" fill="none" stroke="#202020" stroke-width="{_fmt(2 * stroke)}"/>',
         '<g id="independent-disks">',
     ]
-    for d in plan.mis_disks:
-        out.append(
-            f'<circle cx="{_fmt(d.center[0])}" cy="{_fmt(d.center[1])}" r="{_fmt(d.radius)}" '
-            f'fill="none" stroke="#1f77b4" stroke-width="{_fmt(stroke)}"/>'
-        )
+    out.extend([mis % (*d.center, d.radius) for d in plan.mis_disks])
     out.append("</g>")
     out.append('<g id="sweep-disks">')
-    for d in plan.sweep_disks:
-        out.append(
-            f'<circle cx="{_fmt(d.center[0])}" cy="{_fmt(d.center[1])}" r="{_fmt(d.radius)}" '
-            f'fill="none" stroke="#2ca02c" stroke-dasharray="{_fmt(4 * stroke)}" '
-            f'stroke-width="{_fmt(stroke)}"/>'
-        )
+    out.extend([sweep % (*d.center, d.radius) for d in plan.sweep_disks])
     out.append("</g>")
     if tour is not None:
         out.append('<g id="legs">')
         stops = [tour.depot] + [loc for loc, _ in tour.waypoints]
         if tour.closed:
             stops.append(tour.depot)
-        for (ax, ay), (bx, by) in zip(stops, stops[1:]):
-            out.append(
-                f'<line x1="{_fmt(ax)}" y1="{_fmt(ay)}" x2="{_fmt(bx)}" y2="{_fmt(by)}" '
-                f'stroke="#d62728" stroke-width="{_fmt(stroke)}"/>'
-            )
+        out.extend([leg % (a + b) for a, b in zip(stops, stops[1:])])
         out.append("</g>")
     out.append('<g id="sites">')
-    for (x, y), _ in plan.entries:
-        out.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="{_fmt(dot)}" fill="#202020"/>')
+    out.extend([site % (float(x), float(y)) for (x, y), _ in plan.entries])
     out.append("</g>")
     out.append("</g>")
     out.append("</svg>")

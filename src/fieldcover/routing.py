@@ -66,7 +66,10 @@ class Tour:
             dwell = int(dwell)
             if dwell < 0:
                 raise ValueError(f"dwell count must be >= 0, got {dwell}")
-            norm.append(((float(loc[0]), float(loc[1])), dwell))
+            x, y = float(loc[0]), float(loc[1])
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise ValueError(f"waypoint must be finite, got {loc}")
+            norm.append(((x, y), dwell))
         object.__setattr__(self, "waypoints", tuple(norm))
         if self.disk_index is not None:
             idx = tuple(int(i) for i in self.disk_index)

@@ -1,5 +1,6 @@
 """End-to-end runs of every subcommand in scratch directories."""
 
+import gc
 import xml.etree.ElementTree as ET
 from collections import Counter
 
@@ -166,6 +167,17 @@ class TestTour:
         assert len(legs) == 1
 
 
+    @pytest.mark.parametrize("command", ["tour", "split"])
+    def test_overflowing_travel_exits_2_naming_the_depot(self, command, tmp_path, capsys):
+        # one sweep disk: the depot legs are the whole route
+        env = write_env(tmp_path, hi=(10.0, 10.0))
+        out = tmp_path / "out"
+        args = ["--env", env, "--hyper", "8.33,12.87,0.0361", "--delta", "4", "--depot", "1e308,1e308"]
+        assert cli.main([command, *args, "--out", str(out)]) == 2
+        assert "depot (1e+308, 1e+308)" in capsys.readouterr().err
+        assert not (out / "tour.json").exists()
+
+
 def dwell_multiset(waypoints) -> Counter:
     """Location -> summed dwell over the measuring stops."""
     out: Counter = Counter()
@@ -295,3 +307,62 @@ class TestCompare:
         assert cli.main(["compare", *args]) == 0
         lawn = list((tmp_path / "out").glob("curve_lawnmower_*.csv"))
         assert len(lawn) == 1
+
+
+class TestGcScope:
+    """``main`` freezes the import-time heap for the command and only for it."""
+
+    def assert_gc_restored(self):
+        assert gc.get_freeze_count() == 0
+        assert gc.isenabled()
+
+    def test_every_exit_code_unfreezes(self, tmp_path, monkeypatch):
+        degenerate = tmp_path / "degen.csv"
+        degenerate.write_text("x,y,value\n1,2,3\n1,2,4\n", encoding="utf-8")
+        cases = {
+            0: ["plan", *plan_args(tmp_path, "ok")],
+            2: ["fit", "--data", str(tmp_path / "missing.csv"), "--out", str(tmp_path / "o2")],
+            3: ["fit", "--data", str(degenerate), "--out", str(tmp_path / "o3")],
+        }
+        for code, argv in cases.items():
+            assert cli.main(argv) == code
+            self.assert_gc_restored()
+
+        def always_fail(plan, env, hyper, delta, spacing=None):
+            return VerificationReport(delta * 2, (0.0, 0.0), delta, False, 1.0, 4)
+
+        monkeypatch.setattr(cli, "verify_plan", always_fail)
+        assert cli.main(["plan", *plan_args(tmp_path, "o4")]) == 4
+        self.assert_gc_restored()
+
+    def test_heap_is_frozen_during_the_command_and_after_a_crash(self, tmp_path, monkeypatch):
+        frozen = []
+
+        def crash(cfg):
+            frozen.append(gc.get_freeze_count())
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "_build_plan", crash)
+        with pytest.raises(RuntimeError, match="boom"):
+            cli.main(["plan", *plan_args(tmp_path, "out")])
+        assert frozen[0] > 0
+        self.assert_gc_restored()
+
+    def test_a_callers_freeze_is_left_alone(self, tmp_path):
+        gc.freeze()
+        try:
+            before = gc.get_freeze_count()
+            assert cli.main(["plan", *plan_args(tmp_path, "out")]) == 0
+            assert gc.get_freeze_count() == before
+        finally:
+            gc.unfreeze()
+
+    def test_second_run_in_one_process_writes_the_same_bytes(self, tmp_path):
+        for out in ("a", "b"):
+            args = plan_args(tmp_path, out, "--eta", "0.5", "--depot", "0,0", "--k", "2")
+            assert cli.main(["split", *args]) == 0
+            self.assert_gc_restored()
+        first = {p.name: p.read_bytes() for p in (tmp_path / "a").iterdir()}
+        second = {p.name: p.read_bytes() for p in (tmp_path / "b").iterdir()}
+        assert len(first) == 8
+        assert first == second

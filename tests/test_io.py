@@ -201,6 +201,30 @@ class TestPayloads:
             fileio.tour_from_payload(payload)
 
 
+    def test_non_finite_numbers_are_refused_not_written(self, tmp_path):
+        path = tmp_path / "out.json"
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError):
+                fileio.write_json(path, {"total_time": bad})
+        assert not path.exists()
+
+    def test_tour_whose_travel_overflows_is_refused(self, tmp_path):
+        # every coordinate is finite, but 2e308 of travel is not
+        tour = Tour((-1e308, 0.0), (((1e308, 0.0), 1),), closed=False)
+        assert math.isinf(fileio.tour_to_payload(tour, TimeModel(1.0))["total_time"])
+        path = tmp_path / "tour.json"
+        with pytest.raises(ValueError, match=r"depot \(-1e\+308, 0.0\) overflows"):
+            fileio.write_tour_json(path, tour, TimeModel(1.0))
+        assert not path.exists()
+
+    def test_tour_json_is_the_payload(self, tmp_path):
+        env, plan = small_instance()
+        tour = tour_from_plan(plan)
+        path = tmp_path / "tour.json"
+        fileio.write_tour_json(path, tour, TimeModel(0.5))
+        assert fileio.read_json(path) == fileio.tour_to_payload(tour, TimeModel(0.5))
+
+
 class TestCurveCsv:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "curve.csv"

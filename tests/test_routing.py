@@ -61,6 +61,16 @@ def test_tour_validation():
         Tour((0, 0), (((1.0, 1.0), 1),), disk_index=(0, 1))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_tour_rejects_non_finite_waypoints(bad):
+    with pytest.raises(ValueError, match="waypoint must be finite"):
+        Tour((0.0, 0.0), (((1.0, 1.0), 1), ((bad, 2.0), 0)))
+    with pytest.raises(ValueError, match="waypoint must be finite"):
+        Tour((0.0, 0.0), (((1.0, bad), 1),))
+    with pytest.raises(ValueError, match="depot must be finite"):
+        Tour((bad, 0.0), (((1.0, 1.0), 1),))
+
+
 def test_tour_time_empty_and_square():
     tm = TimeModel(5.0)
     assert tour_time(Tour((0, 0), ()), tm) == 0.0

@@ -27,7 +27,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, eigh, solve_triangular
+from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.linalg.lapack import dormqr, dptsv, dsterf, dsytrd, dsytrd_lwork
 from scipy.spatial.distance import cdist
 
 from .errors import DegenerateDataError, GramTooLargeError, NumericalError
@@ -38,17 +39,17 @@ _CHUNK_BYTES = 32 * 2**20
 # Largest Gram matrix a dense solve may allocate. Factorization is in
 # place, so this is also about the peak of the factorization itself.
 _MAX_GRAM_BYTES = 2 * 2**30
-# The grid search scores every point from one eigendecomposition per
+# The grid search scores every point from one tridiagonal reduction per
 # length scale, then re-scores by Cholesky (``nlml``) every point whose
-# eigen-path NLML lies within this relative distance of the minimum, so
-# rounding in the eigen path cannot change which point wins. The distance
+# tridiagonal-path NLML lies within this relative distance of the minimum,
+# so rounding in that path cannot change which point wins. The distance
 # is relative to the sum of the magnitudes of the NLML's terms, which is
 # what bounds its rounding error.
 _RESCORE_RTOL = 1e-9
-# An eigen-path score is trusted only while the smallest eigenvalue of the
-# regularized Gram matrix is at least this fraction of its largest. Below
-# that the Cholesky factorization may fail (and the search must skip the
-# point), so such points are always re-scored by Cholesky.
+# A tridiagonal-path score is trusted only while the smallest eigenvalue of
+# the regularized Gram matrix is at least this fraction of its largest.
+# Below that the Cholesky factorization may fail (and the search must skip
+# the point), so such points are always re-scored by Cholesky.
 _EIGEN_FLOOR = 1e-8
 
 
@@ -424,23 +425,42 @@ class HyperparameterGrid:
         return itertools.product(self.length_scales, self.signal_variances, self.noise_variances)
 
 
-def _eigen_nlml(d2: np.ndarray, y: np.ndarray, length_scale: float, s2: np.ndarray, w2: np.ndarray):
-    """NLML of every (s2, w2) pair at one length scale, from one eigendecomposition.
+def _tridiagonal_nlml(d2: np.ndarray, y: np.ndarray, length_scale: float, s2: np.ndarray, w2: np.ndarray):
+    """NLML of every (s2, w2) pair at one length scale, from one tridiagonal reduction.
 
-    Returns an (len(s2), len(w2)) array of values, NaN where the eigen path
-    is not trusted, and the sum of the magnitudes of each value's terms,
-    which bounds its rounding error.
+    R = exp(-d2 / 2l^2) is reduced in place to Q' R Q = T. Then
+    K = s2 R + w2 I = Q (s2 T + w2 I) Q', so with z = Q' y each pair's
+    y' K^-1 y is one O(n) tridiagonal solve, and its log det comes from
+    R's eigenvalues, which T yields in O(n^2) without eigenvectors.
+    Returns an (len(s2), len(w2)) array of values, NaN where the path is
+    not trusted or a solve fails, and the sum of the magnitudes of each
+    value's terms, which bounds its rounding error.
     """
     shape = (s2.size, w2.size)
-    try:
-        lam, vecs = eigh(
-            np.exp(-d2 / (2.0 * length_scale**2)), overwrite_a=True, check_finite=False, driver="evd"
-        )
-    except np.linalg.LinAlgError:
-        return np.full(shape, np.nan), np.full(shape, np.nan)
+    failed = np.full(shape, np.nan), np.full(shape, np.nan)
+    r = np.empty_like(d2)
+    np.divide(d2, -(2.0 * length_scale**2), out=r)
+    np.exp(r, out=r)
+    # R is exactly symmetric, so its transpose is the Fortran-ordered view
+    # LAPACK reduces in place, without a copy
+    lwork, _ = dsytrd_lwork(y.size, lower=1)
+    c, d, e, tau, info = dsytrd(r.T, lower=1, lwork=int(lwork), overwrite_a=1)
+    if info != 0:
+        return failed
+    # Q = H(1) ... H(n-1) leaves the first coordinate alone; its reflectors
+    # below the subdiagonal form the QR-style Q of the trailing n-1 rows
+    z = np.array(y, dtype=float)
+    z[1:] = dormqr("L", "T", c[1:, :-1], tau, z[1:, None], lwork=1)[0][:, 0]
+    lam, info = dsterf(d, e)
+    if info != 0:
+        return failed
     ev = s2[:, None, None] * lam + w2[None, :, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        quad = np.sum((vecs.T @ y) ** 2 / ev, axis=-1)
+    quad = np.full(shape, np.nan)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for i, j in np.ndindex(shape):
+            *_, x, info = dptsv(s2[i] * d + w2[j], s2[i] * e, z[:, None], overwrite_d=1, overwrite_e=1)
+            if info == 0:
+                quad[i, j] = z @ x[:, 0]
         logs = np.log(ev)
     const = y.size * math.log(2.0 * math.pi)
     trusted = np.min(ev, axis=-1) >= _EIGEN_FLOOR * np.max(ev, axis=-1)
@@ -454,20 +474,23 @@ def fit_hyperparameters(observations, search: HyperparameterGrid) -> Hyperparame
 
     Needs at least two distinct measurement locations; raises
     DegenerateDataError otherwise. Grid points whose factorization fails
-    are skipped. The search holds five n x n matrices at once, so more
+    are skipped. The search is budgeted at five n x n matrices, so more
     than 7,327 observations raise GramTooLargeError before any is built.
 
     The regularized Gram matrix is K = s2 * R_l + w2 * I with R_l the
-    unit-variance correlation matrix, so one eigendecomposition of R_l
-    gives the NLML of every (s2, w2) pair at that length scale in O(n):
-    K's eigenvalues are s2 * lambda + w2 and its eigenvectors are R_l's.
-    The result is the one a Cholesky ``nlml`` of every grid point would
-    select: ``nlml`` re-scores, in grid order, each point whose eigen-path
-    value lies within ``_RESCORE_RTOL`` of the eigen-path minimum and each
-    point whose smallest eigenvalue is below ``_EIGEN_FLOOR`` of its
-    largest (or whose eigen-path value is not finite). The first strict
-    Cholesky minimum among them wins; a failed factorization skips its
-    point.
+    unit-variance correlation matrix. One tridiagonal reduction
+    Q' R_l Q = T per length scale gives the NLML of every (s2, w2) pair
+    at that length scale in O(n): K = Q (s2 * T + w2 * I) Q', so y' K^-1 y
+    is one tridiagonal solve against z = Q' y, and K's eigenvalues are
+    s2 * lambda + w2 with lambda the eigenvalues of T, which are R_l's.
+    No eigenvector is ever formed. The result is the one a Cholesky
+    ``nlml`` of every grid point would select: ``nlml`` re-scores, in
+    grid order, each point whose tridiagonal-path value lies within
+    ``_RESCORE_RTOL`` of that path's minimum and each point whose
+    smallest eigenvalue is below ``_EIGEN_FLOOR`` of its largest (or
+    whose tridiagonal-path value is not finite, as when its solve
+    fails). The first strict Cholesky minimum among them wins; a failed
+    factorization skips its point.
     """
     obs = list(observations)
     distinct = {o.location for o in obs}
@@ -479,15 +502,17 @@ def fit_hyperparameters(observations, search: HyperparameterGrid) -> Hyperparame
         if o.value is None:
             raise ValueError("nlml needs a value on every observation")
     n = len(obs)
-    # Peak n x n matrices held at once (tracemalloc): the squared distances
-    # plus four while one length scale's correlation matrix is decomposed
+    # Budgeted at five n x n matrices; tracemalloc measures three at once:
+    # the squared distances, the correlation matrix reduced in place and
+    # the copy of its reflectors that ``dormqr`` reads, or, while
+    # re-scoring, the squared distances and ``nlml``'s Gram matrix and factor
     check_dense_budget(5 * 8 * n * n, f"a hyperparameter fit over {n} observations; use fewer CSV rows")
     design = np.asarray([o.location for o in obs], dtype=float)
     y = np.asarray([o.value for o in obs], dtype=float)
     d2 = cdist(design, design, "sqeuclidean")
     s2 = np.asarray(search.signal_variances)
     w2 = np.asarray(search.noise_variances)
-    scored = [_eigen_nlml(d2, y, l, s2, w2) for l in search.length_scales]
+    scored = [_tridiagonal_nlml(d2, y, l, s2, w2) for l in search.length_scales]
     # (length scale, signal variance, noise variance) in C order is the
     # order of ``search.combinations()``
     approx = np.ravel([value for value, _ in scored])

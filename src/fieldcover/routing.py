@@ -12,7 +12,9 @@ time is one number with no hidden state.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -82,6 +84,12 @@ class Tour:
         return sum(d for _, d in self.waypoints)
 
     def travel_length(self) -> float:
+        return self._travel_length
+
+    # summed once per tour: the certificate, the overflow check and every
+    # tour file ask for it
+    @cached_property
+    def _travel_length(self) -> float:
         pts = [self.depot] + [loc for loc, _ in self.waypoints]
         if self.closed:
             pts.append(self.depot)
@@ -119,8 +127,9 @@ def tsp_heuristic(points, depot) -> list[tuple[float, float]]:
     """Nearest-neighbor order improved by full 2-opt, depot-anchored.
 
     Scans restart after every accepted exchange and stop when no segment
-    reversal shortens the closed route, so the result is a 2-opt local
-    optimum. Ties in construction break on lexicographic point order.
+    reversal shortens the closed route by more than the rounding of its
+    four distances, so the result is a 2-opt local optimum up to
+    rounding. Ties in construction break on lexicographic point order.
     """
     pts = [(float(p[0]), float(p[1])) for p in points]
     if not pts:
@@ -134,6 +143,12 @@ def tsp_heuristic(points, depot) -> list[tuple[float, float]]:
         cur = remaining.pop(best)
         order.append(cur)
     n = len(order)
+    # the four distances (coordinate differences included) and the three
+    # sums of an exchange round by less than 3 eps of the four terms'
+    # total, so a move accepted below this share of it shortens the exact
+    # route and the scan ends, however far away the depot is; the margin
+    # is only worked out for the rare delta that passes the plain test
+    rounding = 4.0 * sys.float_info.epsilon
     improved = True
     while improved:
         improved = False
@@ -141,13 +156,12 @@ def tsp_heuristic(points, depot) -> list[tuple[float, float]]:
             before_i = depot if i == 0 else order[i - 1]
             for j in range(i + 1, n):
                 after_j = depot if j == n - 1 else order[j + 1]
-                delta = (
-                    math.dist(before_i, order[j])
-                    + math.dist(order[i], after_j)
-                    - math.dist(before_i, order[i])
-                    - math.dist(order[j], after_j)
-                )
-                if delta < _IMPROVE_TOL:
+                a = math.dist(before_i, order[j])
+                b = math.dist(order[i], after_j)
+                c = math.dist(before_i, order[i])
+                d = math.dist(order[j], after_j)
+                delta = a + b - c - d
+                if delta < _IMPROVE_TOL and delta < _IMPROVE_TOL - rounding * (a + b + c + d):
                     order[i : j + 1] = order[i : j + 1][::-1]
                     improved = True
                     break

@@ -1,6 +1,7 @@
 """End-to-end runs of every subcommand in scratch directories."""
 
 import gc
+import signal
 import xml.etree.ElementTree as ET
 from collections import Counter
 
@@ -176,6 +177,31 @@ class TestTour:
         assert cli.main([command, *args, "--out", str(out)]) == 2
         assert "depot (1e+308, 1e+308)" in capsys.readouterr().err
         assert not (out / "tour.json").exists()
+
+    @pytest.mark.parametrize("depot", ["1e20,1e20", "1e308,1e308"])
+    def test_far_depot_from_a_multi_disk_plan_ends_the_two_opt(self, depot, tmp_path, capsys):
+        # several sweep disks: rounding in the four far depot distances of
+        # a 2-opt exchange once read as an improvement forever
+        def too_slow(*_):
+            raise TimeoutError("the 2-opt did not finish")
+
+        env = write_env(tmp_path, hi=(10.0, 10.0))
+        out = tmp_path / "out"
+        args = ["--env", env, "--hyper", HYPER, "--delta", "1.2", "--depot", depot]
+        previous = signal.signal(signal.SIGALRM, too_slow)
+        signal.alarm(20)
+        try:
+            code = cli.main(["tour", *args, "--out", str(out)])
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        if depot == "1e20,1e20":
+            assert code == 0
+            tour = fileio.tour_from_payload(fileio.read_json(out / "tour.json"))
+            assert sum(dwell == 0 for _, dwell in tour.waypoints) > 1
+        else:
+            assert code == 2
+            assert "depot (1e+308, 1e+308)" in capsys.readouterr().err
 
 
 def dwell_multiset(waypoints) -> Counter:

@@ -4,7 +4,9 @@ The references are the straightforward versions of the same algorithms:
 the greedy ones refactor the picks and invert the remaining candidates'
 Gram matrix at every step, and the fit factors every grid point by
 Cholesky. The incremental versions must pick the same sequence, score
-every step to rounding, and select the same hyperparameters. The greedy
+every step to rounding, and select the same hyperparameters; the fit's
+tridiagonal scores must also agree with Cholesky, within the re-score
+tolerance, at every trusted point of the seeded surveys. The greedy
 ones are also pinned to a copy of their earlier right-looking form,
 which downdated C x C matrices at every pick; below noise variance
 0.0361 that copy is the only reference that pins their picks.
@@ -13,6 +15,7 @@ which downdated C x C matrices at every pick; below noise variance
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +24,8 @@ from fieldcover import baselines, cli, gp
 from fieldcover.baselines import _pick_with_tie_break, baseline_candidates, entropy_greedy, mi_greedy
 from fieldcover.errors import NumericalError
 from fieldcover.geometry import Environment
+from scipy.spatial.distance import cdist
+
 from fieldcover.gp import (
     HyperparameterGrid,
     Hyperparameters,
@@ -251,7 +256,7 @@ def test_forced_near_tie_is_resolved_by_cholesky(monkeypatch):
     obs = observations_of(pts, values)
     winner = reference_fit(obs, cli._default_search(pts, values))
     # two length scales one part in 1e13 apart: their NLMLs differ far
-    # below the re-score tolerance, so the eigen path must not decide
+    # below the re-score tolerance, so the tridiagonal path must not decide
     near = winner.length_scale * (1.0 + 1e-13)
     for scales in ((winner.length_scale, near), (near, winner.length_scale)):
         search = HyperparameterGrid(scales, (winner.signal_variance,), (winner.noise_variance,))
@@ -270,3 +275,94 @@ def test_fit_skips_points_whose_factorization_fails():
     with pytest.raises(NumericalError):
         nlml(obs, Hyperparameters(50.0, 1.0, 1e-300))
     assert fit_hyperparameters(obs, search) == reference_fit(obs, search)
+
+
+def assert_scores_agree_with_cholesky(pts, values, search: HyperparameterGrid) -> None:
+    """Every trusted tridiagonal score lies within the re-score tolerance of ``nlml``."""
+    obs = observations_of(pts, values)
+    d2 = cdist(pts, pts, "sqeuclidean")
+    s2 = np.asarray(search.signal_variances)
+    w2 = np.asarray(search.noise_variances)
+    trusted = 0
+    for l in search.length_scales:
+        value, magnitude = gp._tridiagonal_nlml(d2, values, l, s2, w2)
+        for (i, j), score in np.ndenumerate(value):
+            if np.isnan(score):
+                continue
+            trusted += 1
+            exact = nlml(obs, Hyperparameters(l, s2[i], w2[j]))
+            assert abs(score - exact) <= gp._RESCORE_RTOL * magnitude[i, j], (l, s2[i], w2[j])
+    assert trusted > 0
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_tridiagonal_scores_agree_with_cholesky_wherever_trusted(seed):
+    pts, values = seeded_survey(seed, duplicates=seed == 0)
+    assert_scores_agree_with_cholesky(pts, values, cli._default_search(pts, values))
+
+
+STRESS_CASES = ("low-noise", "long-scales", "duplicates", "collinear", "two-rows", "three-rows")
+
+
+def stress_survey(case: str):
+    """A small dataset and search grid that stress the tridiagonal path."""
+    rng = np.random.default_rng([13, STRESS_CASES.index(case)])
+    if case == "two-rows":
+        pts = np.array([(0.0, 0.0), (3.0, 4.0)])
+    elif case == "three-rows":
+        pts = np.array([(0.0, 0.0), (3.0, 4.0), (-2.0, 1.5)])
+    elif case == "collinear":
+        pts = np.column_stack([np.sort(rng.uniform(0.0, 40.0, 60)), np.full(60, 5.0)])
+    else:
+        pts = rng.uniform(0.0, 20.0, size=(50, 2))
+        if case == "duplicates":
+            # every location measured three times
+            pts = np.repeat(pts[:20], 3, axis=0)
+    values = np.sin(pts[:, 0] / 3.0) + np.cos(pts[:, 1] / 5.0) + 0.05 * rng.standard_normal(len(pts))
+    values -= values.mean()
+    extent = float(np.hypot(*np.ptp(pts, axis=0)))
+    spread = float(np.var(values))
+    if case == "low-noise":
+        return pts, values, HyperparameterGrid(
+            np.geomspace(extent / 20.0, extent, 4), (spread / 3.0, spread * 3.0), (1e-6, 1e-5, 1e-4, 1e-3)
+        )
+    if case == "long-scales":
+        return pts, values, HyperparameterGrid(
+            np.geomspace(extent / 4.0, 2.0 * extent, 5), (spread / 3.0, spread * 3.0), (1e-3, 1e-2, 0.1)
+        )
+    return pts, values, HyperparameterGrid(
+        np.geomspace(extent / 20.0, 2.0 * extent, 5), (spread / 3.0, spread, spread * 3.0), (1e-6, 1e-3, 0.1)
+    )
+
+
+@pytest.mark.parametrize("case", STRESS_CASES)
+def test_fit_matches_cholesky_on_stress_cases(case):
+    pts, values, search = stress_survey(case)
+    if case == "duplicates":
+        assert len({tuple(p) for p in pts}) == len(pts) // 3
+    obs = observations_of(pts, values)
+    assert fit_hyperparameters(obs, search) == reference_fit(obs, search)
+
+
+@pytest.mark.parametrize("case", ["two-rows", "three-rows"])
+def test_one_or_two_reflectors_score_like_cholesky(case):
+    # z = Q' y from one (2 rows) or two (3 rows) stored reflectors; the
+    # selection alone does not pin z on so few rows
+    assert_scores_agree_with_cholesky(*stress_survey(case))
+
+
+def test_fit_stays_within_the_matrices_its_guard_counts():
+    # the guard budgets five n x n matrices, which caps a fit at 7,327 rows
+    n = 1_500
+    rng = np.random.default_rng(11)
+    pts = rng.uniform(0.0, 60.0, size=(n, 2))
+    values = np.sin(pts[:, 0] / 9.0) + 0.2 * rng.standard_normal(n)
+    obs = observations_of(pts, values)
+    search = HyperparameterGrid((3.0, 12.0), (0.5, 2.0), (0.01, 0.1))
+    tracemalloc.start()
+    try:
+        fit_hyperparameters(obs, search)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * 8 * n * n

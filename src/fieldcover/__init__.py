@@ -51,7 +51,6 @@ from .routing import (
 )
 from .fleet import (
     MakespanCertificate,
-    SplitParameters,
     SubtourSet,
     farthest_dwell_distance,
     makespan,

@@ -29,7 +29,7 @@ from .baselines import (
 )
 from .errors import DegenerateDataError, NumericalError, VerificationError
 from .fields import sample_gp_field
-from .fleet import SplitParameters, makespan_certificate, split_tour
+from .fleet import makespan_certificate, split_tour
 from .geometry import Environment
 from .gp import (
     Hyperparameters,
@@ -217,15 +217,11 @@ def cmd_tour(args: argparse.Namespace) -> None:
 def cmd_split(args: argparse.Namespace) -> None:
     cfg = _config(args)
     plan, tour = _build_tour(cfg)
-    params = SplitParameters.for_tour(tour, cfg.robots, plan.measurements_per_site, cfg.eta)
-    split = split_tour(tour, params)
+    split = split_tour(tour, cfg.robots, cfg.time)
     for i, sub in enumerate(split.subtours, start=1):
         fileio.write_tour_json(cfg.out / f"subtour_{i}.json", sub, cfg.time)
-    cert = makespan_certificate(split, params, cfg.time)
-    fileio.write_json(
-        cfg.out / "certificate.json",
-        fileio.certificate_to_payload(cert, params, tour_time(tour, cfg.time)),
-    )
+    cert = makespan_certificate(split)
+    fileio.write_json(cfg.out / "certificate.json", fileio.certificate_to_payload(cert))
     _write_tour_outputs(cfg, plan, tour)
     if not cert.satisfied:
         raise NumericalError(

@@ -6,6 +6,11 @@ including that stop, and ends subtour j at the last measurement stop
 whose elapsed time stays within j/k of the adjusted horizon.  Each robot
 pays at most two extra depot legs over its share of the source tour,
 which is exactly what the makespan certificate charges.
+
+Travel runs at unit speed, so a distance is also a time.  The split
+takes nothing but the tour, the robot count and the time model: the
+depot reach and the dwell budget the bound charges are read off the
+tour.
 """
 
 from __future__ import annotations
@@ -17,7 +22,6 @@ from .routing import TimeModel, Tour, cumulative_times, tour_time
 
 __all__ = [
     "MakespanCertificate",
-    "SplitParameters",
     "SubtourSet",
     "farthest_dwell_distance",
     "makespan",
@@ -35,47 +39,21 @@ def farthest_dwell_distance(tour: Tour) -> float:
     return reach
 
 
-@dataclass(frozen=True)
-class SplitParameters:
-    """Inputs of the cut rule.
-
-    ``depot_reach`` is the depot distance of the farthest measurement
-    stop.  It is carried here so certificates are auditable, but the
-    splitter recomputes it from the tour and rejects a mismatch rather
-    than trusting the stored value.  ``dwell_count`` is the per-site
-    measurement count the thresholds budget for (the planner's count at
-    shrink factor 2; plans built with another factor substitute their
-    actual count).
-    """
-
-    robots: int
-    depot_reach: float
-    dwell_count: int
-    measurement_time: float
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.robots, int) or self.robots < 1:
-            raise ValueError("robots must be an integer >= 1")
-        if not (math.isfinite(self.depot_reach) and self.depot_reach >= 0.0):
-            raise ValueError("depot_reach must be finite and >= 0")
-        if not isinstance(self.dwell_count, int) or self.dwell_count < 1:
-            raise ValueError("dwell_count must be an integer >= 1")
-        if not (math.isfinite(self.measurement_time) and self.measurement_time >= 0.0):
-            raise ValueError("measurement_time must be finite and >= 0")
-
-    @classmethod
-    def for_tour(
-        cls, tour: Tour, robots: int, dwell_count: int, measurement_time: float
-    ) -> "SplitParameters":
-        return cls(robots, farthest_dwell_distance(tour), dwell_count, measurement_time)
+def _largest_dwell(tour: Tour) -> int:
+    return max((dwell for _, dwell in tour.waypoints), default=0)
 
 
 @dataclass(frozen=True)
 class SubtourSet:
-    """k depot-anchored subtours partitioning one source tour."""
+    """k depot-anchored subtours partitioning one source tour.
+
+    ``time`` is the model the cuts were placed under; the makespan and
+    its certificate read it from here.
+    """
 
     subtours: tuple[Tour, ...]
     source: Tour
+    time: TimeModel
 
     def __post_init__(self) -> None:
         if not self.subtours:
@@ -91,49 +69,39 @@ class SubtourSet:
             raise ValueError("subtours do not partition the source waypoints in order")
 
 
-def _check_reach(tour: Tour, params: SplitParameters) -> float:
-    reach = farthest_dwell_distance(tour)
-    if not math.isclose(reach, params.depot_reach, rel_tol=1e-9, abs_tol=1e-12):
-        raise ValueError(
-            f"depot_reach {params.depot_reach!r} does not match the tour's "
-            f"farthest measurement stop at {reach!r}"
-        )
-    return reach
-
-
-def split_tour(tour: Tour, params: SplitParameters) -> SubtourSet:
-    """Cut a closed tour into ``params.robots`` depot-anchored subtours.
+def split_tour(tour: Tour, robots: int, time: TimeModel) -> SubtourSet:
+    """Cut a closed tour into ``robots`` depot-anchored subtours.
 
     Subtour j ends at the last measurement stop whose elapsed time is at
     most (j/k)(T - (2L + eta*n)) + L + eta*n, with T the full tour time,
-    L the depot reach and n the budgeted dwell count.  Stops after the
-    cut, including measurement-free transit waypoints, ride with the
-    next subtour.  Thresholds use unit travel speed.
+    L the depot distance of the farthest measurement stop and n the
+    largest dwell at any one stop.  Stops after the cut, including
+    measurement-free transit waypoints, ride with the next subtour.
     """
+    if not isinstance(robots, int) or robots < 1:
+        raise ValueError("robots must be an integer >= 1")
     if not tour.closed:
         raise ValueError("can only split a tour that returns to its depot")
-    reach = _check_reach(tour, params)
-    k = params.robots
-    if k == 1:
-        return SubtourSet((tour,), tour)
+    if robots == 1:
+        return SubtourSet((tour,), tour, time)
 
-    time = TimeModel(params.measurement_time)
+    reach = farthest_dwell_distance(tour)
     total = tour_time(tour, time)
     elapsed = cumulative_times(tour, time)
-    launch = reach + params.measurement_time * params.dwell_count
+    launch = reach + time.measurement_time * _largest_dwell(tour)
     slack = total - (launch + reach)
 
     dwell_idx = [i for i, (_, n) in enumerate(tour.waypoints) if n > 0]
     cuts: list[int] = []
     prev = -1
-    for j in range(1, k):
-        threshold = (j / k) * slack + launch
+    for j in range(1, robots):
+        threshold = (j / robots) * slack + launch
         cut = prev
         for i in dwell_idx:
             if elapsed[i] <= threshold:
                 # thresholds are non-decreasing whenever the tour covers
                 # the farthest round trip; the running max guards
-                # degenerate parameter choices
+                # degenerate tours
                 cut = max(cut, i)
         cuts.append(cut)
         prev = cut
@@ -145,37 +113,53 @@ def split_tour(tour: Tour, params: SplitParameters) -> SubtourSet:
         if tour.disk_index is not None:
             tags = tour.disk_index[lo + 1 : hi + 1]
         subtours.append(Tour(tour.depot, tour.waypoints[lo + 1 : hi + 1], disk_index=tags))
-    return SubtourSet(tuple(subtours), tour)
+    return SubtourSet(tuple(subtours), tour, time)
 
 
-def makespan(subtour_set: SubtourSet, time: TimeModel) -> float:
-    return max((tour_time(sub, time) for sub in subtour_set.subtours), default=0.0)
+def makespan(split: SubtourSet) -> float:
+    return max((tour_time(sub, split.time) for sub in split.subtours), default=0.0)
 
 
 @dataclass(frozen=True)
 class MakespanCertificate:
+    """A split's makespan against its bound, and the tour facts the bound uses.
+
+    Every field is derived from the split; ``dwell_count`` is the
+    largest dwell at any one stop of the source tour.
+    """
+
     bound: float
     makespan: float
     satisfied: bool
+    robots: int
+    depot_reach: float
+    dwell_count: int
+    measurement_time: float
+    total_time: float
 
 
-def makespan_certificate(
-    subtour_set: SubtourSet, params: SplitParameters, time: TimeModel
-) -> MakespanCertificate:
+def makespan_certificate(split: SubtourSet) -> MakespanCertificate:
     """Check the split against its guarantee.
 
     The bound charges each robot its 1/k share of the source tour beyond
     the farthest round trip, plus four depot-reach legs and two dwell
-    budgets.  Certificates assume the time model the split was computed
-    under (unit speed, matching measurement time).
+    budgets, all under the time model the split was cut with.
     """
-    reach = _check_reach(subtour_set.source, params)
-    total = tour_time(subtour_set.source, time)
-    dwell_budget = params.measurement_time * params.dwell_count
-    bound = (
-        (total - (2.0 * reach + dwell_budget)) / params.robots
-        + 4.0 * reach
-        + 2.0 * dwell_budget
+    source, time = split.source, split.time
+    robots = len(split.subtours)
+    reach = farthest_dwell_distance(source)
+    dwell_count = _largest_dwell(source)
+    total = tour_time(source, time)
+    dwell_budget = time.measurement_time * dwell_count
+    bound = (total - (2.0 * reach + dwell_budget)) / robots + 4.0 * reach + 2.0 * dwell_budget
+    worst = makespan(split)
+    return MakespanCertificate(
+        bound=bound,
+        makespan=worst,
+        satisfied=worst <= bound + 1e-9,
+        robots=robots,
+        depot_reach=reach,
+        dwell_count=dwell_count,
+        measurement_time=time.measurement_time,
+        total_time=total,
     )
-    worst = makespan(subtour_set, time)
-    return MakespanCertificate(bound=bound, makespan=worst, satisfied=worst <= bound + 1e-9)

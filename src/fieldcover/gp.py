@@ -44,8 +44,10 @@ _MAX_GRAM_BYTES = 2 * 2**30
 # tridiagonal-path NLML lies within this relative distance of the minimum,
 # so rounding in that path cannot change which point wins. The distance
 # is relative to the sum of the magnitudes of the NLML's terms, which is
-# what bounds its rounding error.
-_RESCORE_RTOL = 1e-9
+# what bounds its rounding error. Trusted scores near ``_EIGEN_FLOOR``
+# have been seen 1.15e-9 of that sum away from Cholesky (a collinear
+# survey), so the window leaves a factor of about nine above that.
+_RESCORE_RTOL = 1e-8
 # A tridiagonal-path score is trusted only while the smallest eigenvalue of
 # the regularized Gram matrix is at least this fraction of its largest.
 # Below that the Cholesky factorization may fail (and the search must skip

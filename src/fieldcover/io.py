@@ -26,6 +26,7 @@ cell got before, so the bytes match.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from itertools import repeat
@@ -33,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fleet import MakespanCertificate, SplitParameters
+from .fleet import MakespanCertificate
 from .geometry import Environment
 from .placement import MeasurementPlan, VerificationReport
 from .routing import TimeModel, Tour, cumulative_times, tour_time
@@ -213,7 +214,8 @@ def _tour_header(tour: Tour, time: TimeModel) -> dict:
         "travel_length": tour.travel_length(),
         "total_time": tour_time(tour, time),
         "measurement_time": time.measurement_time,
-        "speed": time.speed,
+        # travel runs at unit speed; the key keeps the schema
+        "speed": 1.0,
     }
 
 
@@ -287,19 +289,8 @@ def tour_from_payload(payload) -> Tour:
     )
 
 
-def certificate_to_payload(
-    cert: MakespanCertificate, params: SplitParameters, total_time: float
-) -> dict:
-    return {
-        "robots": params.robots,
-        "bound": cert.bound,
-        "makespan": cert.makespan,
-        "satisfied": cert.satisfied,
-        "depot_reach": params.depot_reach,
-        "dwell_count": params.dwell_count,
-        "measurement_time": params.measurement_time,
-        "total_time": total_time,
-    }
+def certificate_to_payload(cert: MakespanCertificate) -> dict:
+    return dataclasses.asdict(cert)
 
 
 def write_curve_csv(path, header, rows) -> None:

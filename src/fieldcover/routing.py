@@ -4,9 +4,9 @@ The route structure is fixed: an approximate traveling-salesman order
 over the sweep-disk centers, with a serpentine detour through each
 disk's plan entries wedged between center visits. The tour visits
 exactly the entries it is given, each with its own count as dwell, so
-it measures the sites that verification certified. Travel runs at the
-time model's speed and every measurement costs a fixed dwell, so tour
-time is one number with no hidden state.
+it measures the sites that verification certified. Travel runs at unit
+speed, so a distance is also a time, and every measurement costs a
+fixed dwell, so tour time is one number with no hidden state.
 """
 
 from __future__ import annotations
@@ -30,17 +30,12 @@ class TimeModel:
     """Unit-speed travel plus a fixed cost per measurement."""
 
     measurement_time: float
-    speed: float = 1.0
 
     def __post_init__(self):
         eta = float(self.measurement_time)
         if not math.isfinite(eta) or eta < 0.0:
             raise ValueError(f"measurement_time must be finite and >= 0, got {eta}")
-        v = float(self.speed)
-        if not math.isfinite(v) or v <= 0.0:
-            raise ValueError(f"speed must be finite and > 0, got {v}")
         object.__setattr__(self, "measurement_time", eta)
-        object.__setattr__(self, "speed", v)
 
 
 @dataclass(frozen=True)
@@ -97,8 +92,8 @@ class Tour:
 
 
 def tour_time(tour: Tour, time: TimeModel) -> float:
-    """Travel at the model speed plus dwell cost; additive over legs."""
-    return tour.travel_length() / time.speed + time.measurement_time * tour.total_dwells
+    """Travel at unit speed plus dwell cost; additive over legs."""
+    return tour.travel_length() + time.measurement_time * tour.total_dwells
 
 
 def cumulative_times(tour: Tour, time: TimeModel) -> np.ndarray:
@@ -112,7 +107,7 @@ def cumulative_times(tour: Tour, time: TimeModel) -> np.ndarray:
     clock = 0.0
     prev = tour.depot
     for i, (loc, dwell) in enumerate(tour.waypoints):
-        clock += math.dist(prev, loc) / time.speed + time.measurement_time * dwell
+        clock += math.dist(prev, loc) + time.measurement_time * dwell
         out[i] = clock
         prev = loc
     return out

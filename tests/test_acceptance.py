@@ -17,7 +17,6 @@ from fieldcover import (
     MeasurementMultiset,
     Posterior,
     SensorModel,
-    SplitParameters,
     TimeModel,
     Tour,
     baseline_candidates,
@@ -260,12 +259,11 @@ def test_criterion_07_makespan_certificate():
     for t in range(20):
         tour, dwell = random_dwell_tour(9000 + t)
         for k in (2, 3, 5):
-            params = SplitParameters.for_tour(tour, k, dwell, eta)
-            split = split_tour(tour, params)
-            cert = makespan_certificate(split, params, time_model)
+            cert = makespan_certificate(split_tour(tour, k, time_model))
             assert cert.satisfied, f"tour {t}, k={k}: {cert.makespan} > {cert.bound}"
+            assert cert.dwell_count == dwell
             tightest = min(tightest, cert.bound / max(cert.makespan, 1e-12))
-        identity = split_tour(tour, SplitParameters.for_tour(tour, 1, dwell, eta))
+        identity = split_tour(tour, 1, time_model)
         assert identity.subtours[0] is tour and len(identity.subtours) == 1
     verdict(
         7,

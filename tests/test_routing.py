@@ -51,7 +51,7 @@ def test_time_model_validation():
     with pytest.raises(ValueError):
         TimeModel(-1.0)
     with pytest.raises(ValueError):
-        TimeModel(1.0, speed=0.0)
+        TimeModel(math.inf)
 
 
 def test_tour_validation():

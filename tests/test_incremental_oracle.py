@@ -354,7 +354,9 @@ def test_stress_scores_agree_with_cholesky(case):
 
 
 def test_fit_stays_within_the_matrices_its_guard_counts():
-    # the guard budgets five n x n matrices, which caps a fit at 7,327 rows
+    # the guard budgets three n x n matrices, which caps a fit at 9,459
+    # rows; the O(n) vectors (design, values, the tridiagonal and its
+    # reflector scalars) come on top, at well under 32 floats per row
     n = 1_500
     rng = np.random.default_rng(11)
     pts = rng.uniform(0.0, 60.0, size=(n, 2))
@@ -367,4 +369,4 @@ def test_fit_stays_within_the_matrices_its_guard_counts():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 5 * 8 * n * n
+    assert peak <= 3 * 8 * n * n + 32 * 8 * n

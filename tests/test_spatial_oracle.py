@@ -1,0 +1,288 @@
+"""numpy distances and neighbour searches against the scipy.spatial calls they replaced.
+
+The library imports only numpy and ``scipy.linalg``. Its squared
+distances, kernel matrices, tile neighbourhoods and the served-by
+incidence of ``prune_redundant`` used to come from
+``scipy.spatial.distance.cdist`` and ``scipy.spatial.cKDTree``; the
+references below are test-only copies of those versions. Every kernel
+entry, every distance and every index set must match them bit for bit,
+and pruning must remove the same sites, because ``plan.csv``,
+``verification.json`` and the fitted hyperparameters depend on them.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial import cKDTree
+from scipy.spatial.distance import cdist
+
+from fieldcover import gp
+from fieldcover.errors import VerificationError
+from fieldcover.geometry import Environment
+from fieldcover.gp import HyperparameterGrid, Hyperparameters, Observation, kernel_matrix
+from fieldcover.placement import (
+    AccuracySpec,
+    MeasurementPlan,
+    _TILE_MARGINS,
+    _near,
+    _tiles,
+    default_grid_spacing,
+    disk_cover_placement,
+    prune_redundant,
+    sufficient_radius,
+    verify_plan,
+)
+
+H = Hyperparameters(3.3, 2.0, 0.1)
+README_H = Hyperparameters(8.33, 12.87, 0.0361)
+
+
+def reference_kernel(a, b, hyper: Hyperparameters) -> np.ndarray:
+    a = np.atleast_2d(np.asarray(a, dtype=float))
+    b = np.atleast_2d(np.asarray(b, dtype=float))
+    if a.size == 0 or b.size == 0:
+        return np.zeros((a.shape[0], b.shape[0]))
+    k = cdist(a, b, "sqeuclidean")
+    np.negative(k, out=k)
+    np.divide(k, 2.0 * hyper.length_scale**2, out=k)
+    np.exp(k, out=k)
+    np.multiply(hyper.signal_variance, k, out=k)
+    return k
+
+
+def assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+def points(rng, n: int, offset: float = 0.0) -> np.ndarray:
+    return offset + rng.uniform(0.0, 30.0, size=(n, 2))
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (np.empty((0, 2)), np.ones((3, 2))),
+        (np.ones((3, 2)), np.empty((0, 2))),
+        (np.empty((0, 2)), np.empty((0, 2))),
+        ([(1.0, 2.0)], [(1.0, 2.0)]),
+        ((0.5, -1.0), [(3.0, 4.0), (0.5, -1.0)]),
+    ],
+    ids=["0xm", "nx0", "0x0", "1x1", "flat-point"],
+)
+def test_kernel_matrix_matches_cdist_on_degenerate_shapes(a, b):
+    assert_same_bits(kernel_matrix(a, b, H), reference_kernel(a, b, H))
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e5, -1e5])
+@pytest.mark.parametrize("shape", [(1, 700), (700, 1), (1, 1), (37, 3), (250, 250), (900, 67), (67, 900), (2000, 90)])
+def test_kernel_matrix_matches_cdist(shape, offset):
+    rng = np.random.default_rng([shape[0], shape[1], int(offset) % 7])
+    a, b = points(rng, shape[0], offset), points(rng, shape[1], offset)
+    assert_same_bits(kernel_matrix(a, b, H), reference_kernel(a, b, H))
+    assert_same_bits(kernel_matrix(a, b, README_H), reference_kernel(a, b, README_H))
+
+
+def test_kernel_matrix_matches_cdist_with_duplicates_and_lattices():
+    rng = np.random.default_rng(4)
+    lattice = 1e5 + 0.254 * np.column_stack(np.divmod(np.arange(1500), 40)).astype(float)
+    a = np.concatenate([lattice, lattice[:300], points(rng, 200, 1e5)])
+    b = np.concatenate([lattice[::7], lattice[::7][:20]])
+    assert_same_bits(kernel_matrix(a, b, H), reference_kernel(a, b, H))
+    assert_same_bits(kernel_matrix(a, a, README_H), reference_kernel(a, a, README_H))
+    # a Gram matrix of duplicates is exactly symmetric with s2 on the diagonal
+    gram = kernel_matrix(a, a, H)
+    assert np.array_equal(gram, gram.T)
+    assert np.all(np.diag(gram) == H.signal_variance)
+
+
+@pytest.mark.parametrize("block_bytes", [8, 1000, 2**20])
+def test_kernel_blocks_do_not_change_bits(monkeypatch, block_bytes):
+    # one row per block, a few rows per block, and one block for all
+    monkeypatch.setattr(gp, "_BLOCK_BYTES", block_bytes)
+    rng = np.random.default_rng(9)
+    a, b = points(rng, 333), points(rng, 41)
+    assert_same_bits(kernel_matrix(a, b, H), reference_kernel(a, b, H))
+    assert_same_bits(gp._squared_distances(a, b), cdist(a, b, "sqeuclidean"))
+
+
+def test_fit_scores_the_distances_cdist_gives(monkeypatch):
+    rng = np.random.default_rng(6)
+    pts = np.concatenate([points(rng, 120, 1e5), points(rng, 10, 1e5)[[0] * 3]])
+    values = np.sin(pts[:, 0]) + 0.1 * rng.standard_normal(len(pts))
+    seen = []
+    real = gp._tridiagonal_nlml
+
+    def spy(d2, *args):
+        seen.append(d2.copy())
+        return real(d2, *args)
+
+    monkeypatch.setattr(gp, "_tridiagonal_nlml", spy)
+    obs = [Observation(tuple(p), float(v)) for p, v in zip(pts, values)]
+    gp.fit_hyperparameters(obs, HyperparameterGrid((2.0, 5.0), (1.0,), (0.1,)))
+    assert len(seen) == 2
+    for d2 in seen:
+        assert_same_bits(d2, cdist(pts, pts, "sqeuclidean"))
+
+
+def reference_tiles(sites: np.ndarray, grid: np.ndarray, side: float, margins) -> list:
+    """``_tiles`` as it was, with each neighbourhood from ``cKDTree``."""
+    origin = grid.min(axis=0)
+    keys = np.floor((grid - origin) / side).astype(np.int64)
+    rows = int(keys[:, 1].max()) + 1
+    tiles, tile_of = np.unique(keys[:, 0] * rows + keys[:, 1], return_inverse=True)
+    members = np.split(np.argsort(tile_of, kind="stable"), np.cumsum(np.bincount(tile_of))[:-1])
+    centres = origin + (np.column_stack(np.divmod(tiles, rows)) + 0.5) * side
+    tree = cKDTree(sites)
+    near = [tree.query_ball_point(centres, 0.5 * side + m, p=np.inf) for m in margins]
+    return [
+        (points, tuple(np.sort(np.asarray(n, dtype=np.int64)) for n in by_margin))
+        for points, *by_margin in zip(members, *near)
+    ]
+
+
+def assert_same_tiles(got: list, want: list) -> None:
+    assert len(got) == len(want)
+    for (points, near), (want_points, want_near) in zip(got, want):
+        np.testing.assert_array_equal(points, want_points)
+        assert isinstance(near, tuple) and len(near) == len(want_near)
+        for n, w in zip(near, want_near):
+            assert n.dtype == np.int64
+            np.testing.assert_array_equal(n, w)
+
+
+@pytest.mark.parametrize("side", [20.0, 60.0])
+def test_tiles_of_plans_match_the_kd_tree(side):
+    env = Environment.rectangle((0.0, 0.0), (side, side))
+    plan = disk_cover_placement(env, README_H, AccuracySpec(4.0))
+    sites, _ = plan.as_multiset().distinct()
+    grid = env.grid(default_grid_spacing(env, README_H, 4.0))
+    l = README_H.length_scale
+    margins = [m * l for m in _TILE_MARGINS]
+    assert_same_tiles(_tiles(sites, grid, l, margins), reference_tiles(sites, grid, l, margins))
+
+
+def test_tiles_keep_sites_exactly_on_the_chebyshev_margin():
+    # tiles of side 2 anchored at the origin, so centres at odd
+    # coordinates; margins 0.5 and 1.5 put the boundary of a tile's
+    # neighbourhood at distances 1.5 and 2.5, where these sites sit, on
+    # one axis or both, together with sites one ulp inside and outside
+    grid = np.column_stack(np.divmod(np.arange(36), 6)).astype(float)
+    on = [(1.0 + 1.5, 1.0), (1.0, 1.0 - 1.5), (1.0 - 2.5, 1.0 + 2.5), (3.0 + 2.5, 5.0 - 1.5)]
+    around = [
+        (np.nextafter(x, sign * np.inf), y)
+        for x, y in on
+        for sign in (-1.0, 1.0)
+    ]
+    sites = np.array(on + around + [(2.0, 2.0), (9.0, 9.0)])
+    got = _tiles(sites, grid, 2.0, [0.5, 1.5])
+    assert_same_tiles(got, reference_tiles(sites, grid, 2.0, [0.5, 1.5]))
+    # the first tile's centre is (1, 1): the site 1.5 away along x is in
+    # its narrow neighbourhood, as is the one an ulp nearer, while the one
+    # an ulp further is not
+    narrow = set(got[0][1][0].tolist())
+    assert {0, 4} <= narrow and 5 not in narrow
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 200),
+    m=st.integers(0, 40),
+    unit=st.sampled_from([1.0, 1e-3, 7.25, 1e4]),
+    offset=st.sampled_from([0.0, 1e5, -3e3]),
+    reach=st.sampled_from([0.25, 0.5, 1.0, 0.3, 2.0]),
+)
+def test_near_matches_the_kd_tree(seed, n, m, unit, offset, reach):
+    # lattice coordinates make ties and points exactly on the boundary
+    rng = np.random.default_rng(seed)
+    pts = offset + unit * 0.25 * rng.integers(0, 24, size=(n, 2))
+    if seed % 2:
+        pts[: n // 2] = offset + unit * rng.uniform(0.0, 6.0, size=(n // 2, 2))
+    centres = offset + unit * 0.25 * rng.integers(-2, 26, size=(m, 2))
+    tree = cKDTree(pts)
+    for p, euclidean in ((np.inf, False), (2, True)):
+        got = _near(centres, pts, unit * reach, euclidean)
+        want = tree.query_ball_point(centres, unit * reach, p=p)
+        assert len(got) == m
+        for g, w in zip(got, want):
+            assert g.dtype == np.int64
+            np.testing.assert_array_equal(g, np.sort(np.asarray(w, dtype=np.int64)))
+
+
+def reference_prune(plan: MeasurementPlan, env: Environment, h: Hyperparameters, spec: AccuracySpec) -> MeasurementPlan:
+    """``prune_redundant`` as it was, with per-grid-point lists from ``cKDTree``."""
+    if not plan.entries:
+        return plan
+    grid_spacing = default_grid_spacing(env, h, spec.max_variance)
+    serve_r = sufficient_radius(h, spec.max_variance, plan.measurements_per_site)
+    grid = env.grid(float(grid_spacing))
+    locs = plan.locations
+    order = sorted(range(len(plan.entries)), key=lambda i: tuple(locs[i]))
+    served_by = cKDTree(locs).query_ball_point(grid, serve_r * (1.0 + 1e-12))
+    cover_count = np.array([len(s) for s in served_by])
+    site_serves: dict[int, list[int]] = {i: [] for i in range(len(plan.entries))}
+    for g, sites in enumerate(served_by):
+        for s in sites:
+            site_serves[s].append(g)
+    alive = np.ones(len(plan.entries), dtype=bool)
+    for i in order:
+        pts = site_serves[i]
+        if pts and bool(np.all(cover_count[pts] >= 2)):
+            alive[i] = False
+            cover_count[pts] -= 1
+    pruned = MeasurementPlan(
+        entries=tuple(e for e, a in zip(plan.entries, alive) if a),
+        provenance=tuple(p for p, a in zip(plan.provenance, alive) if a),
+        rows=tuple(r for r, a in zip(plan.rows, alive) if a),
+        mis_disks=plan.mis_disks,
+        sweep_disks=plan.sweep_disks,
+        coverage_radius=plan.coverage_radius,
+        measurements_per_site=plan.measurements_per_site,
+    )
+    if not verify_plan(pruned, env, h, spec.max_variance, float(grid_spacing)).passed:
+        raise VerificationError("pruning broke the guarantee")
+    return pruned
+
+
+COURTYARD = Environment.polygon([(0.0, 0.0), (14.0, 0.0), (14.0, 7.0), (7.0, 7.0), (7.0, 14.0), (0.0, 14.0)])
+
+
+@pytest.mark.parametrize(
+    "env, h, delta",
+    [
+        (Environment.rectangle((0.0, 0.0), (25.0, 25.0)), README_H, 4.0),
+        (Environment.rectangle((1e5, -3.0), (1e5 + 30.0, 12.0)), README_H, 2.0),
+        (COURTYARD, Hyperparameters(8.33, 12.87, 2.0), 0.5),
+        (COURTYARD, Hyperparameters(2.0, 1.5, 0.1), 0.6),
+    ],
+    ids=["square", "offset-strip", "courtyard", "courtyard-short-scale"],
+)
+def test_prune_removes_what_the_kd_tree_version_removed(env, h, delta):
+    spec = AccuracySpec(delta)
+    plan = disk_cover_placement(env, h, spec)
+    want = reference_prune(plan, env, h, spec)
+    got = prune_redundant(plan, env, h, spec)
+    assert len(want.entries) < len(plan.entries)
+    assert got == want
+
+
+def test_prune_counts_coincident_sites_separately():
+    # every entry listed twice: the kd-tree served each grid point by
+    # both copies, and exactly one copy of each may go
+    env = Environment.rectangle((0.0, 0.0), (12.0, 12.0))
+    spec = AccuracySpec(4.0)
+    plan = disk_cover_placement(env, README_H, spec)
+    doubled = MeasurementPlan(
+        entries=plan.entries * 2,
+        provenance=plan.provenance * 2,
+        rows=plan.rows * 2,
+        mis_disks=plan.mis_disks,
+        sweep_disks=plan.sweep_disks,
+        coverage_radius=plan.coverage_radius,
+        measurements_per_site=plan.measurements_per_site,
+    )
+    assert prune_redundant(doubled, env, README_H, spec) == reference_prune(doubled, env, README_H, spec)

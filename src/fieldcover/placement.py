@@ -385,11 +385,11 @@ def _near(centres: np.ndarray, points: np.ndarray, reach: float, euclidean: bool
     The distance is max(|dx|, |dy|), or with ``euclidean`` dx*dx + dy*dy
     held against reach*reach, rounded as written: the test, and so the
     sets, of scipy's ``cKDTree.query_ball_point`` with p = inf or 2. The
-    points are cut into strips along x, each at least ``reach`` wide and
-    sorted by y, so a centre's candidates are one y-window in each of
-    the strips (three at most) that its square of half-side ``reach``
-    meets. Every window is widened a little, so rounding cannot drop a
-    point, and the exact test settles each candidate.
+    points are cut into at most 257 strips along x, each at least
+    ``reach`` wide and sorted by y, so a centre's candidates are one
+    y-window in each of the few strips that its square of half-side
+    ``reach`` meets. Every window is widened a little, so rounding cannot
+    drop a point, and the exact test settles each candidate.
     """
     if centres.shape[0] == 0 or points.shape[0] == 0:
         return [np.empty(0, dtype=np.int64) for _ in range(centres.shape[0])]
@@ -406,8 +406,9 @@ def _near(centres: np.ndarray, points: np.ndarray, reach: float, euclidean: bool
     found = []
     for s in range(starts.size - 1):
         who = np.flatnonzero((first <= s) & (last >= s))
-        lo = starts[s] + np.searchsorted(ys[starts[s] : starts[s + 1]], centres[who, 1] - half)
-        hi = starts[s] + np.searchsorted(ys[starts[s] : starts[s + 1]], centres[who, 1] + half, "right")
+        column = ys[starts[s] : starts[s + 1]]
+        lo = starts[s] + np.searchsorted(column, centres[who, 1] - half)
+        hi = starts[s] + np.searchsorted(column, centres[who, 1] + half, "right")
         counts = hi - lo
         owner = np.repeat(who, counts)
         cand = order[np.arange(counts.sum()) + np.repeat(lo - (np.cumsum(counts) - counts), counts)]

@@ -35,7 +35,6 @@ from .placement import (
     disk_cover_placement,
     necessary_radius,
     project_into_environment,
-    prune_redundant,
     required_measurements,
     sufficient_radius,
     verify_plan,

@@ -344,9 +344,9 @@ def lawnmower_plan(env: Environment, resolution: float, depot) -> Tour:
     return ordered_tour(order, depot)
 
 
-def ordered_tour(locations, depot, dwell_count: int = 1) -> Tour:
-    """Closed tour visiting the locations in order, measuring at each."""
-    waypoints = tuple(((float(x), float(y)), dwell_count) for x, y in locations)
+def ordered_tour(locations, depot) -> Tour:
+    """Closed tour visiting the locations in order, measuring once at each."""
+    waypoints = tuple(((float(x), float(y)), 1) for x, y in locations)
     return Tour((float(depot[0]), float(depot[1])), waypoints)
 
 

@@ -4,8 +4,10 @@ The cut rule walks the elapsed-time ledger of the source tour, where
 elapsed time at a stop includes travel so far plus every dwell up to and
 including that stop, and ends subtour j at the last measurement stop
 whose elapsed time stays within j/k of the adjusted horizon.  Each robot
-pays at most two extra depot legs over its share of the source tour,
-which is exactly what the makespan certificate charges.
+pays at most two extra depot legs over its share of the source tour;
+where transit stops take the tour off the straight legs between
+measurement stops, it may pay instead the longest stretch between two
+of them.  The makespan certificate charges whichever is larger.
 
 Travel runs at unit speed, so a distance is also a time.  The split
 takes nothing but the tour, the robot count and the time model: the
@@ -62,8 +64,6 @@ class SubtourSet:
         for sub in self.subtours:
             if sub.depot != self.source.depot:
                 raise ValueError("all subtours must share the source depot")
-            if not sub.closed:
-                raise ValueError("subtours must be closed at the depot")
             merged.extend(sub.waypoints)
         if tuple(merged) != self.source.waypoints:
             raise ValueError("subtours do not partition the source waypoints in order")
@@ -80,8 +80,6 @@ def split_tour(tour: Tour, robots: int, time: TimeModel) -> SubtourSet:
     """
     if not isinstance(robots, int) or robots < 1:
         raise ValueError("robots must be an integer >= 1")
-    if not tour.closed:
-        raise ValueError("can only split a tour that returns to its depot")
     if robots == 1:
         return SubtourSet((tour,), tour, time)
 
@@ -143,7 +141,12 @@ def makespan_certificate(split: SubtourSet) -> MakespanCertificate:
 
     The bound charges each robot its 1/k share of the source tour beyond
     the farthest round trip, plus four depot-reach legs and two dwell
-    budgets, all under the time model the split was cut with.
+    budgets, all under the time model the split was cut with. Transit
+    stops off the straight legs between measurement stops can outrun
+    that charge, so the bound is never less than the share plus two
+    depot-reach legs, one dwell budget and the largest step of elapsed
+    time between consecutive measurement stops, the depot at the start
+    and end of the tour included.
     """
     source, time = split.source, split.time
     robots = len(split.subtours)
@@ -151,7 +154,11 @@ def makespan_certificate(split: SubtourSet) -> MakespanCertificate:
     dwell_count = _largest_dwell(source)
     total = tour_time(source, time)
     dwell_budget = time.measurement_time * dwell_count
-    bound = (total - (2.0 * reach + dwell_budget)) / robots + 4.0 * reach + 2.0 * dwell_budget
+    elapsed = cumulative_times(source, time)[[n > 0 for _, n in source.waypoints]]
+    marks = [0.0, *elapsed.tolist(), total]
+    gap = max(b - a for a, b in zip(marks, marks[1:]))
+    share = (total - (2.0 * reach + dwell_budget)) / robots
+    bound = max(share + 4.0 * reach + 2.0 * dwell_budget, share + 2.0 * reach + gap + dwell_budget)
     worst = makespan(split)
     return MakespanCertificate(
         bound=bound,

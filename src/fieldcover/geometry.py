@@ -171,11 +171,6 @@ class Environment:
         return self._verts.copy()
 
     @property
-    def area(self) -> float:
-        nxt = np.roll(self._verts, -1, axis=0)
-        return 0.5 * abs(float(np.sum(self._verts[:, 0] * nxt[:, 1] - nxt[:, 0] * self._verts[:, 1])))
-
-    @property
     def diameter(self) -> float:
         """Bounding-box diagonal; an upper bound on point separation."""
         x0, y0, x1, y1 = self.bounds

@@ -291,8 +291,7 @@ class Posterior:
             raise NumericalError(
                 f"Gram factorization failed: {info}-th leading minor of the array is not positive definite"
             )
-        # ``cho_factor``'s (factor, lower) pair, which ``cho_solve`` takes
-        self._factor = (lower, True)
+        self._factor = lower
 
     @property
     def size(self) -> int:
@@ -306,17 +305,13 @@ class Posterior:
     def mean(self, points, values) -> np.ndarray:
         """Posterior mean at each query point, zero prior mean.
 
-        ``values`` holds one average reading per site.
+        ``values`` holds one average reading per site. Bound also as
+        ``mean_many``: with one row per site and one column per
+        realization, the result has shape (len(points), n_columns).
         """
         return self._read(points, values, [self.size])[0][0]
 
-    def mean_many(self, points, value_columns: np.ndarray) -> np.ndarray:
-        """Posterior means for several value vectors at once.
-
-        ``value_columns`` has one row per site and one column per
-        realization; the result has shape (len(points), n_columns).
-        """
-        return self._read(points, value_columns, [self.size])[0][0]
+    mean_many = mean
 
     def mean_and_variance(self, points, values) -> tuple[np.ndarray, np.ndarray]:
         """``mean(points, values)`` and ``variance(points)`` from one read.
@@ -366,8 +361,8 @@ class Posterior:
         # column-major, so each column's means are contiguous
         means = np.zeros((columns.shape[0], len(lengths), pts.shape[0])).transpose(1, 2, 0)
         variances = np.full((len(lengths), pts.shape[0]), s2)
-        if self._factor is not None:
-            lower = self._factor[0]
+        lower = self._factor
+        if lower is not None:
             betas = [dtrtrs(lower, c, lower=1)[0] for c in columns]
             order = sorted(range(len(lengths)), key=lengths.__getitem__)
             step = max(1, _CHUNK_BYTES // (8 * self.size))

@@ -42,20 +42,13 @@ from .routing import TimeModel, Tour, cumulative_times, tour_time
 __all__ = [
     "certificate_to_payload",
     "environment_from_payload",
-    "environment_to_payload",
     "load_dataset",
     "load_environment",
     "plan_svg",
-    "read_curve_csv",
-    "read_json",
-    "read_plan_entries",
-    "tour_from_payload",
     "tour_svg",
     "tour_to_payload",
-    "verification_from_payload",
     "verification_to_payload",
     "write_curve_csv",
-    "write_dataset",
     "write_json",
     "write_plan_csv",
     "write_tour_json",
@@ -67,16 +60,6 @@ _PLAN_HEADER = "x,y,n_measurements"
 
 def _fmt(value: float) -> str:
     return repr(float(value))
-
-
-def environment_to_payload(env: Environment) -> dict:
-    if env.kind == "rectangle":
-        x0, y0, x1, y1 = env.bounds
-        return {"type": "rectangle", "min": [x0, y0], "max": [x1, y1]}
-    return {
-        "type": "polygon",
-        "vertices": [[float(x), float(y)] for x, y in env.vertices],
-    }
 
 
 def environment_from_payload(payload) -> Environment:
@@ -134,16 +117,6 @@ def load_dataset(path):
     return arr[:, :2], arr[:, 2] - mean, mean
 
 
-def write_dataset(path, points, values) -> None:
-    pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    vals = np.asarray(values, dtype=float)
-    if pts.shape[0] != vals.shape[0]:
-        raise ValueError("one value per point is required")
-    lines = [_DATASET_HEADER]
-    lines.extend(f"{_fmt(x)},{_fmt(y)},{_fmt(v)}" for (x, y), v in zip(pts, vals))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
 def _dumps(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
 
@@ -152,30 +125,10 @@ def write_json(path, payload) -> None:
     Path(path).write_text(_dumps(payload) + "\n", encoding="utf-8")
 
 
-def read_json(path):
-    return json.loads(Path(path).read_text(encoding="utf-8"))
-
-
 def write_plan_csv(path, plan: MeasurementPlan) -> None:
     lines = [_PLAN_HEADER]
     lines.extend("%r,%r,%d" % (float(x), float(y), int(n)) for (x, y), n in plan.entries)
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def read_plan_entries(path) -> tuple:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0].strip() != _PLAN_HEADER:
-        raise ValueError(f"expected header {_PLAN_HEADER!r}")
-    entries = []
-    for i, raw in enumerate(lines[1:], start=2):
-        line = raw.strip()
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise ValueError(f"line {i}: expected 3 fields")
-        entries.append(((float(parts[0]), float(parts[1])), int(parts[2])))
-    return tuple(entries)
 
 
 def verification_to_payload(report: VerificationReport) -> dict:
@@ -191,26 +144,11 @@ def verification_to_payload(report: VerificationReport) -> dict:
     }
 
 
-def verification_from_payload(payload) -> VerificationReport:
-    """The report a ``verification_to_payload`` dict describes; its ``method`` must fit its ``tiles``."""
-    report = VerificationReport(
-        float(payload["max_variance"]),
-        (payload["argmax"][0], payload["argmax"][1]),
-        float(payload["mean_variance"]),
-        bool(payload["passed"]),
-        float(payload["grid_spacing"]),
-        int(payload["grid_count"]),
-        tuple(int(n) for n in payload["tiles"]),
-    )
-    if payload["method"] != report.method:
-        raise ValueError(f"method {payload['method']!r} does not fit tiles {list(report.tiles)}")
-    return report
-
-
 def _tour_header(tour: Tour, time: TimeModel) -> dict:
     return {
         "depot": [tour.depot[0], tour.depot[1]],
-        "closed": tour.closed,
+        # every tour returns to its depot; the key keeps the schema
+        "closed": True,
         "travel_length": tour.travel_length(),
         "total_time": tour_time(tour, time),
         "measurement_time": time.measurement_time,
@@ -270,25 +208,6 @@ def write_tour_json(path, tour: Tour, time: TimeModel) -> None:
     Path(path).write_text(text + "\n", encoding="utf-8")
 
 
-def tour_from_payload(payload) -> Tour:
-    waypoints = tuple(
-        ((w["location"][0], w["location"][1]), int(w["dwell"])) for w in payload["waypoints"]
-    )
-    tags = [w.get("disk") for w in payload["waypoints"]]
-    if all(t is None for t in tags):
-        disk_index = None
-    elif any(t is None for t in tags):
-        raise ValueError("waypoints mix tagged and untagged disk indices")
-    else:
-        disk_index = tuple(int(t) for t in tags)
-    return Tour(
-        (payload["depot"][0], payload["depot"][1]),
-        waypoints,
-        bool(payload["closed"]),
-        disk_index,
-    )
-
-
 def certificate_to_payload(cert: MakespanCertificate) -> dict:
     return dataclasses.asdict(cert)
 
@@ -300,15 +219,6 @@ def write_curve_csv(path, header, rows) -> None:
     lines = [",".join(header)]
     lines.extend(template % tuple(map(float, row)) for row in rows)
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def read_curve_csv(path):
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines:
-        raise ValueError("empty curve file")
-    header = tuple(lines[0].split(","))
-    rows = [tuple(float(c) for c in line.split(",")) for line in lines[1:] if line.strip()]
-    return header, rows
 
 
 def _env_path_data(env: Environment) -> str:
@@ -349,9 +259,7 @@ def _svg_document(env: Environment, plan: MeasurementPlan, tour: Tour | None) ->
     out.append("</g>")
     if tour is not None:
         out.append('<g id="legs">')
-        stops = [tour.depot] + [loc for loc, _ in tour.waypoints]
-        if tour.closed:
-            stops.append(tour.depot)
+        stops = [tour.depot] + [loc for loc, _ in tour.waypoints] + [tour.depot]
         out.extend([leg % (a + b) for a, b in zip(stops, stops[1:])])
         out.append("</g>")
     out.append('<g id="sites">')

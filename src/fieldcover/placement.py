@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, VerificationError
+from .errors import NumericalError
 from .geometry import Disk, Environment, cover_environment, greedy_mis, lawnmower_rows
 from .gp import Hyperparameters, MeasurementMultiset, Posterior
 
@@ -379,17 +379,16 @@ def _tiles(sites: np.ndarray, grid: np.ndarray, side: float, margins) -> list:
     return [(points, tuple(by_margin)) for points, *by_margin in zip(members, *near)]
 
 
-def _near(centres: np.ndarray, points: np.ndarray, reach: float, euclidean: bool = False) -> list:
+def _near(centres: np.ndarray, points: np.ndarray, reach: float) -> list:
     """Indices of the points within ``reach`` of each centre: one ascending int64 array per centre.
 
-    The distance is max(|dx|, |dy|), or with ``euclidean`` dx*dx + dy*dy
-    held against reach*reach, rounded as written: the test, and so the
-    sets, of scipy's ``cKDTree.query_ball_point`` with p = inf or 2. The
-    points are cut into at most 257 strips along x, each at least
-    ``reach`` wide and sorted by y, so a centre's candidates are one
-    y-window in each of the few strips that its square of half-side
-    ``reach`` meets. Every window is widened a little, so rounding cannot
-    drop a point, and the exact test settles each candidate.
+    The distance is max(|dx|, |dy|): the test, and so the sets, of
+    scipy's ``cKDTree.query_ball_point`` with p = inf. The points are cut
+    into at most 257 strips along x, each at least ``reach`` wide and
+    sorted by y, so a centre's candidates are one y-window in each of the
+    few strips that its square of half-side ``reach`` meets. Every window
+    is widened a little, so rounding cannot drop a point, and the exact
+    test settles each candidate.
     """
     if centres.shape[0] == 0 or points.shape[0] == 0:
         return [np.empty(0, dtype=np.int64) for _ in range(centres.shape[0])]
@@ -414,10 +413,7 @@ def _near(centres: np.ndarray, points: np.ndarray, reach: float, euclidean: bool
         cand = order[np.arange(counts.sum()) + np.repeat(lo - (np.cumsum(counts) - counts), counts)]
         dx = points[cand, 0] - centres[owner, 0]
         dy = points[cand, 1] - centres[owner, 1]
-        if euclidean:
-            keep = dx * dx + dy * dy <= reach * reach
-        else:
-            keep = np.maximum(np.abs(dx), np.abs(dy)) <= reach
+        keep = np.maximum(np.abs(dx), np.abs(dy)) <= reach
         found.append(owner[keep] * points.shape[0] + cand[keep])
     pairs = np.sort(np.concatenate(found))
     owner, index = np.divmod(pairs, points.shape[0])
@@ -475,54 +471,3 @@ def _variance_ladder(
             exact[tiles[t][0]] = True
         var[exact] = Posterior(sites, h, counts).variance(grid[exact])
     return var, tuple(settled)
-
-
-def prune_redundant(
-    plan: MeasurementPlan,
-    env: Environment,
-    h: Hyperparameters,
-    spec: AccuracySpec,
-    grid_spacing: float | None = None,
-) -> MeasurementPlan:
-    """Drop sites whose served grid points all have another server.
-
-    Sites are visited in lexicographic location order; a site is removed
-    when every environment grid point within the sufficient radius of it
-    is within that radius of some other surviving site. The pruned plan
-    is re-verified by ``verify_plan``, as any plan is, and the routine
-    refuses to return a plan that lost the guarantee.
-    """
-    if not plan.entries:
-        return plan
-    if grid_spacing is None:
-        grid_spacing = default_grid_spacing(env, h, spec.max_variance)
-    serve_r = sufficient_radius(h, spec.max_variance, plan.measurements_per_site)
-    grid = env.grid(float(grid_spacing))
-    locs = plan.locations
-    order = sorted(range(len(plan.entries)), key=lambda i: tuple(locs[i]))
-    site_serves = _near(locs, grid, serve_r * (1.0 + 1e-12), euclidean=True)
-    cover_count = np.bincount(np.concatenate(site_serves), minlength=grid.shape[0])
-    alive = np.ones(len(plan.entries), dtype=bool)
-    for i in order:
-        pts = site_serves[i]
-        # A site serving no grid point is kept: it still lowers variance
-        # near the boundary, and dropping it is not a redundancy removal.
-        if pts.size and bool(np.all(cover_count[pts] >= 2)):
-            alive[i] = False
-            cover_count[pts] -= 1
-    pruned = MeasurementPlan(
-        entries=tuple(e for e, a in zip(plan.entries, alive) if a),
-        provenance=tuple(p for p, a in zip(plan.provenance, alive) if a),
-        rows=tuple(r for r, a in zip(plan.rows, alive) if a),
-        mis_disks=plan.mis_disks,
-        sweep_disks=plan.sweep_disks,
-        coverage_radius=plan.coverage_radius,
-        measurements_per_site=plan.measurements_per_site,
-    )
-    report = verify_plan(pruned, env, h, spec.max_variance, float(grid_spacing))
-    if not report.passed:
-        raise VerificationError(
-            f"pruning broke the guarantee: max variance {report.max_variance} "
-            f"above target {spec.max_variance} at {report.argmax}"
-        )
-    return pruned

@@ -40,7 +40,7 @@ class TimeModel:
 
 @dataclass(frozen=True)
 class Tour:
-    """An ordered visit of waypoints, each with a dwell count.
+    """A visit of waypoints, each with a dwell count, that returns to its depot.
 
     Dwell count zero marks a transit waypoint (a sweep-disk center);
     positive counts are measurement sites. ``disk_index`` tags each
@@ -50,7 +50,6 @@ class Tour:
 
     depot: tuple[float, float]
     waypoints: tuple[tuple[tuple[float, float], int], ...]
-    closed: bool = True
     disk_index: tuple[int, ...] | None = None
 
     def __post_init__(self):
@@ -85,10 +84,7 @@ class Tour:
     # tour file ask for it
     @cached_property
     def _travel_length(self) -> float:
-        pts = [self.depot] + [loc for loc, _ in self.waypoints]
-        if self.closed:
-            pts.append(self.depot)
-        return sum(math.dist(a, b) for a, b in zip(pts, pts[1:]))
+        return _route_length(self.depot, [loc for loc, _ in self.waypoints])
 
 
 def tour_time(tour: Tour, time: TimeModel) -> float:
@@ -220,7 +216,7 @@ def tour_from_plan(plan: MeasurementPlan, depot: tuple[float, float] | None = No
         for k in best[1]:
             waypoints.append(plan.entries[k])
             tags.append(disk_i)
-    tour = Tour(depot=depot, waypoints=tuple(waypoints), closed=True, disk_index=tuple(tags))
+    tour = Tour(depot=depot, waypoints=tuple(waypoints), disk_index=tuple(tags))
     floor = mis_tour_lower_bound(list(plan.mis_disks))
     if tour.travel_length() < floor * (1.0 - 1e-12):
         raise NumericalError(

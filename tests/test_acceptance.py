@@ -383,7 +383,8 @@ def test_criterion_10_byte_identical_reruns(tmp_path):
     rng = np.random.default_rng(77)
     pts = rng.uniform(0.0, 14.0, size=(40, 2))
     data_path = tmp_path / "survey.csv"
-    fileio.write_dataset(data_path, pts, rng.normal(size=40))
+    survey = np.column_stack([pts, rng.normal(size=40)])
+    np.savetxt(data_path, survey, delimiter=",", header="x,y,value", comments="")
 
     first = run_every_command(tmp_path / "a", env_path, data_path)
     second = run_every_command(tmp_path / "b", env_path, data_path)

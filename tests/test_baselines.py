@@ -212,7 +212,6 @@ def test_lawnmower_serpentine_order():
         ((10.0, 10.0), 1),
         ((0.0, 10.0), 1),
     )
-    assert tour.closed
 
 
 def test_lawnmower_point_counts():
@@ -348,9 +347,9 @@ def test_single_trial_mse_trial_determinism():
 
 
 def test_ordered_tour_visits_in_order():
-    tour = ordered_tour([(1.0, 0.0), (2.0, 5.0)], (0.0, 0.0), dwell_count=3)
+    tour = ordered_tour([(1.0, 0.0), (2.0, 5.0)], (0.0, 0.0))
     assert tour.depot == (0.0, 0.0)
-    assert tour.waypoints == (((1.0, 0.0), 3), ((2.0, 5.0), 3))
+    assert tour.waypoints == (((1.0, 0.0), 1), ((2.0, 5.0), 1))
 
 
 def test_greedy_refuses_oversized_candidate_matrices(monkeypatch):

@@ -1,5 +1,6 @@
 """End-to-end runs of every subcommand in scratch directories."""
 
+import csv
 import gc
 import json
 import os
@@ -19,6 +20,30 @@ from fieldcover.gp import Hyperparameters, Posterior, kernel_matrix
 from fieldcover.placement import VerificationReport
 
 HYPER = "3,2,0.1"
+
+
+def read_json(path):
+    return json.loads(Path(path).read_text(encoding="utf-8"))
+
+
+def read_csv(path) -> tuple[tuple, list]:
+    """The header and the rows of numbers of a plan or curve csv."""
+    with open(path, newline="", encoding="utf-8") as f:
+        header, *rows = csv.reader(f)
+    return tuple(header), [tuple(map(float, row)) for row in rows]
+
+
+def plan_entries(path) -> list:
+    return [((x, y), int(n)) for x, y, n in read_csv(path)[1]]
+
+
+def tour_stops(path) -> tuple:
+    """(location, dwell) of every waypoint of a tour file."""
+    return tuple((tuple(w["location"]), w["dwell"]) for w in read_json(path)["waypoints"])
+
+
+def write_dataset(path, points, values) -> None:
+    np.savetxt(path, np.column_stack([points, values]), delimiter=",", header="x,y,value", comments="")
 
 
 def write_env(tmp_path, lo=(0.0, 0.0), hi=(14.0, 14.0)):
@@ -48,11 +73,11 @@ class TestFit:
         field = np.linalg.cholesky(cov) @ rng.standard_normal(len(pts))
         noisy = field + np.sqrt(true.noise_variance) * rng.standard_normal(len(pts)) + 3.0
         data = tmp_path / "survey.csv"
-        fileio.write_dataset(data, pts, noisy)
+        write_dataset(data, pts, noisy)
 
         out = tmp_path / "fit"
         assert cli.main(["fit", "--data", str(data), "--out", str(out)]) == 0
-        got = fileio.read_json(out / "hyperparameters.json")
+        got = read_json(out / "hyperparameters.json")
         assert true.length_scale / 1.5 <= got["length_scale"] <= true.length_scale * 1.5
         assert got["signal_variance"] > 0
         assert got["noise_variance"] > 0
@@ -80,7 +105,7 @@ class TestFit:
         # three 8 * n^2 byte matrices at once: 9,459 rows fit in 2 GiB, 9,460 do not
         pts = np.column_stack([np.arange(9_460) % 100, np.arange(9_460) // 100]).astype(float)
         data = tmp_path / "big.csv"
-        fileio.write_dataset(data, pts, np.sin(pts[:, 0]))
+        write_dataset(data, pts, np.sin(pts[:, 0]))
         assert cli.main(["fit", "--data", str(data), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         # the refusal names the row count and the remedy that fits a dataset
@@ -102,10 +127,10 @@ class TestPlan:
     def test_writes_verified_outputs(self, tmp_path):
         assert cli.main(["plan", *plan_args(tmp_path, "out")]) == 0
         out = tmp_path / "out"
-        report = fileio.read_json(out / "verification.json")
+        report = read_json(out / "verification.json")
         assert report["passed"] is True
         assert report["max_variance"] <= 1.2
-        entries = fileio.read_plan_entries(out / "plan.csv")
+        entries = plan_entries(out / "plan.csv")
         assert len(entries) > 0
         root = ET.fromstring((out / "plan.svg").read_text(encoding="utf-8"))
         assert root.tag.endswith("svg")
@@ -113,11 +138,11 @@ class TestPlan:
     def test_hard_boundary_keeps_sites_inside(self, tmp_path):
         assert cli.main(["plan", *plan_args(tmp_path, "hb", "--hard-boundary")]) == 0
         env = fileio.load_environment(tmp_path / "env.json")
-        entries = fileio.read_plan_entries(tmp_path / "hb" / "plan.csv")
+        entries = plan_entries(tmp_path / "hb" / "plan.csv")
         assert all(env.contains_point(loc) for loc, _ in entries)
 
         assert cli.main(["plan", *plan_args(tmp_path, "free")]) == 0
-        free = fileio.read_plan_entries(tmp_path / "free" / "plan.csv")
+        free = plan_entries(tmp_path / "free" / "plan.csv")
         assert any(not env.contains_point(loc) for loc, _ in free)
         assert len(free) == len(entries)
 
@@ -151,7 +176,7 @@ class TestPlan:
         assert cli.main(["plan", *plan_args(tmp_path, "out")]) == 4
         # outputs must exist so the failure can be audited
         assert (tmp_path / "out" / "plan.csv").exists()
-        assert fileio.read_json(tmp_path / "out" / "verification.json")["passed"] is False
+        assert read_json(tmp_path / "out" / "verification.json")["passed"] is False
 
 
 class TestTour:
@@ -159,13 +184,12 @@ class TestTour:
         args = plan_args(tmp_path, "out", "--eta", "0.5", "--depot", "0,0")
         assert cli.main(["tour", *args]) == 0
         out = tmp_path / "out"
-        payload = fileio.read_json(out / "tour.json")
-        tour = fileio.tour_from_payload(payload)
-        assert tour.depot == (0.0, 0.0)
-        assert tour.closed
+        payload = read_json(out / "tour.json")
+        assert payload["depot"] == [0.0, 0.0]
+        assert payload["closed"] is True
 
-        entries = fileio.read_plan_entries(out / "plan.csv")
-        dwells = sorted((loc, n) for loc, n in tour.waypoints if n > 0)
+        entries = plan_entries(out / "plan.csv")
+        dwells = sorted((loc, n) for loc, n in tour_stops(out / "tour.json") if n > 0)
         assert dwells == sorted(entries)
         assert payload["total_time"] > 0
         root = ET.fromstring((out / "tour.svg").read_text(encoding="utf-8"))
@@ -202,8 +226,7 @@ class TestTour:
             signal.signal(signal.SIGALRM, previous)
         if depot == "1e20,1e20":
             assert code == 0
-            tour = fileio.tour_from_payload(fileio.read_json(out / "tour.json"))
-            assert sum(dwell == 0 for _, dwell in tour.waypoints) > 1
+            assert sum(dwell == 0 for _, dwell in tour_stops(out / "tour.json")) > 1
         else:
             assert code == 2
             assert "depot (1e+308, 1e+308)" in capsys.readouterr().err
@@ -226,14 +249,11 @@ class TestSplit:
         args = ["--env", str(env_path), "--hyper", HYPER, "--delta", "1.2", "--hard-boundary"]
         assert cli.main(["split", *args, "--out", str(out)]) == 0
         env = fileio.load_environment(env_path)
-        planned = dwell_multiset(fileio.read_plan_entries(out / "plan.csv"))
-        tour = fileio.tour_from_payload(fileio.read_json(out / "tour.json"))
-        assert dwell_multiset(tour.waypoints) == planned
+        planned = dwell_multiset(plan_entries(out / "plan.csv"))
+        assert dwell_multiset(tour_stops(out / "tour.json")) == planned
         subtours = sorted(out.glob("subtour_*.json"))
         assert len(subtours) == 2
-        stops = [
-            w for path in subtours for w in fileio.tour_from_payload(fileio.read_json(path)).waypoints
-        ]
+        stops = [w for path in subtours for w in tour_stops(path)]
         assert dwell_multiset(stops) == planned
         assert all(env.contains_point(loc) for loc, n in stops if n > 0)
 
@@ -241,18 +261,13 @@ class TestSplit:
         args = plan_args(tmp_path, "out", "--eta", "0.5", "--depot", "0,0", "--k", "3")
         assert cli.main(["split", *args]) == 0
         out = tmp_path / "out"
-        cert = fileio.read_json(out / "certificate.json")
+        cert = read_json(out / "certificate.json")
         assert cert["robots"] == 3
         assert cert["satisfied"] is True
         assert cert["makespan"] <= cert["bound"] + 1e-9
 
-        source = fileio.tour_from_payload(fileio.read_json(out / "tour.json"))
-        pieces = [
-            fileio.tour_from_payload(fileio.read_json(out / f"subtour_{i}.json"))
-            for i in (1, 2, 3)
-        ]
-        glued = tuple(w for p in pieces for w in p.waypoints)
-        assert glued == source.waypoints
+        glued = tuple(w for i in (1, 2, 3) for w in tour_stops(out / f"subtour_{i}.json"))
+        assert glued == tour_stops(out / "tour.json")
 
     def test_single_robot_split_is_the_tour_byte_for_byte(self, tmp_path):
         args = plan_args(tmp_path, "out", "--eta", "0.5", "--depot", "0,0", "--k", "1")
@@ -268,14 +283,14 @@ class TestSimulate:
         )
         assert cli.main(["simulate", *args]) == 0
         out = tmp_path / "out"
-        header, rows = fileio.read_curve_csv(out / "trial_summary.csv")
+        header, rows = read_csv(out / "trial_summary.csv")
         assert header == ("trial", "average_variance", "average_mse", "mean_percent_difference")
         assert len(rows) == 4
         assert [int(r[0]) for r in rows] == [0, 1, 2, 3]
         # the design never changes between trials, only the noise does
         assert len({r[1] for r in rows}) == 1
 
-        header, rows = fileio.read_curve_csv(out / "trial_points.csv")
+        header, rows = read_csv(out / "trial_points.csv")
         assert header == ("x", "y", "mean", "variance", "squared_error")
         assert all(r[3] > 0 and r[4] >= 0 for r in rows)
 
@@ -303,7 +318,7 @@ class TestSimulate:
         monkeypatch.setattr(Posterior, "__init__", spy)
         args = plan_args(tmp_path, "out", "--seed", "7", "--trials", "5", "--hard-boundary")
         assert cli.main(["simulate", *args]) == 0
-        assert len(fileio.read_curve_csv(tmp_path / "out" / "trial_summary.csv")[1]) == 5
+        assert len(read_csv(tmp_path / "out" / "trial_summary.csv")[1]) == 5
         assert len(factored) == 1 and factored[0] > 0
 
 
@@ -323,7 +338,7 @@ class TestCompare:
             "curve_mutual_information.csv",
         ]
         for name in names:
-            header, rows = fileio.read_curve_csv(out / name)
+            header, rows = read_csv(out / name)
             assert header == ("time", "average_variance", "average_mse")
             assert len(rows) == 11
             times = [r[0] for r in rows]

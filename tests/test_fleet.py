@@ -72,8 +72,6 @@ def test_parameter_validation():
     for robots in (0, -1, 2.0):
         with pytest.raises(ValueError):
             split_tour(HAND_TOUR, robots, HAND_TIME)
-    with pytest.raises(ValueError):
-        split_tour(Tour((0.0, 0.0), HAND_TOUR.waypoints, closed=False), 2, HAND_TIME)
 
 
 def test_subtour_set_rejects_bad_partitions():
@@ -218,7 +216,6 @@ def test_split_of_planned_tour_keeps_measurements():
     dwells = Counter(w for sub in split.subtours for w in sub.waypoints if w[1] > 0)
     assert dwells == Counter(w for w in tour.waypoints if w[1] > 0)
     for sub in split.subtours:
-        assert sub.closed
         assert sub.depot == tour.depot
     cert = makespan_certificate(split)
     assert cert.satisfied
@@ -234,6 +231,30 @@ def test_dwell_budget_is_the_largest_stop_dwell():
     assert cert.depot_reach == math.sqrt(2.0)
     assert cert.bound == pytest.approx(207.24, abs=5e-3)
     assert cert.makespan == pytest.approx(104.41, abs=5e-3)
+    assert cert.satisfied
+
+
+def test_detour_through_a_far_transit_stop_is_charged():
+    # (0, 100) lies far off the leg between the two measurement stops,
+    # both one from the depot: four reach legs would certify 103.5
+    # against a makespan of 200. The largest step between measurement
+    # stops, sqrt(10001) + 99, pays for the detour.
+    tour = Tour((0.0, 0.0), (((1.0, 0.0), 1), ((0.0, 100.0), 0), ((0.0, 1.0), 1)))
+    split = split_tour(tour, 2, TimeModel(0.0))
+    assert split.subtours[0].waypoints == (((1.0, 0.0), 1),)
+    cert = makespan_certificate(split)
+    assert cert.makespan == 200.0
+    assert cert.bound == pytest.approx(150.5 + 1.5 * math.sqrt(10001.0), rel=1e-12)
+    assert cert.depot_reach == 1.0
+    assert cert.satisfied
+
+
+def test_transit_only_tour_is_charged_its_round_trip():
+    # no measurement stop: no reach and no dwell budget, and the whole
+    # round trip is one step
+    tour = Tour((0.0, 0.0), (((1.0, 0.0), 0),))
+    cert = makespan_certificate(split_tour(tour, 2, TimeModel(0.0)))
+    assert (cert.makespan, cert.bound) == (2.0, 3.0)
     assert cert.satisfied
 
 
@@ -260,6 +281,23 @@ def mixed_dwell_tours(draw):
     return Tour(depot, tuple(waypoints))
 
 
+@st.composite
+def transit_detour_tours(draw):
+    """Closed tours whose transit stops (dwell 0) may lie anywhere.
+
+    Transit stops lead, trail and sit between measurement stops, off the
+    legs between them, so the tour detours through them; a tour may
+    have no measurement stop at all.
+    """
+    coord = st.floats(-50.0, 50.0, allow_nan=False)
+    transit = st.tuples(st.tuples(coord, coord), st.just(0))
+    measuring = st.tuples(st.tuples(coord, coord), st.integers(1, 5))
+    leading = draw(st.lists(transit, max_size=3))
+    middle = draw(st.lists(st.one_of(transit, measuring), max_size=12))
+    trailing = draw(st.lists(transit, max_size=3))
+    return Tour((draw(coord), draw(coord)), tuple(leading + middle + trailing))
+
+
 @settings(max_examples=200, deadline=None)
 @given(tour=mixed_dwell_tours(), robots=st.integers(1, 6), eta=st.floats(0.0, 5.0))
 def test_certificate_holds_on_mixed_dwell_tours(tour, robots, eta):
@@ -269,4 +307,13 @@ def test_certificate_holds_on_mixed_dwell_tours(tour, robots, eta):
     assert cert.robots == robots == len(split.subtours)
     assert cert.depot_reach == farthest_dwell_distance(tour)
     assert cert.dwell_count == max(n for _, n in tour.waypoints)
+    assert tuple(w for sub in split.subtours for w in sub.waypoints) == tour.waypoints
+
+
+@settings(max_examples=200, deadline=None)
+@given(tour=transit_detour_tours(), robots=st.integers(1, 6), eta=st.floats(0.0, 5.0))
+def test_certificate_holds_with_transit_detours(tour, robots, eta):
+    split = split_tour(tour, robots, TimeModel(eta))
+    cert = makespan_certificate(split)
+    assert cert.satisfied, (cert.makespan, cert.bound)
     assert tuple(w for sub in split.subtours for w in sub.waypoints) == tour.waypoints

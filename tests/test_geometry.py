@@ -58,7 +58,10 @@ def test_polygon_rejects_bowtie_and_flat():
 
 def test_polygon_orientation_normalized():
     cw = Environment.polygon([(0, 0), (0, 4), (4, 4), (4, 0)])
-    assert cw.area == pytest.approx(16.0)
+    v = cw.vertices
+    nxt = np.roll(v, -1, axis=0)
+    # shoelace sum: twice the area, positive once the vertices run counterclockwise
+    assert float(np.sum(v[:, 0] * nxt[:, 1] - nxt[:, 0] * v[:, 1])) == 32.0
     assert cw.contains_point((2, 2))
 
 

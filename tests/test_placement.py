@@ -14,11 +14,9 @@ from fieldcover.gp import Hyperparameters
 from fieldcover.placement import (
     AccuracySpec,
     MeasurementPlan,
-    VerificationReport,
     default_grid_spacing,
     disk_cover_placement,
     necessary_radius,
-    prune_redundant,
     required_measurements,
     sufficient_radius,
     verify_plan,
@@ -255,32 +253,11 @@ def test_plan_size_monotone_in_target():
     assert all(a <= b for a, b in zip(sizes, sizes[1:]))
 
 
-def test_prune_identity_when_sites_have_exclusive_turf():
-    # Tight repeat count: serving radius 0.427 below the 0.589 site
-    # pitch, so every serving site is the unique server of its own spot.
+def test_tour_sums_dwells_of_coincident_entries():
+    # a single-sweep plan with its most central entry listed twice
     h = Hyperparameters(1.0, 1.0, 10.0)
-    spec = AccuracySpec(0.5, 2.0)
-    env = square_env(necessary_radius(h, 0.5) * math.sqrt(2.0) - 1e-9)
-    plan = disk_cover_placement(env, h, spec)
-    assert prune_redundant(plan, env, h, spec).entries == plan.entries
-
-
-def test_prune_removes_redundancy_and_keeps_guarantee():
-    spec = AccuracySpec(0.5, 2.0)
-    env = square_env(necessary_radius(H1, 0.5) * math.sqrt(2.0) - 1e-9)
-    plan = disk_cover_placement(env, H1, spec)
-    pruned = prune_redundant(plan, env, H1, spec)
-    assert len(pruned.entries) < len(plan.entries)
-    assert verify_plan(pruned, env, H1, 0.5).passed
-
-
-def doubled_plan():
-    """A single-sweep plan with its most central entry listed twice."""
-    h = Hyperparameters(1.0, 1.0, 10.0)
-    spec = AccuracySpec(0.5, 2.0)
     side = necessary_radius(h, 0.5) * math.sqrt(2.0) - 1e-9
-    env = square_env(side)
-    plan = disk_cover_placement(env, h, spec)
+    plan = disk_cover_placement(square_env(side), h, AccuracySpec(0.5, 2.0))
     locs = plan.locations
     mid = min(
         range(len(plan.entries)),
@@ -295,20 +272,6 @@ def doubled_plan():
         coverage_radius=plan.coverage_radius,
         measurements_per_site=plan.measurements_per_site,
     )
-    return env, h, spec, plan, doubled, mid
-
-
-def test_prune_drops_one_of_two_coincident_sites():
-    env, h, spec, plan, doubled, mid = doubled_plan()
-    pruned = prune_redundant(doubled, env, h, spec)
-    assert len(pruned.entries) == len(plan.entries)
-    assert sum(1 for e in pruned.entries if e == plan.entries[mid]) == 1
-    # rows are filtered with their entries
-    assert sorted(zip(pruned.entries, pruned.rows)) == sorted(zip(plan.entries, plan.rows))
-
-
-def test_tour_sums_dwells_of_coincident_entries():
-    _, _, _, plan, doubled, mid = doubled_plan()
     tour = tour_from_plan(doubled)
     dwells = Counter()
     for loc, n in tour.waypoints:

@@ -8,6 +8,7 @@ the two must agree to rounding.
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -21,7 +22,6 @@ from fieldcover.baselines import (
     SensorModel,
     convergence_study,
     curves_over_time,
-    ordered_tour,
     simulate_trial,
 )
 from fieldcover.errors import GramTooLargeError
@@ -35,7 +35,7 @@ from fieldcover.placement import (
     project_into_environment,
     verify_plan,
 )
-from fieldcover.routing import TimeModel, cumulative_times, tour_time
+from fieldcover.routing import TimeModel, Tour, cumulative_times, tour_time
 
 RTOL = 1e-10
 
@@ -197,7 +197,7 @@ def test_curves_over_repeated_dwells_match_expanded_path():
     truth = sample_gp_field(env, h, 0.5, 6)
     # a revisit of (1, 1) later in the tour merges with the first visit
     stops = [(1.0, 1.0), (3.0, 1.0), (3.0, 3.0), (1.0, 1.0), (1.0, 3.0)]
-    tour = ordered_tour(stops, (0.0, 0.0), dwell_count=2)
+    tour = Tour((0.0, 0.0), tuple((stop, 2) for stop in stops))
     tm = TimeModel(0.5)
     horizon = tour_time(tour, tm)
     marks = [horizon / 2, horizon]
@@ -261,7 +261,7 @@ def test_formerly_oversized_plan_is_certified_locally(tmp_path):
         "--grid-res", "20", "--out", str(tmp_path / "out"),
     ]
     assert cli.main(args) == 0
-    report = fileio.read_json(tmp_path / "out" / "verification.json")
+    report = json.loads((tmp_path / "out" / "verification.json").read_text(encoding="utf-8"))
     assert report["method"] == "local"
     assert report["passed"] is True
     assert report["max_variance"] <= 1.2

@@ -29,13 +29,13 @@ def reference_chunks(post: Posterior, pts: np.ndarray):
 def reference_variance(post: Posterior, pts: np.ndarray) -> np.ndarray:
     out = np.empty(pts.shape[0])
     for rows, kbx in reference_chunks(post, pts):
-        v = solve_triangular(post._factor[0], kbx.T, lower=True, overwrite_b=True, check_finite=False)
+        v = solve_triangular(post._factor, kbx.T, lower=True, overwrite_b=True, check_finite=False)
         out[rows] = post.hyper.signal_variance - np.einsum("ij,ij->j", v, v)
     return np.maximum(out, 0.0)
 
 
 def reference_mean(post: Posterior, pts: np.ndarray, values) -> np.ndarray:
-    alpha = cho_solve(post._factor, np.asarray(values, dtype=float), check_finite=False)
+    alpha = cho_solve((post._factor, True), np.asarray(values, dtype=float), check_finite=False)
     out = np.empty((pts.shape[0],) + alpha.shape[1:])
     for rows, kbx in reference_chunks(post, pts):
         out[rows] = kbx @ alpha

@@ -14,8 +14,6 @@ from fieldcover.placement import (
     AccuracySpec,
     MeasurementPlan,
     disk_cover_placement,
-    necessary_radius,
-    prune_redundant,
     verify_plan,
 )
 from fieldcover.routing import (
@@ -86,11 +84,12 @@ def test_tour_time_dwell_formula():
 
 
 def test_tour_time_additive_over_concatenation():
+    # each leg's travel plus the dwell it ends in, and the leg home
     tm = TimeModel(2.0)
-    a = Tour((0, 0), (((3, 0), 1),), closed=False)
-    b = Tour((3, 0), (((3, 4), 2),), closed=False)
-    joined = Tour((0, 0), (((3, 0), 1), ((3, 4), 2)), closed=False)
-    assert tour_time(joined, tm) == pytest.approx(tour_time(a, tm) + tour_time(b, tm))
+    joined = Tour((0, 0), (((3, 0), 1), ((3, 4), 2)))
+    legs = [3.0 + 2.0 * 1, 4.0 + 2.0 * 2, 5.0]
+    assert tour_time(joined, tm) == pytest.approx(sum(legs))
+    np.testing.assert_allclose(cumulative_times(joined, tm), np.cumsum(legs)[:2])
 
 
 def test_cumulative_times_include_dwell():
@@ -166,7 +165,6 @@ def test_tour_matches_plan_dwell_set():
     dwell = [(loc, d) for loc, d in tour.waypoints if d > 0]
     assert {loc for loc, _ in dwell} == {loc for loc, _ in plan.entries}
     assert all(d == plan.measurements_per_site for _, d in dwell)
-    assert tour.closed
     assert tour.depot == plan.sweep_disks[0].center
 
 
@@ -238,8 +236,14 @@ def dwell_multiset(waypoints) -> Counter:
 def test_pruned_plan_tour_visits_exactly_the_pruned_entries():
     env = Environment.rectangle((0, 0), (4.0, 3.0))
     plan = disk_cover_placement(env, H1, SPEC)
-    pruned = prune_redundant(plan, env, H1, SPEC)
-    assert len(pruned.entries) < len(plan.entries)
+    # every third entry dropped by hand, rows and provenance with it
+    keep = [i for i in range(len(plan.entries)) if i % 3]
+    pruned = dataclasses.replace(
+        plan,
+        entries=tuple(plan.entries[i] for i in keep),
+        provenance=tuple(plan.provenance[i] for i in keep),
+        rows=tuple(plan.rows[i] for i in keep),
+    )
     tour = tour_from_plan(pruned)
     assert dwell_multiset(tour.waypoints) == dwell_multiset(pruned.entries)
     assert len(tour.waypoints) == len(pruned.entries) + len(pruned.sweep_disks)
@@ -298,7 +302,7 @@ def reference_tour_from_plan(plan, spec, depot=None) -> Tour:
         for p in best[1]:
             waypoints.append((p, plan.measurements_per_site))
             tags.append(disk_i)
-    return Tour(depot=depot, waypoints=tuple(waypoints), closed=True, disk_index=tuple(tags))
+    return Tour(depot=depot, waypoints=tuple(waypoints), disk_index=tuple(tags))
 
 
 def star_polygon(seed: int, n: int = 8) -> Environment:

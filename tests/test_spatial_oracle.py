@@ -1,13 +1,12 @@
 """numpy distances and neighbour searches against the scipy.spatial calls they replaced.
 
 The library imports only numpy and ``scipy.linalg``. Its squared
-distances, kernel matrices, tile neighbourhoods and the served-by
-incidence of ``prune_redundant`` used to come from
+distances, kernel matrices and tile neighbourhoods used to come from
 ``scipy.spatial.distance.cdist`` and ``scipy.spatial.cKDTree``; the
 references below are test-only copies of those versions. Every kernel
 entry, every distance and every index set must match them bit for bit,
-and pruning must remove the same sites, because ``plan.csv``,
-``verification.json`` and the fitted hyperparameters depend on them.
+because ``plan.csv``, ``verification.json`` and the fitted
+hyperparameters depend on them.
 """
 
 from __future__ import annotations
@@ -20,20 +19,15 @@ from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 from fieldcover import gp
-from fieldcover.errors import VerificationError
 from fieldcover.geometry import Environment
 from fieldcover.gp import HyperparameterGrid, Hyperparameters, Observation, kernel_matrix
 from fieldcover.placement import (
     AccuracySpec,
-    MeasurementPlan,
     _TILE_MARGINS,
     _near,
     _tiles,
     default_grid_spacing,
     disk_cover_placement,
-    prune_redundant,
-    sufficient_radius,
-    verify_plan,
 )
 
 H = Hyperparameters(3.3, 2.0, 0.1)
@@ -203,86 +197,9 @@ def test_near_matches_the_kd_tree(seed, n, m, unit, offset, reach):
     if seed % 2:
         pts[: n // 2] = offset + unit * rng.uniform(0.0, 6.0, size=(n // 2, 2))
     centres = offset + unit * 0.25 * rng.integers(-2, 26, size=(m, 2))
-    tree = cKDTree(pts)
-    for p, euclidean in ((np.inf, False), (2, True)):
-        got = _near(centres, pts, unit * reach, euclidean)
-        want = tree.query_ball_point(centres, unit * reach, p=p)
-        assert len(got) == m
-        for g, w in zip(got, want):
-            assert g.dtype == np.int64
-            np.testing.assert_array_equal(g, np.sort(np.asarray(w, dtype=np.int64)))
-
-
-def reference_prune(plan: MeasurementPlan, env: Environment, h: Hyperparameters, spec: AccuracySpec) -> MeasurementPlan:
-    """``prune_redundant`` as it was, with per-grid-point lists from ``cKDTree``."""
-    if not plan.entries:
-        return plan
-    grid_spacing = default_grid_spacing(env, h, spec.max_variance)
-    serve_r = sufficient_radius(h, spec.max_variance, plan.measurements_per_site)
-    grid = env.grid(float(grid_spacing))
-    locs = plan.locations
-    order = sorted(range(len(plan.entries)), key=lambda i: tuple(locs[i]))
-    served_by = cKDTree(locs).query_ball_point(grid, serve_r * (1.0 + 1e-12))
-    cover_count = np.array([len(s) for s in served_by])
-    site_serves: dict[int, list[int]] = {i: [] for i in range(len(plan.entries))}
-    for g, sites in enumerate(served_by):
-        for s in sites:
-            site_serves[s].append(g)
-    alive = np.ones(len(plan.entries), dtype=bool)
-    for i in order:
-        pts = site_serves[i]
-        if pts and bool(np.all(cover_count[pts] >= 2)):
-            alive[i] = False
-            cover_count[pts] -= 1
-    pruned = MeasurementPlan(
-        entries=tuple(e for e, a in zip(plan.entries, alive) if a),
-        provenance=tuple(p for p, a in zip(plan.provenance, alive) if a),
-        rows=tuple(r for r, a in zip(plan.rows, alive) if a),
-        mis_disks=plan.mis_disks,
-        sweep_disks=plan.sweep_disks,
-        coverage_radius=plan.coverage_radius,
-        measurements_per_site=plan.measurements_per_site,
-    )
-    if not verify_plan(pruned, env, h, spec.max_variance, float(grid_spacing)).passed:
-        raise VerificationError("pruning broke the guarantee")
-    return pruned
-
-
-COURTYARD = Environment.polygon([(0.0, 0.0), (14.0, 0.0), (14.0, 7.0), (7.0, 7.0), (7.0, 14.0), (0.0, 14.0)])
-
-
-@pytest.mark.parametrize(
-    "env, h, delta",
-    [
-        (Environment.rectangle((0.0, 0.0), (25.0, 25.0)), README_H, 4.0),
-        (Environment.rectangle((1e5, -3.0), (1e5 + 30.0, 12.0)), README_H, 2.0),
-        (COURTYARD, Hyperparameters(8.33, 12.87, 2.0), 0.5),
-        (COURTYARD, Hyperparameters(2.0, 1.5, 0.1), 0.6),
-    ],
-    ids=["square", "offset-strip", "courtyard", "courtyard-short-scale"],
-)
-def test_prune_removes_what_the_kd_tree_version_removed(env, h, delta):
-    spec = AccuracySpec(delta)
-    plan = disk_cover_placement(env, h, spec)
-    want = reference_prune(plan, env, h, spec)
-    got = prune_redundant(plan, env, h, spec)
-    assert len(want.entries) < len(plan.entries)
-    assert got == want
-
-
-def test_prune_counts_coincident_sites_separately():
-    # every entry listed twice: the kd-tree served each grid point by
-    # both copies, and exactly one copy of each may go
-    env = Environment.rectangle((0.0, 0.0), (12.0, 12.0))
-    spec = AccuracySpec(4.0)
-    plan = disk_cover_placement(env, README_H, spec)
-    doubled = MeasurementPlan(
-        entries=plan.entries * 2,
-        provenance=plan.provenance * 2,
-        rows=plan.rows * 2,
-        mis_disks=plan.mis_disks,
-        sweep_disks=plan.sweep_disks,
-        coverage_radius=plan.coverage_radius,
-        measurements_per_site=plan.measurements_per_site,
-    )
-    assert prune_redundant(doubled, env, README_H, spec) == reference_prune(doubled, env, README_H, spec)
+    got = _near(centres, pts, unit * reach)
+    want = cKDTree(pts).query_ball_point(centres, unit * reach, p=np.inf)
+    assert len(got) == m
+    for g, w in zip(got, want):
+        assert g.dtype == np.int64
+        np.testing.assert_array_equal(g, np.sort(np.asarray(w, dtype=np.int64)))

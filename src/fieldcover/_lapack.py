@@ -1,0 +1,64 @@
+"""scipy's compiled LAPACK and BLAS routines, without ``import scipy.linalg``.
+
+The package ``__init__`` of ``scipy.linalg`` imports ``scipy._lib._array_api``
+and through it ``numpy.f2py``, ``numpy.testing`` and ``unittest``: about
+0.3 s and 300 modules in every process, for nine routines. The routines live
+in two compiled extensions beside that ``__init__``. Each is loaded here
+from its file under its real name, so CPython caches it as
+``scipy.linalg`` itself would, and a later ``import scipy.linalg`` hands
+out the very same routine objects. The modules are kept out of
+``sys.modules``, which is left as it was.
+"""
+
+from __future__ import annotations
+
+import importlib
+import importlib.machinery
+import importlib.util
+import os
+import sys
+
+__all__ = ["dormqr", "dpotrf", "dpotrs", "dptsv", "dsterf", "dsytrd", "dsytrd_lwork", "dtrtrs", "dtrmv"]
+
+
+def _extension_file(name: str) -> str | None:
+    """Path of the compiled ``scipy.linalg`` module ``name``, or None."""
+    spec = importlib.util.find_spec("scipy")
+    roots = spec.submodule_search_locations if spec else None
+    for root in roots or ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(root, "linalg", name + suffix)
+            if os.path.isfile(path):
+                return path
+    return None
+
+
+def _extension(name: str):
+    """The compiled ``scipy.linalg`` module ``name``."""
+    fullname = f"scipy.linalg.{name}"
+    path = _extension_file(name)
+    if path is None:
+        # nothing to load from a file: the normal import gives the same
+        # objects, after running scipy.linalg's __init__
+        return importlib.import_module(fullname)
+    loaded = fullname in sys.modules
+    loader = importlib.machinery.ExtensionFileLoader(fullname, path)
+    module = importlib.util.module_from_spec(importlib.util.spec_from_file_location(fullname, path, loader=loader))
+    loader.exec_module(module)
+    if not loaded:
+        # CPython files a freshly loaded extension under its name
+        sys.modules.pop(fullname, None)
+    return module
+
+
+_flapack = _extension("_flapack")
+_fblas = _extension("_fblas")
+dormqr = _flapack.dormqr
+dpotrf = _flapack.dpotrf
+dpotrs = _flapack.dpotrs
+dptsv = _flapack.dptsv
+dsterf = _flapack.dsterf
+dsytrd = _flapack.dsytrd
+dsytrd_lwork = _flapack.dsytrd_lwork
+dtrtrs = _flapack.dtrtrs
+dtrmv = _fblas.dtrmv

@@ -12,9 +12,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import dtrmv
-from scipy.linalg.lapack import dpotrf
 
+from ._lapack import dpotrf, dtrmv
 from .errors import GridTooLargeError
 from .geometry import Environment
 from .gp import Hyperparameters
@@ -144,7 +143,8 @@ def sample_gp_field(
     z = rng.standard_normal(count)
     # The covariance's transpose is the Fortran view LAPACK factors in
     # place, and its lower triangle is all that is filled; dpotrf and
-    # dtrmv read nothing else.
+    # dtrmv (scipy's compiled LAPACK and BLAS, from ``._lapack``) read
+    # nothing else.
     lower, info = dpotrf(_node_covariance(xs, ys, hyper, full=False).T, lower=1, overwrite_a=1, clean=0)
     if info == 0:
         draw = dtrmv(lower, z, lower=1)

@@ -27,9 +27,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
-from scipy.linalg.lapack import dormqr, dpotrf, dptsv, dsterf, dsytrd, dsytrd_lwork, dtrtrs
 
+from ._lapack import dormqr, dpotrf, dpotrs, dptsv, dsterf, dsytrd, dsytrd_lwork, dtrtrs
 from .errors import DegenerateDataError, GramTooLargeError, NumericalError
 
 # Byte budget of one float64 (sites x query points) cross-covariance chunk
@@ -283,9 +282,9 @@ class Posterior:
         gram[np.diag_indices_from(gram)] += noise
         # The Gram matrix is exactly symmetric, so its transpose is the
         # Fortran-ordered view LAPACK factors in place, without a copy. The
-        # LAPACK routines are called directly, as scipy's wrappers would,
-        # without their per-call checks: verification makes one factor
-        # and one solve per tile.
+        # routines are scipy's compiled LAPACK (``._lapack``), called as
+        # scipy's wrappers would call them but without their per-call
+        # checks: verification makes one factor and one solve per tile.
         lower, info = dpotrf(gram.T, lower=1, overwrite_a=1, clean=0)
         if info > 0:
             raise NumericalError(
@@ -420,18 +419,21 @@ def nlml(observations, hyper: Hyperparameters) -> float:
         if o.value is None:
             raise ValueError("nlml needs a value on every observation")
     n = len(obs)
-    # the Gram matrix and its factor
-    check_dense_budget(2 * 8 * n * n, f"an NLML over {n} observations; use fewer CSV rows")
+    # the Gram matrix, factored in place
+    check_dense_budget(8 * n * n, f"an NLML over {n} observations; use fewer CSV rows")
     design = np.asarray([o.location for o in obs], dtype=float)
     y = np.asarray([o.value for o in obs], dtype=float)
     gram = kernel_matrix(design, design, hyper)
     gram[np.diag_indices_from(gram)] += hyper.noise_variance
-    try:
-        factor = cho_factor(gram, lower=True, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"Gram factorization failed: {exc}") from exc
-    alpha = cho_solve(factor, y, check_finite=False)
-    logdet = 2.0 * float(np.sum(np.log(np.diag(factor[0]))))
+    # as in ``Posterior``: the exactly symmetric Gram's transpose is the
+    # Fortran view dpotrf factors in place, and dpotrs solves with it
+    lower, info = dpotrf(gram.T, lower=1, overwrite_a=1, clean=0)
+    if info > 0:
+        raise NumericalError(
+            f"Gram factorization failed: {info}-th leading minor of the array is not positive definite"
+        )
+    alpha, _ = dpotrs(lower, y, lower=1)
+    logdet = 2.0 * float(np.sum(np.log(np.diag(lower))))
     return 0.5 * (float(y @ alpha) + logdet + n * math.log(2.0 * math.pi))
 
 
@@ -549,7 +551,7 @@ def fit_hyperparameters(observations, search: HyperparameterGrid) -> Hyperparame
     # Three n x n matrices at once: the squared distances, the correlation
     # matrix reduced in place and the copy of its reflectors that
     # ``dormqr`` reads; the distances are dropped before re-scoring, where
-    # ``nlml`` holds two
+    # ``nlml`` holds one
     check_dense_budget(3 * 8 * n * n, f"a hyperparameter fit over {n} observations; use fewer CSV rows")
     design = np.asarray([o.location for o in obs], dtype=float)
     y = np.asarray([o.value for o in obs], dtype=float)

@@ -1,9 +1,9 @@
 """numpy distances and neighbour searches against the scipy.spatial calls they replaced.
 
-The library imports only numpy and ``scipy.linalg``. Its squared
-distances, kernel matrices and tile neighbourhoods used to come from
-``scipy.spatial.distance.cdist`` and ``scipy.spatial.cKDTree``; the
-references below are test-only copies of those versions. Every kernel
+The library imports only numpy and scipy's compiled LAPACK and BLAS.
+Its squared distances, kernel matrices and tile neighbourhoods used to
+come from ``scipy.spatial.distance.cdist`` and ``scipy.spatial.cKDTree``;
+the references below are test-only copies of those versions. Every kernel
 entry, every distance and every index set must match them bit for bit,
 because ``plan.csv``, ``verification.json`` and the fitted
 hyperparameters depend on them.

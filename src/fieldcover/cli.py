@@ -232,11 +232,8 @@ def cmd_split(args: argparse.Namespace) -> None:
 def _truth_env(cfg: RunConfig, plan) -> Environment:
     # measurement sites can sit outside the environment, and the truth
     # field must stay interpolable at every one of them
-    x0, y0, x1, y1 = cfg.env.bounds
-    for (x, y), _ in plan.entries:
-        x0, y0 = min(x0, x), min(y0, y)
-        x1, y1 = max(x1, x), max(y1, y)
-    return Environment.rectangle((x0, y0), (x1, y1))
+    pts = np.vstack([plan.locations, np.reshape(cfg.env.bounds, (2, 2))])
+    return Environment.rectangle(pts.min(axis=0).tolist(), pts.max(axis=0).tolist())
 
 
 def _truth_spacing(cfg: RunConfig, truth_env: Environment) -> float:

@@ -85,7 +85,9 @@ def test_draw_peaks_at_one_covariance_matrix():
     finally:
         tracemalloc.stop()
     assert grid.shape == (41, 41)
-    assert peak <= 1.5 * one
+    # the covariance is on its own mapping, which tracemalloc does not
+    # see, and it is factored in place: numpy allocates no n x n copy
+    assert peak <= 0.5 * one
 
 
 def test_near_zero_prior_gives_near_zero_field():

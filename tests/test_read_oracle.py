@@ -8,6 +8,11 @@ and ``mean_and_variance`` took weights (K + diag(w2 / counts))^-1 y from
 below are those loops. Variances must stay bit for bit what they were;
 means move at rounding level only. Chunks are kept small, so that every
 query crosses chunk boundaries and ends on a short chunk.
+
+Each chunk is solved in place in panels of ``_PANEL_POINTS`` points.
+Where one panel covers the chunk, as in the loops above, the variances
+are the whole-chunk solve's bit for bit; across several panels they
+may move at rounding level.
 """
 
 from __future__ import annotations
@@ -77,3 +82,31 @@ def test_read_matches_the_replaced_loops(seed, monkeypatch):
     mean, var = post.mean_and_variance(pts, y)
     assert np.array_equal(prefix_means[0], mean)
     assert np.array_equal(prefix_var[0], var)
+
+
+def panel_case(seed: int, size: int | None = None):
+    rng = np.random.default_rng([seed, 1])
+    h = Hyperparameters(*rng.uniform((0.8, 0.5, 0.01), (3.0, 4.0, 0.5)))
+    size = size or int(rng.integers(7, 400))
+    half = 8.0 * max(1.0, (size / 400) ** 0.5)
+    sites = rng.uniform(-half, half, size=(size, 2))
+    post = Posterior(sites, h, rng.integers(1, 5, size=size))
+    return post, rng.uniform(-half - 1.0, half + 1.0, size=(int(rng.integers(300, 700)), 2))
+
+
+# at 1,500 sites a few variances move between panel sizes, by about
+# 1e-15 s2: rounding, as the tolerance allows
+@pytest.mark.parametrize("seed, size", [(seed, None) for seed in range(6)] + [(7, 1500), (12, 1500)])
+def test_panel_solves_match_the_whole_chunk_solve(seed, size, monkeypatch):
+    # each chunk is solved in place a panel of 64 points at a time
+    post, pts = panel_case(seed, size)
+    monkeypatch.setattr(gp, "_PANEL_POINTS", 64)
+    want = reference_variance(post, pts)
+    np.testing.assert_allclose(post.variance(pts), want, rtol=1e-13, atol=1e-13 * post.hyper.signal_variance)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_one_panel_per_chunk_is_the_whole_chunk_solve_bit_for_bit(seed, monkeypatch):
+    post, pts = panel_case(seed)
+    monkeypatch.setattr(gp, "_CHUNK_BYTES", 8 * post.size * gp._PANEL_POINTS)
+    assert np.array_equal(post.variance(pts), reference_variance(post, pts))

@@ -124,13 +124,23 @@ def simulate_trials(
     and its variance computed once, in one ``Posterior.mean_and_variance``
     read that gives every trial its own triangular solve and its own
     mat-vec. So each report is the one its trial gets alone, to the bit.
-    The reports share one variance array.
+    The reports share one variance array. ``trial_indices`` is a
+    sequence, so its length is checked before anything is drawn.
     """
     measured = plan.as_multiset()
     sites, counts = measured.distinct()
-    trials = list(trial_indices)
-    readings = np.empty((sites.shape[0], len(trials)))
-    for k, t in enumerate(trials):
+    trials, points = len(trial_indices), truth.values.size
+    # Per trial: the site readings, their sum with the truth and the solved
+    # readings (one value per site each); the means and either the read's
+    # running sums or, after it, the squared errors (one value per truth
+    # point each); and 128 words for the Python objects of these arrays
+    # and of the report.
+    check_dense_budget(
+        8 * trials * (3 * sites.shape[0] + 2 * points + 128),
+        f"{trials} simulated trials over {points} truth points; use fewer trials",
+    )
+    readings = np.empty((sites.shape[0], trials))
+    for k, t in enumerate(trial_indices):
         readings[:, k] = measured.site_means(_noise(sensor, t, measured.total))
     means, variances = Posterior(sites, hyper, counts).mean_and_variance(
         truth.points(), truth.value_at(sites)[:, None] + readings
@@ -138,7 +148,7 @@ def simulate_trials(
     truth_values = truth.values.ravel()
     return [
         TrialReport(means[:, k], variances, (means[:, k] - truth_values) ** 2)
-        for k in range(len(trials))
+        for k in range(trials)
     ]
 
 

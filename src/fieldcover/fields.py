@@ -102,7 +102,7 @@ def _lazy_matrix(n: int) -> np.ndarray:
     return np.frombuffer(buf, dtype=float).reshape(n, n)
 
 
-def _node_covariance(xs: np.ndarray, ys: np.ndarray, hyper: Hyperparameters, full: bool) -> np.ndarray:
+def _node_covariance(xs: np.ndarray, ys: np.ndarray, hyper: Hyperparameters) -> np.ndarray:
     """Jittered covariance of the nodes ``xs`` x ``ys``, in x-major order.
 
     Nodes (i, j) and (k, m) are (xs[i] - xs[k])**2 + (ys[j] - ys[m])**2
@@ -112,11 +112,10 @@ def _node_covariance(xs: np.ndarray, ys: np.ndarray, hyper: Hyperparameters, ful
     few distinct ones: each block is computed once, in place at its
     first position in row-major order, and copied from there.
 
-    With ``full`` false only the blocks with k >= i are filled, the upper
-    triangle and the diagonal blocks whole; the rest of the matrix is
-    never written and never becomes resident. That triangle is the lower
-    one of the transpose, which is all LAPACK reads when it factors that
-    Fortran-ordered view.
+    Only the blocks with k >= i are filled, the upper triangle and the
+    diagonal blocks whole; the rest of the matrix is never written and
+    never becomes resident. That triangle is the lower one of the
+    transpose, which is all LAPACK reads of that Fortran-ordered view.
     """
     nx, ny = xs.size, ys.size
     dx2 = np.square(xs[:, None] - xs)
@@ -126,7 +125,7 @@ def _node_covariance(xs: np.ndarray, ys: np.ndarray, hyper: Hyperparameters, ful
     # the bits of dx2[i, k] -> the first block (i, k) that has them
     first: dict[float, tuple[int, int]] = {}
     for i in range(nx):
-        for k in range(0 if full else i, nx):
+        for k in range(i, nx):
             block = cov[i * ny : (i + 1) * ny, k * ny : (k + 1) * ny]
             si, sk = first.setdefault(float(dx2[i, k]), (i, k))
             if (si, sk) != (i, k):
@@ -152,8 +151,8 @@ def sample_gp_field(
     factorization reads is ever written, so on a large grid of n nodes
     the draw keeps about 0.6-0.7 of one n x n matrix resident (0.70 on
     51 x 51 nodes, 0.58 on 81 x 81). A covariance too ill-conditioned to
-    factor is drawn from its eigendecomposition instead, which needs the
-    whole matrix and LAPACK's copies of it.
+    factor is drawn from its eigendecomposition instead, for which numpy
+    hands LAPACK whole-matrix copies.
     """
     if not (math.isfinite(spacing) and spacing > 0.0):
         raise ValueError("spacing must be positive and finite")
@@ -172,13 +171,14 @@ def sample_gp_field(
     # place, and its lower triangle is all that is filled; dpotrf and
     # dtrmv (scipy's compiled LAPACK and BLAS, from ``._lapack``) read
     # nothing else.
-    lower, info = dpotrf(_node_covariance(xs, ys, hyper, full=False).T, lower=1, overwrite_a=1, clean=0)
+    lower, info = dpotrf(_node_covariance(xs, ys, hyper).T, lower=1, overwrite_a=1, clean=0)
     if info == 0:
         draw = dtrmv(lower, z, lower=1)
     else:
         # dense grids make the covariance numerically rank-deficient; the
-        # failed factorization overwrote it, so build it again
+        # failed factorization overwrote it, so build it again; eigh reads
+        # only the lower triangle, and of the transpose that is the filled one
         del lower
-        w, vecs = np.linalg.eigh(_node_covariance(xs, ys, hyper, full=True))
+        w, vecs = np.linalg.eigh(_node_covariance(xs, ys, hyper).T)
         draw = vecs @ (np.sqrt(np.clip(w, 0.0, None)) * z)
     return FieldGrid((float(x0), float(y0)), float(spacing), draw.reshape(xs.size, ys.size))

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._lapack import dormqr, dpotrf, dpotrs, dptsv, dsterf, dsytrd, dsytrd_lwork, dtrtrs
+from ._lapack import cdist_sqeuclidean, dormqr, dpotrf, dpotrs, dptsv, dsterf, dsytrd, dsytrd_lwork, dtrtrs
 from .errors import DegenerateDataError, GramTooLargeError, NumericalError
 
 # Byte budget of one float64 (sites x query points) cross-covariance chunk
@@ -41,11 +41,6 @@ _CHUNK_BYTES = 32 * 2**20
 # A chunk is solved in place this many points at a time, which keeps
 # OpenBLAS's packing buffer panel-sized rather than chunk-sized.
 _PANEL_POINTS = 512
-# Squared distances are built a block of rows at a time, in cache. A block
-# has this many bytes and its scratch three times as many: larger blocks
-# make fewer numpy calls, but the scratch must stay small beside one
-# cross-covariance chunk.
-_BLOCK_BYTES = 96 * 2**10
 # Largest Gram matrix a dense solve may allocate. Factorization is in
 # place, so this is also about the peak of the factorization itself.
 _MAX_GRAM_BYTES = 2 * 2**30
@@ -195,57 +190,18 @@ class MeasurementMultiset:
         return locs[first[order]], site_counts, np.repeat(entry_site, counts)
 
 
-def _distance_blocks(a: np.ndarray, b: np.ndarray, out: np.ndarray):
-    """Fill ``out`` with the squared distances from each point of ``a`` to each of ``b``.
-
-    Works a block of rows at a time and yields each block once it is
-    filled, while it is still in cache. Every entry is
-    (a_x - b_x)**2 + (a_y - b_y)**2, rounded as written, which is bit for
-    bit scipy's ``cdist(a, b, "sqeuclidean")``. numpy subtracts a
-    broadcast row about half as fast as an array of the same shape, so
-    each block is filled with a's coordinates and b's are subtracted as
-    a block-sized tile, made once.
-    """
-    n, m = out.shape
-    step = max(1, min(n, _BLOCK_BYTES // (8 * m)))
-    tiles = np.empty((2, step, m))
-    np.copyto(tiles, b.T[:, None, :])
-    dy = np.empty((step, m))
-    for start in range(0, n, step):
-        rows = out[start : start + step]
-        r = rows.shape[0]
-        for part, axis in ((rows, 0), (dy[:r], 1)):
-            np.copyto(part, a[start : start + step, axis, None])
-            np.subtract(part, tiles[axis, :r], out=part)
-            np.square(part, out=part)
-        np.add(rows, dy[:r], out=rows)
-        yield rows
-
-
-def _squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Squared distances from each point of ``a`` to each of ``b``, shape (len(a), len(b))."""
-    d2 = np.empty((a.shape[0], b.shape[0]))
-    for _ in _distance_blocks(a, b, d2):
-        pass
-    return d2
-
-
 def kernel_matrix(a, b, hyper: Hyperparameters) -> np.ndarray:
     """Cross-covariance matrix between two point sets, shape (len(a), len(b))."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
     if a.size == 0 or b.size == 0:
         return np.zeros((a.shape[0], b.shape[0]))
-    # s2 * exp(-d2 / (2 l^2)) in the order written, one block of rows at
-    # a time while its squared distances are in cache; the negation is
-    # folded into the divisor, which leaves every quotient's bits as they
-    # were
-    k = np.empty((a.shape[0], b.shape[0]))
-    scale = -(2.0 * hyper.length_scale**2)
-    for rows in _distance_blocks(a, b, k):
-        np.divide(rows, scale, out=rows)
-        np.exp(rows, out=rows)
-        np.multiply(hyper.signal_variance, rows, out=rows)
+    # s2 * exp(-d2 / (2 l^2)) in the order written; the negation is folded
+    # into the divisor, which leaves every quotient's bits as they were
+    k = cdist_sqeuclidean(a, b)
+    np.divide(k, -(2.0 * hyper.length_scale**2), out=k)
+    np.exp(k, out=k)
+    np.multiply(hyper.signal_variance, k, out=k)
     return k
 
 
@@ -565,7 +521,7 @@ def fit_hyperparameters(observations, search: HyperparameterGrid) -> Hyperparame
     check_dense_budget(3 * 8 * n * n, f"a hyperparameter fit over {n} observations; use fewer CSV rows")
     design = np.asarray([o.location for o in obs], dtype=float)
     y = np.asarray([o.value for o in obs], dtype=float)
-    d2 = _squared_distances(design, design)
+    d2 = cdist_sqeuclidean(design, design)
     s2 = np.asarray(search.signal_variances)
     w2 = np.asarray(search.noise_variances)
     scored = [_tridiagonal_nlml(d2, y, l, s2, w2) for l in search.length_scales]

@@ -413,3 +413,47 @@ def test_greedy_peak_memory(select, budget, matrices):
         tracemalloc.stop()
     assert len(picks) == budget
     assert peak < matrices * one
+
+
+def nine_site_trials(trials: int):
+    """``simulate_trials``' arguments for nine sites and a 17 x 17 truth grid."""
+    truth = sample_gp_field(ENV, H, 0.5, 11)
+    return truth, nine_site_plan(), SensorModel(H.noise_variance, 3), H, range(trials)
+
+
+def test_trial_guard_boundary(monkeypatch):
+    import fieldcover.baselines as baselines
+
+    class Drawn(Exception):
+        pass
+
+    def drawn(*args, **kwargs):
+        raise Drawn
+
+    # 8 * (3 * 9 sites + 2 * 289 truth points + 128) = 5,864 bytes per
+    # trial: 366,214 trials fit in 2 GiB, 366,215 do not, and the refusal
+    # comes before the first trial's noise is drawn
+    monkeypatch.setattr(baselines, "_noise", drawn)
+    with pytest.raises(Drawn):
+        simulate_trials(*nine_site_trials(366_214))
+    with pytest.raises(GramTooLargeError, match="366215 simulated trials over 289 truth points"):
+        simulate_trials(*nine_site_trials(366_215))
+
+
+def test_trials_peak_within_the_guard_count():
+    # each further trial adds at most the 5,864 bytes the guard counts,
+    # and not much less
+    peaks = []
+    for trials in (1, 201):
+        args = nine_site_trials(trials)
+        tracemalloc.start()
+        try:
+            reports = simulate_trials(*args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(reports) == trials
+        del reports
+        peaks.append(peak)
+    per_trial = (peaks[1] - peaks[0]) / 200
+    assert 0.85 * 5_864 <= per_trial <= 5_864

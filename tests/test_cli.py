@@ -101,7 +101,7 @@ class TestFit:
         def allocated(*args, **kwargs):
             raise Allocated
 
-        monkeypatch.setattr(gp, "_squared_distances", allocated)
+        monkeypatch.setattr(gp, "cdist_sqeuclidean", allocated)
         # three 8 * n^2 byte matrices at once: 9,459 rows fit in 2 GiB, 9,460 do not
         pts = np.column_stack([np.arange(9_460) % 100, np.arange(9_460) // 100]).astype(float)
         data = tmp_path / "big.csv"
@@ -307,6 +307,26 @@ class TestSimulate:
     def test_oversized_truth_grid_exits_2(self, tmp_path):
         args = plan_args(tmp_path, "out", "--seed", "7", "--trials", "2", "--grid-res", "0.1")
         assert cli.main(["simulate", *args]) == 2
+
+    def test_too_many_trials_exit_2_before_any_trial(self, tmp_path, monkeypatch, capsys):
+        import fieldcover.baselines as baselines
+
+        class Drawn(Exception):
+            pass
+
+        def drawn(*args, **kwargs):
+            raise Drawn
+
+        monkeypatch.setattr(baselines, "_noise", drawn)
+        args = plan_args(tmp_path, "out", "--seed", "7", "--trials", "10000000")
+        assert cli.main(["simulate", *args]) == 2
+        err = capsys.readouterr().err
+        # the refusal names the trial count, the cap and the remedy
+        assert "above the 2 GiB cap, for 10000000 simulated trials" in err
+        assert err.rstrip().endswith("use fewer trials")
+        args = plan_args(tmp_path, "out", "--seed", "7", "--trials", "2")
+        with pytest.raises(Drawn):
+            cli.main(["simulate", *args])
 
     def test_trials_share_one_factorization(self, tmp_path, monkeypatch):
         factored = []

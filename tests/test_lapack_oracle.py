@@ -1,10 +1,12 @@
-"""The LAPACK and BLAS routines fieldcover calls are scipy's own objects.
+"""The LAPACK, BLAS and distance routines fieldcover calls are scipy's own objects.
 
-``fieldcover._lapack`` loads scipy's compiled ``_flapack`` and ``_fblas``
-from their files, without running ``scipy.linalg``'s package ``__init__``.
-Every routine it exports must be the very object ``scipy.linalg.lapack``
-or ``scipy.linalg.blas`` hands out, whichever is imported first, and the
-fallback (the normal import) must give the same objects.
+``fieldcover._lapack`` loads scipy's compiled ``_flapack``, ``_fblas`` and
+``_distance_pybind`` from their files, without running the package
+``__init__`` of ``scipy.linalg`` or ``scipy.spatial``. Every routine it
+exports must be the very object ``scipy.linalg.lapack``,
+``scipy.linalg.blas`` or ``scipy.spatial._distance_pybind`` hands out,
+whichever is imported first, and the fallback (the normal import) must
+give the same objects.
 
 ``gp.nlml`` factors its Gram matrix in place with ``dpotrf`` and solves
 with ``dpotrs``, where it called ``cho_factor`` and ``cho_solve``; a copy
@@ -26,6 +28,7 @@ import numpy as np
 import pytest
 import scipy.linalg.blas
 import scipy.linalg.lapack
+import scipy.spatial._distance_pybind
 from scipy.linalg import cho_factor, cho_solve
 
 from fieldcover import _lapack, cli, gp
@@ -36,28 +39,31 @@ from test_incremental_oracle import STRESS_CASES, observations_of, seeded_survey
 SRC = Path(_lapack.__file__).resolve().parent.parent
 
 # Run in a fresh interpreter: imports fieldcover.cli before or after
-# scipy.linalg and reports what it sees.
+# scipy.linalg and scipy.spatial and reports what it sees.
 PROBE = """
 import json, sys
 scipy_first = sys.argv[1] == "scipy-first"
+loaded = ("scipy.linalg._flapack", "scipy.linalg._fblas", "scipy.spatial._distance_pybind")
 if scipy_first:
-    import scipy.linalg
-    flapack = sys.modules["scipy.linalg._flapack"]
+    import scipy.linalg, scipy.spatial
+    first = {m: sys.modules[m] for m in loaded}
 import fieldcover.cli
 from fieldcover import _lapack
 scipy_modules = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
-import scipy.linalg.blas, scipy.linalg.lapack
-public = {n: getattr(scipy.linalg.lapack, n, None) or getattr(scipy.linalg.blas, n) for n in _lapack.__all__}
+import scipy.linalg.blas, scipy.linalg.lapack, scipy.spatial._distance_pybind
+modules = (scipy.linalg.lapack, scipy.linalg.blas, scipy.spatial._distance_pybind)
+public = {n: next(getattr(m, n) for m in modules if hasattr(m, n)) for n in _lapack.__all__}
 print(json.dumps({
     "scipy_modules": [] if scipy_first else scipy_modules,
     "same": [n for n in _lapack.__all__ if getattr(_lapack, n) is public[n]],
-    "kept": sys.modules["scipy.linalg._flapack"] is flapack if scipy_first else True,
+    "kept": all(sys.modules[m] is first[m] for m in loaded) if scipy_first else True,
 }))
 """
 
 
 def public_routine(name: str):
-    return getattr(scipy.linalg.lapack, name, None) or getattr(scipy.linalg.blas, name)
+    modules = (scipy.linalg.lapack, scipy.linalg.blas, scipy.spatial._distance_pybind)
+    return next(getattr(m, name) for m in modules if hasattr(m, name))
 
 
 @pytest.mark.parametrize("order", ["fieldcover-first", "scipy-first"])
@@ -73,19 +79,24 @@ def test_every_routine_is_scipys_own_object(order):
     seen = json.loads(run.stdout)
     assert seen["scipy_modules"] == []
     assert seen["same"] == _lapack.__all__
-    # loading after scipy.linalg leaves its module in sys.modules alone
+    # loading after scipy.linalg and scipy.spatial leaves their modules in
+    # sys.modules alone
     assert seen["kept"] is True
 
 
 def test_fallback_import_gives_the_same_objects(monkeypatch):
-    assert _lapack._extension_file("_flapack") is not None
-    assert _lapack._extension_file("_no_such_module") is None
-    monkeypatch.setattr(_lapack, "_extension_file", lambda name: None)
-    flapack = _lapack._extension("_flapack")
-    fblas = _lapack._extension("_fblas")
+    assert _lapack._extension_file("linalg", "_flapack") is not None
+    assert _lapack._extension_file("spatial", "_distance_pybind") is not None
+    assert _lapack._extension_file("linalg", "_no_such_module") is None
+    assert _lapack._extension_file("spatial", "_flapack") is None
+    monkeypatch.setattr(_lapack, "_extension_file", lambda package, name: None)
+    flapack = _lapack._extension("linalg", "_flapack")
+    others = {
+        "dtrmv": _lapack._extension("linalg", "_fblas"),
+        "cdist_sqeuclidean": _lapack._extension("spatial", "_distance_pybind"),
+    }
     for name in _lapack.__all__:
-        module = fblas if name == "dtrmv" else flapack
-        assert getattr(module, name) is public_routine(name)
+        assert getattr(others.get(name, flapack), name) is public_routine(name)
 
 
 # --- nlml against its earlier cho_factor / cho_solve form ---------------------
@@ -154,8 +165,7 @@ def test_failed_factorization_raises_numerical_error(monkeypatch):
 
 def test_nlml_peaks_at_one_gram_matrix():
     # the guard counts one n x n matrix: the Gram matrix, factored in
-    # place; the design, values, solution and diagonal come on top, as do
-    # the distance blocks' fixed scratch
+    # place; the design, values, solution and diagonal come on top
     n = 1_500
     rng = np.random.default_rng(11)
     pts = rng.uniform(0.0, 60.0, size=(n, 2))
@@ -166,4 +176,4 @@ def test_nlml_peaks_at_one_gram_matrix():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * n * n + 3 * gp._BLOCK_BYTES + 32 * 8 * n
+    assert peak <= 8 * n * n + 32 * 8 * n

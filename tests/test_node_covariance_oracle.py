@@ -2,10 +2,12 @@
 
 ``fields._node_covariance`` computes each ny x ny block once per
 distinct squared x difference and copies it to the other positions
-with the same difference. The reference fills every row block from the
-per-axis tables, as the build did before. Both must agree bit for bit:
-on the whole matrix with ``full``, and without it on the triangle that
-``dpotrf`` reads (the upper one, diagonal included). The cases are the
+with the same difference, and fills only the upper triangle. The
+reference fills every row block from the per-axis tables, as the build
+did before. Both must agree bit for bit on what LAPACK reads of the
+transpose: its lower triangle, which is the upper one, diagonal
+included, for ``dpotrf``, and for ``eigh`` the lower triangle of the
+whole matrix as the reference fills it with ``full``. The cases are the
 draw oracle's configurations, a box offset by 1e5 (whose x differences
 round to many distinct squares) and a spacing that does not divide the
 extent. On the README's 51 x 51 grid, 51 of the 1,326 blocks with
@@ -64,11 +66,12 @@ def test_node_covariance_is_the_per_row_fill_bit_for_bit(bounds, hyper, spacing,
     x0, y0, x1, y1 = bounds
     xs = fields._axis_nodes(x0, x1, spacing)
     ys = fields._axis_nodes(y0, y1, spacing)
-    got = fields._node_covariance(xs, ys, hyper, full)
+    got = fields._node_covariance(xs, ys, hyper)
     want = reference_node_covariance(xs, ys, hyper, full)
     assert got.shape == want.shape == (xs.size * ys.size,) * 2
     if full:
-        assert got.tobytes() == want.tobytes()
+        lower = np.tril_indices(want.shape[0])
+        assert got.T[lower].tobytes() == want[lower].tobytes()
     else:
         upper = np.triu_indices(want.shape[0])
         assert got[upper].tobytes() == want[upper].tobytes()
@@ -87,7 +90,7 @@ def resident():
 xs = fields._axis_nodes(0.0, 50.0, 1.0)
 hyper = Hyperparameters(8.33, 12.87, 0.0361)
 before = resident()
-cov = fields._node_covariance(xs, xs, hyper, full=False)
+cov = fields._node_covariance(xs, xs, hyper)
 print(resident() - before, cov.shape[0])
 """
 

@@ -1,12 +1,13 @@
-"""numpy distances and neighbour searches against the scipy.spatial calls they replaced.
+"""Kernel matrices and neighbour searches against scipy.spatial's calls.
 
-The library imports only numpy and scipy's compiled LAPACK and BLAS.
-Its squared distances, kernel matrices and tile neighbourhoods used to
-come from ``scipy.spatial.distance.cdist`` and ``scipy.spatial.cKDTree``;
-the references below are test-only copies of those versions. Every kernel
-entry, every distance and every index set must match them bit for bit,
-because ``plan.csv``, ``verification.json`` and the fitted
-hyperparameters depend on them.
+The library imports only numpy and compiled scipy extensions. Its
+squared distances are ``cdist``'s own compiled routine, loaded without
+``scipy.spatial``; its tile neighbourhoods are numpy code that used to
+be ``scipy.spatial.cKDTree`` queries. The references below are test-only
+copies of the ``cdist`` and ``cKDTree`` versions. Every kernel entry,
+every distance and every index set must match them bit for bit, because
+``plan.csv``, ``verification.json`` and the fitted hyperparameters
+depend on them.
 """
 
 from __future__ import annotations
@@ -93,14 +94,11 @@ def test_kernel_matrix_matches_cdist_with_duplicates_and_lattices():
     assert np.all(np.diag(gram) == H.signal_variance)
 
 
-@pytest.mark.parametrize("block_bytes", [8, 1000, 2**20])
-def test_kernel_blocks_do_not_change_bits(monkeypatch, block_bytes):
-    # one row per block, a few rows per block, and one block for all
-    monkeypatch.setattr(gp, "_BLOCK_BYTES", block_bytes)
+def test_kernel_and_distances_are_cdists_bits():
     rng = np.random.default_rng(9)
     a, b = points(rng, 333), points(rng, 41)
     assert_same_bits(kernel_matrix(a, b, H), reference_kernel(a, b, H))
-    assert_same_bits(gp._squared_distances(a, b), cdist(a, b, "sqeuclidean"))
+    assert_same_bits(gp.cdist_sqeuclidean(a, b), cdist(a, b, "sqeuclidean"))
 
 
 def test_fit_scores_the_distances_cdist_gives(monkeypatch):

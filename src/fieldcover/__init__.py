@@ -20,7 +20,6 @@ from .gp import (
     Hyperparameters,
     HyperparameterGrid,
     MeasurementMultiset,
-    Observation,
     Posterior,
     fit_hyperparameters,
     kernel_matrix,

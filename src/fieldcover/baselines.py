@@ -130,21 +130,20 @@ def simulate_trials(
     measured = plan.as_multiset()
     sites, counts = measured.distinct()
     trials, points = len(trial_indices), truth.values.size
-    # Per trial: the site readings, their sum with the truth and the solved
-    # readings (one value per site each); the means and either the read's
-    # running sums or, after it, the squared errors (one value per truth
-    # point each); and 128 words for the Python objects of these arrays
-    # and of the report.
+    # Per trial: the site readings, which take the truth in place, and the
+    # solved readings (one value per site each); the means and either the
+    # read's running sums or, after it, the squared errors (one value per
+    # truth point each); and 128 words for the Python objects of these
+    # arrays and of the report.
     check_dense_budget(
-        8 * trials * (3 * sites.shape[0] + 2 * points + 128),
+        8 * trials * (2 * sites.shape[0] + 2 * points + 128),
         f"{trials} simulated trials over {points} truth points; use fewer trials",
     )
     readings = np.empty((sites.shape[0], trials))
     for k, t in enumerate(trial_indices):
         readings[:, k] = measured.site_means(_noise(sensor, t, measured.total))
-    means, variances = Posterior(sites, hyper, counts).mean_and_variance(
-        truth.points(), truth.value_at(sites)[:, None] + readings
-    )
+    readings += truth.value_at(sites)[:, None]
+    means, variances = Posterior(sites, hyper, counts).mean_and_variance(truth.points(), readings)
     truth_values = truth.values.ravel()
     return [
         TrialReport(means[:, k], variances, (means[:, k] - truth_values) ** 2)

@@ -113,22 +113,6 @@ class Hyperparameters:
 
 
 @dataclass(frozen=True)
-class Observation:
-    """A measurement location with an optional measured value."""
-
-    location: tuple[float, float]
-    value: float | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "location", _as_point(self.location))
-        if self.value is not None:
-            v = float(self.value)
-            if not math.isfinite(v):
-                raise ValueError(f"observation value must be finite, got {v}")
-            object.__setattr__(self, "value", v)
-
-
-@dataclass(frozen=True)
 class MeasurementMultiset:
     """Measurement locations with positive repeat counts.
 
@@ -372,23 +356,32 @@ def repeated_measurement_variance(distance: float, count: int, hyper: Hyperparam
     return s2 * (1.0 - corr / (1.0 + w2 / (n * s2)))
 
 
-def nlml(observations, hyper: Hyperparameters) -> float:
-    """Negative log marginal likelihood of valued observations.
+def _dataset(points, values) -> tuple[np.ndarray, np.ndarray]:
+    """``points`` as an (n, 2) float array and ``values`` as n floats, all finite."""
+    design = np.asarray(points, dtype=float)
+    y = np.asarray(values, dtype=float)
+    if design.ndim != 2 or design.shape[1] != 2 or y.shape != design.shape[:1]:
+        raise ValueError(
+            f"need (n, 2) points and n values, got shapes {design.shape} and {y.shape}"
+        )
+    if not (np.isfinite(design).all() and np.isfinite(y).all()):
+        raise ValueError("points and values must be finite")
+    return design, y
+
+
+def nlml(points, values, hyper: Hyperparameters) -> float:
+    """Negative log marginal likelihood of ``values`` measured at ``points``.
 
     0.5 * (y' K^-1 y + log det K + N log 2pi) with K the regularized Gram
-    matrix. Raises on missing values or an empty dataset.
+    matrix. ``points`` is (n, 2) and ``values`` has one entry per point.
+    Raises on an empty dataset.
     """
-    obs = list(observations)
-    if not obs:
+    design, y = _dataset(points, values)
+    n = y.size
+    if n == 0:
         raise ValueError("nlml needs at least one observation")
-    for o in obs:
-        if o.value is None:
-            raise ValueError("nlml needs a value on every observation")
-    n = len(obs)
     # the Gram matrix, factored in place
     check_dense_budget(8 * n * n, f"an NLML over {n} observations; use fewer CSV rows")
-    design = np.asarray([o.location for o in obs], dtype=float)
-    y = np.asarray([o.value for o in obs], dtype=float)
     gram = kernel_matrix(design, design, hyper)
     gram[np.diag_indices_from(gram)] += hyper.noise_variance
     # as in ``Posterior``: the exactly symmetric Gram's transpose is the
@@ -481,10 +474,11 @@ def _tridiagonal_nlml(d2: np.ndarray, y: np.ndarray, length_scale: float, s2: np
     return np.where(trusted, value, np.nan), magnitude
 
 
-def fit_hyperparameters(observations, search: HyperparameterGrid) -> Hyperparameters:
-    """Exhaustive NLML grid search, first minimum wins ties.
+def fit_hyperparameters(points, values, search: HyperparameterGrid) -> Hyperparameters:
+    """Exhaustive NLML grid search over ``values`` measured at ``points``, first minimum wins ties.
 
-    Needs at least two distinct measurement locations; raises
+    ``points`` is (n, 2) and ``values`` has one entry per point. Needs at
+    least two distinct measurement locations; raises
     DegenerateDataError otherwise. Grid points whose factorization fails
     are skipped. The search is budgeted at three n x n matrices, so more
     than 9,459 observations raise GramTooLargeError before any is built.
@@ -504,23 +498,17 @@ def fit_hyperparameters(observations, search: HyperparameterGrid) -> Hyperparame
     fails). The first strict Cholesky minimum among them wins; a failed
     factorization skips its point.
     """
-    obs = list(observations)
-    distinct = {o.location for o in obs}
-    if len(distinct) < 2:
-        raise DegenerateDataError(
-            f"fitting needs >= 2 distinct locations, got {len(distinct)}"
-        )
-    for o in obs:
-        if o.value is None:
-            raise ValueError("nlml needs a value on every observation")
-    n = len(obs)
+    design, y = _dataset(points, values)
+    # exactly equal coordinates are one location; -0.0 equals 0.0
+    distinct = len(set(map(tuple, design.tolist())))
+    if distinct < 2:
+        raise DegenerateDataError(f"fitting needs >= 2 distinct locations, got {distinct}")
+    n = y.size
     # Three n x n matrices at once: the squared distances, the correlation
     # matrix reduced in place and the copy of its reflectors that
     # ``dormqr`` reads; the distances are dropped before re-scoring, where
     # ``nlml`` holds one
     check_dense_budget(3 * 8 * n * n, f"a hyperparameter fit over {n} observations; use fewer CSV rows")
-    design = np.asarray([o.location for o in obs], dtype=float)
-    y = np.asarray([o.value for o in obs], dtype=float)
     d2 = cdist_sqeuclidean(design, design)
     s2 = np.asarray(search.signal_variances)
     w2 = np.asarray(search.noise_variances)
@@ -541,7 +529,7 @@ def fit_hyperparameters(observations, search: HyperparameterGrid) -> Hyperparame
             continue
         h = Hyperparameters(*point)
         try:
-            val = nlml(obs, h)
+            val = nlml(design, y, h)
         except NumericalError:
             continue
         if math.isfinite(val) and val < best_val:

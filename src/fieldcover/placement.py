@@ -137,7 +137,6 @@ class MeasurementPlan:
     rows: tuple[int, ...]
     mis_disks: tuple[Disk, ...]
     sweep_disks: tuple[Disk, ...]
-    coverage_radius: float
     measurements_per_site: int
 
     def __post_init__(self):
@@ -172,7 +171,7 @@ class MeasurementPlan:
         radius = max(float(np.linalg.norm(locs - center, axis=1).max()), 1e-9)
         disk = Disk(center, radius)
         zeros = (0,) * len(norm)
-        return cls(norm, zeros, zeros, (disk,), (disk,), radius, counts.pop())
+        return cls(norm, zeros, zeros, (disk,), (disk,), counts.pop())
 
     @property
     def locations(self) -> np.ndarray:
@@ -278,7 +277,6 @@ def disk_cover_placement(env: Environment, h: Hyperparameters, spec: AccuracySpe
         rows=tuple(rows),
         mis_disks=mis,
         sweep_disks=sweep,
-        coverage_radius=r_max,
         measurements_per_site=n_site,
     )
 

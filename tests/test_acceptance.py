@@ -320,7 +320,7 @@ def test_criterion_09_variance_curves_and_baseline_failure():
     # the plan samples each sweep disk on an m x m grid; one quarter of
     # that sampling density is the prescribed failing baseline
     m = math.ceil(6 * FIELD_SPEC.shrink_factor / math.sqrt(2))
-    plan_resolution = 6.0 * plan.coverage_radius / m
+    plan_resolution = 6.0 * necessary_radius(FIELD_H, FIELD_DELTA) / m
     coarse = 4.0 * plan_resolution
 
     candidates = baseline_candidates(env, FIELD_H, FIELD_DELTA)

@@ -97,7 +97,7 @@ def test_batched_trials_equal_single_trials_on_a_hard_boundary_plan():
 
 def test_empty_plan_reports_the_prior():
     truth = sample_gp_field(ENV, H, 2.0, 11)
-    empty = MeasurementPlan((), (), (), (), (), 1.0, 1)
+    empty = MeasurementPlan((), (), (), (), (), 1)
     report = simulate_trial(truth, empty, SensorModel(0.1, 5), H)
     assert np.all(report.means == 0.0)
     assert np.all(report.variances == H.signal_variance)
@@ -430,18 +430,18 @@ def test_trial_guard_boundary(monkeypatch):
     def drawn(*args, **kwargs):
         raise Drawn
 
-    # 8 * (3 * 9 sites + 2 * 289 truth points + 128) = 5,864 bytes per
-    # trial: 366,214 trials fit in 2 GiB, 366,215 do not, and the refusal
+    # 8 * (2 * 9 sites + 2 * 289 truth points + 128) = 5,792 bytes per
+    # trial: 370,767 trials fit in 2 GiB, 370,768 do not, and the refusal
     # comes before the first trial's noise is drawn
     monkeypatch.setattr(baselines, "_noise", drawn)
     with pytest.raises(Drawn):
-        simulate_trials(*nine_site_trials(366_214))
-    with pytest.raises(GramTooLargeError, match="366215 simulated trials over 289 truth points"):
-        simulate_trials(*nine_site_trials(366_215))
+        simulate_trials(*nine_site_trials(370_767))
+    with pytest.raises(GramTooLargeError, match="370768 simulated trials over 289 truth points"):
+        simulate_trials(*nine_site_trials(370_768))
 
 
 def test_trials_peak_within_the_guard_count():
-    # each further trial adds at most the 5,864 bytes the guard counts,
+    # each further trial adds at most the 5,792 bytes the guard counts,
     # and not much less
     peaks = []
     for trials in (1, 201):
@@ -456,4 +456,4 @@ def test_trials_peak_within_the_guard_count():
         del reports
         peaks.append(peak)
     per_trial = (peaks[1] - peaks[0]) / 200
-    assert 0.85 * 5_864 <= per_trial <= 5_864
+    assert 0.85 * 5_792 <= per_trial <= 5_792

@@ -1,7 +1,6 @@
 """End-to-end runs of every subcommand in scratch directories."""
 
 import csv
-import gc
 import json
 import os
 import signal
@@ -111,17 +110,16 @@ class TestFit:
         # the refusal names the row count and the remedy that fits a dataset
         assert "hyperparameter fit over 9460 observations; use fewer CSV rows" in err
         assert "variance target" not in err
-        observations = [gp.Observation(tuple(p), 0.0) for p in pts[:9_459]]
         with pytest.raises(Allocated):
-            gp.fit_hyperparameters(observations, gp.HyperparameterGrid((1.0,), (1.0,), (0.1,)))
+            gp.fit_hyperparameters(pts[:9_459], np.zeros(9_459), gp.HyperparameterGrid((1.0,), (1.0,), (0.1,)))
         # the NLML holds one: the Gram matrix, factored in place; 16,384
         # rows fit in 2 GiB, 16,385 do not
         monkeypatch.setattr(gp, "kernel_matrix", allocated)
-        observations = (observations * 2)[:16_385]
+        pts = np.concatenate([pts[:9_459]] * 2)[:16_385]
         with pytest.raises(gp.GramTooLargeError, match="NLML over 16385 observations"):
-            gp.nlml(observations, Hyperparameters(1.0, 1.0, 0.1))
+            gp.nlml(pts, np.zeros(16_385), Hyperparameters(1.0, 1.0, 0.1))
         with pytest.raises(Allocated):
-            gp.nlml(observations[:-1], Hyperparameters(1.0, 1.0, 0.1))
+            gp.nlml(pts[:-1], np.zeros(16_384), Hyperparameters(1.0, 1.0, 0.1))
 
 
 class TestPlan:
@@ -376,14 +374,10 @@ class TestCompare:
         assert len(lawn) == 1
 
 
-class TestGcScope:
-    """``main`` freezes the import-time heap for the command and only for it."""
+class TestInProcess:
+    """``main`` returns each exit code and can run again in one process."""
 
-    def assert_gc_restored(self):
-        assert gc.get_freeze_count() == 0
-        assert gc.isenabled()
-
-    def test_every_exit_code_unfreezes(self, tmp_path, monkeypatch):
+    def test_every_exit_code(self, tmp_path, monkeypatch):
         degenerate = tmp_path / "degen.csv"
         degenerate.write_text("x,y,value\n1,2,3\n1,2,4\n", encoding="utf-8")
         cases = {
@@ -393,46 +387,47 @@ class TestGcScope:
         }
         for code, argv in cases.items():
             assert cli.main(argv) == code
-            self.assert_gc_restored()
 
         def always_fail(plan, env, hyper, delta, spacing=None):
             return VerificationReport(delta * 2, (0.0, 0.0), delta, False, 1.0, 4)
 
         monkeypatch.setattr(cli, "verify_plan", always_fail)
         assert cli.main(["plan", *plan_args(tmp_path, "o4")]) == 4
-        self.assert_gc_restored()
-
-    def test_heap_is_frozen_during_the_command_and_after_a_crash(self, tmp_path, monkeypatch):
-        frozen = []
-
-        def crash(cfg):
-            frozen.append(gc.get_freeze_count())
-            raise RuntimeError("boom")
-
-        monkeypatch.setattr(cli, "_build_plan", crash)
-        with pytest.raises(RuntimeError, match="boom"):
-            cli.main(["plan", *plan_args(tmp_path, "out")])
-        assert frozen[0] > 0
-        self.assert_gc_restored()
-
-    def test_a_callers_freeze_is_left_alone(self, tmp_path):
-        gc.freeze()
-        try:
-            before = gc.get_freeze_count()
-            assert cli.main(["plan", *plan_args(tmp_path, "out")]) == 0
-            assert gc.get_freeze_count() == before
-        finally:
-            gc.unfreeze()
 
     def test_second_run_in_one_process_writes_the_same_bytes(self, tmp_path):
         for out in ("a", "b"):
             args = plan_args(tmp_path, out, "--eta", "0.5", "--depot", "0,0", "--k", "2")
             assert cli.main(["split", *args]) == 0
-            self.assert_gc_restored()
         first = {p.name: p.read_bytes() for p in (tmp_path / "a").iterdir()}
         second = {p.name: p.read_bytes() for p in (tmp_path / "b").iterdir()}
         assert len(first) == 8
         assert first == second
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("simulate", "--trials", "0"),
+        ("split", "--k", "0"),
+        ("plan", "--grid-res", "0"),
+        ("simulate", "--grid-res", "nan"),
+        ("compare", "--resolutions", "0"),
+        ("compare", "--resolutions", "4,0"),
+        ("compare", "--resolutions", "nan"),
+        ("tour", "--eta", "-1"),
+        ("split", "--eta", "nan"),
+        ("compare", "--depot", "nan,0"),
+    ],
+)
+def test_bad_flag_value_is_a_usage_error_before_any_work(command, flag, value, tmp_path, monkeypatch, capsys):
+    placed = []
+    monkeypatch.setattr(cli, "disk_cover_placement", lambda *args: placed.append(args))
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, *plan_args(tmp_path, "out"), flag, value])
+    assert exc.value.code == 2
+    assert f"argument {flag}:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    assert placed == []
 
 
 def test_cli_does_not_import_scipy_linalg():

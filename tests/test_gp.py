@@ -14,7 +14,6 @@ from fieldcover import (
     Hyperparameters,
     HyperparameterGrid,
     MeasurementMultiset,
-    Observation,
     Posterior,
     fit_hyperparameters,
     kernel_matrix,
@@ -45,12 +44,11 @@ def kernel(a, b, h: Hyperparameters) -> float:
     return float(kernel_matrix([a], [b], h)[0, 0])
 
 
-def posterior_mean(x, observations, h: Hyperparameters) -> float:
+def posterior_mean(x, points, values, h: Hyperparameters) -> float:
     """Posterior mean at ``x``, with readings averaged per distinct site."""
-    measured = MeasurementMultiset([(o.location, 1) for o in observations])
+    measured = MeasurementMultiset([(p, 1) for p in points])
     sites, counts = measured.distinct()
-    values = measured.site_means([o.value for o in observations])
-    return float(Posterior(sites, h, counts).mean([x], values)[0])
+    return float(Posterior(sites, h, counts).mean([x], measured.site_means(values))[0])
 
 
 finite_coord = st.floats(min_value=-50, max_value=50, allow_nan=False)
@@ -157,34 +155,30 @@ def test_extra_measurement_never_hurts_elsewhere():
 
 
 def test_posterior_mean_empty_is_zero():
-    assert posterior_mean((2.0, 3.0), [], H1) == 0.0
+    assert posterior_mean((2.0, 3.0), [], [], H1) == 0.0
 
 
 def test_posterior_mean_interpolates_at_low_noise():
     h = Hyperparameters(1.0, 1.0, 1e-12)
-    obs = [Observation((0.5, -0.25), 3.7)]
-    assert posterior_mean((0.5, -0.25), obs, h) == pytest.approx(3.7, abs=1e-6)
+    assert posterior_mean((0.5, -0.25), [(0.5, -0.25)], [3.7], h) == pytest.approx(3.7, abs=1e-6)
 
 
 def test_posterior_mean_scalar_oracle():
-    obs = [Observation((1.0, 0.0), 2.0)]
-    assert posterior_mean((0.0, 0.0), obs, H1) == pytest.approx(MEAN_SCALAR, rel=1e-12)
+    assert posterior_mean((0.0, 0.0), [(1.0, 0.0)], [2.0], H1) == pytest.approx(MEAN_SCALAR, rel=1e-12)
 
 
 def test_posterior_mean_two_point_oracle():
     # Symmetric pair; the correct answer needs the off-diagonal Gram entry.
-    obs = [Observation((-1.0, 0.0), 1.0), Observation((1.0, 0.0), 1.0)]
-    assert posterior_mean((0.0, 0.0), obs, H1) == pytest.approx(MEAN_TWO_POINT, rel=1e-12)
+    pts = [(-1.0, 0.0), (1.0, 0.0)]
+    assert posterior_mean((0.0, 0.0), pts, [1.0, 1.0], H1) == pytest.approx(MEAN_TWO_POINT, rel=1e-12)
 
 
 def test_posterior_mean_linear_in_values():
     rng = np.random.default_rng(11)
     pts = rng.uniform(-2, 2, size=(8, 2))
     y = rng.normal(size=8)
-    obs1 = [Observation(tuple(p), v) for p, v in zip(pts, y)]
-    obs3 = [Observation(tuple(p), 3.0 * v) for p, v in zip(pts, y)]
     q = (0.3, -1.2)
-    assert posterior_mean(q, obs3, H1) == pytest.approx(3.0 * posterior_mean(q, obs1, H1), rel=1e-9)
+    assert posterior_mean(q, pts, 3.0 * y, H1) == pytest.approx(3.0 * posterior_mean(q, pts, y, H1), rel=1e-9)
 
 
 def test_posterior_mean_requires_values():
@@ -219,20 +213,20 @@ def test_posterior_mean_many_columns():
 
 
 def test_nlml_single_zero_observation_oracle():
-    val = nlml([Observation((4.0, -2.0), 0.0)], H1)
+    val = nlml([(4.0, -2.0)], [0.0], H1)
     assert val == pytest.approx(NLML_ONE_ZERO, rel=1e-12)
 
 
 def test_nlml_grows_when_data_duplicated():
-    obs = [Observation((0.0, 0.0), 1.3), Observation((2.0, 1.0), -0.4)]
-    assert nlml(obs + obs, H1) > nlml(obs, H1)
+    pts, y = [(0.0, 0.0), (2.0, 1.0)], [1.3, -0.4]
+    assert nlml(pts + pts, y + y, H1) > nlml(pts, y, H1)
 
 
 def test_nlml_rejects_empty_and_unvalued():
     with pytest.raises(ValueError):
-        nlml([], H1)
+        nlml(np.empty((0, 2)), np.empty(0), H1)
     with pytest.raises(ValueError):
-        nlml([Observation((0.0, 0.0))], H1)
+        nlml([(0.0, 0.0)], [], H1)
 
 
 def _sample_field(rng, pts, h):
@@ -249,30 +243,30 @@ def test_fit_recovers_length_scale_within_factor():
     pts = np.array([(x, y) for x in xs for y in xs])
     rng = np.random.default_rng(2024)
     y = _sample_field(rng, pts, true)
-    obs = [Observation(tuple(p), v) for p, v in zip(pts, y)]
     grid = HyperparameterGrid(
         length_scales=(1.0, 2.5, 5.0, 10.0, 20.0),
         signal_variances=(0.5, 2.0, 8.0),
         noise_variances=(0.0125, 0.05, 0.2),
     )
-    fitted = fit_hyperparameters(obs, grid)
+    fitted = fit_hyperparameters(pts, y, grid)
     assert 5.0 / 1.5 <= fitted.length_scale <= 5.0 * 1.5
 
 
 def test_fit_single_point_grid_is_forced():
-    obs = [Observation((0.0, 0.0), 1.0), Observation((1.0, 1.0), -1.0)]
     grid = HyperparameterGrid((2.0,), (3.0,), (0.25,))
-    fitted = fit_hyperparameters(obs, grid)
+    fitted = fit_hyperparameters([(0.0, 0.0), (1.0, 1.0)], [1.0, -1.0], grid)
     assert fitted == Hyperparameters(2.0, 3.0, 0.25)
 
 
 def test_fit_rejects_degenerate_data():
     grid = HyperparameterGrid((1.0,), (1.0,), (0.1,))
     with pytest.raises(DegenerateDataError):
-        fit_hyperparameters([], grid)
-    same = [Observation((1.0, 1.0), 0.3), Observation((1.0, 1.0), 0.5)]
+        fit_hyperparameters(np.empty((0, 2)), np.empty(0), grid)
     with pytest.raises(DegenerateDataError):
-        fit_hyperparameters(same, grid)
+        fit_hyperparameters([(1.0, 1.0), (1.0, 1.0)], [0.3, 0.5], grid)
+    # exactly equal coordinates are one location, signed zeros too
+    with pytest.raises(DegenerateDataError, match="got 1"):
+        fit_hyperparameters([(0.0, 1.0), (-0.0, 1.0)], [0.3, 0.5], grid)
 
 
 def test_hyperparameters_reject_nonpositive():
@@ -294,11 +288,23 @@ def test_multiset_validation():
     assert counts.tolist() == [2, 3]
 
 
-def test_observation_rejects_nonfinite():
-    with pytest.raises(ValueError):
-        Observation((float("inf"), 0.0))
-    with pytest.raises(ValueError):
-        Observation((0.0, 0.0), float("nan"))
+@pytest.mark.parametrize("fit", [False, True])
+def test_dataset_rejects_nonfinite_and_misshapen(fit):
+    grid = HyperparameterGrid((1.0,), (1.0,), (0.1,))
+
+    def score(points, values):
+        return fit_hyperparameters(points, values, grid) if fit else nlml(points, values, H1)
+
+    pts = [(0.0, 0.0), (1.0, 2.0)]
+    for points, values in (
+        ([(float("inf"), 0.0), (1.0, 2.0)], [0.0, 1.0]),
+        (pts, [0.0, float("nan")]),
+        (pts, [0.0, 1.0, 2.0]),
+        ([0.0, 1.0], [0.0, 1.0]),
+        ([(0.0, 0.0, 0.0), (1.0, 2.0, 0.0)], [0.0, 1.0]),
+    ):
+        with pytest.raises(ValueError, match="finite|shapes"):
+            score(points, values)
 
 
 @settings(max_examples=25)

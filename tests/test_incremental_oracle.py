@@ -29,7 +29,6 @@ from scipy.spatial.distance import cdist
 from fieldcover.gp import (
     HyperparameterGrid,
     Hyperparameters,
-    Observation,
     Posterior,
     fit_hyperparameters,
     kernel_matrix,
@@ -185,13 +184,13 @@ def test_first_entropy_step_is_an_exact_tie_at_the_prior(monkeypatch):
 # --- grid-search fit ---------------------------------------------------------
 
 
-def reference_fit(observations, search: HyperparameterGrid) -> Hyperparameters:
+def reference_fit(pts, values, search: HyperparameterGrid) -> Hyperparameters:
     """Cholesky NLML at every grid point in order; first strict minimum wins."""
     best, best_val = None, math.inf
     for l, s2, w2 in search.combinations():
         h = Hyperparameters(l, s2, w2)
         try:
-            val = nlml(observations, h)
+            val = nlml(pts, values, h)
         except NumericalError:
             continue
         if math.isfinite(val) and val < best_val:
@@ -214,18 +213,13 @@ def seeded_survey(seed: int, duplicates: bool = False):
     return pts, values
 
 
-def observations_of(pts, values):
-    return [Observation(tuple(p), float(v)) for p, v in zip(pts, values)]
-
-
 @pytest.mark.parametrize("seed", range(12))
 def test_fit_selects_what_per_point_cholesky_selects(seed):
     pts, values = seeded_survey(seed, duplicates=seed == 0)
     if seed == 0:
         assert len({tuple(p) for p in pts}) < len(pts)
-    obs = observations_of(pts, values)
     search = cli._default_search(pts, values)
-    assert fit_hyperparameters(obs, search) == reference_fit(obs, search)
+    assert fit_hyperparameters(pts, values, search) == reference_fit(pts, values, search)
 
 
 def counting_nlml(monkeypatch) -> list:
@@ -233,9 +227,9 @@ def counting_nlml(monkeypatch) -> list:
     scored = []
     original = gp.nlml
 
-    def counted(observations, hyper):
+    def counted(points, values, hyper):
         scored.append(hyper)
-        return original(observations, hyper)
+        return original(points, values, hyper)
 
     monkeypatch.setattr(gp, "nlml", counted)
     return scored
@@ -243,25 +237,23 @@ def counting_nlml(monkeypatch) -> list:
 
 def test_fit_rescores_only_near_the_minimum(monkeypatch):
     pts, values = seeded_survey(3)
-    obs = observations_of(pts, values)
     search = cli._default_search(pts, values)
     scored = counting_nlml(monkeypatch)
-    best = fit_hyperparameters(obs, search)
+    best = fit_hyperparameters(pts, values, search)
     assert best in scored
     assert len(scored) < 5
 
 
 def test_forced_near_tie_is_resolved_by_cholesky(monkeypatch):
     pts, values = seeded_survey(5)
-    obs = observations_of(pts, values)
-    winner = reference_fit(obs, cli._default_search(pts, values))
+    winner = reference_fit(pts, values, cli._default_search(pts, values))
     # two length scales one part in 1e13 apart: their NLMLs differ far
     # below the re-score tolerance, so the tridiagonal path must not decide
     near = winner.length_scale * (1.0 + 1e-13)
     for scales in ((winner.length_scale, near), (near, winner.length_scale)):
         search = HyperparameterGrid(scales, (winner.signal_variance,), (winner.noise_variance,))
         scored = counting_nlml(monkeypatch)
-        assert fit_hyperparameters(obs, search) == reference_fit(obs, search)
+        assert fit_hyperparameters(pts, values, search) == reference_fit(pts, values, search)
         assert [h.length_scale for h in scored] == list(scales)
 
 
@@ -270,16 +262,14 @@ def test_fit_skips_points_whose_factorization_fails():
     # coincident points: Cholesky fails there, so the search must skip it
     pts = np.array([(0.0, 0.0), (1e-9, 0.0), (3.0, 1.0), (5.0, 4.0)])
     values = np.array([1.0, 1.0, -0.5, 0.3])
-    obs = observations_of(pts, values)
     search = HyperparameterGrid((50.0, 2.0), (1.0,), (1e-300, 0.1))
     with pytest.raises(NumericalError):
-        nlml(obs, Hyperparameters(50.0, 1.0, 1e-300))
-    assert fit_hyperparameters(obs, search) == reference_fit(obs, search)
+        nlml(pts, values, Hyperparameters(50.0, 1.0, 1e-300))
+    assert fit_hyperparameters(pts, values, search) == reference_fit(pts, values, search)
 
 
 def assert_scores_agree_with_cholesky(pts, values, search: HyperparameterGrid) -> None:
     """Every trusted tridiagonal score lies within the re-score tolerance of ``nlml``."""
-    obs = observations_of(pts, values)
     d2 = cdist(pts, pts, "sqeuclidean")
     s2 = np.asarray(search.signal_variances)
     w2 = np.asarray(search.noise_variances)
@@ -290,7 +280,7 @@ def assert_scores_agree_with_cholesky(pts, values, search: HyperparameterGrid) -
             if np.isnan(score):
                 continue
             trusted += 1
-            exact = nlml(obs, Hyperparameters(l, s2[i], w2[j]))
+            exact = nlml(pts, values, Hyperparameters(l, s2[i], w2[j]))
             assert abs(score - exact) <= gp._RESCORE_RTOL * magnitude[i, j], (l, s2[i], w2[j])
     assert trusted > 0
 
@@ -340,8 +330,7 @@ def test_fit_matches_cholesky_on_stress_cases(case):
     pts, values, search = stress_survey(case)
     if case == "duplicates":
         assert len({tuple(p) for p in pts}) == len(pts) // 3
-    obs = observations_of(pts, values)
-    assert fit_hyperparameters(obs, search) == reference_fit(obs, search)
+    assert fit_hyperparameters(pts, values, search) == reference_fit(pts, values, search)
 
 
 @pytest.mark.parametrize("case", STRESS_CASES)
@@ -361,11 +350,10 @@ def test_fit_stays_within_the_matrices_its_guard_counts():
     rng = np.random.default_rng(11)
     pts = rng.uniform(0.0, 60.0, size=(n, 2))
     values = np.sin(pts[:, 0] / 9.0) + 0.2 * rng.standard_normal(n)
-    obs = observations_of(pts, values)
     search = HyperparameterGrid((3.0, 12.0), (0.5, 2.0), (0.01, 0.1))
     tracemalloc.start()
     try:
-        fit_hyperparameters(obs, search)
+        fit_hyperparameters(pts, values, search)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -34,7 +34,7 @@ from scipy.linalg import cho_factor, cho_solve
 from fieldcover import _lapack, cli, gp
 from fieldcover.errors import NumericalError
 from fieldcover.gp import Hyperparameters, kernel_matrix, nlml
-from test_incremental_oracle import STRESS_CASES, observations_of, seeded_survey, stress_survey
+from test_incremental_oracle import STRESS_CASES, seeded_survey, stress_survey
 
 SRC = Path(_lapack.__file__).resolve().parent.parent
 
@@ -102,12 +102,9 @@ def test_fallback_import_gives_the_same_objects(monkeypatch):
 # --- nlml against its earlier cho_factor / cho_solve form ---------------------
 
 
-def cho_nlml(observations, hyper: Hyperparameters) -> float:
+def cho_nlml(design, y, hyper: Hyperparameters) -> float:
     """``gp.nlml`` as it was: a copy of the Gram matrix factored by ``cho_factor``."""
-    obs = list(observations)
-    n = len(obs)
-    design = np.asarray([o.location for o in obs], dtype=float)
-    y = np.asarray([o.value for o in obs], dtype=float)
+    n = len(y)
     gram = kernel_matrix(design, design, hyper)
     gram[np.diag_indices_from(gram)] += hyper.noise_variance
     factor = cho_factor(gram, lower=True, check_finite=False)
@@ -116,19 +113,19 @@ def cho_nlml(observations, hyper: Hyperparameters) -> float:
     return 0.5 * (float(y @ alpha) + logdet + n * math.log(2.0 * math.pi))
 
 
-def assert_same_bits(obs, points) -> None:
+def assert_same_bits(pts, values, points) -> None:
     """``nlml`` equals ``cho_nlml`` to the bit, or both fail, at every point."""
     failed = 0
     for point in points:
         h = Hyperparameters(*point)
         try:
-            expected = cho_nlml(obs, h)
+            expected = cho_nlml(pts, values, h)
         except np.linalg.LinAlgError:
             failed += 1
             with pytest.raises(NumericalError):
-                nlml(obs, h)
+                nlml(pts, values, h)
             continue
-        got = nlml(obs, h)
+        got = nlml(pts, values, h)
         assert np.float64(got).tobytes() == np.float64(expected).tobytes(), (point, got, expected)
     assert failed < len(points)
 
@@ -136,18 +133,17 @@ def assert_same_bits(obs, points) -> None:
 @pytest.mark.parametrize("seed", range(12))
 def test_nlml_matches_cho_factor_bit_for_bit_on_seeded_surveys(seed):
     pts, values = seeded_survey(seed, duplicates=seed == 0)
-    assert_same_bits(observations_of(pts, values), list(cli._default_search(pts, values).combinations()))
+    assert_same_bits(pts, values, list(cli._default_search(pts, values).combinations()))
 
 
 @pytest.mark.parametrize("case", STRESS_CASES)
 def test_nlml_matches_cho_factor_bit_for_bit_on_stress_cases(case):
     pts, values, search = stress_survey(case)
-    assert_same_bits(observations_of(pts, values), list(search.combinations()))
+    assert_same_bits(pts, values, list(search.combinations()))
 
 
 def test_nlml_matches_cho_factor_bit_for_bit_on_one_row():
-    obs = observations_of(np.array([(2.0, 3.0)]), np.array([0.7]))
-    assert_same_bits(obs, [(1.0, 1.0, 0.1), (5.0, 12.87, 0.0361), (0.3, 2.0, 1e-6)])
+    assert_same_bits(np.array([(2.0, 3.0)]), np.array([0.7]), [(1.0, 1.0, 0.1), (5.0, 12.87, 0.0361), (0.3, 2.0, 1e-6)])
 
 
 def test_failed_factorization_raises_numerical_error(monkeypatch):
@@ -160,7 +156,7 @@ def test_failed_factorization_raises_numerical_error(monkeypatch):
     monkeypatch.setattr(gp, "dpotrf", failing)
     pts, values = seeded_survey(1)
     with pytest.raises(NumericalError, match="1-th leading minor"):
-        nlml(observations_of(pts, values), Hyperparameters(5.0, 1.0, 0.1))
+        nlml(pts, values, Hyperparameters(5.0, 1.0, 0.1))
 
 
 def test_nlml_peaks_at_one_gram_matrix():
@@ -169,10 +165,10 @@ def test_nlml_peaks_at_one_gram_matrix():
     n = 1_500
     rng = np.random.default_rng(11)
     pts = rng.uniform(0.0, 60.0, size=(n, 2))
-    obs = observations_of(pts, np.sin(pts[:, 0] / 9.0) + 0.2 * rng.standard_normal(n))
+    values = np.sin(pts[:, 0] / 9.0) + 0.2 * rng.standard_normal(n)
     tracemalloc.start()
     try:
-        nlml(obs, Hyperparameters(6.0, 1.0, 0.05))
+        nlml(pts, values, Hyperparameters(6.0, 1.0, 0.05))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -174,7 +174,7 @@ def test_plan_locations_stay_near_environment():
     spec = AccuracySpec(0.5, 2.0)
     env = Environment.polygon([(0, 0), (8, 0), (9, 4), (4, 7), (-1, 3)])
     plan = disk_cover_placement(env, H1, spec)
-    r = plan.coverage_radius
+    r = necessary_radius(H1, spec.max_variance)
     for loc, (nx, ny) in zip(plan.locations, env.project(plan.locations)):
         assert math.hypot(loc[0] - nx, loc[1] - ny) <= 4.0 * r + 1e-9
 
@@ -191,7 +191,7 @@ def test_verify_plan_passes_on_generated_plan():
 
 
 def test_verify_empty_plan_reports_prior():
-    empty = MeasurementPlan((), (), (), (), (), 1.0, 1)
+    empty = MeasurementPlan((), (), (), (), (), 1)
     env = square_env(2.0)
     report = verify_plan(empty, env, H1, 0.5, grid_spacing=0.25)
     assert report.max_variance == pytest.approx(1.0)
@@ -208,7 +208,6 @@ def _drop_disk(plan: MeasurementPlan, disk_index: int) -> MeasurementPlan:
         rows=tuple(plan.rows[i] for i in keep),
         mis_disks=plan.mis_disks,
         sweep_disks=plan.sweep_disks,
-        coverage_radius=plan.coverage_radius,
         measurements_per_site=plan.measurements_per_site,
     )
 
@@ -269,7 +268,6 @@ def test_tour_sums_dwells_of_coincident_entries():
         rows=plan.rows + (plan.rows[mid],),
         mis_disks=plan.mis_disks,
         sweep_disks=plan.sweep_disks,
-        coverage_radius=plan.coverage_radius,
         measurements_per_site=plan.measurements_per_site,
     )
     tour = tour_from_plan(doubled)
@@ -286,13 +284,13 @@ def test_tour_sums_dwells_of_coincident_entries():
 def test_plan_validation():
     disk = (Disk((0, 0), 1.0),)
     with pytest.raises(ValueError):
-        MeasurementPlan((((0.0, 0.0), 0),), (0,), (0,), (), disk, 1.0, 1)
+        MeasurementPlan((((0.0, 0.0), 0),), (0,), (0,), (), disk, 1)
     with pytest.raises(ValueError):
-        MeasurementPlan((((0.0, 0.0), 1),), (2,), (0,), (), disk, 1.0, 1)
+        MeasurementPlan((((0.0, 0.0), 1),), (2,), (0,), (), disk, 1)
     with pytest.raises(ValueError):
-        MeasurementPlan((((0.0, 0.0), 1),), (0, 1), (0,), (), disk, 1.0, 1)
+        MeasurementPlan((((0.0, 0.0), 1),), (0, 1), (0,), (), disk, 1)
     with pytest.raises(ValueError):
-        MeasurementPlan((((0.0, 0.0), 1),), (0,), (0, 1), (), disk, 1.0, 1)
+        MeasurementPlan((((0.0, 0.0), 1),), (0,), (0, 1), (), disk, 1)
     with pytest.raises(ValueError):
-        MeasurementPlan((((0.0, 0.0), 1),), (0,), (-1,), (), disk, 1.0, 1)
-    assert MeasurementPlan((((0.0, 0.0), 1),), (0,), (3,), (), disk, 1.0, 1).rows == (3,)
+        MeasurementPlan((((0.0, 0.0), 1),), (0,), (-1,), (), disk, 1)
+    assert MeasurementPlan((((0.0, 0.0), 1),), (0,), (3,), (), disk, 1).rows == (3,)

@@ -14,6 +14,7 @@ from fieldcover.placement import (
     AccuracySpec,
     MeasurementPlan,
     disk_cover_placement,
+    necessary_radius,
     verify_plan,
 )
 from fieldcover.routing import (
@@ -210,7 +211,7 @@ def test_intra_disk_travel_reported_and_bounded():
     tour = tour_from_plan(plan)
     per_disk = intra_disk_travel(tour)
     assert set(per_disk) == set(range(len(plan.sweep_disks)))
-    cap = 20.0 * SPEC.shrink_factor**2 * plan.coverage_radius
+    cap = 20.0 * SPEC.shrink_factor**2 * necessary_radius(H1, SPEC.max_variance)
     assert all(v <= cap for v in per_disk.values())
 
 
@@ -279,14 +280,14 @@ def reference_serpentine_variants(rows):
     return variants
 
 
-def reference_tour_from_plan(plan, spec, depot=None) -> Tour:
+def reference_tour_from_plan(plan, h, spec, depot=None) -> Tour:
     centers = [d.center for d in plan.sweep_disks]
     if depot is None:
         depot = centers[0]
     depot = (float(depot[0]), float(depot[1]))
     center_order = tsp_heuristic(centers, depot)
     index_of = {c: i for i, c in enumerate(centers)}
-    small = plan.coverage_radius / spec.shrink_factor
+    small = necessary_radius(h, spec.max_variance) / spec.shrink_factor
     waypoints, tags = [], []
     for pos, center in enumerate(center_order):
         disk_i = index_of[center]
@@ -334,7 +335,7 @@ def test_tour_matches_rederiving_reference(seed):
     plan = disk_cover_placement(env, h, spec)
     for depot in (None, (float(env.bounds[0]), float(env.bounds[1]))):
         got = tour_from_plan(plan, depot=depot)
-        want = reference_tour_from_plan(plan, spec, depot=depot)
+        want = reference_tour_from_plan(plan, h, spec, depot=depot)
         assert got.waypoints == want.waypoints
         assert got.disk_index == want.disk_index
         assert got.travel_length() >= mis_tour_lower_bound(list(plan.mis_disks))
@@ -345,7 +346,7 @@ def test_tour_matches_rederiving_reference_on_the_readme_field():
     spec = AccuracySpec(4.0, 2.0)
     plan = disk_cover_placement(Environment.rectangle((0, 0), (50, 50)), h, spec)
     got = tour_from_plan(plan, depot=(0, 0))
-    want = reference_tour_from_plan(plan, spec, depot=(0, 0))
+    want = reference_tour_from_plan(plan, h, spec, depot=(0, 0))
     assert got.waypoints == want.waypoints
     assert got.disk_index == want.disk_index
 

@@ -21,7 +21,7 @@ from scipy.spatial.distance import cdist
 
 from fieldcover import gp
 from fieldcover.geometry import Environment
-from fieldcover.gp import HyperparameterGrid, Hyperparameters, Observation, kernel_matrix
+from fieldcover.gp import HyperparameterGrid, Hyperparameters, kernel_matrix
 from fieldcover.placement import (
     AccuracySpec,
     _TILE_MARGINS,
@@ -113,8 +113,7 @@ def test_fit_scores_the_distances_cdist_gives(monkeypatch):
         return real(d2, *args)
 
     monkeypatch.setattr(gp, "_tridiagonal_nlml", spy)
-    obs = [Observation(tuple(p), float(v)) for p, v in zip(pts, values)]
-    gp.fit_hyperparameters(obs, HyperparameterGrid((2.0, 5.0), (1.0,), (0.1,)))
+    gp.fit_hyperparameters(pts, values, HyperparameterGrid((2.0, 5.0), (1.0,), (0.1,)))
     assert len(seen) == 2
     for d2 in seen:
         assert_same_bits(d2, cdist(pts, pts, "sqeuclidean"))

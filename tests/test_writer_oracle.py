@@ -169,7 +169,7 @@ def plans(draw):
     rows = draw(st.lists(st.integers(0, 4), min_size=len(entries), max_size=len(entries)))
     mis = draw(st.lists(disks, max_size=5))
     return MeasurementPlan(
-        tuple(entries), tuple(provenance), tuple(rows), tuple(mis), tuple(sweep), 1.0, 1
+        tuple(entries), tuple(provenance), tuple(rows), tuple(mis), tuple(sweep), 1
     )
 
 

@@ -82,17 +82,25 @@ def _parse_count(text: str) -> int:
     return count
 
 
-@_argument
-def _parse_spacing(text: str) -> float:
-    spacing = float(text)
-    if not (math.isfinite(spacing) and spacing > 0.0):
-        raise ValueError(f"expected a finite number > 0, got {text!r}")
-    return spacing
+def _above(floor: float):
+    """An argparse ``type=`` for finite numbers above ``floor``."""
+
+    @_argument
+    def parsed(text: str) -> float:
+        value = float(text)
+        if not (math.isfinite(value) and value > floor):
+            raise ValueError(f"expected a finite number > {floor:g}, got {text!r}")
+        return value
+
+    return parsed
+
+
+_parse_positive = _above(0.0)
 
 
 @_argument
 def _parse_resolutions(text: str) -> tuple:
-    values = tuple(_parse_spacing(p) for p in text.split(",") if p.strip())
+    values = tuple(_parse_positive(p) for p in text.split(",") if p.strip())
     if not values:
         raise ValueError("expected a comma-separated list of resolutions")
     return values
@@ -231,6 +239,12 @@ def cmd_compare(args: argparse.Namespace) -> None:
     env = fileio.load_environment(args.env)
     plan, tour = _build_tour(args, env)
     depot = tour.depot
+    # the draw's node covariance is the command's largest matrix, so it is
+    # built and dropped before the baselines leave their memory behind;
+    # the draw has its own random stream and the baselines use none
+    box = _truth_env(env, plan)
+    spacing = _truth_spacing(args, env, box)
+    truth = sample_gp_field(box, args.hyper, spacing, args.seed)
 
     candidates = baseline_candidates(env, args.hyper, args.delta)
     budget = min(len(candidates), plan.total_measurements)
@@ -243,9 +257,6 @@ def cmd_compare(args: argparse.Namespace) -> None:
     for res in resolutions:
         planners[f"lawnmower_{res:g}"] = lawnmower_plan(env, res, depot)
 
-    box = _truth_env(env, plan)
-    spacing = _truth_spacing(args, env, box)
-    truth = sample_gp_field(box, args.hyper, spacing, args.seed)
     sensor = SensorModel(args.hyper.noise_variance, args.seed)
     eval_points = env.grid(spacing)
 
@@ -281,9 +292,11 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--env", required=True, help="environment json")
         p.add_argument("--hyper", required=True, type=_parse_hyper, help="l,s2,w2")
-        p.add_argument("--delta", required=True, type=float, help="variance target")
-        p.add_argument("--alpha", type=float, default=2.0, help="disk shrink factor")
-        p.add_argument("--grid-res", type=_parse_spacing, default=None, help="evaluation grid spacing")
+        # delta's upper bound, the signal variance, comes with --hyper, so
+        # placement checks it
+        p.add_argument("--delta", required=True, type=_parse_positive, help="variance target")
+        p.add_argument("--alpha", type=_above(1.0), default=2.0, help="disk shrink factor")
+        p.add_argument("--grid-res", type=_parse_positive, default=None, help="evaluation grid spacing")
         p.add_argument(
             "--hard-boundary",
             action="store_true",

@@ -289,22 +289,54 @@ def cover_environment(env: Environment, radius: float) -> list[Disk]:
     return disks
 
 
+def _conflict_cells(disks: list[Disk]) -> list[tuple[int, int]]:
+    """Each disk's square cell, for disks of one radius.
+
+    Two disks that ``disks_intersect`` sit in cells at most one apart on
+    each axis, so a disk's conflicts all lie in its 3x3 block of cells.
+    The side is the largest centre distance that test accepts,
+    2r * sqrt(1 + _TANGENCY_PAD), widened by 1e-6 of itself for the
+    test's rounding and by 1e-15 of the set's span for the rounding of
+    the cell arithmetic (about 2.2e-16 of the span per coordinate).
+    """
+    xs = [d.center[0] for d in disks]
+    ys = [d.center[1] for d in disks]
+    x0, y0 = min(xs), min(ys)
+    span = max(max(xs) - x0, max(ys) - y0)
+    reach = 2.0 * disks[0].radius * math.sqrt(1.0 + _TANGENCY_PAD)
+    side = reach * (1.0 + 1e-6) + 1e-15 * span
+    return [(math.floor((x - x0) / side), math.floor((y - y0) / side)) for x, y in zip(xs, ys)]
+
+
+def _block(cells: dict, cell: tuple[int, int]):
+    """Everything bucketed in the 3x3 block of cells around ``cell``."""
+    i, j = cell
+    for di in (-1, 0, 1):
+        for dj in (-1, 0, 1):
+            yield from cells.get((i + di, j + dj), ())
+
+
 def greedy_mis(disks: list[Disk]) -> list[Disk]:
     """Greedy maximal independent set over equal-radius disks.
 
     Scans in lexicographic (x, y) center order, keeping any disk that
     intersects no kept disk; tangency counts as intersection. The result
-    is a subset whose members every dropped disk touches.
+    is a subset whose members every dropped disk touches. Kept disks are
+    bucketed by ``_conflict_cells``, so each disk is tested only against
+    the kept disks near it.
     """
     if not disks:
         return []
     radii = {d.radius for d in disks}
     if len(radii) > 1:
         raise ValueError(f"greedy_mis needs equal radii, got {sorted(radii)}")
+    ordered = sorted(disks, key=lambda d: d.center)
     kept: list[Disk] = []
-    for d in sorted(disks, key=lambda d: d.center):
-        if all(not disks_intersect(d, k) for k in kept):
+    buckets: dict[tuple[int, int], list[Disk]] = {}
+    for d, cell in zip(ordered, _conflict_cells(ordered)):
+        if all(not disks_intersect(d, k) for k in _block(buckets, cell)):
             kept.append(d)
+            buckets.setdefault(cell, []).append(d)
     return kept
 
 
@@ -356,8 +388,15 @@ def mis_tour_lower_bound(mis: list[Disk]) -> float:
     radii = {d.radius for d in mis}
     if len(radii) > 1:
         raise ValueError(f"independent set must share one radius, got {sorted(radii)}")
-    for i, a in enumerate(mis):
-        for b in mis[i + 1 :]:
-            if disks_intersect(a, b):
-                raise ValueError(f"disks at {a.center} and {b.center} intersect; set is not independent")
+    # bucketed as in ``greedy_mis``; the pair reported is the first in
+    # list order
+    cells = _conflict_cells(mis)
+    buckets: dict[tuple[int, int], list[int]] = {}
+    for i, cell in enumerate(cells):
+        buckets.setdefault(cell, []).append(i)
+    for i, (a, cell) in enumerate(zip(mis, cells)):
+        hits = [j for j in _block(buckets, cell) if j > i and disks_intersect(a, mis[j])]
+        if hits:
+            b = mis[min(hits)]
+            raise ValueError(f"disks at {a.center} and {b.center} intersect; set is not independent")
     return 0.24 * len(mis) * mis[0].radius

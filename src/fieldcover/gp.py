@@ -32,11 +32,12 @@ from ._lapack import cdist_sqeuclidean, dormqr, dpotrf, dpotrs, dptsv, dsterf, d
 from .errors import DegenerateDataError, GramTooLargeError, NumericalError
 
 # Byte budget of one float64 (sites x query points) cross-covariance chunk
-# in ``Posterior``'s read; one chunk is live at a time. Means depend on
-# where chunks start and end, variances do not: 2 MiB chunks moved the
-# posterior means of ``simulate`` by up to 1.8e-15 and the MSE columns of
-# ``trial_summary.csv`` and ``curve_entropy.csv`` by about 2e-16
-# relative, so changing this changes written outputs.
+# in ``Posterior``'s read; one chunk is live at a time, and a read without
+# means (``variance``, so verification) holds only one panel of it. Means
+# depend on where chunks start and end, variances do not: 2 MiB chunks
+# moved the posterior means of ``simulate`` by up to 1.8e-15 and the MSE
+# columns of ``trial_summary.csv`` and ``curve_entropy.csv`` by about
+# 2e-16 relative, so changing this changes written outputs.
 _CHUNK_BYTES = 32 * 2**20
 # A chunk is solved in place this many points at a time, which keeps
 # OpenBLAS's packing buffer panel-sized rather than chunk-sized.
@@ -295,7 +296,8 @@ class Posterior:
         larger variance at any point. V is built in chunks of about
         ``_CHUNK_BYTES``, each solved in place a panel of ``_PANEL_POINTS``
         points at a time and dropped before the next is built, so one
-        chunk is live at a time. Returns means of shape
+        chunk is live at a time; without value columns each panel is
+        built, solved and dropped alone. Returns means of shape
         (len(lengths), len(points)) + the trailing shape of ``values`` and
         variances of shape (len(lengths), len(points)).
         """
@@ -313,11 +315,19 @@ class Posterior:
             betas = [dtrtrs(lower, c, lower=1)[0] for c in columns]
             order = sorted(range(len(lengths)), key=lengths.__getitem__)
             step = max(1, _CHUNK_BYTES // (8 * self.size))
-            for start in range(0, pts.shape[0], step):
-                chunk = slice(start, start + step)
-                # K(sites, chunk) is Fortran-ordered, and so is each panel
+            # a variance sums each point's own column of V, so a read
+            # without means builds one panel of a chunk at a time and
+            # gets the chunk's bits; a mean's sum spans the chunk's V
+            width = step if betas else _PANEL_POINTS
+            blocks = [
+                slice(lo, min(lo + width, start + step))
+                for start in range(0, pts.shape[0], step)
+                for lo in range(start, min(start + step, pts.shape[0]), width)
+            ]
+            for block in blocks:
+                # K(sites, block) is Fortran-ordered, and so is each panel
                 # of its columns: every solve runs in place
-                v = kernel_matrix(pts[chunk], self.design, self.hyper).T
+                v = kernel_matrix(pts[block], self.design, self.hyper).T
                 for p in range(0, v.shape[1], _PANEL_POINTS):
                     dtrtrs(lower, v[:, p : p + _PANEL_POINTS], lower=1, overwrite_b=1)
                 explained, sums, done = 0.0, [0.0] * len(betas), 0
@@ -327,9 +337,9 @@ class Posterior:
                         explained = explained + np.einsum("ij,ij->j", v[done:n], v[done:n])
                         sums = [total + beta[done:n] @ v[done:n] for total, beta in zip(sums, betas)]
                         done = n
-                    variances[j, chunk] = s2 - explained
+                    variances[j, block] = s2 - explained
                     for k, total in enumerate(sums):
-                        means[j, chunk, k] = total
+                        means[j, block, k] = total
                 del v
         np.maximum(variances, 0.0, out=variances)
         return means.reshape(variances.shape + y.shape[1:]), variances

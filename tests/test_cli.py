@@ -373,6 +373,20 @@ class TestCompare:
         lawn = list((tmp_path / "out").glob("curve_lawnmower_*.csv"))
         assert len(lawn) == 1
 
+    def test_truth_is_drawn_before_the_greedy_baselines(self, tmp_path, monkeypatch):
+        # the draw's node covariance is freed before the baselines run, so
+        # the two never hold memory at once
+        calls = []
+        for name in ("sample_gp_field", "entropy_greedy", "mi_greedy"):
+            def spy(*args, _name=name, _real=getattr(cli, name)):
+                calls.append(_name)
+                return _real(*args)
+
+            monkeypatch.setattr(cli, name, spy)
+        args = plan_args(tmp_path, "out", "--eta", "0.5", "--depot", "0,0", "--seed", "7")
+        assert cli.main(["compare", *args]) == 0
+        assert calls == ["sample_gp_field", "entropy_greedy", "mi_greedy"]
+
 
 class TestInProcess:
     """``main`` returns each exit code and can run again in one process."""
@@ -417,6 +431,11 @@ class TestInProcess:
         ("tour", "--eta", "-1"),
         ("split", "--eta", "nan"),
         ("compare", "--depot", "nan,0"),
+        ("plan", "--alpha", "1"),
+        ("split", "--alpha", "inf"),
+        ("plan", "--delta", "nan"),
+        ("tour", "--delta", "-1"),
+        ("simulate", "--delta", "0"),
     ],
 )
 def test_bad_flag_value_is_a_usage_error_before_any_work(command, flag, value, tmp_path, monkeypatch, capsys):

@@ -284,6 +284,63 @@ def test_mis_tour_lower_bound_rejects_bad_sets():
         mis_tour_lower_bound([Disk((0, 0), 1.0), Disk((9, 0), 2.0)])
 
 
+def reference_greedy_mis(disks):
+    """``greedy_mis`` as a scan of every kept disk, without buckets."""
+    kept = []
+    for d in sorted(disks, key=lambda d: d.center):
+        if all(not disks_intersect(d, k) for k in kept):
+            kept.append(d)
+    return kept
+
+
+def reference_lower_bound_error(mis):
+    """The message ``mis_tour_lower_bound`` raises, from a scan of every pair."""
+    for i, a in enumerate(mis):
+        for b in mis[i + 1 :]:
+            if disks_intersect(a, b):
+                return f"disks at {a.center} and {b.center} intersect; set is not independent"
+    return None
+
+
+def seeded_disk_set(seed):
+    """Equal disks with tied x and y, duplicated centres and (near) tangencies."""
+    rng = np.random.default_rng(seed)
+    r = float(rng.choice([0.5, 1.0, 1.7]))
+    kind = seed % 5
+    n = int(rng.integers(1, 400))
+    if kind == 0:  # integer lattice: centres 2r apart are exactly tangent
+        centres = 2.0 * r * rng.integers(0, 12, size=(n, 2))
+    elif kind == 1:  # a cover grid, diagonal neighbours tangent
+        centres = r * math.sqrt(2.0) * rng.integers(0, 15, size=(n, 2))
+    elif kind == 2:  # few distinct x, so many ties in the sort
+        centres = np.column_stack([rng.integers(0, 6, n) * 1.5 * r, rng.uniform(0, 30, n)])
+    elif kind == 3:  # far from the origin, on a half-radius lattice
+        centres = 1e6 + 0.5 * r * rng.integers(0, 40, size=(n, 2))
+    else:  # sparse, each with a partner along an axis, up to 1% short of tangency
+        anchors = rng.uniform(0, 8 * r * math.sqrt(n), size=(n, 2))
+        steps = np.array([(1, 0), (-1, 0), (0, 1), (0, -1)])[rng.integers(0, 4, n)]
+        reach = 2.0 * r * rng.uniform(0.99, 1.0, n)
+        centres = np.vstack([anchors, anchors + reach[:, None] * steps])
+    disks = [Disk(tuple(c), r) for c in centres]
+    return disks + [disks[int(i)] for i in rng.integers(0, len(disks), size=n // 5)]
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_mis_buckets_keep_the_pairwise_scan_results(seed):
+    disks = seeded_disk_set(seed)
+    mis = greedy_mis(disks)
+    assert mis == reference_greedy_mis(disks)
+    assert mis_tour_lower_bound(mis) == 0.24 * len(mis) * mis[0].radius
+    for shuffled in (disks, disks[::-1], sorted(disks, key=lambda d: d.center)):
+        expected = reference_lower_bound_error(shuffled)
+        if expected is None:
+            mis_tour_lower_bound(shuffled)
+        else:
+            with pytest.raises(ValueError) as exc:
+                mis_tour_lower_bound(shuffled)
+            assert str(exc.value) == expected
+
+
 def test_cover_then_mis_serves_every_point_within_3r():
     for env in (Environment.rectangle((0, 0), (57, 43)), star_polygon(5)):
         radius = 4.0

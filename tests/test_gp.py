@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fieldcover import gp
+from fieldcover._lapack import dtrtrs
 from fieldcover import (
     DegenerateDataError,
     Hyperparameters,
@@ -362,3 +363,66 @@ def test_queries_hold_one_cross_covariance_chunk_at_a_time(monkeypatch, query):
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * chunk
+
+
+def chunk_level_variance(post, points, lengths):
+    """``Posterior``'s variance read as it was when every read held a whole
+    chunk: one (sites x chunk) V, solved a panel at a time, then summed."""
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    s2 = post.hyper.signal_variance
+    variances = np.full((len(lengths), pts.shape[0]), s2)
+    order = sorted(range(len(lengths)), key=lengths.__getitem__)
+    step = max(1, gp._CHUNK_BYTES // (8 * post.size))
+    for start in range(0, pts.shape[0], step):
+        chunk = slice(start, start + step)
+        v = kernel_matrix(pts[chunk], post.design, post.hyper).T
+        for p in range(0, v.shape[1], gp._PANEL_POINTS):
+            dtrtrs(post._factor, v[:, p : p + gp._PANEL_POINTS], lower=1, overwrite_b=1)
+        explained, done = 0.0, 0
+        for j in order:
+            n = lengths[j]
+            if n > done:
+                explained = explained + np.einsum("ij,ij->j", v[done:n], v[done:n])
+                done = n
+            variances[j, chunk] = s2 - explained
+    return np.maximum(variances, 0.0)
+
+
+@pytest.mark.parametrize(
+    "seed, sites, points, chunk_bytes",
+    [
+        (0, 7, 40, None),
+        (1, 200, 3000, 2**20),  # 655-point chunks: 5 of them, none a multiple of 512
+        (2, 1500, 6000, None),  # 2,796-point chunks: 3 of them, the last 408 points
+        (3, 1500, 5000, 3 * 2**20 + 8),  # 262-point chunks, shorter than a panel
+        (4, 600, 9000, 2**22 - 8),  # 873-point chunks
+    ],
+)
+def test_variance_reads_panels_with_the_chunk_reads_bits(monkeypatch, seed, sites, points, chunk_bytes):
+    if chunk_bytes is not None:
+        monkeypatch.setattr(gp, "_CHUNK_BYTES", chunk_bytes)
+    rng = np.random.default_rng(seed)
+    h = Hyperparameters(8.33, 12.87, 0.0361)
+    post = Posterior(rng.uniform(0, 60, size=(sites, 2)), h, rng.integers(1, 4, sites))
+    pts = rng.uniform(-5, 65, size=(points, 2))
+    assert np.array_equal(post.variance(pts), chunk_level_variance(post, pts, [sites])[0])
+    lengths = [sites, 0, sites // 3]
+    _, prefix = post.prefix_mean_and_variance(pts, np.empty((sites, 0)), lengths)
+    assert np.array_equal(prefix, chunk_level_variance(post, pts, lengths))
+
+
+def test_variance_read_holds_one_panel_at_a_time():
+    # at the default chunk size: 4,194-point chunks of 33.6 MB over 1,000
+    # sites, of which a variance-only read builds one 4.1 MB panel at a time
+    rng = np.random.default_rng(5)
+    post = Posterior(rng.uniform(0, 60, size=(1000, 2)), Hyperparameters(8.33, 12.87, 0.0361))
+    pts = rng.uniform(0, 60, size=(10000, 2))
+    panel = 8 * post.size * gp._PANEL_POINTS
+    assert gp._CHUNK_BYTES // (8 * post.size) > 8 * gp._PANEL_POINTS
+    tracemalloc.start()
+    try:
+        post.variance(pts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * panel

@@ -1,5 +1,16 @@
 """Variance-bounded measurement planning for spatial field estimation."""
 
+import os
+
+# numpy and scipy each load their own OpenBLAS, and after a threaded call
+# each pool's workers spin for 2**28 cycles before they sleep, on the core
+# the other pool's next threaded call needs. Both libraries read this
+# (log2 cycles) when they load, so it is set before anything imports
+# numpy; a value already in the environment wins. Only idle time changes:
+# thread counts and work splits, and so every output's bits, stay the same.
+OPENBLAS_THREAD_TIMEOUT = "20"
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", OPENBLAS_THREAD_TIMEOUT)
+
 from .errors import (
     DegenerateDataError,
     GramTooLargeError,

@@ -191,6 +191,11 @@ def _pick_with_tie_break(candidates: np.ndarray, scores: np.ndarray) -> int:
 
 
 def _pool_precision(cands: np.ndarray, hyper: Hyperparameters) -> np.ndarray:
+    # MI's pick order rests on this inverse's rounding: the scores'
+    # denominators 1 / pdiag - w2 carry about 1e-12 relative error, the
+    # size of the tie tolerance. scipy's dgesv moves them by up to 3.7e-12
+    # on the 400 baseline-study candidates and changes the first pick, so
+    # the inverse stays numpy's
     gram = kernel_matrix(cands, cands, hyper)
     gram[np.diag_indices_from(gram)] += hyper.noise_variance
     return np.linalg.inv(gram)

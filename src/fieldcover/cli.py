@@ -141,7 +141,9 @@ def _build_plan(args: argparse.Namespace, env: Environment):
     return project_into_environment(plan, env) if args.hard_boundary else plan
 
 
-def _write_plan_outputs(args: argparse.Namespace, env: Environment, plan) -> None:
+def _verified_plan(args: argparse.Namespace, env: Environment):
+    """The plan, with its outputs written; a plan that fails verification raises."""
+    plan = _build_plan(args, env)
     report = verify_plan(plan, env, args.hyper, args.delta, args.grid_res)
     fileio.write_plan_csv(args.out / "plan.csv", plan)
     fileio.write_json(args.out / "verification.json", fileio.verification_to_payload(report))
@@ -150,36 +152,36 @@ def _write_plan_outputs(args: argparse.Namespace, env: Environment, plan) -> Non
         raise VerificationError(
             f"max posterior variance {report.max_variance} exceeds the target {args.delta}"
         )
+    return plan
 
 
 def cmd_plan(args: argparse.Namespace) -> None:
-    env = fileio.load_environment(args.env)
-    _write_plan_outputs(args, env, _build_plan(args, env))
+    _verified_plan(args, fileio.load_environment(args.env))
 
 
-def _build_tour(args: argparse.Namespace, env: Environment):
-    plan = _build_plan(args, env)
+def _build_tour(args: argparse.Namespace, plan):
     tour = tour_from_plan(plan, depot=args.depot)
     if not math.isfinite(tour_time(tour, args.eta)):
         raise ValueError(f"the tour's travel time from depot {tour.depot} overflows")
-    return plan, tour
+    return tour
 
 
 def _write_tour_outputs(args: argparse.Namespace, env: Environment, plan, tour) -> None:
     fileio.write_tour_json(args.out / "tour.json", tour, args.eta)
     (args.out / "tour.svg").write_text(fileio.tour_svg(env, plan, tour), encoding="utf-8")
-    _write_plan_outputs(args, env, plan)
 
 
 def cmd_tour(args: argparse.Namespace) -> None:
     env = fileio.load_environment(args.env)
-    plan, tour = _build_tour(args, env)
-    _write_tour_outputs(args, env, plan, tour)
+    # verified before touring, so a failing plan never pays for the 2-opt
+    plan = _verified_plan(args, env)
+    _write_tour_outputs(args, env, plan, _build_tour(args, plan))
 
 
 def cmd_split(args: argparse.Namespace) -> None:
     env = fileio.load_environment(args.env)
-    plan, tour = _build_tour(args, env)
+    plan = _verified_plan(args, env)
+    tour = _build_tour(args, plan)
     split = split_tour(tour, args.k, args.eta)
     for i, sub in enumerate(split.subtours, start=1):
         fileio.write_tour_json(args.out / f"subtour_{i}.json", sub, args.eta)
@@ -237,7 +239,8 @@ def cmd_simulate(args: argparse.Namespace) -> None:
 
 def cmd_compare(args: argparse.Namespace) -> None:
     env = fileio.load_environment(args.env)
-    plan, tour = _build_tour(args, env)
+    plan = _build_plan(args, env)
+    tour = _build_tour(args, plan)
     depot = tour.depot
     # the draw's node covariance is the command's largest matrix, so it is
     # built and dropped before the baselines leave their memory behind;
@@ -293,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--env", required=True, help="environment json")
         p.add_argument("--hyper", required=True, type=_parse_hyper, help="l,s2,w2")
         # delta's upper bound, the signal variance, comes with --hyper, so
-        # placement checks it
+        # main checks it
         p.add_argument("--delta", required=True, type=_parse_positive, help="variance target")
         p.add_argument("--alpha", type=_above(1.0), default=2.0, help="disk shrink factor")
         p.add_argument("--grid-res", type=_parse_positive, default=None, help="evaluation grid spacing")
@@ -335,7 +338,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    # delta's upper bound comes with --hyper, so no single flag's parser
+    # can check it; placement checks it again for library callers
+    if hasattr(args, "hyper") and not args.delta < args.hyper.signal_variance:
+        parser.error(
+            f"argument --delta: expected a value below the signal variance "
+            f"{args.hyper.signal_variance:g} of --hyper, got {args.delta:g}"
+        )
     try:
         args.out.mkdir(parents=True, exist_ok=True)
         args.handler(args)

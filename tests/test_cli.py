@@ -157,7 +157,10 @@ class TestPlan:
     def test_delta_at_or_above_signal_variance_exits_2(self, tmp_path):
         args = plan_args(tmp_path, "o")
         args[args.index("--delta") + 1] = "2.0"
-        assert cli.main(["plan", *args]) == 2
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["plan", *args])
+        assert exc.value.code == 2
+        assert not (tmp_path / "o").exists()
 
     def test_bad_hyper_string_is_an_argparse_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -167,15 +170,20 @@ class TestPlan:
             )
         assert exc.value.code == 2
 
-    def test_failed_verification_exits_4_and_keeps_outputs(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("command", ["plan", "tour", "split"])
+    def test_failed_verification_exits_4_and_keeps_outputs(self, command, tmp_path, monkeypatch):
         def always_fail(plan, env, hyper, delta, spacing=None):
             return VerificationReport(delta * 2, (0.0, 0.0), delta, False, 1.0, 4)
 
+        toured = []
         monkeypatch.setattr(cli, "verify_plan", always_fail)
-        assert cli.main(["plan", *plan_args(tmp_path, "out")]) == 4
-        # outputs must exist so the failure can be audited
-        assert (tmp_path / "out" / "plan.csv").exists()
+        monkeypatch.setattr(cli, "tour_from_plan", lambda *args, **kwargs: toured.append(args))
+        assert cli.main([command, *plan_args(tmp_path, "out")]) == 4
+        # the plan's outputs must exist so the failure can be audited, and
+        # a failing plan is never toured
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["plan.csv", "plan.svg", "verification.json"]
         assert read_json(tmp_path / "out" / "verification.json")["passed"] is False
+        assert toured == []
 
 
 class TestTour:
@@ -436,6 +444,7 @@ class TestInProcess:
         ("plan", "--delta", "nan"),
         ("tour", "--delta", "-1"),
         ("simulate", "--delta", "0"),
+        ("plan", "--delta", "5"),
     ],
 )
 def test_bad_flag_value_is_a_usage_error_before_any_work(command, flag, value, tmp_path, monkeypatch, capsys):

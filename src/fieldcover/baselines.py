@@ -18,8 +18,8 @@ import numpy as np
 
 from .fields import FieldGrid
 from .geometry import Environment
-from .gp import Hyperparameters, Posterior, check_dense_budget, kernel_matrix
-from .placement import MeasurementPlan, necessary_radius
+from .gp import Hyperparameters, MeasurementMultiset, Posterior, check_dense_budget, kernel_matrix
+from .placement import necessary_radius
 from .routing import TimeModel, Tour, cumulative_times, tour_time
 
 __all__ = [
@@ -98,7 +98,7 @@ def _noise(sensor: SensorModel, trial_index: int, size: int) -> np.ndarray:
 
 def simulate_trial(
     truth: FieldGrid,
-    plan: MeasurementPlan,
+    plan: MeasurementMultiset,
     sensor: SensorModel,
     hyper: Hyperparameters,
     trial_index: int = 0,
@@ -113,7 +113,7 @@ def simulate_trial(
 
 def simulate_trials(
     truth: FieldGrid,
-    plan: MeasurementPlan,
+    plan: MeasurementMultiset,
     sensor: SensorModel,
     hyper: Hyperparameters,
     trial_indices,
@@ -127,8 +127,7 @@ def simulate_trials(
     The reports share one variance array. ``trial_indices`` is a
     sequence, so its length is checked before anything is drawn.
     """
-    measured = plan.as_multiset()
-    sites, counts = measured.distinct()
+    sites, counts = plan.distinct()
     trials, points = len(trial_indices), truth.values.size
     # Per trial: the site readings, which take the truth in place, and the
     # solved readings (one value per site each); the means and either the
@@ -141,7 +140,7 @@ def simulate_trials(
     )
     readings = np.empty((sites.shape[0], trials))
     for k, t in enumerate(trial_indices):
-        readings[:, k] = measured.site_means(_noise(sensor, t, measured.total))
+        readings[:, k] = plan.site_means(_noise(sensor, t, plan.total))
     readings += truth.value_at(sites)[:, None]
     means, variances = Posterior(sites, hyper, counts).mean_and_variance(truth.points(), readings)
     truth_values = truth.values.ravel()
@@ -153,7 +152,7 @@ def simulate_trials(
 
 def convergence_study(
     truth: FieldGrid,
-    plan: MeasurementPlan,
+    plan: MeasurementMultiset,
     sensor: SensorModel,
     hyper: Hyperparameters,
     trial_counts,
@@ -377,9 +376,12 @@ def _finished_waypoints(tour: Tour, time: TimeModel, eval_points, checkpoints):
     if pts.shape[0] == 0:
         raise ValueError("need at least one evaluation point")
     horizon = tour_time(tour, time)
+    # a mark computed as a fraction of the horizon, such as 10 * h / 10,
+    # may round a few ulps past it
+    reach = horizon + max(1e-9, 4.0 * math.ulp(horizon))
     marks = [float(c) for c in checkpoints]
     for c in marks:
-        if not math.isfinite(c) or c < -1e-9 or c > horizon + 1e-9:
+        if not math.isfinite(c) or c < -1e-9 or c > reach:
             raise ValueError(f"checkpoint {c} outside [0, {horizon}]")
     dwells = np.asarray([n for _, n in tour.waypoints], dtype=int)
     measuring = dwells > 0

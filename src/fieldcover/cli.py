@@ -250,7 +250,7 @@ def cmd_compare(args: argparse.Namespace) -> None:
     truth = sample_gp_field(box, args.hyper, spacing, args.seed)
 
     candidates = baseline_candidates(env, args.hyper, args.delta)
-    budget = min(len(candidates), plan.total_measurements)
+    budget = min(len(candidates), plan.total)
     planners = {
         "disk_cover": tour,
         "entropy": ordered_tour(entropy_greedy(candidates, args.hyper, budget), depot),

@@ -117,8 +117,9 @@ class Hyperparameters:
 class MeasurementMultiset:
     """Measurement locations with positive repeat counts.
 
-    ``entries`` is a tuple of ``(location, count)`` pairs. The same
-    location may appear in several entries; counts just add up.
+    ``entries`` is a tuple of ``(location, count)`` pairs, held as float
+    pairs and ints once construction has checked them. The same location
+    may appear in several entries; counts just add up.
     """
 
     entries: tuple[tuple[tuple[float, float], int], ...]
@@ -135,6 +136,16 @@ class MeasurementMultiset:
     @property
     def total(self) -> int:
         return sum(c for _, c in self.entries)
+
+    @property
+    def locations(self) -> np.ndarray:
+        """Entry locations as an (n, 2) array, one row per entry."""
+        return np.asarray([loc for loc, _ in self.entries], dtype=float).reshape(-1, 2)
+
+    @property
+    def counts(self) -> np.ndarray:
+        """Entry counts, one per entry."""
+        return np.asarray([c for _, c in self.entries], dtype=int)
 
     def distinct(self) -> tuple[np.ndarray, np.ndarray]:
         """Distinct locations as an (m, 2) array and their total counts.
@@ -164,8 +175,7 @@ class MeasurementMultiset:
         """Distinct sites, their counts, and the site of every measurement."""
         if not self.entries:
             return np.empty((0, 2)), np.empty(0, dtype=int), np.empty(0, dtype=int)
-        locs = np.asarray([loc for loc, _ in self.entries], dtype=float)
-        counts = np.asarray([c for _, c in self.entries], dtype=int)
+        locs, counts = self.locations, self.counts
         _, first, inverse = np.unique(locs, axis=0, return_index=True, return_inverse=True)
         order = np.argsort(first)
         rank = np.empty_like(order)

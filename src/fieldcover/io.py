@@ -127,7 +127,7 @@ def write_json(path, payload) -> None:
 
 def write_plan_csv(path, plan: MeasurementPlan) -> None:
     lines = [_PLAN_HEADER]
-    lines.extend("%r,%r,%d" % (float(x), float(y), int(n)) for (x, y), n in plan.entries)
+    lines.extend("%r,%r,%d" % (x, y, n) for (x, y), n in plan.entries)
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -235,8 +235,8 @@ def _svg_document(env: Environment, plan: MeasurementPlan, tour: Tour | None) ->
     view = f"{_fmt(x0 - pad)} {_fmt(y0 - pad)} {_fmt(x1 - x0 + 2 * pad)} {_fmt(y1 - y0 + 2 * pad)}"
     stroke = env.diameter / 500.0
     width, dash, dot = _fmt(stroke), _fmt(4 * stroke), _fmt(env.diameter / 300.0)
-    # disk centers and radii, tour stops: floats already (Disk and Tour
-    # normalize them); plan entries may hold numpy scalars or ints
+    # disk centers and radii, tour stops and plan entries are floats
+    # already: Disk, Tour and MeasurementMultiset normalize them
     mis = f'<circle cx="%r" cy="%r" r="%r" fill="none" stroke="#1f77b4" stroke-width="{width}"/>'
     sweep = (
         f'<circle cx="%r" cy="%r" r="%r" fill="none" stroke="#2ca02c" '
@@ -263,7 +263,7 @@ def _svg_document(env: Environment, plan: MeasurementPlan, tour: Tour | None) ->
         out.extend([leg % (a + b) for a, b in zip(stops, stops[1:])])
         out.append("</g>")
     out.append('<g id="sites">')
-    out.extend([site % (float(x), float(y)) for (x, y), _ in plan.entries])
+    out.extend([site % loc for loc, _ in plan.entries])
     out.append("</g>")
     out.append("</g>")
     out.append("</svg>")

@@ -121,18 +121,18 @@ def required_measurements(h: Hyperparameters, spec: AccuracySpec) -> int:
 
 
 @dataclass(frozen=True)
-class MeasurementPlan:
+class MeasurementPlan(MeasurementMultiset):
     """Measurement sites with repeat counts and their generating disks.
 
-    ``provenance[i]`` is the index into ``sweep_disks`` of the disk whose
-    lawn-mower produced ``entries[i]``, and ``rows[i]`` is its lawn-mower
-    row within that disk. A disk's entries run row by row, even rows in
-    one direction and odd rows in the other. ``mis_disks`` are the
-    independent necessary-radius disks; ``sweep_disks`` are the same
-    centers at three times the radius.
+    A plan is the multiset of its ``entries``, so it goes wherever a
+    ``MeasurementMultiset`` does. ``provenance[i]`` is the index into
+    ``sweep_disks`` of the disk whose lawn-mower produced ``entries[i]``,
+    and ``rows[i]`` is its lawn-mower row within that disk. A disk's
+    entries run row by row, even rows in one direction and odd rows in
+    the other. ``mis_disks`` are the independent necessary-radius disks;
+    ``sweep_disks`` are the same centers at three times the radius.
     """
 
-    entries: tuple[tuple[tuple[float, float], int], ...]
     provenance: tuple[int, ...]
     rows: tuple[int, ...]
     mis_disks: tuple[Disk, ...]
@@ -140,55 +140,15 @@ class MeasurementPlan:
     measurements_per_site: int
 
     def __post_init__(self):
+        super().__post_init__()
         if not len(self.entries) == len(self.provenance) == len(self.rows):
             raise ValueError("one provenance index and one row per entry are required")
-        for _, count in self.entries:
-            if int(count) < 1:
-                raise ValueError(f"plan counts must be >= 1, got {count}")
         for idx in self.provenance:
             if not 0 <= int(idx) < len(self.sweep_disks):
                 raise ValueError(f"provenance index {idx} out of range")
         for row in self.rows:
             if int(row) < 0:
                 raise ValueError(f"row index must be >= 0, got {row}")
-
-    @classmethod
-    def from_sites(cls, entries) -> "MeasurementPlan":
-        """Wrap bare (location, count) pairs for the evaluation pipeline.
-
-        All counts must agree. The synthetic disk pair just spans the
-        sites so provenance stays well formed; it is a placeholder, not
-        a coverage guarantee. The sites form one row, in the given order.
-        """
-        norm = tuple(((float(x), float(y)), int(c)) for (x, y), c in entries)
-        if not norm:
-            raise ValueError("need at least one site")
-        counts = {c for _, c in norm}
-        if len(counts) != 1:
-            raise ValueError("from_sites requires one shared measurement count")
-        locs = np.asarray([loc for loc, _ in norm])
-        center = (float(locs[:, 0].mean()), float(locs[:, 1].mean()))
-        radius = max(float(np.linalg.norm(locs - center, axis=1).max()), 1e-9)
-        disk = Disk(center, radius)
-        zeros = (0,) * len(norm)
-        return cls(norm, zeros, zeros, (disk,), (disk,), counts.pop())
-
-    @property
-    def locations(self) -> np.ndarray:
-        if not self.entries:
-            return np.empty((0, 2))
-        return np.asarray([loc for loc, _ in self.entries], dtype=float)
-
-    @property
-    def counts(self) -> np.ndarray:
-        return np.asarray([c for _, c in self.entries], dtype=int)
-
-    @property
-    def total_measurements(self) -> int:
-        return int(self.counts.sum()) if self.entries else 0
-
-    def as_multiset(self) -> MeasurementMultiset:
-        return MeasurementMultiset(self.entries)
 
 
 @dataclass(frozen=True)
@@ -295,7 +255,7 @@ def project_into_environment(plan: MeasurementPlan, env: Environment) -> Measure
 
 
 def verify_plan(
-    plan: MeasurementPlan,
+    plan: MeasurementMultiset,
     env: Environment,
     h: Hyperparameters,
     delta: float,
@@ -303,7 +263,8 @@ def verify_plan(
 ) -> VerificationReport:
     """Posterior-variance sweep of the plan over an environment grid.
 
-    Recomputes everything from the plan's distinct sites; nothing is
+    ``plan`` is any measurement multiset, a ``MeasurementPlan`` or bare
+    sites. Recomputes everything from its distinct sites; nothing is
     trusted from the planner. The grid values come from
     ``_variance_ladder`` over the tiles of ``_ladder_tiles``, and
     ``passed`` holds when their maximum is at most ``delta``, with no
@@ -318,7 +279,7 @@ def verify_plan(
     if not math.isfinite(step) or step <= 0.0:
         raise ValueError(f"grid spacing must be finite and > 0, got {step}")
     grid = env.grid(step)
-    sites, counts = plan.as_multiset().distinct()
+    sites, counts = plan.distinct()
     tiles = _ladder_tiles(sites, grid, h)
     var, settled = _variance_ladder(sites, counts, grid, tiles, h, d)
     top = int(np.argmax(var))

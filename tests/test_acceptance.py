@@ -324,7 +324,7 @@ def test_criterion_09_variance_curves_and_baseline_failure():
     coarse = 4.0 * plan_resolution
 
     candidates = baseline_candidates(env, FIELD_H, FIELD_DELTA)
-    budget = min(len(candidates), plan.total_measurements)
+    budget = min(len(candidates), plan.total)
     tours = {
         "disk cover": tour_from_plan(plan, depot=depot),
         "entropy": ordered_tour(entropy_greedy(candidates, FIELD_H, budget), depot),

@@ -24,7 +24,7 @@ from fieldcover.baselines import (
 from fieldcover.errors import GramTooLargeError
 from fieldcover.fields import sample_gp_field
 from fieldcover.geometry import Environment
-from fieldcover.gp import Hyperparameters, Posterior
+from fieldcover.gp import Hyperparameters, MeasurementMultiset, Posterior
 from fieldcover.placement import (
     AccuracySpec,
     MeasurementPlan,
@@ -39,8 +39,8 @@ ENV = Environment.rectangle((0.0, 0.0), (8.0, 8.0))
 
 
 def nine_site_plan():
-    return MeasurementPlan.from_sites(
-        [((float(x), float(y)), 1) for x in (1.0, 4.0, 7.0) for y in (1.0, 4.0, 7.0)]
+    return MeasurementMultiset(
+        tuple(((x, y), 1) for x in (1.0, 4.0, 7.0) for y in (1.0, 4.0, 7.0))
     )
 
 
@@ -71,22 +71,21 @@ def test_batched_trials_equal_single_trials_on_a_hard_boundary_plan():
     raw = disk_cover_placement(env, h, AccuracySpec(0.3, 2.0))
     plan = project_into_environment(raw, env)
     assert plan.entries != raw.entries
-    assert len(plan.as_multiset().distinct()[0]) < len(plan.entries)
+    assert len(plan.distinct()[0]) < len(plan.entries)
     truth = sample_gp_field(Environment.rectangle((-1.0, -1.0), (7.0, 7.0)), h, 0.5, 6)
     sensor = SensorModel(h.noise_variance, 13)
     batched = simulate_trials(truth, plan, sensor, h, range(5))
     assert len(batched) == 5
 
     # the per-trial route with its own factorization, as each trial once ran
-    measured = plan.as_multiset()
-    sites, counts = measured.distinct()
+    sites, counts = plan.distinct()
     for t, report in enumerate(batched):
         alone = simulate_trial(truth, plan, sensor, h, trial_index=t)
         noise = math.sqrt(sensor.noise_variance) * np.random.default_rng([13, 1, t]).standard_normal(
-            measured.total
+            plan.total
         )
         post = Posterior(sites, h, counts)
-        means = post.mean(truth.points(), truth.value_at(sites) + measured.site_means(noise))
+        means = post.mean(truth.points(), truth.value_at(sites) + plan.site_means(noise))
         variances = post.variance(truth.points())
         for got in (report, alone):
             np.testing.assert_array_equal(got.means, means)
@@ -108,7 +107,7 @@ def test_noise_free_dense_plan_near_interpolation():
     h = Hyperparameters(2.0, 1.5, 1e-9)
     env = Environment.rectangle((0, 0), (6.0, 6.0))
     truth = sample_gp_field(env, h, 2.0, 5)
-    dense = MeasurementPlan.from_sites([(tuple(p), 1) for p in truth.points()])
+    dense = MeasurementMultiset(tuple((tuple(p), 1) for p in truth.points()))
     report = simulate_trial(truth, dense, SensorModel(0.0, 1), h)
     assert report.average_mse < 1e-6
     assert report.average_variance < 1e-6
@@ -268,6 +267,28 @@ def test_variance_over_time_boundaries():
             curves_over_time(tour, truth, sensor, h, pts, tm, bad)
         with pytest.raises(ValueError):
             variance_over_time(tour, h, pts, tm, bad)
+
+
+def test_a_last_mark_rounded_past_a_large_horizon_is_accepted():
+    # compare's last mark is 10 * horizon / 10, which can land one ulp past
+    # the horizon; at 4.6e8 s an ulp is 6e-8 s, far above the old 1e-9
+    h = Hyperparameters(1.0, 1.0, 0.1)
+    tour = Tour((0.0, 0.0), (((1.0, 0.0), 1),))
+    tm = TimeModel(456789012.345)
+    horizon = tour_time(tour, tm)
+    marks = [i * horizon / 10.0 for i in range(11)]
+    assert marks[-1] > horizon + 1e-9
+    truth = sample_gp_field(Environment.rectangle((0.0, 0.0), (1.0, 1.0)), h, 0.5, 3)
+    sensor = SensorModel(h.noise_variance, 3)
+    pts = np.array([(0.0, 0.0), (1.0, 0.0)])
+    variances, errors = curves_over_time(tour, truth, sensor, h, pts, tm, marks)
+    exact = curves_over_time(tour, truth, sensor, h, pts, tm, marks[:-1] + [horizon])
+    np.testing.assert_array_equal(variances, exact[0])
+    np.testing.assert_array_equal(errors, exact[1])
+    assert variances[-1] < variances[0] == h.signal_variance
+    # the allowance is a few ulps, not a second of slack
+    with pytest.raises(ValueError, match="outside"):
+        curves_over_time(tour, truth, sensor, h, pts, tm, [horizon + 1e-6])
 
 
 def test_variance_over_time_counts_finished_dwells_only():

@@ -381,6 +381,18 @@ class TestCompare:
         lawn = list((tmp_path / "out").glob("curve_lawnmower_*.csv"))
         assert len(lawn) == 1
 
+    def test_a_large_eta_keeps_the_last_checkpoint(self, tmp_path):
+        # the last mark, 10 * horizon / 10, rounds one ulp past this
+        # horizon of about 5.0e8 s
+        args = [
+            "--env", write_env(tmp_path, hi=(50.0, 50.0)), "--hyper", "8.33,12.87,0.0361",
+            "--delta", "4", "--seed", "1", "--eta", "456789", "--out", str(tmp_path / "out"),
+        ]
+        assert cli.main(["compare", *args]) == 0
+        curves = sorted((tmp_path / "out").glob("curve_*.csv"))
+        assert len(curves) == 4
+        assert all(len(read_csv(path)[1]) == 11 for path in curves)
+
     def test_truth_is_drawn_before_the_greedy_baselines(self, tmp_path, monkeypatch):
         # the draw's node covariance is freed before the baselines run, so
         # the two never hold memory at once

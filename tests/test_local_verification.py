@@ -74,7 +74,7 @@ def local_bound(sites, counts, grid, h, delta, margins=_TILE_MARGINS):
 
 def dense_and_local(plan, env, h, delta, spacing):
     """Exact and tiled variances over the verification grid, and the grid."""
-    sites, counts = plan.as_multiset().distinct()
+    sites, counts = plan.distinct()
     grid = env.grid(spacing)
     exact = Posterior(sites, h, counts).variance(grid)
     return exact, local_bound(sites, counts, grid, h, delta), grid
@@ -97,7 +97,7 @@ def spy_factorizations(monkeypatch) -> list:
 @given(seed=st.integers(0, 10_000), keep=st.floats(0.2, 1.0))
 def test_local_bound_never_below_dense(seed, keep):
     env, h, spec = instance(seed)
-    sites, counts = disk_cover_placement(env, h, spec).as_multiset().distinct()
+    sites, counts = disk_cover_placement(env, h, spec).distinct()
     # thinning the plan leaves gaps, so tiles see variances well above zero
     chosen = np.random.default_rng(seed).random(sites.shape[0]) < keep
     chosen[0] = True
@@ -144,7 +144,7 @@ def test_local_verdict_matches_dense(seed):
 
 def test_tiles_failing_at_the_narrow_margin_settle_at_the_wide_one(monkeypatch):
     env, h, spec = instance(0)
-    sites, counts = disk_cover_placement(env, h, spec).as_multiset().distinct()
+    sites, counts = disk_cover_placement(env, h, spec).distinct()
     grid = env.grid(h.length_scale / 4.0)
     narrow = local_bound(sites, counts, grid, h, math.inf, _TILE_MARGINS[:1])
     wide = local_bound(sites, counts, grid, h, math.inf, _TILE_MARGINS[1:])
@@ -164,7 +164,7 @@ def test_tiles_failing_at_the_narrow_margin_settle_at_the_wide_one(monkeypatch):
 
 def test_tiles_failing_both_margins_report_exact_values(monkeypatch):
     env, h, spec = instance(0)
-    sites, counts = disk_cover_placement(env, h, spec).as_multiset().distinct()
+    sites, counts = disk_cover_placement(env, h, spec).distinct()
     grid = env.grid(h.length_scale / 4.0)
     exact = Posterior(sites, h, counts).variance(grid)
     wide = local_bound(sites, counts, grid, h, math.inf, _TILE_MARGINS[1:])
@@ -188,7 +188,7 @@ def test_tiles_failing_both_margins_report_exact_values(monkeypatch):
 def test_failing_tiles_skip_the_wide_margin_when_it_costs_more_than_dense(monkeypatch):
     env, h, spec = instance(5)
     plan = disk_cover_placement(env, h, spec)
-    sites, counts = plan.as_multiset().distinct()
+    sites, counts = plan.distinct()
     spacing = h.length_scale / 4.0
     grid = env.grid(spacing)
     exact = Posterior(sites, h, counts).variance(grid)
@@ -318,7 +318,7 @@ def test_local_path_is_taken_when_tiles_are_cheaper(monkeypatch):
     plan = disk_cover_placement(env, h, spec)
     report = verify_plan(plan, env, h, spec.max_variance, 0.3)
     assert report.method == "local" and report.passed
-    sites, counts = plan.as_multiset().distinct()
+    sites, counts = plan.distinct()
     grid = env.grid(0.3)
     exact = Posterior(sites, h, counts).variance(grid)
     bound, settled = ladder(sites, counts, grid, h, spec.max_variance)
@@ -348,7 +348,7 @@ def test_local_path_is_taken_when_tiles_are_cheaper(monkeypatch):
     monkeypatch.setattr(placement, "_variance_ladder", spy)
     verify_plan(pruned, env, h, spec.max_variance, 0.3)
     assert len(calls) == 1 and calls[0][3]
-    np.testing.assert_array_equal(calls[0][0], pruned.as_multiset().distinct()[0])
+    np.testing.assert_array_equal(calls[0][0], pruned.distinct()[0])
 
 
 def test_tiles_that_see_most_sites_stay_dense():
@@ -358,7 +358,7 @@ def test_tiles_that_see_most_sites_stay_dense():
     h = Hyperparameters(8.33, 12.87, 0.0361)
     env = Environment.rectangle((0.0, 0.0), (10.0, 10.0))
     plan = disk_cover_placement(env, h, AccuracySpec(0.03, 2.0))
-    sites, _ = plan.as_multiset().distinct()
+    sites, _ = plan.distinct()
     assert _solve_flops(sites.shape[0], env.grid(2.0).shape[0]) > placement._DENSE_VERIFY_FLOPS
     report = verify_plan(plan, env, h, 0.03, 2.0)
     assert report.method == "dense" and report.tiles == (0, 0, 0)
@@ -372,7 +372,7 @@ def test_square_a_few_length_scales_wide_takes_the_local_path_with_the_dense_ver
     plan = disk_cover_placement(env, h, AccuracySpec(0.12, 2.0))
     report = verify_plan(plan, env, h, 0.12, 2.0)
     assert report.method == "local"
-    sites, counts = plan.as_multiset().distinct()
+    sites, counts = plan.distinct()
     exact = Posterior(sites, h, counts).variance(env.grid(2.0))
     assert report.passed == bool(exact.max() <= 0.12)
     assert report.max_variance >= exact.max()

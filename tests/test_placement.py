@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from fieldcover.geometry import Disk, Environment, lawnmower_rows
-from fieldcover.gp import Hyperparameters
+from fieldcover.gp import Hyperparameters, MeasurementMultiset
 from fieldcover.placement import (
     AccuracySpec,
     MeasurementPlan,
@@ -294,3 +294,24 @@ def test_plan_validation():
     with pytest.raises(ValueError):
         MeasurementPlan((((0.0, 0.0), 1),), (0,), (-1,), (), disk, 1)
     assert MeasurementPlan((((0.0, 0.0), 1),), (0,), (3,), (), disk, 1).rows == (3,)
+    with pytest.raises(ValueError):
+        MeasurementPlan((((math.nan, 0.0), 1),), (0,), (0,), (), disk, 1)
+
+
+def test_plan_is_the_multiset_of_its_entries():
+    # numpy scalars in, floats and ints out; the centre site appears twice
+    disk = (Disk((1.0, 1.0), 2.0),)
+    entries = tuple(
+        ((np.float64(x), np.float64(y)), np.int64(2)) for x in (0.5, 1.5) for y in (0.5, 1.5)
+    )
+    plan = MeasurementPlan(entries + (((1.5, 1.5), 1),), (0,) * 5, (0, 0, 1, 1, 1), disk, disk, 2)
+    assert isinstance(plan, MeasurementMultiset)
+    assert [type(v) for (loc, n) in plan.entries for v in (*loc, n)] == [float, float, int] * 5
+    bare = MeasurementMultiset(plan.entries)
+    assert plan.total == bare.total == 9
+    np.testing.assert_array_equal(plan.locations, bare.locations)
+    np.testing.assert_array_equal(plan.counts, [2, 2, 2, 2, 1])
+    sites, counts = plan.distinct()
+    np.testing.assert_array_equal(counts, [2, 2, 2, 3])
+    env = square_env(2.0)
+    assert verify_plan(plan, env, H1, 0.5, 0.25) == verify_plan(bare, env, H1, 0.5, 0.25)

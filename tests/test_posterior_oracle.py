@@ -30,7 +30,6 @@ from fieldcover.geometry import Environment
 from fieldcover.gp import Hyperparameters, MeasurementMultiset, Posterior
 from fieldcover.placement import (
     AccuracySpec,
-    MeasurementPlan,
     disk_cover_placement,
     project_into_environment,
     verify_plan,
@@ -131,10 +130,10 @@ def test_hard_boundary_projected_plan_matches_expanded_reference():
     h = Hyperparameters(3.0, 2.0, 0.1)
     plan = disk_cover_placement(env, h, AccuracySpec(1.2, 2.0))
     plan = project_into_environment(plan, env)
-    sites, counts = plan.as_multiset().distinct()
+    sites, counts = plan.distinct()
     # projection lands several sites on the same boundary point
     assert sites.shape[0] < len(plan.entries)
-    assert counts.sum() == plan.total_measurements
+    assert counts.sum() == plan.total
 
     grid = env.grid(2.0)
     expected = reference_variance(plan.entries, h, grid)
@@ -154,7 +153,7 @@ def noisy_readings(truth, entries, sensor: SensorModel, trial: int) -> np.ndarra
 def repeated_plan():
     sites = [((float(x), float(y)), 3) for x in (1.0, 3.5, 6.0) for y in (1.0, 3.5, 6.0)]
     # the centre site appears again as a separate entry
-    return MeasurementPlan.from_sites(sites + [((3.5, 3.5), 3)])
+    return MeasurementMultiset(tuple(sites + [((3.5, 3.5), 3)]))
 
 
 def test_simulate_trial_matches_expanded_path():

@@ -8,7 +8,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from fieldcover.geometry import Environment, lawnmower_rows, mis_tour_lower_bound
+from fieldcover.geometry import Disk, Environment, lawnmower_rows, mis_tour_lower_bound
 from fieldcover.gp import Hyperparameters
 from fieldcover.placement import (
     AccuracySpec,
@@ -250,10 +250,12 @@ def test_pruned_plan_tour_visits_exactly_the_pruned_entries():
     assert len(tour.waypoints) == len(pruned.entries) + len(pruned.sweep_disks)
 
 
-def test_from_sites_plan_is_toured_over_its_own_sites():
+def test_one_row_plan_is_toured_over_its_own_sites():
+    # sites in no lawn-mower order, all in one row of one disk
     rng = np.random.default_rng(3)
-    plan = MeasurementPlan.from_sites([(tuple(p), 2) for p in rng.uniform(0, 10, size=(15, 2))])
-    assert plan.rows == (0,) * 15
+    entries = tuple((tuple(p), 2) for p in rng.uniform(0, 10, size=(15, 2)))
+    disk = Disk((5.0, 5.0), 7.5)
+    plan = MeasurementPlan(entries, (0,) * 15, (0,) * 15, (disk,), (disk,), 2)
     tour = tour_from_plan(plan, depot=(0.0, 0.0))
     assert dwell_multiset(tour.waypoints) == dwell_multiset(plan.entries)
     assert len(tour.waypoints) == 1 + len(plan.entries)

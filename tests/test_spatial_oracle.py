@@ -149,7 +149,7 @@ def assert_same_tiles(got: list, want: list) -> None:
 def test_tiles_of_plans_match_the_kd_tree(side):
     env = Environment.rectangle((0.0, 0.0), (side, side))
     plan = disk_cover_placement(env, README_H, AccuracySpec(4.0))
-    sites, _ = plan.as_multiset().distinct()
+    sites, _ = plan.distinct()
     grid = env.grid(default_grid_spacing(env, README_H, 4.0))
     l = README_H.length_scale
     margins = [m * l for m in _TILE_MARGINS]

@@ -2,7 +2,7 @@
 
 The package ``__init__`` of ``scipy.linalg`` imports ``scipy._lib._array_api``
 and through it ``numpy.f2py``, ``numpy.testing`` and ``unittest``: about
-0.3 s and 300 modules in every process, for nine routines. That of
+0.3 s and 300 modules in every process, for ten routines. That of
 ``scipy.spatial`` imports ``scipy.linalg`` and more (about 0.5 s and 400
 modules), for one. The routines live in compiled extensions beside those
 ``__init__`` files: ``_flapack`` and ``_fblas`` in ``scipy/linalg``, and
@@ -24,7 +24,7 @@ import sys
 
 __all__ = [
     "cdist_sqeuclidean", "dormqr", "dpotrf", "dpotrs", "dptsv",
-    "dsterf", "dsytrd", "dsytrd_lwork", "dtrtrs", "dtrmv",
+    "dsterf", "dsytrd", "dsytrd_lwork", "dtrmm", "dtrmv", "dtrtri",
 ]
 
 
@@ -68,5 +68,6 @@ dptsv = _flapack.dptsv
 dsterf = _flapack.dsterf
 dsytrd = _flapack.dsytrd
 dsytrd_lwork = _flapack.dsytrd_lwork
-dtrtrs = _flapack.dtrtrs
+dtrtri = _flapack.dtrtri
+dtrmm = _fblas.dtrmm
 dtrmv = _fblas.dtrmv

@@ -18,7 +18,7 @@ import numpy as np
 
 from .fields import FieldGrid
 from .geometry import Environment
-from .gp import Hyperparameters, MeasurementMultiset, Posterior, check_dense_budget, kernel_matrix
+from .gp import Hyperparameters, MeasurementMultiset, Posterior, _site_means, check_dense_budget, kernel_matrix
 from .placement import necessary_radius
 from .routing import TimeModel, Tour, cumulative_times, tour_time
 
@@ -120,27 +120,28 @@ def simulate_trials(
 ) -> list[TrialReport]:
     """``simulate_trial`` for each of ``trial_indices``, from one factorization.
 
-    The design is the same in every trial, so the posterior is factored
-    and its variance computed once, in one ``Posterior.mean_and_variance``
-    read that gives every trial its own triangular solve and its own
-    mat-vec. So each report is the one its trial gets alone, to the bit.
+    The design is the same in every trial, so its repeats are merged once,
+    and the posterior is factored and its variance computed once, in one
+    ``Posterior.mean_and_variance`` read that gives every trial its own
+    triangular multiply and its own mat-vec. So each report is the one
+    its trial gets alone, to the bit.
     The reports share one variance array. ``trial_indices`` is a
     sequence, so its length is checked before anything is drawn.
     """
-    sites, counts = plan.distinct()
+    sites, counts, rows = plan._merge()
     trials, points = len(trial_indices), truth.values.size
-    # Per trial: the site readings, which take the truth in place, and the
-    # solved readings (one value per site each); the means and either the
-    # read's running sums or, after it, the squared errors (one value per
-    # truth point each); and 128 words for the Python objects of these
-    # arrays and of the report.
+    # Per trial: the site readings, which take the truth in place, and
+    # their product with the inverse factor (one value per site each); the
+    # means and either the read's running sums or, after it, the squared
+    # errors (one value per truth point each); and 128 words for the
+    # Python objects of these arrays and of the report.
     check_dense_budget(
         8 * trials * (2 * sites.shape[0] + 2 * points + 128),
         f"{trials} simulated trials over {points} truth points; use fewer trials",
     )
     readings = np.empty((sites.shape[0], trials))
     for k, t in enumerate(trial_indices):
-        readings[:, k] = plan.site_means(_noise(sensor, t, plan.total))
+        readings[:, k] = _site_means(counts, rows, _noise(sensor, t, rows.size))
     readings += truth.value_at(sites)[:, None]
     means, variances = Posterior(sites, hyper, counts).mean_and_variance(truth.points(), readings)
     truth_values = truth.values.ravel()
@@ -420,7 +421,7 @@ def curves_over_time(
     both give the same posterior, and this way each checkpoint's design
     is a prefix of the whole tour's. So the tour is factored once and
     ``Posterior.prefix_mean_and_variance`` reads every checkpoint off
-    one triangular solve. The noise for the whole tour is drawn up front,
+    one triangular multiply. The noise for the whole tour is drawn up front,
     one value per measurement in waypoint order, so a measurement carries
     the same reading at every checkpoint that includes it.
     """

@@ -25,7 +25,9 @@ from .gp import Hyperparameters, MeasurementMultiset, Posterior
 
 # Largest dense verification, in flops (``_solve_flops``: N^3 / 3 to
 # factor plus N^2 G for the variance sweep), run before the tiled local
-# bound may take over. 1e10 is about 0.3 s on two cores: cheap enough
+# bound may take over. 1e10 is 0.22-0.27 s on two cores (N = 600 to
+# 1,500 sites; inverting the factor adds another N^3 / 3 that the count
+# leaves out, so no verification method changed with it): cheap enough
 # that small plans keep exact reported values.
 _DENSE_VERIFY_FLOPS = 1e10
 

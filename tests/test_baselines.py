@@ -478,3 +478,37 @@ def test_trials_peak_within_the_guard_count():
         peaks.append(peak)
     per_trial = (peaks[1] - peaks[0]) / 200
     assert 0.85 * 5_792 <= per_trial <= 5_792
+
+
+def test_trials_merge_the_design_once(monkeypatch):
+    import fieldcover.baselines as baselines
+
+    # repeats within an entry and across entries, so the merge matters
+    plan = MeasurementMultiset(
+        tuple(((x, y), 1 + int(x + y) % 3) for x in (1.0, 4.0, 7.0) for y in (1.0, 4.0, 7.0))
+        + (((4.0, 4.0), 2), ((1.0, 7.0), 1))
+    )
+    truth = sample_gp_field(ENV, H, 0.5, 11)
+    sensor = SensorModel(H.noise_variance, 3)
+    merge = MeasurementMultiset._merge
+    merges = []
+
+    def counted(self):
+        merges.append(self)
+        return merge(self)
+
+    readings = []
+
+    class Recorded(Posterior):
+        def mean_and_variance(self, points, values):
+            readings.append(np.array(values))
+            return super().mean_and_variance(points, values)
+
+    monkeypatch.setattr(MeasurementMultiset, "_merge", counted)
+    monkeypatch.setattr(baselines, "Posterior", Recorded)
+    reports = simulate_trials(truth, plan, sensor, H, range(5))
+    assert len(reports) == 5 and len(merges) == 1
+    sites, _ = plan.distinct()
+    for t in range(5):
+        want = plan.site_means(baselines._noise(sensor, t, plan.total)) + truth.value_at(sites)
+        np.testing.assert_array_equal(readings[0][:, t], want)

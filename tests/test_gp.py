@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg.blas import dtrmm
 
 from fieldcover import gp
-from fieldcover._lapack import dtrtrs
 from fieldcover import (
     DegenerateDataError,
     Hyperparameters,
@@ -367,7 +367,8 @@ def test_queries_hold_one_cross_covariance_chunk_at_a_time(monkeypatch, query):
 
 def chunk_level_variance(post, points, lengths):
     """``Posterior``'s variance read as it was when every read held a whole
-    chunk: one (sites x chunk) V, solved a panel at a time, then summed."""
+    chunk: one (sites x chunk) V, multiplied by the inverse factor a panel
+    at a time, then summed."""
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     s2 = post.hyper.signal_variance
     variances = np.full((len(lengths), pts.shape[0]), s2)
@@ -377,7 +378,7 @@ def chunk_level_variance(post, points, lengths):
         chunk = slice(start, start + step)
         v = kernel_matrix(pts[chunk], post.design, post.hyper).T
         for p in range(0, v.shape[1], gp._PANEL_POINTS):
-            dtrtrs(post._factor, v[:, p : p + gp._PANEL_POINTS], lower=1, overwrite_b=1)
+            dtrmm(1.0, post._inverse, v[:, p : p + gp._PANEL_POINTS], lower=1, overwrite_b=1)
         explained, done = 0.0, 0
         for j in order:
             n = lengths[j]

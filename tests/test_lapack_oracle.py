@@ -91,8 +91,10 @@ def test_fallback_import_gives_the_same_objects(monkeypatch):
     assert _lapack._extension_file("spatial", "_flapack") is None
     monkeypatch.setattr(_lapack, "_extension_file", lambda package, name: None)
     flapack = _lapack._extension("linalg", "_flapack")
+    fblas = _lapack._extension("linalg", "_fblas")
     others = {
-        "dtrmv": _lapack._extension("linalg", "_fblas"),
+        "dtrmm": fblas,
+        "dtrmv": fblas,
         "cdist_sqeuclidean": _lapack._extension("spatial", "_distance_pybind"),
     }
     for name in _lapack.__all__:

@@ -242,9 +242,8 @@ def cmd_compare(args: argparse.Namespace) -> None:
     plan = _build_plan(args, env)
     tour = _build_tour(args, plan)
     depot = tour.depot
-    # the draw's node covariance is the command's largest matrix, so it is
-    # built and dropped before the baselines leave their memory behind;
-    # the draw has its own random stream and the baselines use none
+    # the draw has its own random stream and the baselines use none, so
+    # drawing the truth first changes no output
     box = _truth_env(env, plan)
     spacing = _truth_spacing(args, env, box)
     truth = sample_gp_field(box, args.hyper, spacing, args.seed)

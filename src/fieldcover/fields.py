@@ -9,13 +9,12 @@ these values directly; they only get noisy point samples.
 from __future__ import annotations
 
 import math
-import mmap
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._lapack import dpotrf, dtrmv
-from .errors import GridTooLargeError
+from ._lapack import dpotrf
+from .errors import GridTooLargeError, NumericalError
 from .geometry import Environment
 from .gp import Hyperparameters
 
@@ -89,54 +88,27 @@ def _axis_nodes(lo: float, hi: float, spacing: float) -> np.ndarray:
     return lo + spacing * np.arange(steps + 1)
 
 
-def _lazy_matrix(n: int) -> np.ndarray:
-    """An n x n float64 matrix whose pages become resident only when written.
+def _axis_factor(nodes: np.ndarray, variance: float, length_scale: float) -> np.ndarray:
+    """Lower Cholesky factor of the jittered covariance of one axis's nodes.
 
-    It lives on its own anonymous mapping, kept off transparent huge
-    pages: numpy's allocator asks for 2 MiB pages on large arrays, so
-    writing one triangle would make the whole matrix resident.
+    The covariance is variance * exp(-d**2 / (2 l**2)) over the nodes'
+    pairwise differences d, plus 1e-10 * variance on the diagonal. It is
+    symmetric, so its transpose is the Fortran view that LAPACK's
+    ``dpotrf`` (scipy's, from ``._lapack``) factors in place.
     """
-    buf = mmap.mmap(-1, 8 * n * n, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
-    if hasattr(mmap, "MADV_NOHUGEPAGE"):
-        buf.madvise(mmap.MADV_NOHUGEPAGE)
-    return np.frombuffer(buf, dtype=float).reshape(n, n)
-
-
-def _node_covariance(xs: np.ndarray, ys: np.ndarray, hyper: Hyperparameters) -> np.ndarray:
-    """Jittered covariance of the nodes ``xs`` x ``ys``, in x-major order.
-
-    Nodes (i, j) and (k, m) are (xs[i] - xs[k])**2 + (ys[j] - ys[m])**2
-    apart, which is the sum ``gp.kernel_matrix`` forms, so every entry
-    has its bits. The ny x ny block of x indices (i, k) depends on the
-    x pair only through the bits of (xs[i] - xs[k])**2, and a grid has
-    few distinct ones: each block is computed once, in place at its
-    first position in row-major order, and copied from there.
-
-    Only the blocks with k >= i are filled, the upper triangle and the
-    diagonal blocks whole; the rest of the matrix is never written and
-    never becomes resident. That triangle is the lower one of the
-    transpose, which is all LAPACK reads of that Fortran-ordered view.
-    """
-    nx, ny = xs.size, ys.size
-    dx2 = np.square(xs[:, None] - xs)
-    dy2 = np.square(ys[:, None] - ys)
-    scale = -(2.0 * hyper.length_scale**2)
-    cov = _lazy_matrix(nx * ny)
-    # the bits of dx2[i, k] -> the first block (i, k) that has them
-    first: dict[float, tuple[int, int]] = {}
-    for i in range(nx):
-        for k in range(i, nx):
-            block = cov[i * ny : (i + 1) * ny, k * ny : (k + 1) * ny]
-            si, sk = first.setdefault(float(dx2[i, k]), (i, k))
-            if (si, sk) != (i, k):
-                block[...] = cov[si * ny : (si + 1) * ny, sk * ny : (sk + 1) * ny]
-                continue
-            np.add(dx2[i, k], dy2, out=block)
-            np.divide(block, scale, out=block)
-            np.exp(block, out=block)
-            np.multiply(hyper.signal_variance, block, out=block)
-    cov[np.diag_indices_from(cov)] += 1e-10 * hyper.signal_variance
-    return cov
+    cov = np.subtract.outer(nodes, nodes)
+    np.square(cov, out=cov)
+    np.divide(cov, -(2.0 * length_scale**2), out=cov)
+    np.exp(cov, out=cov)
+    np.multiply(variance, cov, out=cov)
+    cov[np.diag_indices_from(cov)] += 1e-10 * variance
+    lower, info = dpotrf(cov.T, lower=1, overwrite_a=1)
+    if info != 0:
+        raise NumericalError(
+            f"the covariance of {nodes.size} axis nodes {nodes[1] - nodes[0]:g} apart "
+            f"is not positive definite (dpotrf info {info}); increase spacing"
+        )
+    return lower
 
 
 def sample_gp_field(
@@ -145,14 +117,18 @@ def sample_gp_field(
     """One exact draw of the zero-mean process on a grid covering ``env``.
 
     Deterministic per seed; stream [seed, 0] is reserved for field
-    synthesis, stream [seed, 1, t] for per-trial sensor noise. The draw
-    is L z for the Cholesky factor L of the node covariance (plus a
-    1e-10 * s2 jitter), factored in place. Only the triangle that the
-    factorization reads is ever written, so on a large grid of n nodes
-    the draw keeps about 0.6-0.7 of one n x n matrix resident (0.70 on
-    51 x 51 nodes, 0.58 on 81 x 81). A covariance too ill-conditioned to
-    factor is drawn from its eigendecomposition instead, for which numpy
-    hands LAPACK whole-matrix copies.
+    synthesis, stream [seed, 1, t] for per-trial sensor noise. On a
+    grid the squared-exponential covariance of the nodes is the
+    Kronecker product K_x (x) K_y of one covariance per axis, with s2 on
+    the x axis, so the draw is L_x Z L_y^T = (L_x (x) L_y) z for the
+    per-axis Cholesky factors and the normals z laid out x-major as Z.
+    Each axis carries a 1e-10 jitter relative to its variance, which
+    puts the product within 1e-10 * s2 of the node covariance with a
+    1e-10 * s2 jitter, and the draw holds only the two per-axis
+    matrices and a few arrays of one value per node. Older builds
+    factored that whole node covariance instead: the same process, but
+    another draw of it, so every seed's truth differs from theirs.
+    Raises ``NumericalError`` if an axis covariance does not factor.
     """
     if not (math.isfinite(spacing) and spacing > 0.0):
         raise ValueError("spacing must be positive and finite")
@@ -165,20 +141,7 @@ def sample_gp_field(
             f"{count} grid nodes exceed the {_MAX_EXACT_POINTS}-point cap for "
             f"exact sampling; increase spacing"
         )
-    rng = np.random.default_rng([seed, 0])
-    z = rng.standard_normal(count)
-    # The covariance's transpose is the Fortran view LAPACK factors in
-    # place, and its lower triangle is all that is filled; dpotrf and
-    # dtrmv (scipy's compiled LAPACK and BLAS, from ``._lapack``) read
-    # nothing else.
-    lower, info = dpotrf(_node_covariance(xs, ys, hyper).T, lower=1, overwrite_a=1, clean=0)
-    if info == 0:
-        draw = dtrmv(lower, z, lower=1)
-    else:
-        # dense grids make the covariance numerically rank-deficient; the
-        # failed factorization overwrote it, so build it again; eigh reads
-        # only the lower triangle, and of the transpose that is the filled one
-        del lower
-        w, vecs = np.linalg.eigh(_node_covariance(xs, ys, hyper).T)
-        draw = vecs @ (np.sqrt(np.clip(w, 0.0, None)) * z)
-    return FieldGrid((float(x0), float(y0)), float(spacing), draw.reshape(xs.size, ys.size))
+    z = np.random.default_rng([seed, 0]).standard_normal(count).reshape(xs.size, ys.size)
+    lower_x = _axis_factor(xs, hyper.signal_variance, hyper.length_scale)
+    lower_y = _axis_factor(ys, 1.0, hyper.length_scale)
+    return FieldGrid((float(x0), float(y0)), float(spacing), lower_x @ z @ lower_y.T)

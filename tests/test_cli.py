@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fieldcover import cli
+from fieldcover import cli, fields
 from fieldcover import io as fileio
 from fieldcover.gp import Hyperparameters, Posterior, kernel_matrix
 from fieldcover.placement import VerificationReport
@@ -284,6 +284,12 @@ class TestSplit:
 
 
 class TestSimulate:
+    def test_a_truth_that_does_not_factor_exits_4(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(fields, "dpotrf", lambda a, **kwargs: (a, 1))
+        args = plan_args(tmp_path, "out", "--trials", "1", "--grid-res", "0.7")
+        assert cli.main(["simulate", *args]) == 4
+        assert "not positive definite" in capsys.readouterr().err
+
     def test_summary_and_points_tables(self, tmp_path):
         args = plan_args(
             tmp_path, "out", "--seed", "7", "--trials", "4", "--grid-res", "0.7"
@@ -394,8 +400,8 @@ class TestCompare:
         assert all(len(read_csv(path)[1]) == 11 for path in curves)
 
     def test_truth_is_drawn_before_the_greedy_baselines(self, tmp_path, monkeypatch):
-        # the draw's node covariance is freed before the baselines run, so
-        # the two never hold memory at once
+        # the draw has its own random stream, so drawing it first changes
+        # no output; the order is pinned so that it does not drift
         calls = []
         for name in ("sample_gp_field", "entropy_greedy", "mi_greedy"):
             def spy(*args, _name=name, _real=getattr(cli, name)):

@@ -1,21 +1,18 @@
-"""The synthetic field's draw against the dense routes it replaced.
+"""The synthetic field's draw against the dense node covariance.
 
-``sample_gp_field`` factors the node covariance in place with LAPACK's
-``dpotrf`` and multiplies by the lower triangle alone. The references
-are the draw it used to make, ``np.linalg.cholesky(cov) @ z``, and its
-eigendecomposition fallback. In exact arithmetic the Cholesky routes
-give the same field; they differ only by rounding, which stays far
-below 1e-3 standard deviations. Drawing from the wrong stream, reading
-the wrong triangle or applying the transposed factor moves the field
-by about one standard deviation. The fallback must rebuild the
-covariance that the failed factorization overwrote, so it is pinned
-bit for bit.
+``sample_gp_field`` factors one covariance per grid axis with LAPACK's
+``dpotrf`` and draws L_x Z L_y^T, which is (L_x (x) L_y) z for the
+normals z of stream [seed, 0] laid out x-major as Z. Two checks pin it:
+the Kronecker product of the per-axis covariances L L^T is the jittered
+node covariance built from scipy's ``cdist`` over every node pair, up
+to the per-axis jitter (1e-10 * s2); and the field is the dense
+Kronecker factor times z, up to rounding. A transposed factor, normals
+laid out y-major or another stream move the field by about one
+standard deviation, so each of those must fail.
 
-The covariance is built from per-axis tables of squared differences,
-and only the triangle that ``dpotrf`` reads is filled. The references
-build it as it used to be built, from scipy's ``cdist`` over every
-node pair, and the in-place ``dpotrf`` route over that matrix must give
-the draw bit for bit.
+The reference cannot be a dense Cholesky draw of the node covariance:
+``np.linalg.cholesky`` of the Kronecker covariance fails on half of
+these grids, whose 1e-10 jitter leaves them numerically singular.
 """
 
 from __future__ import annotations
@@ -24,18 +21,17 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg.blas import dtrmv
-from scipy.linalg.lapack import dpotrf
 from scipy.spatial.distance import cdist
 
 from fieldcover import fields
+from fieldcover.errors import NumericalError
 from fieldcover.fields import sample_gp_field
 from fieldcover.geometry import Environment
 from fieldcover.gp import Hyperparameters
 
 
-def reference_covariance(field, hyper: Hyperparameters, seed: int):
-    """The draw's standard normals and the jittered covariance of ``field``'s nodes."""
+def reference_covariance(field, hyper: Hyperparameters) -> np.ndarray:
+    """The jittered covariance of ``field``'s nodes, from every node pair."""
     pts = field.points()
     cov = cdist(pts, pts, "sqeuclidean")
     np.negative(cov, out=cov)
@@ -43,26 +39,21 @@ def reference_covariance(field, hyper: Hyperparameters, seed: int):
     np.exp(cov, out=cov)
     np.multiply(hyper.signal_variance, cov, out=cov)
     cov[np.diag_indices_from(cov)] += 1e-10 * hyper.signal_variance
-    return np.random.default_rng([seed, 0]).standard_normal(pts.shape[0]), cov
+    return cov
 
 
-def reference_lapack_draw(field, hyper: Hyperparameters, seed: int) -> np.ndarray:
-    """The in-place ``dpotrf`` draw over the whole cdist-built covariance."""
-    z, cov = reference_covariance(field, hyper, seed)
-    lower, info = dpotrf(cov.T, lower=1, overwrite_a=1, clean=0)
-    assert info == 0
-    return dtrmv(lower, z, lower=1).reshape(field.shape)
+def stream(seed: int, size: int, key: int = 0) -> np.ndarray:
+    return np.random.default_rng([seed, key]).standard_normal(size)
 
 
-def reference_cholesky_draw(field, hyper: Hyperparameters, seed: int) -> np.ndarray:
-    z, cov = reference_covariance(field, hyper, seed)
-    return (np.linalg.cholesky(cov) @ z).reshape(field.shape)
-
-
-def reference_eigh_draw(field, hyper: Hyperparameters, seed: int) -> np.ndarray:
-    z, cov = reference_covariance(field, hyper, seed)
-    w, vecs = np.linalg.eigh(cov)
-    return (vecs @ (np.sqrt(np.clip(w, 0.0, None)) * z)).reshape(field.shape)
+def axis_factors(env: Environment, hyper: Hyperparameters, spacing: float):
+    x0, y0, x1, y1 = env.bounds
+    xs = fields._axis_nodes(x0, x1, spacing)
+    ys = fields._axis_nodes(y0, y1, spacing)
+    return (
+        fields._axis_factor(xs, hyper.signal_variance, hyper.length_scale),
+        fields._axis_factor(ys, 1.0, hyper.length_scale),
+    )
 
 
 def rect(x0, y0, x1, y1) -> Environment:
@@ -87,43 +78,46 @@ CONFIGS = [
     (rect(0, 0, 50, 50), Hyperparameters(8.33, 12.87, 0.0361), 1.0, 1),
     (rect(1e5, -3, 1e5 + 20, 5), Hyperparameters(3.0, 2.0, 0.1), 0.5, 4),
 ]
+# boxes whose axes have different node counts (19 x 7 and 7 x 16)
+BOXES = [(rect(0, 0, 9, 3), H_BOXES, 0.5), (rect(-2.5, 1, 2, 12), H_BOXES, 0.75)]
+CASES = CONFIGS + [(env, hyper, spacing, seed) for env, hyper, spacing in BOXES for seed in (0, 1, 2, 3, 99)]
 
 
-@pytest.mark.parametrize("env, hyper, spacing, seed", CONFIGS)
-def test_draw_matches_dense_cholesky(env, hyper, spacing, seed):
+@pytest.mark.parametrize("env, hyper, spacing", [c[:3] for c in CONFIGS] + BOXES)
+def test_axis_factors_give_the_cdist_node_covariance(env, hyper, spacing):
+    lower_x, lower_y = axis_factors(env, hyper, spacing)
+    field = sample_gp_field(env, hyper, spacing, 0)
+    assert (lower_x.shape[0], lower_y.shape[0]) == field.shape
+    kron = np.kron(lower_x @ lower_x.T, lower_y @ lower_y.T)
+    # the product's diagonal carries 1e-10 * s2 more jitter, and each
+    # off-diagonal entry up to 1e-10 * s2 times a correlation
+    assert np.abs(kron - reference_covariance(field, hyper)).max() <= 3e-10 * hyper.signal_variance
+
+
+@pytest.mark.parametrize("env, hyper, spacing, seed", CASES)
+def test_draw_is_the_kronecker_factor_times_the_stream(env, hyper, spacing, seed):
     field = sample_gp_field(env, hyper, spacing, seed)
-    want = reference_cholesky_draw(field, hyper, seed)
-    assert np.abs(field.values - want).max() <= 1e-3 * math.sqrt(hyper.signal_variance)
+    nx, ny = field.shape
+    factor = np.kron(*axis_factors(env, hyper, spacing))
+    z = stream(seed, nx * ny)
+    sd = math.sqrt(hyper.signal_variance)
+    assert np.abs(field.values.ravel() - factor @ z).max() <= 1e-12 * sd
+    wrong = {
+        "transposed factor": factor.T @ z,
+        "normals laid out y-major": factor @ z.reshape(ny, nx).T.ravel(),
+        "the noise stream": factor @ stream(seed, nx * ny, key=1),
+        "the next seed's stream": factor @ stream(seed + 1, nx * ny),
+    }
+    for name, values in wrong.items():
+        assert np.abs(field.values.ravel() - values).max() > 0.5 * sd, name
 
 
-@pytest.mark.parametrize("env, hyper, spacing, seed", CONFIGS)
-def test_draw_is_the_cdist_covariance_draw_bit_for_bit(env, hyper, spacing, seed):
-    field = sample_gp_field(env, hyper, spacing, seed)
-    assert field.values.tobytes() == reference_lapack_draw(field, hyper, seed).tobytes()
-
-
-@pytest.mark.parametrize("seed", [0, 1, 2, 3, 99])
-def test_draws_of_non_square_boxes_are_the_cdist_draws_for_every_seed(seed):
-    for env, spacing in ((rect(0, 0, 9, 3), 0.5), (rect(-2.5, 1, 2, 12), 0.75)):
-        field = sample_gp_field(env, H_BOXES, spacing, seed)
-        assert field.shape[0] != field.shape[1]
-        assert field.values.tobytes() == reference_lapack_draw(field, H_BOXES, seed).tobytes()
-
-
-def test_failed_factorization_falls_back_to_eigh_on_a_fresh_covariance(monkeypatch):
-    real = fields.dpotrf
-    calls = []
-
+def test_an_axis_that_does_not_factor_raises_numerical_error(monkeypatch):
     def failing(a, **kwargs):
-        # factor (and so overwrite) the matrix as LAPACK would, then
-        # report a non-positive pivot
-        calls.append(a.shape)
-        factor, _ = real(a, **kwargs)
-        return factor, 1
+        # a non-positive pivot
+        return a, 1
 
     monkeypatch.setattr(fields, "dpotrf", failing)
-    for env, hyper, spacing, seed in (CONFIGS[0], CONFIGS[3]):
-        field = sample_gp_field(env, hyper, spacing, seed)
-        want = reference_eigh_draw(field, hyper, seed)
-        assert field.values.tobytes() == want.tobytes()
-    assert len(calls) == 2
+    env, hyper, spacing, seed = CONFIGS[0]
+    with pytest.raises(NumericalError, match="not positive definite"):
+        sample_gp_field(env, hyper, spacing, seed)

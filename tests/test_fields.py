@@ -1,7 +1,11 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +15,7 @@ from fieldcover.fields import FieldGrid, sample_gp_field
 from fieldcover.geometry import Environment
 from fieldcover.gp import Hyperparameters
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 H = Hyperparameters(2.0, 1.5, 0.1)
 ENV = Environment.rectangle((0.0, 0.0), (8.0, 8.0))
 
@@ -75,9 +80,11 @@ def test_deterministic_per_seed():
     assert not np.array_equal(a.values, c.values)
 
 
-def test_draw_peaks_at_one_covariance_matrix():
+def test_draw_peaks_at_a_few_node_sized_arrays():
     env = Environment.rectangle((0, 0), (40.0, 40.0))
-    one = 8 * 41**4  # the 1,681 x 1,681 node covariance: 22.6 MB
+    node_array = 8 * 41**2  # one value per node: 13.4 kB
+    # a first draw imports numpy.random, which tracemalloc would count
+    sample_gp_field(ENV, H, 2.0, 0)
     tracemalloc.start()
     try:
         grid = sample_gp_field(env, H, 1.0, 0)
@@ -85,9 +92,44 @@ def test_draw_peaks_at_one_covariance_matrix():
     finally:
         tracemalloc.stop()
     assert grid.shape == (41, 41)
-    # the covariance is on its own mapping, which tracemalloc does not
-    # see, and it is factored in place: numpy allocates no n x n copy
-    assert peak <= 0.5 * one
+    # the normals, the two 41 x 41 axis covariances (a node array each
+    # here), the product with L_x and the field: about five node arrays,
+    # where a node covariance would be 1,681 of them
+    assert peak <= 8 * node_array
+
+
+PEAK_GROWTH = """
+from fieldcover.fields import sample_gp_field
+from fieldcover.geometry import Environment
+from fieldcover.gp import Hyperparameters
+
+def peak():
+    with open("/proc/self/status") as status:
+        for line in status:
+            if line.startswith("VmHWM:"):
+                return 1024 * int(line.split()[1])
+
+hyper = Hyperparameters(8.33, 12.87, 0.0361)
+sample_gp_field(Environment.rectangle((0, 0), (8, 8)), hyper, 1.0, 0)
+before = peak()
+grid = sample_gp_field(Environment.rectangle((0, 0), (50, 50)), hyper, 1.0, 1)
+print(peak() - before, grid.values.size)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
+def test_the_readme_draw_barely_raises_the_peak_resident_set():
+    # in a fresh interpreter, after a small warm-up draw, so that only
+    # the 51 x 51 draw itself can raise the high-water mark
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c", PEAK_GROWTH], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    growth, n = int(out[0]), int(out[1])
+    assert n == 51 * 51
+    # the 2,601-node covariance alone would be 54.1 MB; the draw holds
+    # two 51 x 51 matrices and a few node arrays (0.34 MB measured)
+    assert growth < 2_000_000
 
 
 def test_near_zero_prior_gives_near_zero_field():

@@ -2,11 +2,14 @@
 
 ``sample_gp_field`` factors one covariance per grid axis with LAPACK's
 ``dpotrf`` and draws L_x Z L_y^T, which is (L_x (x) L_y) z for the
-normals z of stream [seed, 0] laid out x-major as Z. Two checks pin it:
-the Kronecker product of the per-axis covariances L L^T is the jittered
-node covariance built from scipy's ``cdist`` over every node pair, up
-to the per-axis jitter (1e-10 * s2); and the field is the dense
-Kronecker factor times z, up to rounding. A transposed factor, normals
+normals z of stream [seed, 0] laid out x-major as Z. Three checks pin
+it: each axis factor is lower triangular and L L^T is its jittered axis
+covariance from ``cdist`` up to rounding, on every box below plus a
+1e5 offset and a spacing that divides neither side; the Kronecker
+product of the per-axis covariances L L^T is the jittered node
+covariance built from ``cdist`` over every node pair, up to the
+per-axis jitter (1e-10 * s2); and the field is the dense Kronecker
+factor times z, up to rounding. A transposed factor, normals
 laid out y-major or another stream move the field by about one
 standard deviation, so each of those must fail.
 
@@ -81,6 +84,34 @@ CONFIGS = [
 # boxes whose axes have different node counts (19 x 7 and 7 x 16)
 BOXES = [(rect(0, 0, 9, 3), H_BOXES, 0.5), (rect(-2.5, 1, 2, 12), H_BOXES, 0.75)]
 CASES = CONFIGS + [(env, hyper, spacing, seed) for env, hyper, spacing in BOXES for seed in (0, 1, 2, 3, 99)]
+
+
+# every box above, one offset by 1e5 whose 61 x nodes differ by
+# multiples of 0.1, and a spacing that does not divide either side
+AXIS_CASES = [c[:3] for c in CONFIGS] + BOXES + [
+    (rect(1e5, 1e5, 1e5 + 6, 1e5 + 2), Hyperparameters(0.5, 2.0, 0.1), 0.1),
+    (rect(0, 0, 7.3, 5.1), H_BOXES, 0.7),
+]
+
+
+@pytest.mark.parametrize("env, hyper, spacing", AXIS_CASES)
+@pytest.mark.parametrize("axis", ["x", "y"])
+def test_axis_factor_is_a_cholesky_factor_of_the_cdist_axis_covariance(env, hyper, spacing, axis):
+    x0, y0, x1, y1 = env.bounds
+    lo, hi, variance = (x0, x1, hyper.signal_variance) if axis == "x" else (y0, y1, 1.0)
+    nodes = fields._axis_nodes(lo, hi, spacing)
+    given = nodes.copy()
+    lower = fields._axis_factor(nodes, variance, hyper.length_scale)
+    assert np.array_equal(nodes, given)
+    assert lower.shape == (nodes.size, nodes.size)
+    assert not np.triu(lower, 1).any()
+    assert np.all(np.diag(lower) > 0.0)
+    column = nodes[:, None]
+    cov = variance * np.exp(-cdist(column, column, "sqeuclidean") / (2.0 * hyper.length_scale**2))
+    cov[np.diag_indices_from(cov)] += 1e-10 * variance
+    # measured up to 4.4e-16 * variance, on the 61-node axis; a missing
+    # jitter alone would be 1e-10 * variance
+    assert np.abs(lower @ lower.T - cov).max() <= 1e-14 * variance
 
 
 @pytest.mark.parametrize("env, hyper, spacing", [c[:3] for c in CONFIGS] + BOXES)

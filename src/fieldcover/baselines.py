@@ -132,9 +132,10 @@ def simulate_trials(
     trials, points = len(trial_indices), truth.values.size
     # Per trial: the site readings, which take the truth in place, and
     # their product with the inverse factor (one value per site each); the
-    # means and either the read's running sums or, after it, the squared
-    # errors (one value per truth point each); and 128 words for the
-    # Python objects of these arrays and of the report.
+    # means and the squared errors (one value per truth point each), the
+    # second word also covering the read's running sums, which are one
+    # panel's; and 128 words for the Python objects of these arrays and of
+    # the report.
     check_dense_budget(
         8 * trials * (2 * sites.shape[0] + 2 * points + 128),
         f"{trials} simulated trials over {points} truth points; use fewer trials",

@@ -242,10 +242,12 @@ def cmd_compare(args: argparse.Namespace) -> None:
     plan = _build_plan(args, env)
     tour = _build_tour(args, plan)
     depot = tour.depot
-    # the draw has its own random stream and the baselines use none, so
-    # drawing the truth first changes no output
     box = _truth_env(env, plan)
     spacing = _truth_spacing(args, env, box)
+    # an evaluation grid with no point inside fails here, before any draw
+    eval_points = env.grid(spacing)
+    # the draw has its own random stream and the baselines use none, so
+    # drawing the truth first changes no output
     truth = sample_gp_field(box, args.hyper, spacing, args.seed)
 
     candidates = baseline_candidates(env, args.hyper, args.delta)
@@ -260,7 +262,6 @@ def cmd_compare(args: argparse.Namespace) -> None:
         planners[f"lawnmower_{res:g}"] = lawnmower_plan(env, res, depot)
 
     sensor = SensorModel(args.hyper.noise_variance, args.seed)
-    eval_points = env.grid(spacing)
 
     for name, candidate_tour in planners.items():
         horizon = tour_time(candidate_tour, args.eta)

@@ -144,4 +144,7 @@ def sample_gp_field(
     z = np.random.default_rng([seed, 0]).standard_normal(count).reshape(xs.size, ys.size)
     lower_x = _axis_factor(xs, hyper.signal_variance, hyper.length_scale)
     lower_y = _axis_factor(ys, 1.0, hyper.length_scale)
-    return FieldGrid((float(x0), float(y0)), float(spacing), lower_x @ z @ lower_y.T)
+    # einsum sums in its own loops; a BLAS product may split its sums by
+    # thread count, which would make the draw depend on the host
+    values = np.einsum("ik,jk->ij", np.einsum("ik,kj->ij", lower_x, z), lower_y)
+    return FieldGrid((float(x0), float(y0)), float(spacing), values)

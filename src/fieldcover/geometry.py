@@ -195,7 +195,8 @@ class Environment:
         """Points of an axis-aligned grid that fall inside the region.
 
         Both far edges are always sampled, appended when the spacing does
-        not land on them, so boundary extremes are never missed.
+        not land on them, so boundary extremes are never missed. Raises
+        ValueError, naming the spacing, when no grid point falls inside.
         """
         step = float(spacing)
         if not math.isfinite(step) or step <= 0.0:
@@ -212,7 +213,12 @@ class Environment:
         xs, ys = axis(x0, x1), axis(y0, y1)
         gx, gy = np.meshgrid(xs, ys, indexing="ij")
         pts = np.column_stack([gx.ravel(), gy.ravel()])
-        return pts[self.contains(pts)]
+        pts = pts[self.contains(pts)]
+        if pts.shape[0] == 0:
+            raise ValueError(
+                f"no point of a grid with spacing {step:g} falls inside the environment; use a finer spacing"
+            )
+        return pts
 
     def project(self, points) -> np.ndarray:
         """Each point where it lies inside the region, else the region's closest point to it."""

@@ -18,10 +18,11 @@ order; there a revisit gets a row of its own.
 Every posterior query is one read of V = M K(sites, points), with M the
 inverse of the Cholesky factor L, formed once when the Gram matrix is
 factored: the variance is s2 - sum_i V_i^2 and the mean b . V with
-b = M y, summed over all rows or over a leading block of them. V is a
-triangular multiply by M rather than a substitution with L: the same
-flops, run as a matrix-matrix product, about three times as fast, and
-within a few units of rounding of the substitution.
+b = M y, summed over all rows or over a leading block of them. V is
+built one panel of query points at a time, as a triangular multiply by
+M rather than a substitution with L: the same flops, run as a
+matrix-matrix product, about three times as fast, and within a few
+units of rounding of the substitution.
 """
 
 from __future__ import annotations
@@ -37,16 +38,11 @@ from ._lapack import (
 )
 from .errors import DegenerateDataError, GramTooLargeError, NumericalError
 
-# Byte budget of one float64 (sites x query points) cross-covariance chunk
-# in ``Posterior``'s read; one chunk is live at a time, and a read without
-# means (``variance``, so verification) holds only one panel of it. Means
-# depend on where chunks start and end, variances do not: 2 MiB chunks
-# moved the posterior means of ``simulate`` by up to 1.8e-15 and the MSE
-# columns of ``trial_summary.csv`` and ``curve_entropy.csv`` by about
-# 2e-16 relative, so changing this changes written outputs.
-_CHUNK_BYTES = 32 * 2**20
-# A chunk is multiplied in place this many points at a time, which keeps
-# OpenBLAS's packing buffer panel-sized rather than chunk-sized.
+# ``Posterior``'s read builds, multiplies and sums the cross-covariances
+# of this many query points at a time, so one (sites x points) panel is
+# live at a time and OpenBLAS's packing buffer stays panel-sized. Where
+# panels start and end moves means, and variances over many sites, by
+# rounding, so changing this changes written outputs.
 _PANEL_POINTS = 512
 # Largest Gram matrix a dense solve may allocate. Factorization is in
 # place, so this is also about the peak of the factorization itself.
@@ -229,10 +225,10 @@ class Posterior:
     returns them, keep the system smallest; ``prefix_mean_and_variance``
     relies on the rows staying in visiting order instead. Factors once
     and inverts the factor in place; every query then goes through one
-    chunked read of V = L^-1 K(sites, points), a triangular multiply by
-    the stored inverse, that gives variances and any number of means
-    together, so a variance is the same bits whichever query asked for
-    it.
+    read of V = L^-1 K(sites, points), a panel of query points at a
+    time, each panel a triangular multiply by the stored inverse that
+    gives variances and any number of means together, so a variance is
+    the same bits whichever query asked for it.
     """
 
     def __init__(self, sites, hyper: Hyperparameters, counts=None):
@@ -322,11 +318,10 @@ class Posterior:
         multiplied once per value column, the first n rows give variance
         s2 - sum_{i<n} V_i^2 and mean sum_{i<n} b_i V_i. The sums run over
         the rows in order, so a longer prefix never reports a larger
-        variance at any point. V is built in chunks of about
-        ``_CHUNK_BYTES``, each multiplied by M in place a panel of
-        ``_PANEL_POINTS`` points at a time and dropped before the next is
-        built, so one chunk is live at a time; without value columns each
-        panel is built, multiplied and dropped alone. Returns means of shape
+        variance at any point. V is built a panel of ``_PANEL_POINTS``
+        query points at a time, multiplied by M in place, summed and
+        dropped before the next panel is built, so one panel is live at a
+        time whatever the query asks for. Returns means of shape
         (len(lengths), len(points)) + the trailing shape of ``values`` and
         variances of shape (len(lengths), len(points)).
         """
@@ -343,22 +338,11 @@ class Posterior:
         if inverse is not None:
             betas = [dtrmv(inverse, c, lower=1) for c in columns]
             order = sorted(range(len(lengths)), key=lengths.__getitem__)
-            step = max(1, _CHUNK_BYTES // (8 * self.size))
-            # a variance sums each point's own column of V, so a read
-            # without means builds one panel of a chunk at a time and
-            # gets the chunk's bits; a mean's sum spans the chunk's V
-            width = step if betas else _PANEL_POINTS
-            blocks = [
-                slice(lo, min(lo + width, start + step))
-                for start in range(0, pts.shape[0], step)
-                for lo in range(start, min(start + step, pts.shape[0]), width)
-            ]
-            for block in blocks:
-                # K(sites, block) is Fortran-ordered, and so is each panel
-                # of its columns: every multiply runs in place
+            for lo in range(0, pts.shape[0], _PANEL_POINTS):
+                block = slice(lo, lo + _PANEL_POINTS)
+                # K(sites, block) is Fortran-ordered, so it is multiplied in place
                 v = kernel_matrix(pts[block], self.design, self.hyper).T
-                for p in range(0, v.shape[1], _PANEL_POINTS):
-                    dtrmm(1.0, inverse, v[:, p : p + _PANEL_POINTS], lower=1, overwrite_b=1)
+                dtrmm(1.0, inverse, v, lower=1, overwrite_b=1)
                 explained, sums, done = 0.0, [0.0] * len(betas), 0
                 for j in order:
                     n = lengths[j]

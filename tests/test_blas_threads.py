@@ -164,17 +164,22 @@ from fieldcover.fields import sample_gp_field
 from fieldcover.geometry import Environment
 from fieldcover.gp import Hyperparameters
 
-grid = sample_gp_field(Environment.rectangle((0, 0), (50, 50)), Hyperparameters(8.33, 12.87, 0.0361), 1.0, 1)
+nx, ny = map(int, sys.argv[1:])
+env = Environment.rectangle((0, 0), (nx - 1, ny - 1))
+grid = sample_gp_field(env, Hyperparameters(8.33, 12.87, 0.0361), 1.0, 1)
 sys.stdout.buffer.write(grid.values.tobytes())
 """
 
 
-def test_the_truth_draw_is_the_same_bytes_at_one_and_two_threads():
-    # the README's 51 x 51 draw, from two 51 x 51 axis factors; a factor
-    # of the whole 2,601-node covariance moved it by up to 9.7e-5
+# the README's 51 x 51 draw, and a 99 x 101 one, large enough that a
+# threaded BLAS product of the axis factors split its sums
+@pytest.mark.parametrize("nx, ny", [(51, 51), (99, 101)])
+def test_the_truth_draw_is_the_same_bytes_at_one_and_two_threads(nx, ny):
     draws = [
-        subprocess.run([sys.executable, "-c", DRAW], env=child_env(threads), check=True, capture_output=True).stdout
+        subprocess.run(
+            [sys.executable, "-c", DRAW, str(nx), str(ny)], env=child_env(threads), check=True, capture_output=True
+        ).stdout
         for threads in ("1", "2")
     ]
-    assert len(draws[0]) == 8 * 51 * 51
+    assert len(draws[0]) == 8 * nx * ny
     assert draws[0] == draws[1]

@@ -414,6 +414,22 @@ class TestCompare:
         assert calls == ["sample_gp_field", "entropy_greedy", "mi_greedy"]
 
 
+DIAMOND = {"type": "polygon", "vertices": [[5, 0], [10, 5], [5, 10], [0, 5]]}
+
+
+@pytest.mark.parametrize("command", ["plan", "compare"])
+def test_a_grid_with_no_point_inside_exits_2_naming_the_spacing(command, tmp_path, monkeypatch, capsys):
+    # a 20 m grid samples only the corners of a 10 m diamond's bounding box
+    env = tmp_path / "diamond.json"
+    fileio.write_json(env, DIAMOND)
+    greedy = []
+    monkeypatch.setattr(cli, "entropy_greedy", lambda *args: greedy.append(args))
+    args = ["--env", str(env), "--hyper", HYPER, "--delta", "1.2", "--grid-res", "20", "--out", str(tmp_path / "out")]
+    assert cli.main([command, *args]) == 2
+    assert "no point of a grid with spacing 20 falls inside the environment" in capsys.readouterr().err
+    assert greedy == []
+
+
 class TestInProcess:
     """``main`` returns each exit code and can run again in one process."""
 

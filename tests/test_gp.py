@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg.blas import dtrmm
 
 from fieldcover import gp
 from fieldcover import (
@@ -349,81 +348,42 @@ def test_mean_and_variance_columns_match_single_queries_bitwise():
     ],
     ids=["variance", "mean", "mean_and_variance", "prefix_mean_and_variance"],
 )
-def test_queries_hold_one_cross_covariance_chunk_at_a_time(monkeypatch, query):
-    monkeypatch.setattr(gp, "_CHUNK_BYTES", 2**20)
-    rng = np.random.default_rng(3)
-    post = Posterior(rng.uniform(0, 20, size=(200, 2)), H1)
-    y = rng.normal(size=200)
-    pts = rng.uniform(0, 20, size=(3000, 2))
-    chunk = 8 * post.size * (2**20 // (8 * post.size))  # 655 points: 5 chunks
+def test_queries_hold_one_panel_at_a_time(query):
+    # 3,000 points over 600 sites: five 2.5 MB panels and a short one,
+    # where the whole read's cross-covariances would take 14.4 MB
+    rng = np.random.default_rng(5)
+    post = Posterior(rng.uniform(0, 60, size=(600, 2)), Hyperparameters(8.33, 12.87, 0.0361))
+    y = rng.normal(size=post.size)
+    pts = rng.uniform(0, 60, size=(3000, 2))
+    panel = 8 * post.size * gp._PANEL_POINTS
     tracemalloc.start()
     try:
         query(post, pts, y)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 1.5 * chunk
-
-
-def chunk_level_variance(post, points, lengths):
-    """``Posterior``'s variance read as it was when every read held a whole
-    chunk: one (sites x chunk) V, multiplied by the inverse factor a panel
-    at a time, then summed."""
-    pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    s2 = post.hyper.signal_variance
-    variances = np.full((len(lengths), pts.shape[0]), s2)
-    order = sorted(range(len(lengths)), key=lengths.__getitem__)
-    step = max(1, gp._CHUNK_BYTES // (8 * post.size))
-    for start in range(0, pts.shape[0], step):
-        chunk = slice(start, start + step)
-        v = kernel_matrix(pts[chunk], post.design, post.hyper).T
-        for p in range(0, v.shape[1], gp._PANEL_POINTS):
-            dtrmm(1.0, post._inverse, v[:, p : p + gp._PANEL_POINTS], lower=1, overwrite_b=1)
-        explained, done = 0.0, 0
-        for j in order:
-            n = lengths[j]
-            if n > done:
-                explained = explained + np.einsum("ij,ij->j", v[done:n], v[done:n])
-                done = n
-            variances[j, chunk] = s2 - explained
-    return np.maximum(variances, 0.0)
+    assert peak <= 1.5 * panel
 
 
 @pytest.mark.parametrize(
-    "seed, sites, points, chunk_bytes",
+    "seed, sites, points",
     [
-        (0, 7, 40, None),
-        (1, 200, 3000, 2**20),  # 655-point chunks: 5 of them, none a multiple of 512
-        (2, 1500, 6000, None),  # 2,796-point chunks: 3 of them, the last 408 points
-        (3, 1500, 5000, 3 * 2**20 + 8),  # 262-point chunks, shorter than a panel
-        (4, 600, 9000, 2**22 - 8),  # 873-point chunks
+        (0, 7, 40),  # one short panel
+        (1, 200, 3000),  # five panels and a short one of 440
+        (2, 1500, 2000),  # three panels and a short one of 464
+        (3, 1500, 1100),  # two panels and a short one of 76
     ],
 )
-def test_variance_reads_panels_with_the_chunk_reads_bits(monkeypatch, seed, sites, points, chunk_bytes):
-    if chunk_bytes is not None:
-        monkeypatch.setattr(gp, "_CHUNK_BYTES", chunk_bytes)
+def test_every_query_reads_the_same_variance_bits_across_panels(seed, sites, points):
+    # at 1,500 sites a multiply's blocking may follow the panel width, so
+    # every query must cut its panels at the same points
     rng = np.random.default_rng(seed)
     h = Hyperparameters(8.33, 12.87, 0.0361)
     post = Posterior(rng.uniform(0, 60, size=(sites, 2)), h, rng.integers(1, 4, sites))
     pts = rng.uniform(-5, 65, size=(points, 2))
-    assert np.array_equal(post.variance(pts), chunk_level_variance(post, pts, [sites])[0])
-    lengths = [sites, 0, sites // 3]
-    _, prefix = post.prefix_mean_and_variance(pts, np.empty((sites, 0)), lengths)
-    assert np.array_equal(prefix, chunk_level_variance(post, pts, lengths))
-
-
-def test_variance_read_holds_one_panel_at_a_time():
-    # at the default chunk size: 4,194-point chunks of 33.6 MB over 1,000
-    # sites, of which a variance-only read builds one 4.1 MB panel at a time
-    rng = np.random.default_rng(5)
-    post = Posterior(rng.uniform(0, 60, size=(1000, 2)), Hyperparameters(8.33, 12.87, 0.0361))
-    pts = rng.uniform(0, 60, size=(10000, 2))
-    panel = 8 * post.size * gp._PANEL_POINTS
-    assert gp._CHUNK_BYTES // (8 * post.size) > 8 * gp._PANEL_POINTS
-    tracemalloc.start()
-    try:
-        post.variance(pts)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.5 * panel
+    assert points % gp._PANEL_POINTS
+    variances = post.variance(pts)
+    _, joint = post.mean_and_variance(pts, rng.normal(size=(sites, 2)))
+    _, prefix = post.prefix_mean_and_variance(pts, rng.normal(size=sites), [sites])
+    assert np.array_equal(joint, variances)
+    assert np.array_equal(prefix[0], variances)

@@ -200,6 +200,15 @@ def test_verify_empty_plan_reports_prior():
         verify_plan(empty, env, H1, 0.5, grid_spacing=0.0)
 
 
+def test_verify_plan_names_a_spacing_that_leaves_no_grid_point_inside():
+    # a 20 m grid samples only the corners of a 10 m diamond's bounding box
+    diamond = Environment.polygon([(5, 0), (10, 5), (5, 10), (0, 5)])
+    plan = MeasurementMultiset((((5.0, 5.0), 1),))
+    with pytest.raises(ValueError, match="no point of a grid with spacing 20 falls inside"):
+        verify_plan(plan, diamond, H1, 0.5, grid_spacing=20.0)
+    assert verify_plan(plan, diamond, H1, 0.5, grid_spacing=5.0).grid_count == 5
+
+
 def _drop_disk(plan: MeasurementPlan, disk_index: int) -> MeasurementPlan:
     keep = [i for i, p in enumerate(plan.provenance) if p != disk_index]
     return MeasurementPlan(

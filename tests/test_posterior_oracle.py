@@ -266,7 +266,7 @@ def test_formerly_oversized_plan_is_certified_locally(tmp_path):
     assert report["max_variance"] <= 1.2
 
 
-def test_chunked_means_match_expanded_reference(monkeypatch):
+def test_panel_means_match_expanded_reference(monkeypatch):
     import fieldcover.gp as gp
 
     rng = np.random.default_rng(7)
@@ -274,8 +274,8 @@ def test_chunked_means_match_expanded_reference(monkeypatch):
     entries = random_entries(rng, sites=20, entries=45, max_count=3)
     queries = rng.uniform(-8.0, 8.0, size=(50, 2))
     measured, post = collapsed(entries, h)
-    # 8 * 20 * 7 bytes: chunks of 7 query points, the last one short
-    monkeypatch.setattr(gp, "_CHUNK_BYTES", 8 * 20 * 7)
+    # panels of 7 query points, the last one short
+    monkeypatch.setattr(gp, "_PANEL_POINTS", 7)
     values = rng.normal(size=measured.total)
     expected = reference_mean(entries, h, queries, values)
     np.testing.assert_allclose(post.mean(queries, measured.site_means(values)), expected, rtol=RTOL)

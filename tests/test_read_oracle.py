@@ -1,20 +1,20 @@
-"""``Posterior``'s one chunked read against the loops it replaced.
+"""``Posterior``'s one panel read against the loops it replaced.
 
-Every query now goes through one loop over the cross-covariance chunks,
-and every mean is b . V with b = M y and V = M K(sites, points), M the
+Every query now goes through one loop over panels of query points, and
+every mean is b . V with b = M y and V = M K(sites, points), M the
 inverse of the Cholesky factor L. Before, each query had a loop of its
 own, variances came from substitution with L, and ``mean``,
 ``mean_many`` and ``mean_and_variance`` took weights
 (K + diag(w2 / counts))^-1 y from ``cho_solve`` and multiplied them into
 K(points, sites). The copies below are those loops, over a factor L
-built as ``Posterior`` built it. Variances move at rounding level from
-the substitution's, within the panel tolerance; means move at rounding
-level only. Chunks are kept small, so that every query crosses chunk
-boundaries and ends on a short chunk.
+built as ``Posterior`` built it, reading the points in chunks of a fixed
+size of their own. Variances move at rounding level from the
+substitution's, within the panel tolerance; means move at rounding level
+only. Panels are kept small, so that every query crosses panel
+boundaries and ends on a short panel.
 
-Each chunk is multiplied by M in place in panels of ``_PANEL_POINTS``
-points. Where one panel covers the chunk, the variances are the
-whole-chunk multiply's bit for bit; across several panels they may move
+Where a panel is exactly a reference chunk, the variances are the
+chunk multiply's bit for bit; across other panel widths they may move
 at rounding level.
 """
 
@@ -30,10 +30,13 @@ import fieldcover.gp as gp
 from fieldcover.gp import Hyperparameters, Posterior, kernel_matrix
 
 
+# query points per reference chunk
+CHUNK = 100
+
+
 def reference_chunks(post: Posterior, pts: np.ndarray):
-    step = max(1, gp._CHUNK_BYTES // (8 * post.size))
-    for start in range(0, pts.shape[0], step):
-        yield slice(start, start + step), kernel_matrix(pts[start : start + step], post.design, post.hyper)
+    for start in range(0, pts.shape[0], CHUNK):
+        yield slice(start, start + CHUNK), kernel_matrix(pts[start : start + CHUNK], post.design, post.hyper)
 
 
 def reference_factor(post: Posterior, counts) -> np.ndarray:
@@ -55,7 +58,7 @@ def reference_variance(post: Posterior, counts, pts: np.ndarray) -> np.ndarray:
 
 
 def multiply_variance(post: Posterior, pts: np.ndarray) -> np.ndarray:
-    """``reference_variance`` with each whole chunk multiplied by ``Posterior``'s inverse factor."""
+    """``reference_variance`` with each chunk multiplied by ``Posterior``'s inverse factor."""
     out = np.empty(pts.shape[0])
     for rows, kbx in reference_chunks(post, pts):
         v = dtrmm(1.0, post._inverse, kbx.T, lower=1, overwrite_b=1)
@@ -94,8 +97,8 @@ def assert_variances_close(post, got, want):
 @pytest.mark.parametrize("seed", range(8))
 def test_read_matches_the_replaced_loops(seed, monkeypatch):
     rng, post, counts, pts = seeded_case(seed)
-    # chunks of 7 query points, the last one short unless 7 divides the count
-    monkeypatch.setattr(gp, "_CHUNK_BYTES", 8 * post.size * 7)
+    # panels of 7 query points, the last one short unless 7 divides the count
+    monkeypatch.setattr(gp, "_PANEL_POINTS", 7)
     y = rng.normal(size=post.size)
     columns = rng.normal(size=(post.size, 3))
     variances = post.variance(pts)
@@ -128,8 +131,8 @@ def panel_case(seed: int, size: int | None = None):
 # at 1,500 sites a few variances may move between panel sizes, by about
 # 1e-15 s2: rounding, as the tolerance allows
 @pytest.mark.parametrize("seed, size", [(seed, None) for seed in range(6)] + [(7, 1500), (12, 1500)])
-def test_panel_solves_match_the_whole_chunk_solve(seed, size, monkeypatch):
-    # each chunk is multiplied in place a panel of 64 points at a time
+def test_panel_solves_match_the_chunk_solves(seed, size, monkeypatch):
+    # panels of 64 points, against chunks of 100
     post, counts, pts = panel_case(seed, size)
     monkeypatch.setattr(gp, "_PANEL_POINTS", 64)
     got = post.variance(pts)
@@ -138,9 +141,9 @@ def test_panel_solves_match_the_whole_chunk_solve(seed, size, monkeypatch):
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_one_panel_per_chunk_is_the_whole_chunk_solve_bit_for_bit(seed, monkeypatch):
+def test_panels_as_wide_as_the_chunks_are_the_chunk_solves_bit_for_bit(seed, monkeypatch):
     post, _, pts = panel_case(seed)
-    monkeypatch.setattr(gp, "_CHUNK_BYTES", 8 * post.size * gp._PANEL_POINTS)
+    monkeypatch.setattr(gp, "_PANEL_POINTS", CHUNK)
     assert np.array_equal(post.variance(pts), multiply_variance(post, pts))
 
 

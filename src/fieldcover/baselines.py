@@ -18,7 +18,8 @@ import numpy as np
 
 from .fields import FieldGrid
 from .geometry import Environment
-from .gp import Hyperparameters, MeasurementMultiset, Posterior, _site_means, check_dense_budget, kernel_matrix
+from .gp import _MAX_GRAM_BYTES, Hyperparameters, MeasurementMultiset, Posterior, _site_means
+from .gp import check_dense_budget, kernel_matrix
 from .placement import necessary_radius
 from .routing import TimeModel, Tour, cumulative_times, tour_time
 
@@ -322,21 +323,30 @@ def _survey_axis(lo: float, hi: float, step: float) -> np.ndarray:
     return lo + step * np.arange(n + 1)
 
 
-def survey_rows(env: Environment, resolution: float) -> list:
+def survey_rows(env: Environment, resolution: float, most: int | None = None) -> list:
     """Grid rows inside the environment, bottom row first, west to east.
 
     Unlike verification grids the survey grid never appends the far
     edge: a resolution wider than the extent leaves one node per axis.
+    Rows are tested one ``env.contains`` call each; with ``most`` given,
+    a grid with more nodes inside raises ValueError, naming the
+    resolution, at the row where the count passes it.
     """
     if not (math.isfinite(resolution) and resolution > 0.0):
         raise ValueError("resolution must be positive and finite")
     x0, y0, x1, y1 = env.bounds
     xs = _survey_axis(x0, x1, resolution)
-    rows = []
+    rows, count = [], 0
     for y in _survey_axis(y0, y1, resolution):
-        row = [(float(x), float(y)) for x in xs if env.contains_point((x, y))]
-        if row:
-            rows.append(row)
+        row = xs[env.contains(np.column_stack([xs, np.full(xs.size, y)]))]
+        count += row.size
+        if most is not None and count > most:
+            raise ValueError(
+                f"more than {most} nodes of a survey grid at resolution {resolution:g} "
+                f"fall inside the environment; use a coarser resolution"
+            )
+        if row.size:
+            rows.append([(float(x), float(y)) for x in row])
     return rows
 
 
@@ -351,8 +361,14 @@ def baseline_candidates(env: Environment, hyper: Hyperparameters, delta: float) 
 
 
 def lawnmower_plan(env: Environment, resolution: float, depot) -> Tour:
-    """Boustrophedon visit of a resolution-spaced grid, one dwell each."""
-    rows = survey_rows(env, resolution)
+    """Boustrophedon visit of a resolution-spaced grid, one dwell each.
+
+    Its curves factor an n x n Gram matrix of 8-byte entries over its n
+    nodes, so a grid with more nodes inside than ``check_dense_budget``
+    accepts for that raises ValueError, naming the resolution, at the
+    row where the count passes.
+    """
+    rows = survey_rows(env, resolution, most=math.isqrt(_MAX_GRAM_BYTES // 8))
     order = []
     for i, row in enumerate(rows):
         order.extend(reversed(row) if i % 2 else row)

@@ -244,8 +244,11 @@ def cmd_compare(args: argparse.Namespace) -> None:
     depot = tour.depot
     box = _truth_env(env, plan)
     spacing = _truth_spacing(args, env, box)
-    # an evaluation grid with no point inside fails here, before any draw
+    # an evaluation grid with no point inside, or a lawn-mower grid too
+    # large for its curves, fails here, before any draw or greedy baseline
     eval_points = env.grid(spacing)
+    resolutions = args.resolutions or (necessary_radius(args.hyper, args.delta),)
+    lawnmowers = {f"lawnmower_{res:g}": lawnmower_plan(env, res, depot) for res in resolutions}
     # the draw has its own random stream and the baselines use none, so
     # drawing the truth first changes no output
     truth = sample_gp_field(box, args.hyper, spacing, args.seed)
@@ -256,10 +259,8 @@ def cmd_compare(args: argparse.Namespace) -> None:
         "disk_cover": tour,
         "entropy": ordered_tour(entropy_greedy(candidates, args.hyper, budget), depot),
         "mutual_information": ordered_tour(mi_greedy(candidates, args.hyper, budget), depot),
+        **lawnmowers,
     }
-    resolutions = args.resolutions or (necessary_radius(args.hyper, args.delta),)
-    for res in resolutions:
-        planners[f"lawnmower_{res:g}"] = lawnmower_plan(env, res, depot)
 
     sensor = SensorModel(args.hyper.noise_variance, args.seed)
 

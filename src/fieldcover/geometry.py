@@ -295,31 +295,59 @@ def cover_environment(env: Environment, radius: float) -> list[Disk]:
     return disks
 
 
-def _conflict_cells(disks: list[Disk]) -> list[tuple[int, int]]:
-    """Each disk's square cell, for disks of one radius.
+def _near(centres: np.ndarray, points: np.ndarray, reach: float) -> list:
+    """Indices of the points within ``reach`` of each centre: one ascending int64 array per centre.
 
-    Two disks that ``disks_intersect`` sit in cells at most one apart on
-    each axis, so a disk's conflicts all lie in its 3x3 block of cells.
-    The side is the largest centre distance that test accepts,
-    2r * sqrt(1 + _TANGENCY_PAD), widened by 1e-6 of itself for the
-    test's rounding and by 1e-15 of the set's span for the rounding of
-    the cell arithmetic (about 2.2e-16 of the span per coordinate).
+    The package's one neighbour search: the verification tiles' nearby
+    sites, and each disk's possible conflicts in ``greedy_mis`` and
+    ``mis_tour_lower_bound``, where the centres are the points, so each
+    set holds its centre's own index. The distance is max(|dx|, |dy|):
+    the test, and so the sets, of scipy's ``cKDTree.query_ball_point``
+    with p = inf. The points are cut into at most 257 strips along x,
+    each at least ``reach`` wide and sorted by y, so a centre's
+    candidates are one y-window in each of the few strips that its
+    square of half-side ``reach`` meets. Every window is widened a
+    little, so rounding cannot drop a point, and the exact test settles
+    each candidate.
     """
-    xs = [d.center[0] for d in disks]
-    ys = [d.center[1] for d in disks]
-    x0, y0 = min(xs), min(ys)
-    span = max(max(xs) - x0, max(ys) - y0)
-    reach = 2.0 * disks[0].radius * math.sqrt(1.0 + _TANGENCY_PAD)
-    side = reach * (1.0 + 1e-6) + 1e-15 * span
-    return [(math.floor((x - x0) / side), math.floor((y - y0) / side)) for x, y in zip(xs, ys)]
+    if centres.shape[0] == 0 or points.shape[0] == 0:
+        return [np.empty(0, dtype=np.int64) for _ in range(centres.shape[0])]
+    x0 = points[:, 0].min()
+    width = max(reach, (points[:, 0].max() - x0) / 256.0)
+    # half-width of the windows: reach, plus far more than rounding moves it
+    half = reach + 1e-9 * (reach + np.abs(points).max() + np.abs(centres).max())
+    strip = np.floor((points[:, 0] - x0) / width).astype(np.int64)
+    order = np.lexsort((points[:, 1], strip))
+    ys = points[order, 1]
+    starts = np.searchsorted(strip[order], np.arange(strip.max() + 2))
+    first = np.floor((centres[:, 0] - half - x0) / width)
+    last = np.floor((centres[:, 0] + half - x0) / width)
+    found = []
+    for s in range(starts.size - 1):
+        who = np.flatnonzero((first <= s) & (last >= s))
+        column = ys[starts[s] : starts[s + 1]]
+        lo = starts[s] + np.searchsorted(column, centres[who, 1] - half)
+        hi = starts[s] + np.searchsorted(column, centres[who, 1] + half, "right")
+        counts = hi - lo
+        owner = np.repeat(who, counts)
+        cand = order[np.arange(counts.sum()) + np.repeat(lo - (np.cumsum(counts) - counts), counts)]
+        dx = points[cand, 0] - centres[owner, 0]
+        dy = points[cand, 1] - centres[owner, 1]
+        keep = np.maximum(np.abs(dx), np.abs(dy)) <= reach
+        found.append(owner[keep] * points.shape[0] + cand[keep])
+    pairs = np.sort(np.concatenate(found))
+    owner, index = np.divmod(pairs, points.shape[0])
+    return np.split(index, np.searchsorted(owner, np.arange(1, centres.shape[0])))
 
 
-def _block(cells: dict, cell: tuple[int, int]):
-    """Everything bucketed in the 3x3 block of cells around ``cell``."""
-    i, j = cell
-    for di in (-1, 0, 1):
-        for dj in (-1, 0, 1):
-            yield from cells.get((i + di, j + dj), ())
+def _conflict_reach(radius: float) -> float:
+    """A ``_near`` reach that keeps every pair of ``radius`` disks ``disks_intersect`` accepts.
+
+    That test's largest centre distance, 2r * sqrt(1 + _TANGENCY_PAD),
+    widened by 1e-6 of itself for its rounding; ``_near``'s
+    max(|dx|, |dy|) of the same differences never exceeds the distance.
+    """
+    return 2.0 * radius * math.sqrt(1.0 + _TANGENCY_PAD) * (1.0 + 1e-6)
 
 
 def greedy_mis(disks: list[Disk]) -> list[Disk]:
@@ -327,9 +355,9 @@ def greedy_mis(disks: list[Disk]) -> list[Disk]:
 
     Scans in lexicographic (x, y) center order, keeping any disk that
     intersects no kept disk; tangency counts as intersection. The result
-    is a subset whose members every dropped disk touches. Kept disks are
-    bucketed by ``_conflict_cells``, so each disk is tested only against
-    the kept disks near it.
+    is a subset whose members every dropped disk touches. One ``_near``
+    search over the sorted centres finds each disk's possible conflicts,
+    so each disk is tested only against the kept disks among them.
     """
     if not disks:
         return []
@@ -337,13 +365,11 @@ def greedy_mis(disks: list[Disk]) -> list[Disk]:
     if len(radii) > 1:
         raise ValueError(f"greedy_mis needs equal radii, got {sorted(radii)}")
     ordered = sorted(disks, key=lambda d: d.center)
-    kept: list[Disk] = []
-    buckets: dict[tuple[int, int], list[Disk]] = {}
-    for d, cell in zip(ordered, _conflict_cells(ordered)):
-        if all(not disks_intersect(d, k) for k in _block(buckets, cell)):
-            kept.append(d)
-            buckets.setdefault(cell, []).append(d)
-    return kept
+    centres = np.array([d.center for d in ordered])
+    kept = [False] * len(ordered)
+    for i, near in enumerate(_near(centres, centres, _conflict_reach(ordered[0].radius))):
+        kept[i] = not any(disks_intersect(ordered[i], ordered[j]) for j in near.tolist() if kept[j])
+    return [d for d, k in zip(ordered, kept) if k]
 
 
 def lawnmower_rows(big: Disk, small_radius: float) -> list[list[tuple[float, float]]]:
@@ -394,15 +420,12 @@ def mis_tour_lower_bound(mis: list[Disk]) -> float:
     radii = {d.radius for d in mis}
     if len(radii) > 1:
         raise ValueError(f"independent set must share one radius, got {sorted(radii)}")
-    # bucketed as in ``greedy_mis``; the pair reported is the first in
-    # list order
-    cells = _conflict_cells(mis)
-    buckets: dict[tuple[int, int], list[int]] = {}
-    for i, cell in enumerate(cells):
-        buckets.setdefault(cell, []).append(i)
-    for i, (a, cell) in enumerate(zip(mis, cells)):
-        hits = [j for j in _block(buckets, cell) if j > i and disks_intersect(a, mis[j])]
-        if hits:
-            b = mis[min(hits)]
-            raise ValueError(f"disks at {a.center} and {b.center} intersect; set is not independent")
+    # the pair reported is the first in list order
+    centres = np.array([d.center for d in mis])
+    for i, near in enumerate(_near(centres, centres, _conflict_reach(mis[0].radius))):
+        for j in near.tolist():
+            if j > i and disks_intersect(mis[i], mis[j]):
+                raise ValueError(
+                    f"disks at {mis[i].center} and {mis[j].center} intersect; set is not independent"
+                )
     return 0.24 * len(mis) * mis[0].radius

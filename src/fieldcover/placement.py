@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .geometry import Disk, Environment, cover_environment, greedy_mis, lawnmower_rows
+from .geometry import Disk, Environment, _near, cover_environment, greedy_mis, lawnmower_rows
 from .gp import Hyperparameters, MeasurementMultiset, Posterior
 
 # Largest dense verification, in flops (``_solve_flops``: N^3 / 3 to
@@ -338,47 +338,6 @@ def _tiles(sites: np.ndarray, grid: np.ndarray, side: float, margins) -> list:
     centres = origin + (np.column_stack(np.divmod(tiles, rows)) + 0.5) * side
     near = [_near(centres, sites, 0.5 * side + m) for m in margins]
     return [(points, tuple(by_margin)) for points, *by_margin in zip(members, *near)]
-
-
-def _near(centres: np.ndarray, points: np.ndarray, reach: float) -> list:
-    """Indices of the points within ``reach`` of each centre: one ascending int64 array per centre.
-
-    The distance is max(|dx|, |dy|): the test, and so the sets, of
-    scipy's ``cKDTree.query_ball_point`` with p = inf. The points are cut
-    into at most 257 strips along x, each at least ``reach`` wide and
-    sorted by y, so a centre's candidates are one y-window in each of the
-    few strips that its square of half-side ``reach`` meets. Every window
-    is widened a little, so rounding cannot drop a point, and the exact
-    test settles each candidate.
-    """
-    if centres.shape[0] == 0 or points.shape[0] == 0:
-        return [np.empty(0, dtype=np.int64) for _ in range(centres.shape[0])]
-    x0 = points[:, 0].min()
-    width = max(reach, (points[:, 0].max() - x0) / 256.0)
-    # half-width of the windows: reach, plus far more than rounding moves it
-    half = reach + 1e-9 * (reach + np.abs(points).max() + np.abs(centres).max())
-    strip = np.floor((points[:, 0] - x0) / width).astype(np.int64)
-    order = np.lexsort((points[:, 1], strip))
-    ys = points[order, 1]
-    starts = np.searchsorted(strip[order], np.arange(strip.max() + 2))
-    first = np.floor((centres[:, 0] - half - x0) / width)
-    last = np.floor((centres[:, 0] + half - x0) / width)
-    found = []
-    for s in range(starts.size - 1):
-        who = np.flatnonzero((first <= s) & (last >= s))
-        column = ys[starts[s] : starts[s + 1]]
-        lo = starts[s] + np.searchsorted(column, centres[who, 1] - half)
-        hi = starts[s] + np.searchsorted(column, centres[who, 1] + half, "right")
-        counts = hi - lo
-        owner = np.repeat(who, counts)
-        cand = order[np.arange(counts.sum()) + np.repeat(lo - (np.cumsum(counts) - counts), counts)]
-        dx = points[cand, 0] - centres[owner, 0]
-        dy = points[cand, 1] - centres[owner, 1]
-        keep = np.maximum(np.abs(dx), np.abs(dy)) <= reach
-        found.append(owner[keep] * points.shape[0] + cand[keep])
-    pairs = np.sort(np.concatenate(found))
-    owner, index = np.divmod(pairs, points.shape[0])
-    return np.split(index, np.searchsorted(owner, np.arange(1, centres.shape[0])))
 
 
 def _variance_ladder(

@@ -236,6 +236,45 @@ def test_lawnmower_respects_polygon_boundary():
     assert len(tour.waypoints) == 21
 
 
+def test_survey_rows_refuse_more_nodes_than_asked_naming_the_resolution():
+    tri = Environment.polygon([(0, 0), (10, 0), (0, 10)])
+    rows = survey_rows(tri, 2.0)
+    assert sum(map(len, rows)) == 21
+    assert survey_rows(tri, 2.0, most=21) == rows
+    with pytest.raises(ValueError, match="more than 20 nodes of a survey grid at resolution 2 "):
+        survey_rows(tri, 2.0, most=20)
+
+
+def test_lawnmower_grid_stops_at_the_curves_cap(monkeypatch):
+    import fieldcover.baselines as baselines
+
+    class Allocated(Exception):
+        pass
+
+    def allocated(*args, **kwargs):
+        raise Allocated
+
+    monkeypatch.setattr(baselines, "Posterior", allocated)
+    tm = TimeModel(1.0)
+    # 128 x 128 nodes: the most whose curves pass the dense cap
+    tour = lawnmower_plan(Environment.rectangle((0, 0), (127.0, 127.0)), 1.0, (0.0, 0.0))
+    assert len(tour.waypoints) == 128 * 128
+    with pytest.raises(Allocated):
+        variance_over_time(tour, H, [(0.0, 0.0)], tm, [0.0])
+    one_more = ordered_tour([loc for loc, _ in tour.waypoints] + [(0.5, 0.5)], (0.0, 0.0))
+    with pytest.raises(GramTooLargeError, match="16385 finished waypoints"):
+        variance_over_time(one_more, H, [(0.0, 0.0)], tm, [0.0])
+    # 1,001 rows of 128 nodes: the count passes the cap in row 129, and no
+    # row above it is tested
+    tall = Environment.rectangle((0, 0), (127.0, 1000.0))
+    rows_tested = []
+    contains = tall.contains
+    monkeypatch.setattr(tall, "contains", lambda pts: rows_tested.append(pts) or contains(pts))
+    with pytest.raises(ValueError, match="more than 16384 nodes of a survey grid at resolution 1 "):
+        lawnmower_plan(tall, 1.0, (0.0, 0.0))
+    assert len(rows_tested) == 129
+
+
 def test_baseline_candidates_use_half_necessary_radius():
     env = Environment.rectangle((0, 0), (10.0, 10.0))
     h = Hyperparameters(2.0, 1.0, 0.1)

@@ -430,6 +430,22 @@ def test_a_grid_with_no_point_inside_exits_2_naming_the_spacing(command, tmp_pat
     assert greedy == []
 
 
+def test_compare_with_a_lawnmower_grid_over_the_curves_cap_exits_2_before_any_work(
+    tmp_path, monkeypatch, capsys
+):
+    # 0.05 m on the 14 m square is 281 x 281 = 78,961 nodes, far above the
+    # 16,384 whose curves pass the dense cap
+    work = []
+    monkeypatch.setattr(cli, "sample_gp_field", lambda *args: work.append("draw"))
+    monkeypatch.setattr(cli, "entropy_greedy", lambda *args: work.append("entropy"))
+    out = tmp_path / "out"
+    args = ["--env", write_env(tmp_path), "--hyper", HYPER, "--delta", "1.2", "--resolutions", "1,0.05"]
+    assert cli.main(["compare", *args, "--out", str(out)]) == 2
+    assert "survey grid at resolution 0.05 " in capsys.readouterr().err
+    assert work == []
+    assert list(out.glob("curve_*.csv")) == []
+
+
 class TestInProcess:
     """``main`` returns each exit code and can run again in one process."""
 

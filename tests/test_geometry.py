@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from fieldcover.geometry import (
+    _TANGENCY_PAD,
     Disk,
     Environment,
     cover_environment,
@@ -285,7 +286,7 @@ def test_mis_tour_lower_bound_rejects_bad_sets():
 
 
 def reference_greedy_mis(disks):
-    """``greedy_mis`` as a scan of every kept disk, without buckets."""
+    """``greedy_mis`` as a scan of every kept disk, without a neighbour search."""
     kept = []
     for d in sorted(disks, key=lambda d: d.center):
         if all(not disks_intersect(d, k) for k in kept):
@@ -316,17 +317,26 @@ def seeded_disk_set(seed):
         centres = np.column_stack([rng.integers(0, 6, n) * 1.5 * r, rng.uniform(0, 30, n)])
     elif kind == 3:  # far from the origin, on a half-radius lattice
         centres = 1e6 + 0.5 * r * rng.integers(0, 40, size=(n, 2))
-    else:  # sparse, each with a partner along an axis, up to 1% short of tangency
+    else:  # sparse, each with a partner along an axis or the diagonal, straddling tangency
         anchors = rng.uniform(0, 8 * r * math.sqrt(n), size=(n, 2))
-        steps = np.array([(1, 0), (-1, 0), (0, 1), (0, -1)])[rng.integers(0, 4, n)]
-        reach = 2.0 * r * rng.uniform(0.99, 1.0, n)
-        centres = np.vstack([anchors, anchors + reach[:, None] * steps])
+        d = math.sqrt(0.5)
+        steps = np.array([(1, 0), (-1, 0), (0, 1), (0, -1), (d, d), (-d, d), (d, -d), (-d, -d)])
+        # the largest centre distance disks_intersect accepts, and one ulp
+        # either side of it
+        edge = 2.0 * r * math.sqrt(1.0 + _TANGENCY_PAD)
+        edges = np.array([np.nextafter(edge, 0.0), edge, np.nextafter(edge, np.inf)])
+        reach = np.where(
+            rng.integers(0, 2, n) == 0,
+            2.0 * r * rng.uniform(0.99, 1.01, n),
+            edges[rng.integers(0, 3, n)],
+        )
+        centres = np.vstack([anchors, anchors + reach[:, None] * steps[rng.integers(0, 8, n)]])
     disks = [Disk(tuple(c), r) for c in centres]
     return disks + [disks[int(i)] for i in rng.integers(0, len(disks), size=n // 5)]
 
 
 @pytest.mark.parametrize("seed", range(25))
-def test_mis_buckets_keep_the_pairwise_scan_results(seed):
+def test_mis_neighbour_search_keeps_the_pairwise_scan_results(seed):
     disks = seeded_disk_set(seed)
     mis = greedy_mis(disks)
     assert mis == reference_greedy_mis(disks)
@@ -339,6 +349,18 @@ def test_mis_buckets_keep_the_pairwise_scan_results(seed):
             with pytest.raises(ValueError) as exc:
                 mis_tour_lower_bound(shuffled)
             assert str(exc.value) == expected
+
+
+def test_mis_sees_a_pair_one_ulp_past_the_tangency_distance():
+    # at r = 8.1, centres one ulp further apart than 2r * sqrt(1 + pad)
+    # still pass disks_intersect, so the neighbour search must reach past it
+    r = 8.1
+    far = float(np.nextafter(2.0 * r * math.sqrt(1.0 + _TANGENCY_PAD), np.inf))
+    a, b = Disk((0.0, 0.0), r), Disk((far, 0.0), r)
+    assert disks_intersect(a, b)
+    assert greedy_mis([b, a]) == [a]
+    with pytest.raises(ValueError, match="intersect"):
+        mis_tour_lower_bound([a, b])
 
 
 def test_cover_then_mis_serves_every_point_within_3r():

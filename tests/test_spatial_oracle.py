@@ -2,12 +2,13 @@
 
 The library imports only numpy and compiled scipy extensions. Its
 squared distances are ``cdist``'s own compiled routine, loaded without
-``scipy.spatial``; its tile neighbourhoods are numpy code that used to
-be ``scipy.spatial.cKDTree`` queries. The references below are test-only
-copies of the ``cdist`` and ``cKDTree`` versions. Every kernel entry,
-every distance and every index set must match them bit for bit, because
-``plan.csv``, ``verification.json`` and the fitted hyperparameters
-depend on them.
+``scipy.spatial``; its neighbour search, ``geometry._near``, is numpy
+code that used to be ``scipy.spatial.cKDTree`` queries, and it serves
+both the verification tiles and the disk independent set. The
+references below are test-only copies of the ``cdist`` and ``cKDTree``
+versions. Every kernel entry, every distance and every index set must
+match them bit for bit, because ``plan.csv``, ``verification.json`` and
+the fitted hyperparameters depend on them.
 """
 
 from __future__ import annotations
@@ -20,12 +21,11 @@ from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 from fieldcover import gp
-from fieldcover.geometry import Environment
+from fieldcover.geometry import Environment, _near
 from fieldcover.gp import HyperparameterGrid, Hyperparameters, kernel_matrix
 from fieldcover.placement import (
     AccuracySpec,
     _TILE_MARGINS,
-    _near,
     _tiles,
     default_grid_spacing,
     disk_cover_placement,
@@ -186,17 +186,22 @@ def test_tiles_keep_sites_exactly_on_the_chebyshev_margin():
     unit=st.sampled_from([1.0, 1e-3, 7.25, 1e4]),
     offset=st.sampled_from([0.0, 1e5, -3e3]),
     reach=st.sampled_from([0.25, 0.5, 1.0, 0.3, 2.0]),
+    centres_are_points=st.booleans(),
 )
-def test_near_matches_the_kd_tree(seed, n, m, unit, offset, reach):
-    # lattice coordinates make ties and points exactly on the boundary
+def test_near_matches_the_kd_tree(seed, n, m, unit, offset, reach, centres_are_points):
+    # lattice coordinates make ties and points exactly on the boundary;
+    # with the centres the points, as in the disk independent set, every
+    # set holds its own centre and duplicates hold each other
     rng = np.random.default_rng(seed)
     pts = offset + unit * 0.25 * rng.integers(0, 24, size=(n, 2))
     if seed % 2:
         pts[: n // 2] = offset + unit * rng.uniform(0.0, 6.0, size=(n // 2, 2))
     centres = offset + unit * 0.25 * rng.integers(-2, 26, size=(m, 2))
+    if centres_are_points:
+        centres = pts
     got = _near(centres, pts, unit * reach)
     want = cKDTree(pts).query_ball_point(centres, unit * reach, p=np.inf)
-    assert len(got) == m
+    assert len(got) == len(centres)
     for g, w in zip(got, want):
         assert g.dtype == np.int64
         np.testing.assert_array_equal(g, np.sort(np.asarray(w, dtype=np.int64)))

@@ -188,9 +188,6 @@ class Environment:
             )
         return _polygon_raycast(self._verts, pts) | _on_polygon_boundary(self._verts, pts)
 
-    def contains_point(self, p) -> bool:
-        return bool(self.contains([tuple(p)])[0])
-
     def grid(self, spacing: float) -> np.ndarray:
         """Points of an axis-aligned grid that fall inside the region.
 
@@ -337,7 +334,8 @@ def _near(centres: np.ndarray, points: np.ndarray, reach: float) -> list:
         found.append(owner[keep] * points.shape[0] + cand[keep])
     pairs = np.sort(np.concatenate(found))
     owner, index = np.divmod(pairs, points.shape[0])
-    return np.split(index, np.searchsorted(owner, np.arange(1, centres.shape[0])))
+    cuts = np.searchsorted(owner, np.arange(centres.shape[0] + 1)).tolist()
+    return [index[a:b] for a, b in zip(cuts, cuts[1:])]
 
 
 def _conflict_reach(radius: float) -> float:

@@ -211,6 +211,29 @@ def kernel_matrix(a, b, hyper: Hyperparameters) -> np.ndarray:
     return k
 
 
+def _cholesky(design: np.ndarray, hyper: Hyperparameters, noise, what: str) -> np.ndarray:
+    """Lower Cholesky factor of K(design) + diag(noise), Fortran-ordered.
+
+    ``noise`` is one variance or one per row; ``what`` names the solve in
+    the budget check's message (see ``check_dense_budget``). The Gram
+    matrix is exactly symmetric, so its transpose is the Fortran-ordered
+    view LAPACK factors in place, without a copy. The routines are
+    scipy's compiled LAPACK (``._lapack``), called as scipy's wrappers
+    would call them but without their per-call checks: verification
+    makes one factor and one read per tile.
+    """
+    n = design.shape[0]
+    check_dense_budget(8 * n * n, what)
+    gram = kernel_matrix(design, design, hyper)
+    gram[np.diag_indices_from(gram)] += noise
+    lower, info = dpotrf(gram.T, lower=1, overwrite_a=1, clean=0)
+    if info > 0:
+        raise NumericalError(
+            f"Gram factorization failed: {info}-th leading minor of the array is not positive definite"
+        )
+    return lower
+
+
 class Posterior:
     """GP posterior given repeated measurements at fixed sites.
 
@@ -244,22 +267,12 @@ class Posterior:
         if n == 0:
             self._inverse = None
             return
-        check_dense_budget(
-            8 * n * n,
+        lower = _cholesky(
+            self.design,
+            hyper,
+            noise,
             f"a dense solve over {n} Gram rows; raise the variance target or shrink the environment",
         )
-        gram = kernel_matrix(self.design, self.design, hyper)
-        gram[np.diag_indices_from(gram)] += noise
-        # The Gram matrix is exactly symmetric, so its transpose is the
-        # Fortran-ordered view LAPACK factors in place, without a copy. The
-        # routines are scipy's compiled LAPACK (``._lapack``), called as
-        # scipy's wrappers would call them but without their per-call
-        # checks: verification makes one factor and one read per tile.
-        lower, info = dpotrf(gram.T, lower=1, overwrite_a=1, clean=0)
-        if info > 0:
-            raise NumericalError(
-                f"Gram factorization failed: {info}-th leading minor of the array is not positive definite"
-            )
         # L^-1, in place over L; a factor dpotrf accepted has a positive
         # diagonal, so dtrtri cannot fail on it
         self._inverse, _ = dtrtri(lower, lower=1, overwrite_c=1)
@@ -403,17 +416,9 @@ def nlml(points, values, hyper: Hyperparameters) -> float:
     n = y.size
     if n == 0:
         raise ValueError("nlml needs at least one observation")
-    # the Gram matrix, factored in place
-    check_dense_budget(8 * n * n, f"an NLML over {n} observations; use fewer CSV rows")
-    gram = kernel_matrix(design, design, hyper)
-    gram[np.diag_indices_from(gram)] += hyper.noise_variance
-    # as in ``Posterior``: the exactly symmetric Gram's transpose is the
-    # Fortran view dpotrf factors in place, and dpotrs solves with it
-    lower, info = dpotrf(gram.T, lower=1, overwrite_a=1, clean=0)
-    if info > 0:
-        raise NumericalError(
-            f"Gram factorization failed: {info}-th leading minor of the array is not positive definite"
-        )
+    lower = _cholesky(
+        design, hyper, hyper.noise_variance, f"an NLML over {n} observations; use fewer CSV rows"
+    )
     alpha, _ = dpotrs(lower, y, lower=1)
     logdet = 2.0 * float(np.sum(np.log(np.diag(lower))))
     return 0.5 * (float(y @ alpha) + logdet + n * math.log(2.0 * math.pi))

@@ -268,11 +268,10 @@ def verify_plan(
     ``plan`` is any measurement multiset, a ``MeasurementPlan`` or bare
     sites. Recomputes everything from its distinct sites; nothing is
     trusted from the planner. The grid values come from
-    ``_variance_ladder`` over the tiles of ``_ladder_tiles``, and
-    ``passed`` holds when their maximum is at most ``delta``, with no
-    tolerance. With no tiles every value is exact; with tiles a value
-    may be an upper bound, but only where it is at most ``delta``, so
-    the verdict is the exact one either way.
+    ``_variance_ladder``, and ``passed`` holds when their maximum is at
+    most ``delta``, with no tolerance. With no tile cut every value is
+    exact; with tiles a value may be an upper bound, but only where it is
+    at most ``delta``, so the verdict is the exact one either way.
     """
     d = float(delta)
     if grid_spacing is None:
@@ -282,8 +281,7 @@ def verify_plan(
         raise ValueError(f"grid spacing must be finite and > 0, got {step}")
     grid = env.grid(step)
     sites, counts = plan.distinct()
-    tiles = _ladder_tiles(sites, grid, h)
-    var, settled = _variance_ladder(sites, counts, grid, tiles, h, d)
+    var, settled = _variance_ladder(sites, counts, grid, h, d)
     top = int(np.argmax(var))
     return VerificationReport(
         max_variance=float(var[top]),
@@ -301,29 +299,12 @@ def _solve_flops(sites: int, points: int) -> float:
     return sites**3 / 3.0 + float(sites) * sites * points
 
 
-def _ladder_tiles(sites: np.ndarray, grid: np.ndarray, h: Hyperparameters) -> list:
-    """``_tiles`` for the ladder, or none when the dense solve alone is cheap enough.
-
-    Tiles pay only above ``_DENSE_VERIFY_FLOPS``, and only when their
-    solves at the first margin cost less than the dense one: in an
-    environment about a length scale wide every tile sees most sites.
-    """
-    dense_flops = _solve_flops(sites.shape[0], grid.shape[0])
-    if dense_flops <= _DENSE_VERIFY_FLOPS:
-        return []
-    l = h.length_scale
-    tiles = _tiles(sites, grid, l, [m * l for m in _TILE_MARGINS])
-    narrow_flops = sum(_solve_flops(near[0].size, points.size) for points, near in tiles)
-    return tiles if narrow_flops < dense_flops else []
-
-
-def _tiles(sites: np.ndarray, grid: np.ndarray, side: float, margins) -> list:
-    """(grid point indices, nearby site indices per margin) of each square tile of the grid.
+def _tiles(grid: np.ndarray, side: float) -> tuple[list, np.ndarray]:
+    """The grid point indices of each square tile of the grid, and the tiles' centres.
 
     Tiles of the given side are anchored at the grid's lower-left point
-    and listed in lexicographic order, so every run sees the same tiles.
-    For each of ``margins`` (distances), a tile's nearby sites, in site
-    order, are those within that margin of the tile along each axis.
+    and listed in lexicographic order, each tile's points in grid order,
+    so every run sees the same tiles.
     """
     origin = grid.min(axis=0)
     keys = np.floor((grid - origin) / side).astype(np.int64)
@@ -333,61 +314,70 @@ def _tiles(sites: np.ndarray, grid: np.ndarray, side: float, margins) -> list:
     key = keys[:, 0] * rows + keys[:, 1]
     order = np.argsort(key, kind="stable")
     starts = np.flatnonzero(np.diff(key[order], prepend=-1))
-    tiles = key[order[starts]]
-    members = np.split(order, starts[1:])
-    centres = origin + (np.column_stack(np.divmod(tiles, rows)) + 0.5) * side
-    near = [_near(centres, sites, 0.5 * side + m) for m in margins]
-    return [(points, tuple(by_margin)) for points, *by_margin in zip(members, *near)]
+    centres = origin + (np.column_stack(np.divmod(key[order[starts]], rows)) + 0.5) * side
+    cuts = starts.tolist() + [order.size]
+    return [order[a:b] for a, b in zip(cuts, cuts[1:])], centres
 
 
 def _variance_ladder(
     sites: np.ndarray,
     counts: np.ndarray,
     grid: np.ndarray,
-    tiles: list,
     h: Hyperparameters,
     delta: float,
 ) -> tuple[np.ndarray, tuple[int, ...]]:
     """Posterior variance at every grid point, or an upper bound on it that meets ``delta``.
 
-    Each tile's points (see ``_tiles``) get the variance given only the
-    tile's nearby sites at the first margin, factored once per tile;
-    dropping observations never lowers GP posterior variance, so this
-    bounds the variance given all sites from above. Tiles whose bound
-    exceeds ``delta`` are bounded again at the next margin, but only
-    while the flops spent so far plus those re-runs stay below one dense
-    solve over all sites; otherwise they skip straight to it. The last
-    rung is that dense solve: it takes the points of every tile still
-    failing, or the whole grid when ``tiles`` is empty.
+    Above ``_DENSE_VERIFY_FLOPS`` the grid is cut into tiles one length
+    scale wide (see ``_tiles``), and each rung bounds the tiles still
+    pending by the variance given only the sites within that rung's
+    margin of ``_TILE_MARGINS`` of the tile, found by ``_near`` for
+    those tiles alone and factored once per tile; dropping observations
+    never lowers GP posterior variance, so this bounds the variance
+    given all sites from above. Tiles whose bound exceeds ``delta`` go
+    on to the next rung, but only while the flops spent so far plus that
+    rung's stay below one dense solve over all sites; otherwise they skip
+    straight to it. When even the first rung would cost that much, no
+    tile is cut. The last rung is that dense solve: it takes the points
+    of every tile still pending, or the whole grid when no tile was cut.
 
     Returns the values and the number of tiles settled at each margin,
-    then the number that took the exact rung; with no tiles there are
-    ``len(_TILE_MARGINS)`` margins and every count is zero.
+    then the number that took the exact rung; with no tile cut every
+    count is zero.
     """
-    var = np.empty(grid.shape[0])
-    rungs = len(tiles[0][1]) if tiles else len(_TILE_MARGINS)
-    settled = [0] * (rungs + 1)
+    settled = [0] * (len(_TILE_MARGINS) + 1)
     budget, spent = _solve_flops(sites.shape[0], grid.shape[0]), 0.0
-    pending = range(len(tiles))
-    for rung in range(rungs):
-        cost = sum(_solve_flops(tiles[t][1][rung].size, tiles[t][0].size) for t in pending)
-        if not pending or (rung and spent + cost >= budget):
+    l = h.length_scale
+    members, pending = [], []
+    if budget > _DENSE_VERIFY_FLOPS:
+        members, centres = _tiles(grid, l)
+        pending = list(range(len(members)))
+    var = np.empty(grid.shape[0])
+    for rung, margin in enumerate(_TILE_MARGINS):
+        if not pending:
+            break
+        near = _near(centres[pending], sites, 0.5 * l + margin * l)
+        cost = sum(_solve_flops(n.size, members[t].size) for t, n in zip(pending, near))
+        if spent + cost >= budget:
+            if rung == 0:
+                # tiling would cost more than the dense solve: cut no tile
+                members = pending = []
             break
         spent += cost
         failing = []
-        for t in pending:
-            points, near = tiles[t][0], tiles[t][1][rung]
-            var[points] = Posterior(sites[near], h, counts[near]).variance(grid[points])
+        for t, n in zip(pending, near):
+            points = members[t]
+            var[points] = Posterior(sites[n], h, counts[n]).variance(grid[points])
             if var[points].max() > delta:
                 failing.append(t)
         settled[rung] = len(pending) - len(failing)
         pending = failing
-    settled[rungs] = len(pending)
-    if len(pending) == len(tiles):
-        var = Posterior(sites, h, counts).variance(grid)
-    elif pending:
-        exact = np.zeros(grid.shape[0], dtype=bool)
-        for t in pending:
-            exact[tiles[t][0]] = True
+    settled[-1] = len(pending)
+    if pending or not members:
+        # every point pending reads the grid itself, not a copy of it
+        exact = slice(None)
+        if len(pending) < len(members):
+            exact = np.zeros(grid.shape[0], dtype=bool)
+            exact[np.concatenate([members[t] for t in pending])] = True
         var[exact] = Posterior(sites, h, counts).variance(grid[exact])
     return var, tuple(settled)

@@ -138,11 +138,11 @@ class TestPlan:
         assert cli.main(["plan", *plan_args(tmp_path, "hb", "--hard-boundary")]) == 0
         env = fileio.load_environment(tmp_path / "env.json")
         entries = plan_entries(tmp_path / "hb" / "plan.csv")
-        assert all(env.contains_point(loc) for loc, _ in entries)
+        assert env.contains([loc for loc, _ in entries]).all()
 
         assert cli.main(["plan", *plan_args(tmp_path, "free")]) == 0
         free = plan_entries(tmp_path / "free" / "plan.csv")
-        assert any(not env.contains_point(loc) for loc, _ in free)
+        assert not env.contains([loc for loc, _ in free]).all()
         assert len(free) == len(entries)
 
     def test_malformed_env_exits_2(self, tmp_path):
@@ -262,7 +262,7 @@ class TestSplit:
         assert len(subtours) == 2
         stops = [w for path in subtours for w in tour_stops(path)]
         assert dwell_multiset(stops) == planned
-        assert all(env.contains_point(loc) for loc, n in stops if n > 0)
+        assert env.contains([loc for loc, n in stops if n > 0]).all()
 
     def test_split_outputs_and_certificate(self, tmp_path):
         args = plan_args(tmp_path, "out", "--eta", "0.5", "--depot", "0,0", "--k", "3")

@@ -63,24 +63,19 @@ def test_polygon_orientation_normalized():
     nxt = np.roll(v, -1, axis=0)
     # shoelace sum: twice the area, positive once the vertices run counterclockwise
     assert float(np.sum(v[:, 0] * nxt[:, 1] - nxt[:, 0] * v[:, 1])) == 32.0
-    assert cw.contains_point((2, 2))
+    assert cw.contains([(2, 2)])[0]
 
 
 def test_polygon_concavity():
     # L shape: the notch quadrant is outside.
     env = Environment.polygon([(0, 0), (4, 0), (4, 2), (2, 2), (2, 4), (0, 4)])
-    assert env.contains_point((1, 3))
-    assert env.contains_point((3, 1))
-    assert not env.contains_point((3, 3))
-    assert env.contains_point((2, 2))
-    assert env.contains_point((3, 2))
+    inside = env.contains([(1, 3), (3, 1), (3, 3), (2, 2), (3, 2)])
+    np.testing.assert_array_equal(inside, [True, True, False, True, True])
 
 
 def test_polygon_boundary_counts_inside():
     env = Environment.polygon([(0, 0), (6, 0), (3, 6)])
-    assert env.contains_point((3, 0))
-    assert env.contains_point((0, 0))
-    assert env.contains_point((4.5, 3.0))
+    assert env.contains([(3, 0), (0, 0), (4.5, 3.0)]).all()
 
 
 def test_environment_diameter():

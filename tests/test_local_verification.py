@@ -3,9 +3,11 @@
 Dropping observations never lowers GP posterior variance, so the
 variance given only the sites near a tile bounds the true variance from
 above, at every margin of ``_TILE_MARGINS``. These tests check that
-bound against the dense posterior, check how tiles climb the margins,
-and check that ``verify_plan`` reaches the dense verdict on every plan,
-with exact values wherever the bound alone would fail the plan.
+bound, computed tile by tile as an oracle, against the dense posterior,
+check how tiles climb the margins and how the first rung can end (no
+tile cut, or every tile on to the exact rung), and check that
+``verify_plan`` reaches the dense verdict on every plan, with exact
+values wherever the bound alone would fail the plan.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ from hypothesis import strategies as st
 
 from fieldcover import io as fileio
 from fieldcover import placement
-from fieldcover.geometry import Environment
-from fieldcover.gp import Hyperparameters, Posterior
+from fieldcover.geometry import Environment, _near
+from fieldcover.gp import Hyperparameters, MeasurementMultiset, Posterior
 from fieldcover.placement import (
     AccuracySpec,
     VerificationReport,
@@ -61,23 +63,33 @@ def instance(seed: int):
     return env, h, AccuracySpec(delta, alpha)
 
 
-def ladder(sites, counts, grid, h, delta, margins=_TILE_MARGINS):
-    """The tiled values and the tiles settled per rung, for margins in length scales."""
+def margin_bound(sites, counts, grid, h, margin):
+    """The local bound at one margin, in length scales, computed tile by tile
+    from ``_tiles``, ``_near`` and ``Posterior``, and the flops it costs."""
     l = h.length_scale
-    tiles = _tiles(sites, grid, l, [m * l for m in margins])
-    return _variance_ladder(sites, counts, grid, tiles, h, delta)
+    members, centres = _tiles(grid, l)
+    bound, flops = np.empty(grid.shape[0]), 0.0
+    for points, near in zip(members, _near(centres, sites, 0.5 * l + margin * l)):
+        bound[points] = Posterior(sites[near], h, counts[near]).variance(grid[points])
+        flops += _solve_flops(near.size, points.size)
+    return bound, flops
 
 
-def local_bound(sites, counts, grid, h, delta, margins=_TILE_MARGINS):
-    return ladder(sites, counts, grid, h, delta, margins)[0]
+def ladder(monkeypatch, sites, counts, grid, h, delta, margins=_TILE_MARGINS):
+    """``_variance_ladder`` at the given margins with no dense budget, so the
+    grid is tiled whenever the first rung costs less than the dense solve."""
+    monkeypatch.setattr(placement, "_TILE_MARGINS", tuple(margins))
+    monkeypatch.setattr(placement, "_DENSE_VERIFY_FLOPS", 0.0)
+    return _variance_ladder(sites, counts, grid, h, delta)
 
 
-def dense_and_local(plan, env, h, delta, spacing):
-    """Exact and tiled variances over the verification grid, and the grid."""
+def dense_and_local(monkeypatch, plan, env, h, delta, spacing):
+    """The exact variances over the verification grid, and ``verify_plan``'s
+    report with no dense budget."""
     sites, counts = plan.distinct()
-    grid = env.grid(spacing)
-    exact = Posterior(sites, h, counts).variance(grid)
-    return exact, local_bound(sites, counts, grid, h, delta), grid
+    exact = Posterior(sites, h, counts).variance(env.grid(spacing))
+    monkeypatch.setattr(placement, "_DENSE_VERIFY_FLOPS", 0.0)
+    return exact, verify_plan(plan, env, h, delta, spacing)
 
 
 def spy_factorizations(monkeypatch) -> list:
@@ -104,59 +116,70 @@ def test_local_bound_never_below_dense(seed, keep):
     sites, counts = sites[chosen], counts[chosen]
     grid = env.grid(h.length_scale / 4.0)
     exact = Posterior(sites, h, counts).variance(grid)
-    tiles = len(_tiles(sites, grid, h.length_scale, [0.0]))
+    tiles = len(_tiles(grid, h.length_scale)[0])
+    dense = _solve_flops(sites.shape[0], grid.shape[0])
     wider = None
     for margin in reversed(_TILE_MARGINS):
-        # one rung and no target: every tile keeps its bound at this margin,
-        # so no value below comes from the exact rung
-        bound, settled = ladder(sites, counts, grid, h, math.inf, (margin,))
-        assert settled == (tiles, 0)
+        bound, flops = margin_bound(sites, counts, grid, h, margin)
         assert np.all(bound >= exact - 1e-12 * h.signal_variance)
         # a narrower margin drops sites, so its bound is no lower
         if wider is not None:
             assert np.all(bound >= wider - 1e-12 * h.signal_variance)
         wider = bound
+        # one rung and no target: every tile keeps its bound at this
+        # margin, unless the rung costs more than the dense solve
+        with pytest.MonkeyPatch.context() as mp:
+            var, settled = ladder(mp, sites, counts, grid, h, math.inf, (margin,))
+        if flops < dense:
+            assert settled == (tiles, 0)
+            np.testing.assert_array_equal(var, bound)
+        else:
+            assert settled == (0, 0)
+            np.testing.assert_array_equal(var, exact)
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_local_verdict_matches_dense(seed):
+def test_local_verdict_matches_dense(seed, monkeypatch):
     env, h, spec = instance(seed)
     plan = disk_cover_placement(env, h, spec)
     spacing = h.length_scale / 4.0
-    exact, bound, _ = dense_and_local(plan, env, h, spec.max_variance, spacing)
-    assert exact.max() <= bound.max() <= spec.max_variance
-    assert bound.mean() >= exact.mean()
+    exact, bound = dense_and_local(monkeypatch, plan, env, h, spec.max_variance, spacing)
+    assert bound.method == "local"
+    assert exact.max() <= bound.max_variance <= spec.max_variance
+    assert bound.mean_variance >= exact.mean()
 
     # A target between the exact maximum and the bound's: the failing
     # tiles are recomputed exactly, so the plan still passes.
-    assert bound.max() > exact.max()
-    between = (bound.max() + exact.max()) / 2.0
-    _, rescued, _ = dense_and_local(plan, env, h, between, spacing)
-    assert exact.max() <= rescued.max() <= between
+    assert bound.max_variance > exact.max()
+    between = (bound.max_variance + exact.max()) / 2.0
+    _, rescued = dense_and_local(monkeypatch, plan, env, h, between, spacing)
+    assert rescued.passed and exact.max() <= rescued.max_variance <= between
 
     # A target just below the exact maximum: both fail, on exact values.
     below = exact.max() * (1.0 - 1e-9)
-    _, failed, _ = dense_and_local(plan, env, h, below, spacing)
-    assert failed.max() > below
-    assert failed.max() == pytest.approx(exact.max(), rel=1e-12)
-    assert int(np.argmax(failed)) == int(np.argmax(exact))
+    _, failed = dense_and_local(monkeypatch, plan, env, h, below, spacing)
+    assert not failed.passed and failed.max_variance > below
+    assert failed.max_variance == pytest.approx(exact.max(), rel=1e-12)
+    top = int(np.argmax(exact))
+    grid = env.grid(spacing)
+    assert failed.argmax == (float(grid[top, 0]), float(grid[top, 1]))
 
 
 def test_tiles_failing_at_the_narrow_margin_settle_at_the_wide_one(monkeypatch):
     env, h, spec = instance(0)
     sites, counts = disk_cover_placement(env, h, spec).distinct()
     grid = env.grid(h.length_scale / 4.0)
-    narrow = local_bound(sites, counts, grid, h, math.inf, _TILE_MARGINS[:1])
-    wide = local_bound(sites, counts, grid, h, math.inf, _TILE_MARGINS[1:])
+    narrow, _ = margin_bound(sites, counts, grid, h, _TILE_MARGINS[0])
+    wide, _ = margin_bound(sites, counts, grid, h, _TILE_MARGINS[1])
     # a target the wide bound meets everywhere and the narrow one does not
     assert wide.max() < narrow.max()
     target = (narrow.max() + wide.max()) / 2.0
     sizes = spy_factorizations(monkeypatch)
-    var, settled = ladder(sites, counts, grid, h, target)
+    var, settled = ladder(monkeypatch, sites, counts, grid, h, target)
     assert settled[0] > 0 and settled[1] > 0 and settled[2] == 0
     # one factorization per tile, one per re-run tile, no dense solve
     assert len(sizes) == settled[0] + 2 * settled[1]
-    for points, _ in _tiles(sites, grid, h.length_scale, [0.0]):
+    for points in _tiles(grid, h.length_scale)[0]:
         rerun = narrow[points].max() > target
         np.testing.assert_array_equal(var[points], (wide if rerun else narrow)[points])
     assert var.max() <= target
@@ -167,16 +190,16 @@ def test_tiles_failing_both_margins_report_exact_values(monkeypatch):
     sites, counts = disk_cover_placement(env, h, spec).distinct()
     grid = env.grid(h.length_scale / 4.0)
     exact = Posterior(sites, h, counts).variance(grid)
-    wide = local_bound(sites, counts, grid, h, math.inf, _TILE_MARGINS[1:])
+    wide, _ = margin_bound(sites, counts, grid, h, _TILE_MARGINS[1])
     target = exact.max() * (1.0 - 1e-9)
     sizes = spy_factorizations(monkeypatch)
-    var, settled = ladder(sites, counts, grid, h, target)
+    var, settled = ladder(monkeypatch, sites, counts, grid, h, target)
     assert settled[1] > 0 and settled[2] > 0
     # every tile failed the narrow margin, so each was re-run at the wide
     # one before the dense solve over all sites
     assert settled[0] == 0 and len(sizes) == 2 * sum(settled) + 1
     assert sizes[-1] == sites.shape[0]
-    for points, _ in _tiles(sites, grid, h.length_scale, [0.0]):
+    for points in _tiles(grid, h.length_scale)[0]:
         if wide[points].max() > target:
             np.testing.assert_allclose(var[points], exact[points], rtol=1e-12)
         else:
@@ -194,28 +217,86 @@ def test_failing_tiles_skip_the_wide_margin_when_it_costs_more_than_dense(monkey
     exact = Posterior(sites, h, counts).variance(grid)
     target = exact.max() * (1.0 - 1e-9)
     l = h.length_scale
-    tiles = _tiles(sites, grid, l, [m * l for m in _TILE_MARGINS])
-    narrow = local_bound(sites, counts, grid, h, math.inf, _TILE_MARGINS[:1])
-    failing = [t for t, (points, _) in enumerate(tiles) if narrow[points].max() > target]
+    members, centres = _tiles(grid, l)
+    narrow_near, wide_near = (_near(centres, sites, 0.5 * l + m * l) for m in _TILE_MARGINS)
+    narrow, spent = margin_bound(sites, counts, grid, h, _TILE_MARGINS[0])
+    failing = [t for t, points in enumerate(members) if narrow[points].max() > target]
     # the narrow bound fails almost everywhere, and re-running those tiles
     # at the wide margin would cost more than the dense solve
-    assert len(failing) >= 0.75 * len(tiles)
-    spent = sum(_solve_flops(near[0].size, points.size) for points, near in tiles)
-    rerun = sum(_solve_flops(tiles[t][1][1].size, tiles[t][0].size) for t in failing)
+    assert len(failing) >= 0.75 * len(members)
+    rerun = sum(_solve_flops(wide_near[t].size, members[t].size) for t in failing)
     assert spent + rerun >= _solve_flops(sites.shape[0], grid.shape[0])
 
     monkeypatch.setattr(placement, "_DENSE_VERIFY_FLOPS", 0.0)
     sizes = spy_factorizations(monkeypatch)
     report = verify_plan(plan, env, h, target, spacing)
-    assert sizes == [near[0].size for _, near in tiles] + [sites.shape[0]]
+    assert sizes == [near.size for near in narrow_near] + [sites.shape[0]]
     assert report.method == "local" and not report.passed
-    assert report.tiles == (len(tiles) - len(failing), 0, len(failing))
+    assert report.tiles == (len(members) - len(failing), 0, len(failing))
     top = int(np.argmax(exact))
     assert report.max_variance == pytest.approx(exact[top], rel=1e-12)
     assert report.argmax == (float(grid[top, 0]), float(grid[top, 1]))
 
 
-def test_ablated_plan_fails_exactly_inside_missing_disk():
+def test_tiles_costing_more_than_the_dense_solve_are_not_cut(monkeypatch):
+    # a square 1.5 length scales wide, its sites within a length scale of
+    # each of its four tile centres: each tile sees every site at the
+    # narrow margin, so the first rung alone costs more than the dense
+    # solve, and the plan is verified densely
+    h = Hyperparameters(1.0, 1.0, 0.1)
+    env = Environment.rectangle((0.0, 0.0), (1.5, 1.5))
+    lattice = np.linspace(0.5, 1.5, 7)
+    plan = MeasurementMultiset(tuple(((x, y), 2) for x in lattice for y in lattice))
+    sites, counts = plan.distinct()
+    grid = env.grid(0.1)
+    _, narrow_flops = margin_bound(sites, counts, grid, h, _TILE_MARGINS[0])
+    assert narrow_flops >= _solve_flops(sites.shape[0], grid.shape[0])
+
+    monkeypatch.setattr(placement, "_DENSE_VERIFY_FLOPS", 0.0)
+    sizes = spy_factorizations(monkeypatch)
+    report = verify_plan(plan, env, h, 0.5, 0.1)
+    assert sizes == [sites.shape[0]]
+    assert report.tiles == (0, 0, 0) and report.method == "dense"
+    exact = Posterior(sites, h, counts).variance(grid)
+    top = int(np.argmax(exact))
+    assert report.max_variance == float(exact[top])
+    assert report.argmax == (float(grid[top, 0]), float(grid[top, 1]))
+    assert report.mean_variance == float(exact.mean())
+
+
+def test_tiles_all_failing_the_narrow_margin_take_the_exact_rung_as_tiles(monkeypatch):
+    # the narrow margin costs less than the dense solve, so the grid is
+    # cut; a target below every exact value fails every tile there, and
+    # re-running them all at the wide margin would cost more than dense
+    env, h, spec = instance(5)
+    plan = disk_cover_placement(env, h, spec)
+    sites, counts = plan.distinct()
+    spacing = h.length_scale / 4.0
+    grid = env.grid(spacing)
+    exact = Posterior(sites, h, counts).variance(grid)
+    target = exact.min() / 2.0
+    l = h.length_scale
+    members, centres = _tiles(grid, l)
+    _, narrow_flops = margin_bound(sites, counts, grid, h, _TILE_MARGINS[0])
+    _, wide_flops = margin_bound(sites, counts, grid, h, _TILE_MARGINS[1])
+    dense = _solve_flops(sites.shape[0], grid.shape[0])
+    assert narrow_flops < dense <= narrow_flops + wide_flops
+
+    monkeypatch.setattr(placement, "_DENSE_VERIFY_FLOPS", 0.0)
+    sizes = spy_factorizations(monkeypatch)
+    report = verify_plan(plan, env, h, target, spacing)
+    narrow_near = _near(centres, sites, 0.5 * l + _TILE_MARGINS[0] * l)
+    assert sizes == [near.size for near in narrow_near] + [sites.shape[0]]
+    # tiles were cut, so the report is local, though every value is exact
+    assert report.tiles == (0, 0, len(members)) and report.method == "local"
+    assert not report.passed
+    top = int(np.argmax(exact))
+    assert report.max_variance == float(exact[top])
+    assert report.argmax == (float(grid[top, 0]), float(grid[top, 1]))
+    assert report.mean_variance == float(exact.mean())
+
+
+def test_ablated_plan_fails_exactly_inside_missing_disk(monkeypatch):
     # the instance of test_placement.test_ablated_plan_fails_inside_missing_disk
     h = Hyperparameters(1.0, 1.0, 30.0)
     delta = 0.9
@@ -230,34 +311,35 @@ def test_ablated_plan_fails_exactly_inside_missing_disk():
         rows=tuple(plan.rows[i] for i in keep),
     )
     spacing = default_grid_spacing(env, h, delta)
-    _, bound, _ = dense_and_local(plan, env, h, delta, spacing)
-    assert bound.max() <= delta
-    exact, bound, grid = dense_and_local(ablated, env, h, delta, spacing)
-    assert exact.max() > delta and bound.max() > delta
-    assert bound.max() == pytest.approx(exact.max(), rel=1e-12)
-    top = int(np.argmax(bound))
-    assert top == int(np.argmax(exact))
+    _, bound = dense_and_local(monkeypatch, plan, env, h, delta, spacing)
+    assert bound.method == "local" and bound.max_variance <= delta
+    exact, bound = dense_and_local(monkeypatch, ablated, env, h, delta, spacing)
+    assert exact.max() > delta and bound.max_variance > delta
+    assert bound.max_variance == pytest.approx(exact.max(), rel=1e-12)
+    grid = env.grid(spacing)
+    top = int(np.argmax(exact))
+    assert bound.argmax == (float(grid[top, 0]), float(grid[top, 1]))
     dropped = plan.sweep_disks[1]
-    assert math.dist(grid[top], dropped.center) <= dropped.radius
+    assert math.dist(bound.argmax, dropped.center) <= dropped.radius
 
 
-def test_empty_neighbourhood_falls_back_to_prior():
+def test_empty_neighbourhood_falls_back_to_prior(monkeypatch):
     # every tile but the few around the single site sees no local site
     h = Hyperparameters(1.0, 2.0, 0.1)
     grid = Environment.rectangle((0.0, 0.0), (12.0, 1.0)).grid(0.5)
     sites, counts = np.array([[0.5, 0.5]]), np.array([3])
     exact = Posterior(sites, h, counts).variance(grid)
     for margin in _TILE_MARGINS:
-        bound = local_bound(sites, counts, grid, h, math.inf, (margin,))
+        bound, _ = margin_bound(sites, counts, grid, h, margin)
         # the tile [k, k + 1) sees the site only while k <= margin + 0.5
         far = grid[:, 0] >= math.floor(margin + 0.5) + 1.0
         assert np.all(bound[far] == h.signal_variance)
         assert np.all(bound[~far] < h.signal_variance)
         assert np.all(bound >= exact)
         # with a finite target those tiles are recomputed exactly
-        np.testing.assert_allclose(
-            local_bound(sites, counts, grid, h, 1.0, (margin,))[far], exact[far], rtol=1e-12
-        )
+        var, settled = ladder(monkeypatch, sites, counts, grid, h, 1.0, (margin,))
+        assert settled[-1] > 0
+        np.testing.assert_allclose(var[far], exact[far], rtol=1e-12)
 
 
 def test_courtyard_sized_plan_stays_dense_and_exact():
@@ -321,9 +403,9 @@ def test_local_path_is_taken_when_tiles_are_cheaper(monkeypatch):
     sites, counts = plan.distinct()
     grid = env.grid(0.3)
     exact = Posterior(sites, h, counts).variance(grid)
-    bound, settled = ladder(sites, counts, grid, h, spec.max_variance)
+    bound, settled = _variance_ladder(sites, counts, grid, h, spec.max_variance)
     # the narrow margin certifies every tile
-    assert report.tiles == settled == (len(_tiles(sites, grid, h.length_scale, [0.0])), 0, 0)
+    assert report.tiles == settled == (len(_tiles(grid, h.length_scale)[0]), 0, 0)
     top = int(np.argmax(bound))
     assert report.max_variance == float(bound[top]) >= float(exact.max())
     assert report.argmax == (float(grid[top, 0]), float(grid[top, 1]))
@@ -346,8 +428,8 @@ def test_local_path_is_taken_when_tiles_are_cheaper(monkeypatch):
 
     monkeypatch.setattr(placement, "_DENSE_VERIFY_FLOPS", 0.0)
     monkeypatch.setattr(placement, "_variance_ladder", spy)
-    verify_plan(pruned, env, h, spec.max_variance, 0.3)
-    assert len(calls) == 1 and calls[0][3]
+    report = verify_plan(pruned, env, h, spec.max_variance, 0.3)
+    assert len(calls) == 1 and report.method == "local"
     np.testing.assert_array_equal(calls[0][0], pruned.distinct()[0])
 
 

@@ -26,7 +26,7 @@ def reference_nearest_point(env: Environment, p) -> tuple[float, float]:
     if env.kind == "rectangle":
         x0, y0, x1, y1 = env.bounds
         return (min(max(px, x0), x1), min(max(py, y0), y1))
-    if env.contains_point((px, py)):
+    if env.contains([(px, py)])[0]:
         return (px, py)
     q = np.array([px, py])
     verts = env.vertices
@@ -43,7 +43,7 @@ def reference_nearest_point(env: Environment, p) -> tuple[float, float]:
 
 def reference_projection(plan, env: Environment):
     return tuple(
-        (loc if env.contains_point(loc) else reference_nearest_point(env, loc), n)
+        (loc if env.contains([loc])[0] else reference_nearest_point(env, loc), n)
         for loc, n in plan.entries
     )
 

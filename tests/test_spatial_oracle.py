@@ -119,30 +119,36 @@ def test_fit_scores_the_distances_cdist_gives(monkeypatch):
         assert_same_bits(d2, cdist(pts, pts, "sqeuclidean"))
 
 
-def reference_tiles(sites: np.ndarray, grid: np.ndarray, side: float, margins) -> list:
-    """``_tiles`` as it was, with each neighbourhood from ``cKDTree``."""
+def reference_tiles(grid: np.ndarray, side: float) -> tuple[list, np.ndarray]:
+    """``_tiles`` grouped by ``np.unique``: each tile's points and the centres."""
     origin = grid.min(axis=0)
     keys = np.floor((grid - origin) / side).astype(np.int64)
     rows = int(keys[:, 1].max()) + 1
     tiles, tile_of = np.unique(keys[:, 0] * rows + keys[:, 1], return_inverse=True)
     members = np.split(np.argsort(tile_of, kind="stable"), np.cumsum(np.bincount(tile_of))[:-1])
-    centres = origin + (np.column_stack(np.divmod(tiles, rows)) + 0.5) * side
+    return members, origin + (np.column_stack(np.divmod(tiles, rows)) + 0.5) * side
+
+
+def assert_same_tiles(sites: np.ndarray, grid: np.ndarray, side: float, margins) -> list:
+    """Check ``_tiles``, and ``_near`` on its centres at each margin, against the
+    references; returns the nearby sites per margin, one array per tile."""
+    members, centres = _tiles(grid, side)
+    want_members, want_centres = reference_tiles(grid, side)
+    assert len(members) == len(want_members)
+    for points, want in zip(members, want_members):
+        np.testing.assert_array_equal(points, want)
+    assert_same_bits(centres, want_centres)
     tree = cKDTree(sites)
-    near = [tree.query_ball_point(centres, 0.5 * side + m, p=np.inf) for m in margins]
-    return [
-        (points, tuple(np.sort(np.asarray(n, dtype=np.int64)) for n in by_margin))
-        for points, *by_margin in zip(members, *near)
-    ]
-
-
-def assert_same_tiles(got: list, want: list) -> None:
-    assert len(got) == len(want)
-    for (points, near), (want_points, want_near) in zip(got, want):
-        np.testing.assert_array_equal(points, want_points)
-        assert isinstance(near, tuple) and len(near) == len(want_near)
+    by_margin = []
+    for m in margins:
+        near = _near(centres, sites, 0.5 * side + m)
+        want_near = tree.query_ball_point(centres, 0.5 * side + m, p=np.inf)
+        assert len(near) == len(want_near)
         for n, w in zip(near, want_near):
             assert n.dtype == np.int64
-            np.testing.assert_array_equal(n, w)
+            np.testing.assert_array_equal(n, np.sort(np.asarray(w, dtype=np.int64)))
+        by_margin.append(near)
+    return by_margin
 
 
 @pytest.mark.parametrize("side", [20.0, 60.0])
@@ -152,8 +158,7 @@ def test_tiles_of_plans_match_the_kd_tree(side):
     sites, _ = plan.distinct()
     grid = env.grid(default_grid_spacing(env, README_H, 4.0))
     l = README_H.length_scale
-    margins = [m * l for m in _TILE_MARGINS]
-    assert_same_tiles(_tiles(sites, grid, l, margins), reference_tiles(sites, grid, l, margins))
+    assert_same_tiles(sites, grid, l, [m * l for m in _TILE_MARGINS])
 
 
 def test_tiles_keep_sites_exactly_on_the_chebyshev_margin():
@@ -169,13 +174,12 @@ def test_tiles_keep_sites_exactly_on_the_chebyshev_margin():
         for sign in (-1.0, 1.0)
     ]
     sites = np.array(on + around + [(2.0, 2.0), (9.0, 9.0)])
-    got = _tiles(sites, grid, 2.0, [0.5, 1.5])
-    assert_same_tiles(got, reference_tiles(sites, grid, 2.0, [0.5, 1.5]))
+    narrow, _ = assert_same_tiles(sites, grid, 2.0, [0.5, 1.5])
     # the first tile's centre is (1, 1): the site 1.5 away along x is in
     # its narrow neighbourhood, as is the one an ulp nearer, while the one
     # an ulp further is not
-    narrow = set(got[0][1][0].tolist())
-    assert {0, 4} <= narrow and 5 not in narrow
+    first = set(narrow[0].tolist())
+    assert {0, 4} <= first and 5 not in first
 
 
 @settings(max_examples=60, deadline=None)

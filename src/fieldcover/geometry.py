@@ -4,6 +4,14 @@ Geometry here is deliberately boring: axis-aligned covering grids,
 even-odd polygon membership with the boundary counted inside, and a
 greedy maximal independent set over equal-radius disks. Every routine
 scans in lexicographic (x, y) order so reruns reproduce layouts exactly.
+
+Polygon work runs as array passes: membership over all points, with
+each edge measuring only the points near it; the cover over all
+squares; the closest points over blocks of outside points; and one
+closed-segment test, ``_segments_meet``, for both the cover and the
+simplicity check. Each element takes the floating-point steps of a
+scalar loop over one point, square or pair of edges, so results are the
+loop's bits; ``tests/test_geometry_oracle.py`` keeps such loops.
 """
 
 from __future__ import annotations
@@ -18,6 +26,9 @@ import numpy as np
 # comparison.
 _TANGENCY_PAD = 1e-9
 _BOUNDARY_TOL = 1e-9
+# Array passes over pairs (squares x edges, points x edges, edge x edge)
+# take blocks of about this many pairs, so temporaries stay near a MB.
+_PAIRS_PER_PASS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -50,35 +61,40 @@ def disks_intersect(a: Disk, b: Disk) -> bool:
     return dx * dx + dy * dy <= reach * reach * (1.0 + _TANGENCY_PAD)
 
 
-def _orient(a, b, c) -> float:
-    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+def _segments_meet(p1, p2, q1, q2) -> np.ndarray:
+    """Whether closed segments p1-p2 and q1-q2 share a point, for (..., 2) arrays that broadcast.
 
+    A crossing needs each segment's ends strictly on both sides of the
+    other's line. Otherwise an end whose orientation to the other segment
+    is exactly 0 counts when it lies in that segment's box, widened by
+    1e-12 on each side.
+    """
 
-def _within_box(a, b, p) -> bool:
+    def orient(a, b, c):
+        return (b[..., 0] - a[..., 0]) * (c[..., 1] - a[..., 1]) - (b[..., 1] - a[..., 1]) * (
+            c[..., 0] - a[..., 0]
+        )
+
+    def touches(a, b, p, o):
+        return (
+            (o == 0)
+            & (np.minimum(a[..., 0], b[..., 0]) - 1e-12 <= p[..., 0])
+            & (p[..., 0] <= np.maximum(a[..., 0], b[..., 0]) + 1e-12)
+            & (np.minimum(a[..., 1], b[..., 1]) - 1e-12 <= p[..., 1])
+            & (p[..., 1] <= np.maximum(a[..., 1], b[..., 1]) + 1e-12)
+        )
+
+    d1, d2 = orient(q1, q2, p1), orient(q1, q2, p2)
+    d3, d4 = orient(p1, p2, q1), orient(p1, p2, q2)
+    crossing = ((d1 > 0) != (d2 > 0)) & (d1 != 0) & (d2 != 0)
+    crossing &= ((d3 > 0) != (d4 > 0)) & (d3 != 0) & (d4 != 0)
     return (
-        min(a[0], b[0]) - 1e-12 <= p[0] <= max(a[0], b[0]) + 1e-12
-        and min(a[1], b[1]) - 1e-12 <= p[1] <= max(a[1], b[1]) + 1e-12
+        crossing
+        | touches(q1, q2, p1, d1)
+        | touches(q1, q2, p2, d2)
+        | touches(p1, p2, q1, d3)
+        | touches(p1, p2, q2, d4)
     )
-
-
-def _segments_intersect(p1, p2, q1, q2) -> bool:
-    d1 = _orient(q1, q2, p1)
-    d2 = _orient(q1, q2, p2)
-    d3 = _orient(p1, p2, q1)
-    d4 = _orient(p1, p2, q2)
-    if ((d1 > 0) != (d2 > 0) and d1 != 0 and d2 != 0) and (
-        (d3 > 0) != (d4 > 0) and d3 != 0 and d4 != 0
-    ):
-        return True
-    if d1 == 0 and _within_box(q1, q2, p1):
-        return True
-    if d2 == 0 and _within_box(q1, q2, p2):
-        return True
-    if d3 == 0 and _within_box(p1, p2, q1):
-        return True
-    if d4 == 0 and _within_box(p1, p2, q2):
-        return True
-    return False
 
 
 def _polygon_raycast(verts: np.ndarray, pts: np.ndarray) -> np.ndarray:
@@ -86,21 +102,46 @@ def _polygon_raycast(verts: np.ndarray, pts: np.ndarray) -> np.ndarray:
     inside = np.zeros(len(pts), dtype=bool)
     nxt = np.roll(verts, -1, axis=0)
     for (x1, y1), (x2, y2) in zip(verts, nxt):
-        crosses = (y1 > y) != (y2 > y)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            xi = (x2 - x1) * (y - y1) / (y2 - y1) + x1
-        inside ^= crosses & (x < xi)
+        # only points in the edge's half-open y range cross it, and there y2 != y1
+        cross = np.flatnonzero((y1 > y) != (y2 > y))
+        xi = (x2 - x1) * (y[cross] - y1) / (y2 - y1) + x1
+        inside[cross] ^= x[cross] < xi
     return inside
 
 
 def _on_polygon_boundary(verts: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Whether each point lies within ``_BOUNDARY_TOL`` of an edge, by the computed distance.
+
+    Only the points in each edge's box widened by ``pad`` are measured,
+    and the pad keeps every point that measuring all of them accepts.
+    Write u for half the machine epsilon and S for the largest vertex
+    coordinate magnitude. The closest point c = a + t (b - a), t in
+    [0, 1], carries three roundings of terms at most 3S, so it lies
+    within 7uS of the box. A point is accepted when its rounded squared
+    distance is at most tol^2; the other axis's square only raises that
+    sum, so on each axis |p - c| <= tol (1 + 3u). Rounding the widened
+    box's bounds moves them by at most u (S + pad). So pad = 2 tol + 16uS
+    covers the tol (1 + 3u) + 8uS + u pad needed. A fixed 2 tol would
+    not: at a 1e7 offset 7uS alone is 8e-9, eight times tol.
+    """
     on = np.zeros(len(pts), dtype=bool)
     nxt = np.roll(verts, -1, axis=0)
+    pad = 2.0 * _BOUNDARY_TOL + 8.0 * np.finfo(float).eps * float(np.abs(verts).max())
     for a, b in zip(verts, nxt):
+        lo, hi = np.minimum(a, b) - pad, np.maximum(a, b) + pad
+        near = np.flatnonzero(
+            (pts[:, 0] >= lo[0]) & (pts[:, 0] <= hi[0]) & (pts[:, 1] >= lo[1]) & (pts[:, 1] <= hi[1])
+        )
+        if near.size == 0:
+            continue
+        if near.size == 1 < len(pts):
+            # numpy takes a one-row product through BLAS dot, which may round
+            # differently from the matrix-vector product that more rows get
+            near = np.append(near, 1 if near[0] == 0 else 0)
         d = b - a
-        t = np.clip(((pts - a) @ d) / (d @ d), 0.0, 1.0)
+        t = np.clip(((pts[near] - a) @ d) / (d @ d), 0.0, 1.0)
         closest = a + t[:, None] * d
-        on |= np.sum((pts - closest) ** 2, axis=1) <= _BOUNDARY_TOL**2
+        on[near] |= np.sum((pts[near] - closest) ** 2, axis=1) <= _BOUNDARY_TOL**2
     return on
 
 
@@ -148,14 +189,18 @@ class Environment:
             raise ValueError("polygon area must be positive")
         if area2 < 0.0:
             verts = verts[::-1].copy()
+        # every edge against every later non-adjacent edge, a block of rows
+        # at a time; the first pair in (i, j) order is the one reported
         m = verts.shape[0]
-        edges = [(tuple(verts[i]), tuple(verts[(i + 1) % m])) for i in range(m)]
-        for i in range(m):
-            for j in range(i + 1, m):
-                if j == i + 1 or (i == 0 and j == m - 1):
-                    continue
-                if _segments_intersect(*edges[i], *edges[j]):
-                    raise ValueError(f"polygon is not simple: edges {i} and {j} intersect")
+        nxt = np.roll(verts, -1, axis=0)
+        j = np.arange(m)
+        rows = max(1, _PAIRS_PER_PASS // m)
+        for start in range(0, m, rows):
+            i = np.arange(start, min(start + rows, m))[:, None]
+            met = _segments_meet(verts[i], nxt[i], verts, nxt) & (j > i + 1) & ((i > 0) | (j < m - 1))
+            if met.any():
+                bi, bj = np.unravel_index(int(np.argmax(met)), met.shape)
+                raise ValueError(f"polygon is not simple: edges {start + bi} and {bj} intersect")
         return cls("polygon", verts)
 
     def __eq__(self, other) -> bool:
@@ -177,6 +222,12 @@ class Environment:
         return math.hypot(x1 - x0, y1 - y0)
 
     def contains(self, points) -> np.ndarray:
+        """Whether each point lies in the region, its boundary widened by ``_BOUNDARY_TOL`` included.
+
+        A polygon point is inside by the even-odd ray test, or on the
+        boundary when its distance to an edge is within the tolerance;
+        each edge measures only the points near its box.
+        """
         pts = np.asarray(points, dtype=float).reshape(-1, 2)
         if self.kind == "rectangle":
             x0, y0, x1, y1 = self.bounds
@@ -218,54 +269,70 @@ class Environment:
         return pts
 
     def project(self, points) -> np.ndarray:
-        """Each point where it lies inside the region, else the region's closest point to it."""
-        pts = np.array(points, dtype=float).reshape(-1, 2)
-        for i in np.flatnonzero(~self.contains(pts)):
-            pts[i] = self._nearest_from_outside(pts[i, 0], pts[i, 1])
-        return pts
+        """Each point where it lies inside the region, else the region's closest point to it.
 
-    def _nearest_from_outside(self, px: float, py: float) -> tuple[float, float]:
-        """Closest point of the region to one known to lie outside (rectangles clamp any point).
-
-        A polygon's closest point is the first edge projection with the
-        strictly smallest squared distance. The stacked 1x2 @ 2x1 products
-        round exactly like the scalar ``(q - a) @ d``; an elementwise sum
-        does not.
+        A rectangle clamps each outside point per axis. For a polygon the
+        closest point is the first edge projection with the strictly
+        smallest squared distance; the outside points go in blocks, each
+        against every edge in one pass. The stacked 1x2 @ 2x1 products
+        round like one point's ``(q - a) @ d``; an elementwise sum does
+        not.
         """
+        pts = np.array(points, dtype=float).reshape(-1, 2)
+        out = np.flatnonzero(~self.contains(pts))
         if self.kind == "rectangle":
             x0, y0, x1, y1 = self.bounds
-            return (min(max(px, x0), x1), min(max(py, y0), y1))
-        q, a = np.array([px, py]), self._verts
+            lo, hi = np.array([x0, y0]), np.array([x1, y1])
+            # min(max(p, lo), hi) keeps p on ties, so -0.0 stays -0.0
+            q = np.where(lo > pts[out], lo, pts[out])
+            pts[out] = np.where(hi < q, hi, q)
+            return pts
+        a = self._verts
         d = np.roll(a, -1, axis=0) - a
-        w = q - a
-        dots = (w[:, None, :] @ d[:, :, None])[:, 0, 0]
         lengths2 = (d[:, None, :] @ d[:, :, None])[:, 0, 0]
-        c = a + np.clip(dots / lengths2, 0.0, 1.0)[:, None] * d
-        best = int(np.argmin(np.sum((q - c) ** 2, axis=1)))
-        return (float(c[best, 0]), float(c[best, 1]))
+        rows = max(1, _PAIRS_PER_PASS // len(a))
+        for start in range(0, out.size, rows):
+            block = out[start : start + rows]
+            q = pts[block, None, :]
+            dots = ((q - a)[:, :, None, :] @ d[:, :, None])[:, :, 0, 0]
+            c = a + np.clip(dots / lengths2, 0.0, 1.0)[:, :, None] * d
+            best = np.argmin(np.sum((q - c) ** 2, axis=2), axis=1)
+            pts[block] = c[np.arange(block.size), best]
+        return pts
 
-    def _square_touches(self, x0: float, y0: float, side: float) -> bool:
+    def _squares_touch(self, x0: np.ndarray, y0: np.ndarray, side: float) -> np.ndarray:
+        """Which closed squares [x0, x0 + side] x [y0, y0 + side] meet the region.
+
+        A square clear of the bounding box misses, and on a rectangle
+        every other square meets. On a polygon a square meets when one of
+        its corners is inside or a vertex is in it; only the squares those
+        tests leave open have their sides tested against the edges, in
+        blocks, so the pair arrays stay small.
+        """
         x1, y1 = x0 + side, y0 + side
         ex0, ey0, ex1, ey1 = self.bounds
-        if x1 < ex0 or ex1 < x0 or y1 < ey0 or ey1 < y0:
-            return False
+        touch = ~((x1 < ex0) | (ex1 < x0) | (y1 < ey0) | (ey1 < y0))
         if self.kind == "rectangle":
-            return True
-        corners = np.array([(x0, y0), (x1, y0), (x1, y1), (x0, y1)])
-        if bool(np.any(self.contains(corners))):
-            return True
+            return touch
+        open_ = np.flatnonzero(touch)
+        # (squares, 4, 2), counter-clockwise from (x0, y0)
+        corners = np.stack(
+            [np.column_stack([x0, x1, x1, x0])[open_], np.column_stack([y0, y0, y1, y1])[open_]], axis=2
+        )
+        met = self.contains(corners.reshape(-1, 2)).reshape(-1, 4).any(axis=1)
         v = self._verts
-        if bool(
-            np.any((v[:, 0] >= x0) & (v[:, 0] <= x1) & (v[:, 1] >= y0) & (v[:, 1] <= y1))
-        ):
-            return True
-        sq = [tuple(c) for c in corners]
-        m = v.shape[0]
-        for i in range(4):
-            for j in range(m):
-                if _segments_intersect(sq[i], sq[(i + 1) % 4], tuple(v[j]), tuple(v[(j + 1) % m])):
-                    return True
-        return False
+        left = np.flatnonzero(~met)
+        rows = max(1, _PAIRS_PER_PASS // (4 * len(v)))
+        for start in range(0, left.size, rows):
+            block = left[start : start + rows]
+            sq = corners[block]
+            hit = np.all((v >= sq[:, :1]) & (v <= sq[:, 2:3]), axis=2).any(axis=1)
+            sq = sq[~hit, :, None]
+            sides = _segments_meet(sq, np.roll(sq, -1, axis=1), v, np.roll(v, -1, axis=0))
+            hit[~hit] = sides.any(axis=(1, 2))
+            met[block] = hit
+        touch[open_] = met
+        return touch
 
 
 def cover_environment(env: Environment, radius: float) -> list[Disk]:
@@ -273,7 +340,8 @@ def cover_environment(env: Environment, radius: float) -> list[Disk]:
 
     Square grid of side radius*sqrt(2) anchored at the bounding-box
     corner; each square is inscribed in its disk, so keeping every square
-    that touches the environment already yields a cover. Output is
+    that touches the environment already yields a cover. One
+    ``Environment._squares_touch`` call tests every square. Output is
     ordered lexicographically by center.
     """
     r = float(radius)
@@ -283,13 +351,12 @@ def cover_environment(env: Environment, radius: float) -> list[Disk]:
     x0, y0, x1, y1 = env.bounds
     nx = max(1, math.ceil((x1 - x0) / side - 1e-9))
     ny = max(1, math.ceil((y1 - y0) / side - 1e-9))
-    disks = []
-    for i in range(nx):
-        for j in range(ny):
-            sx, sy = x0 + i * side, y0 + j * side
-            if env._square_touches(sx, sy, side):
-                disks.append(Disk((sx + side / 2.0, sy + side / 2.0), r))
-    return disks
+    # i-major, like the disks
+    sx = np.repeat(x0 + np.arange(nx) * side, ny)
+    sy = np.tile(y0 + np.arange(ny) * side, nx)
+    keep = env._squares_touch(sx, sy, side)
+    corners = zip(sx[keep].tolist(), sy[keep].tolist())
+    return [Disk((cx + side / 2.0, cy + side / 2.0), r) for cx, cy in corners]
 
 
 def _near(centres: np.ndarray, points: np.ndarray, reach: float) -> list:

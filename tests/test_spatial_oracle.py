@@ -161,6 +161,20 @@ def test_tiles_of_plans_match_the_kd_tree(side):
     assert_same_tiles(sites, grid, l, [m * l for m in _TILE_MARGINS])
 
 
+@pytest.mark.parametrize("side", [60.0, 300.0])
+def test_tiles_of_verification_grids_match_the_reference(side):
+    # ``_tiles`` takes its origin from the two column minima, the
+    # reference from min(axis=0); a minimum is exact, so the tiles agree
+    env = Environment.rectangle((0.0, 0.0), (side, side))
+    grid = env.grid(default_grid_spacing(env, README_H, 4.0))
+    members, centres = _tiles(grid, README_H.length_scale)
+    want_members, want_centres = reference_tiles(grid, README_H.length_scale)
+    assert len(members) == len(want_members)
+    for points, want in zip(members, want_members):
+        np.testing.assert_array_equal(points, want)
+    assert_same_bits(centres, want_centres)
+
+
 def test_tiles_keep_sites_exactly_on_the_chebyshev_margin():
     # tiles of side 2 anchored at the origin, so centres at odd
     # coordinates; margins 0.5 and 1.5 put the boundary of a tile's

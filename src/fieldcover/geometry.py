@@ -134,12 +134,13 @@ def _on_polygon_boundary(verts: np.ndarray, pts: np.ndarray) -> np.ndarray:
         )
         if near.size == 0:
             continue
-        if near.size == 1 < len(pts):
-            # numpy takes a one-row product through BLAS dot, which may round
-            # differently from the matrix-vector product that more rows get
-            near = np.append(near, 1 if near[0] == 0 else 0)
         d = b - a
-        t = np.clip(((pts[near] - a) @ d) / (d @ d), 0.0, 1.0)
+        w = pts[near] - a
+        # products per axis, as a loop over one point takes them: numpy's
+        # ``@`` sends one row through BLAS dot and more through a
+        # matrix-vector product, which round differently, so a point's
+        # verdict would depend on its batch
+        t = np.clip((w[:, 0] * d[0] + w[:, 1] * d[1]) / (d[0] * d[0] + d[1] * d[1]), 0.0, 1.0)
         closest = a + t[:, None] * d
         on[near] |= np.sum((pts[near] - closest) ** 2, axis=1) <= _BOUNDARY_TOL**2
     return on

@@ -19,10 +19,17 @@ Every posterior query is one read of V = M K(sites, points), with M the
 inverse of the Cholesky factor L, formed once when the Gram matrix is
 factored: the variance is s2 - sum_i V_i^2 and the mean b . V with
 b = M y, summed over all rows or over a leading block of them. V is
-built one panel of query points at a time, as a triangular multiply by
-M rather than a substitution with L: the same flops, run as a
-matrix-matrix product, about three times as fast, and within a few
-units of rounding of the substitution.
+built a block of query points at a time, in query order, in one of two
+ways. The panel build forms K for a panel of points and multiplies it
+by M in place: a triangular multiply rather than a substitution with L,
+the same flops run as a matrix-matrix product, about three times as
+fast, and within a few units of rounding of the substitution. The
+lattice build serves points that form a masked lattice in x-major
+order, as every grid the package reads does: the kernel separates per
+axis, so V comes from per-axis kernel tables and one product per
+distinct site y value, and K is never formed. A count of multiply-adds
+from the sizes of the read picks the cheaper build; the two agree to
+rounding, and any one read takes one of them for all its queries.
 """
 
 from __future__ import annotations
@@ -44,6 +51,18 @@ from .errors import DegenerateDataError, GramTooLargeError, NumericalError
 # panels start and end moves means, and variances over many sites, by
 # rounding, so changing this changes written outputs.
 _PANEL_POINTS = 512
+# ``_lattice_layout`` prices the two builds of V in multiply-adds of the
+# panel build's triangular multiply. Forming one entry of K costs about
+# ``_ENTRY_FLOPS`` more than the lattice build spends on one entry of V;
+# the lattice build's products, whose inner dimension is tens, cost
+# ``_THIN_FLOPS`` per multiply-add, each of its BLAS calls
+# ``_CALL_FLOPS``, and finding the lattice ``_LATTICE_FLOPS``. Fitted to
+# timings of 40 reads of 18 to 1,180 sites on two cores, where the rule
+# picked the slower build three times, at a cost of 0.33 ms in all.
+_ENTRY_FLOPS = 270.0
+_THIN_FLOPS = 3.0
+_CALL_FLOPS = 3e5
+_LATTICE_FLOPS = 2e7
 # Largest Gram matrix a dense solve may allocate. Factorization is in
 # place, so this is also about the peak of the factorization itself.
 _MAX_GRAM_BYTES = 2 * 2**30
@@ -226,12 +245,174 @@ def _cholesky(design: np.ndarray, hyper: Hyperparameters, noise, what: str) -> n
     check_dense_budget(8 * n * n, what)
     gram = kernel_matrix(design, design, hyper)
     gram[np.diag_indices_from(gram)] += noise
-    lower, info = dpotrf(gram.T, lower=1, overwrite_a=1, clean=0)
+    # clean=1 zeroes the strict upper triangle, where dpotrf leaves Gram
+    # entries and dtrtri never writes: the lattice read gathers whole
+    # columns of the inverse. The lower triangle has the same bits either way
+    lower, info = dpotrf(gram.T, lower=1, overwrite_a=1, clean=1)
     if info > 0:
         raise NumericalError(
             f"Gram factorization failed: {info}-th leading minor of the array is not positive definite"
         )
     return lower
+
+
+def _panels(inverse: np.ndarray, design: np.ndarray, hyper: Hyperparameters, pts: np.ndarray):
+    """V = M K(design, pts) a block of query points at a time, in query order.
+
+    Yields (slice of ``pts``, V block), each block (sites x points) and
+    Fortran-ordered; ``inverse`` is M, lower triangular with a zero
+    strict upper triangle. A caller that drops each block before asking
+    for the next holds one at a time. The lattice build
+    (``_lattice_panels``) serves the points when ``_lattice_layout``
+    finds them a masked lattice on which it costs fewer multiply-adds;
+    otherwise every block is one ``_PANEL_POINTS`` panel of K, multiplied
+    by M in place.
+    """
+    layout = _lattice_layout(design, pts)
+    if layout is not None:
+        yield from _lattice_panels(inverse, hyper, layout)
+        return
+    for lo in range(0, pts.shape[0], _PANEL_POINTS):
+        block = slice(lo, lo + _PANEL_POINTS)
+        # K(sites, block) is Fortran-ordered, so it is multiplied in place
+        v = kernel_matrix(pts[block], design, hyper).T
+        dtrmm(1.0, inverse, v, lower=1, overwrite_b=1)
+        yield block, v
+        del v
+
+
+def _lattice(pts: np.ndarray, columns: float = math.inf):
+    """The points as a masked lattice in x-major order, or None.
+
+    They are one when their x values never fall and, within each run of
+    one x, their y values rise strictly: then the sorted distinct x and
+    y values index them in increasing (i, j) order, as ``Environment.grid``
+    and ``FieldGrid.points`` list them. Returns the distinct x and y
+    values, the start of each x column in ``pts`` with ``len(pts)``
+    last, and each point's y index; None also when there are more than
+    ``columns`` x columns, before the y values are sorted.
+    """
+    x, y = pts[:, 0], pts[:, 1]
+    # a NaN fails the comparison, so it takes the panel build
+    if not np.all(x[1:] >= x[:-1]):
+        return None
+    starts = np.flatnonzero(x[1:] != x[:-1]) + 1
+    if starts.size + 1 > columns:
+        return None
+    uy, jy = np.unique(y, return_inverse=True)
+    rises = jy[1:] > jy[:-1]
+    rises[starts - 1] = True
+    if not rises.all():
+        return None
+    starts = np.concatenate([[0], starts, [x.size]])
+    return x[starts[:-1]], uy, starts, jy
+
+
+def _lattice_layout(design: np.ndarray, pts: np.ndarray):
+    """Blocking of the lattice build over ``pts``, or None where the panel build is used.
+
+    The rule compares costs counted from sizes alone, in the panel
+    build's multiply-adds (the weights are explained where they are
+    defined). The panel build costs n(n+1)/2 per point for the multiply
+    by M, plus ``_ENTRY_FLOPS`` per entry of K. The lattice build costs
+    n^2 per lattice x column to multiply M's columns into C, n per
+    distinct site y per point for V, and one BLAS call per group and
+    block of columns, per column and per V block. The lattice is not
+    looked for where the panel build costs no more than finding it
+    (``_LATTICE_FLOPS``), the V product with one site y and one call per
+    lattice column.
+
+    Memory: a block of w lattice columns holds C, w (my x n), and the x
+    table, w x n, in half a panel's bytes, and each V block is at most
+    the other half; the y table, twice over, and the largest group of
+    M's columns must fit in a quarter panel more. With n sites, my
+    distinct site y values and a ``_PANEL_POINTS`` panel,
+    w = (panel / 2) // (my + 1), so the build needs my < panel / 2.
+    """
+    n, count = design.shape[0], pts.shape[0]
+    panel = n * (n + 1) / 2.0 * count + _ENTRY_FLOPS * n * count
+    half = _PANEL_POINTS // 2
+    # what is left of the panel build's cost after the least any lattice
+    # build costs, which has one site y, pays for its calls per column
+    spare = panel - _LATTICE_FLOPS - _THIN_FLOPS * n * count
+    lattice = _lattice(pts, spare / _CALL_FLOPS) if spare > 0 else None
+    if lattice is None:
+        return None
+    ux, uy, starts, jy = lattice
+    syu, sy = np.unique(design[:, 1], return_inverse=True)
+    my = syu.size
+    if my + 1 > half:
+        return None
+    w = half // (my + 1)
+    chunk = _PANEL_POINTS - w * (my + 1)
+    # the sites grouped by y, each group in site order
+    perm = np.argsort(sy, kind="stable")
+    bounds = np.searchsorted(sy[perm], np.arange(my + 1))
+    nx = ux.size
+    blocks = -(-nx // w)
+    calls = blocks * (my + 1) + nx + 2 * (-(-count // chunk) + blocks)
+    cost = _THIN_FLOPS * n * (n * nx + my * count) + _CALL_FLOPS * calls + _LATTICE_FLOPS
+    # the y table, the rows of it one column's run of points takes, and
+    # the largest group of M's columns
+    extra = 2 * uy.size * my + int(np.diff(bounds).max()) * n
+    if cost >= panel or 4 * extra > n * _PANEL_POINTS:
+        return None
+    return ux, uy, starts.tolist(), jy, design[perm, 0], syu, perm, bounds.tolist(), w, chunk
+
+
+def _lattice_panels(inverse: np.ndarray, hyper: Hyperparameters, layout):
+    """``_panels`` on a masked lattice, from per-axis kernel tables.
+
+    The kernel separates per axis (Saatci, PhD thesis, Cambridge 2011):
+    K(site, node (i, j)) = Ex[i, site] Ey[j, b] with
+    Ex = s2 exp(-(lattice x - site x)^2 / 2l^2) and
+    Ey = exp(-(lattice y - y_b)^2 / 2l^2), b the site's index among the
+    distinct site y values. So with the sites grouped by b,
+    C[:, b, i] = M[:, group b] Ex[i, group b] and V at node (i, j) is
+    sum_b C[:, b, i] Ey[j, b]: for a block of lattice columns one product
+    per distinct site y, then one per column, whose inner dimension is
+    the number of distinct site y values. K itself is never formed.
+    ``layout`` is what ``_lattice_layout`` returns.
+    """
+    ux, uy, starts, jy, xs, syu, perm, bounds, w, chunk = layout
+    n = inverse.shape[0]
+    scale = -(2.0 * hyper.length_scale**2)
+    ey = np.subtract.outer(uy, syu)
+    np.multiply(ey, ey, out=ey)
+    np.divide(ey, scale, out=ey)
+    np.exp(ey, out=ey)
+    # M's columns are the rows of its C-ordered transpose
+    rows = inverse.T
+    # C[i] is (my x n): column i's partial sums, one row per site y
+    c = np.empty((w, syu.size, n))
+    # the x table of a block, one column per site in group order
+    ex = np.empty((w, n))
+    groups = [(ex[:, a:b], perm[a:b], c[:, g]) for g, (a, b) in enumerate(zip(bounds, bounds[1:]))]
+    for lo in range(0, ux.size, w):
+        hi = min(lo + w, ux.size)
+        cols = hi - lo
+        table = ex[:cols]
+        np.subtract.outer(ux[lo:hi], xs, out=table)
+        np.multiply(table, table, out=table)
+        np.divide(table, scale, out=table)
+        np.exp(table, out=table)
+        np.multiply(hyper.signal_variance, table, out=table)
+        for x_part, members, out in groups:
+            np.matmul(x_part[:cols], rows[members], out=out[:cols])
+        column = lo
+        for q0 in range(starts[lo], starts[hi], chunk):
+            q1 = min(q0 + chunk, starts[hi])
+            # V's transpose, one row per point, filled a column's run at a time
+            vt = np.empty((q1 - q0, n))
+            s0 = q0
+            while s0 < q1:
+                while starts[column + 1] <= s0:
+                    column += 1
+                s1 = min(q1, starts[column + 1])
+                np.matmul(ey[jy[s0:s1]], c[column - lo], out=vt[s0 - q0 : s1 - q0])
+                s0 = s1
+            yield slice(q0, q1), vt.T
+            del vt
 
 
 class Posterior:
@@ -247,11 +428,12 @@ class Posterior:
     average reading. Distinct sites, as ``MeasurementMultiset.distinct``
     returns them, keep the system smallest; ``prefix_mean_and_variance``
     relies on the rows staying in visiting order instead. Factors once
-    and inverts the factor in place; every query then goes through one
-    read of V = L^-1 K(sites, points), a panel of query points at a
-    time, each panel a triangular multiply by the stored inverse that
-    gives variances and any number of means together, so a variance is
-    the same bits whichever query asked for it.
+    and inverts the factor in place, its strict upper triangle zeroed;
+    every query then goes through one read of V = L^-1 K(sites, points),
+    a block of query points at a time, that gives variances and any
+    number of means together. Which build makes the blocks (``_panels``)
+    depends on the sites and points alone, so a variance is the same
+    bits whichever query asked for it.
     """
 
     def __init__(self, sites, hyper: Hyperparameters, counts=None):
@@ -331,12 +513,15 @@ class Posterior:
         multiplied once per value column, the first n rows give variance
         s2 - sum_{i<n} V_i^2 and mean sum_{i<n} b_i V_i. The sums run over
         the rows in order, so a longer prefix never reports a larger
-        variance at any point. V is built a panel of ``_PANEL_POINTS``
-        query points at a time, multiplied by M in place, summed and
-        dropped before the next panel is built, so one panel is live at a
-        time whatever the query asks for. Returns means of shape
-        (len(lengths), len(points)) + the trailing shape of ``values`` and
-        variances of shape (len(lengths), len(points)).
+        variance at any point. V comes a block of query points at a time
+        from ``_panels``: a ``_PANEL_POINTS`` panel of K multiplied by M in
+        place, or on a masked lattice, where a count of multiply-adds
+        says it is cheaper, a block built from per-axis kernel tables
+        (``_lattice_layout`` has the rule). Each block is summed and
+        dropped before the next is built, so at most a panel's bytes of
+        V are live at a time whatever the query asks for. Returns means
+        of shape (len(lengths), len(points)) + the trailing shape of
+        ``values`` and variances of shape (len(lengths), len(points)).
         """
         pts = np.asarray(points, dtype=float).reshape(-1, 2)
         y = np.asarray(values, dtype=float)
@@ -351,11 +536,7 @@ class Posterior:
         if inverse is not None:
             betas = [dtrmv(inverse, c, lower=1) for c in columns]
             order = sorted(range(len(lengths)), key=lengths.__getitem__)
-            for lo in range(0, pts.shape[0], _PANEL_POINTS):
-                block = slice(lo, lo + _PANEL_POINTS)
-                # K(sites, block) is Fortran-ordered, so it is multiplied in place
-                v = kernel_matrix(pts[block], self.design, self.hyper).T
-                dtrmm(1.0, inverse, v, lower=1, overwrite_b=1)
+            for block, v in _panels(inverse, self.design, self.hyper, pts):
                 explained, sums, done = 0.0, [0.0] * len(betas), 0
                 for j in order:
                     n = lengths[j]

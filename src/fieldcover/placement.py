@@ -295,7 +295,15 @@ def verify_plan(
 
 
 def _solve_flops(sites: int, points: int) -> float:
-    """Flops of a dense variance sweep: N^3 / 3 to factor, N^2 per query point."""
+    """Flops of a dense variance sweep: N^3 / 3 to factor, N^2 per query point.
+
+    This is the panel read's count. Where the query points are a grid,
+    ``Posterior`` may read them by its cheaper lattice build, but the
+    ladder still prices every rung, the exact one included, at the
+    panel read's flops, so the ``tiles`` counts are those of a panel
+    read. Repricing the exact rung is a change of its own, because it
+    can move tiles.
+    """
     return sites**3 / 3.0 + float(sites) * sites * points
 
 

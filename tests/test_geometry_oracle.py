@@ -72,7 +72,8 @@ def reference_contains(env: Environment, points) -> np.ndarray:
     on = np.zeros(len(pts), dtype=bool)
     for a, b in zip(verts, nxt):
         d = b - a
-        t = np.clip(((pts - a) @ d) / (d @ d), 0.0, 1.0)
+        w = pts - a
+        t = np.clip((w[:, 0] * d[0] + w[:, 1] * d[1]) / (d[0] * d[0] + d[1] * d[1]), 0.0, 1.0)
         closest = a + t[:, None] * d
         on |= np.sum((pts - closest) ** 2, axis=1) <= _BOUNDARY_TOL**2
     return inside | on
@@ -273,7 +274,9 @@ def test_contains_matches_the_unbanded_test_where_closest_points_round_out_of_th
 def test_contains_matches_the_unbanded_test_when_an_edge_measures_one_point():
     # each point near the triangle comes with one far away, so the edge it
     # lies beside measures it alone; its verdict at tol and a few ulps
-    # around it must be the one the whole batch gets
+    # around it must be the one the whole batch gets, and the one it gets
+    # alone: numpy's ``@`` rounds a one-row product (BLAS dot) and a
+    # two-row one (matrix-vector) differently, which flipped dozens here
     env = Environment.polygon([(0.0, 0.0), (10.0, 3.0), (4.0, 9.0)])
     rng = np.random.default_rng(3)
     verts = env.vertices
@@ -286,6 +289,7 @@ def test_contains_matches_the_unbanded_test_when_an_edge_measures_one_point():
                 for p in a + t * d + sign * np.outer(_BOUNDARY_TOL + steps, normal):
                     pair = np.array([p, (100.0, 100.0)])
                     assert env.contains(pair)[0] == reference_contains(env, pair)[0]
+                    assert env.contains([p])[0] == env.contains(pair)[0]
 
 
 def test_contains_sees_both_sides_of_the_tolerance():

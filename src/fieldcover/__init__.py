@@ -14,7 +14,6 @@ os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", OPENBLAS_THREAD_TIMEOUT)
 from .errors import (
     DegenerateDataError,
     GramTooLargeError,
-    GridTooLargeError,
     NumericalError,
     VerificationError,
 )

@@ -16,10 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import _MAX_GRAM_BYTES, check_dense_budget
 from .fields import FieldGrid
 from .geometry import Environment
-from .gp import _MAX_GRAM_BYTES, Hyperparameters, MeasurementMultiset, Posterior, _site_means
-from .gp import check_dense_budget, kernel_matrix
+from .gp import Hyperparameters, MeasurementMultiset, Posterior, _site_means, kernel_matrix
 from .placement import necessary_radius
 from .routing import TimeModel, Tour, cumulative_times, tour_time
 

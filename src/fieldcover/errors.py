@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one size rule."""
+
+# The byte budget of every array whose size the inputs set, counted before it is
+# built: a Gram matrix (factored in place), a grid, a cover, the sweeps, a truth draw.
+_MAX_GRAM_BYTES = 2 * 2**30
 
 
 class DegenerateDataError(ValueError):
@@ -16,9 +20,15 @@ class VerificationError(RuntimeError):
     construction fails an explicit re-check."""
 
 
-class GridTooLargeError(ValueError):
-    """Raised when a requested sampling grid exceeds the exact-solve budget."""
-
-
 class GramTooLargeError(ValueError):
-    """Raised before allocating a Gram matrix above the dense-solve byte cap."""
+    """Raised before allocating arrays above the byte cap, so the CLI exits 2."""
+
+
+def check_dense_budget(nbytes: int, what: str) -> None:
+    """Raise GramTooLargeError when ``what`` would allocate more than the cap.
+
+    ``what`` names the computation, then the caller's remedy after a semicolon.
+    """
+    if nbytes > _MAX_GRAM_BYTES:
+        cap = _MAX_GRAM_BYTES / 2**30
+        raise GramTooLargeError(f"need {nbytes / 2**30:.2f} GiB, above the {cap:g} GiB cap, for {what}")

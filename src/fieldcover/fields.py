@@ -14,11 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._lapack import dpotrf
-from .errors import GridTooLargeError, NumericalError
+from .errors import NumericalError, check_dense_budget
 from .geometry import Environment
-from .gp import Hyperparameters
-
-_MAX_EXACT_POINTS = 10_000
+from .gp import Hyperparameters, _axis_kernel
 
 
 @dataclass(frozen=True)
@@ -81,26 +79,21 @@ class FieldGrid:
         )
 
 
-def _axis_nodes(lo: float, hi: float, spacing: float) -> np.ndarray:
-    # one node past the box edge when spacing does not divide the extent,
-    # so every point of the environment stays interpolable
-    steps = max(1, math.ceil((hi - lo) / spacing - 1e-12))
-    return lo + spacing * np.arange(steps + 1)
+def _axis_count(lo: float, hi: float, spacing: float) -> int:
+    # one node past the box edge when spacing does not divide the extent, so
+    # every point stays interpolable; min() keeps a huge count finite
+    return max(1, math.ceil(min((hi - lo) / spacing - 1e-12, 2.0**53))) + 1
 
 
 def _axis_factor(nodes: np.ndarray, variance: float, length_scale: float) -> np.ndarray:
     """Lower Cholesky factor of the jittered covariance of one axis's nodes.
 
-    The covariance is variance * exp(-d**2 / (2 l**2)) over the nodes'
-    pairwise differences d, plus 1e-10 * variance on the diagonal. It is
-    symmetric, so its transpose is the Fortran view that LAPACK's
-    ``dpotrf`` (scipy's, from ``._lapack``) factors in place.
+    The covariance is ``gp._axis_kernel`` over the nodes, plus 1e-10 *
+    variance on the diagonal. It is symmetric, so its transpose is the
+    Fortran view that LAPACK's ``dpotrf`` (scipy's, from ``._lapack``)
+    factors in place.
     """
-    cov = np.subtract.outer(nodes, nodes)
-    np.square(cov, out=cov)
-    np.divide(cov, -(2.0 * length_scale**2), out=cov)
-    np.exp(cov, out=cov)
-    np.multiply(variance, cov, out=cov)
+    cov = _axis_kernel(nodes, nodes, length_scale, variance)
     cov[np.diag_indices_from(cov)] += 1e-10 * variance
     lower, info = dpotrf(cov.T, lower=1, overwrite_a=1)
     if info != 0:
@@ -125,23 +118,19 @@ def sample_gp_field(
     Each axis carries a 1e-10 jitter relative to its variance, which
     puts the product within 1e-10 * s2 of the node covariance with a
     1e-10 * s2 jitter, and the draw holds only the two per-axis
-    matrices and a few arrays of one value per node. Older builds
-    factored that whole node covariance instead: the same process, but
-    another draw of it, so every seed's truth differs from theirs.
-    Raises ``NumericalError`` if an axis covariance does not factor.
+    matrices and a few arrays of one value per node. It refuses them
+    above the byte budget before building any, and raises
+    ``NumericalError`` if an axis covariance does not factor.
     """
     if not (math.isfinite(spacing) and spacing > 0.0):
         raise ValueError("spacing must be positive and finite")
     x0, y0, x1, y1 = env.bounds
-    xs = _axis_nodes(x0, x1, spacing)
-    ys = _axis_nodes(y0, y1, spacing)
-    count = xs.size * ys.size
-    if count > _MAX_EXACT_POINTS:
-        raise GridTooLargeError(
-            f"{count} grid nodes exceed the {_MAX_EXACT_POINTS}-point cap for "
-            f"exact sampling; increase spacing"
-        )
-    z = np.random.default_rng([seed, 0]).standard_normal(count).reshape(xs.size, ys.size)
+    nx, ny = _axis_count(x0, x1, spacing), _axis_count(y0, y1, spacing)
+    # the two axis covariances, the normals, the product with L_x and the field
+    draw = f"a truth draw on {nx} x {ny} nodes at spacing {spacing:g}"
+    check_dense_budget(8 * (nx * nx + ny * ny + 3 * nx * ny), f"{draw}; use a coarser spacing")
+    xs, ys = x0 + spacing * np.arange(nx), y0 + spacing * np.arange(ny)
+    z = np.random.default_rng([seed, 0]).standard_normal(nx * ny).reshape(nx, ny)
     lower_x = _axis_factor(xs, hyper.signal_variance, hyper.length_scale)
     lower_y = _axis_factor(ys, 1.0, hyper.length_scale)
     # einsum sums in its own loops; a BLAS product may split its sums by

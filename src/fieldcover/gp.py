@@ -43,7 +43,7 @@ import numpy as np
 from ._lapack import (
     cdist_sqeuclidean, dormqr, dpotrf, dpotrs, dptsv, dsterf, dsytrd, dsytrd_lwork, dtrmm, dtrmv, dtrtri,
 )
-from .errors import DegenerateDataError, GramTooLargeError, NumericalError
+from .errors import DegenerateDataError, NumericalError, check_dense_budget
 
 # ``Posterior``'s read builds, multiplies and sums the cross-covariances
 # of this many query points at a time, so one (sites x points) panel is
@@ -63,9 +63,6 @@ _ENTRY_FLOPS = 270.0
 _THIN_FLOPS = 3.0
 _CALL_FLOPS = 3e5
 _LATTICE_FLOPS = 2e7
-# Largest Gram matrix a dense solve may allocate. Factorization is in
-# place, so this is also about the peak of the factorization itself.
-_MAX_GRAM_BYTES = 2 * 2**30
 # The grid search scores every point from one tridiagonal reduction per
 # length scale, then re-scores by Cholesky (``nlml``) every point whose
 # tridiagonal-path NLML lies within this relative distance of the minimum,
@@ -80,18 +77,6 @@ _RESCORE_RTOL = 1e-8
 # Below that the Cholesky factorization may fail (and the search must skip
 # the point), so such points are always re-scored by Cholesky.
 _EIGEN_FLOOR = 1e-8
-
-
-def check_dense_budget(nbytes: int, what: str) -> None:
-    """Raise GramTooLargeError when ``what`` would allocate more than the dense cap.
-
-    ``what`` names the computation, then the caller's remedy after a semicolon.
-    """
-    if nbytes > _MAX_GRAM_BYTES:
-        raise GramTooLargeError(
-            f"need {nbytes / 2**30:.2f} GiB of dense matrices, above the "
-            f"{_MAX_GRAM_BYTES / 2**30:g} GiB cap, for {what}"
-        )
 
 
 def _as_point(p) -> tuple[float, float]:
@@ -230,6 +215,16 @@ def kernel_matrix(a, b, hyper: Hyperparameters) -> np.ndarray:
     return k
 
 
+def _axis_kernel(a: np.ndarray, b: np.ndarray, length_scale: float, scale: float, out=None) -> np.ndarray:
+    """scale * exp(-(a_i - b_j)^2 / (2 l^2)) for every pair: one axis of the kernel, into ``out`` if given."""
+    k = np.subtract.outer(a, b, out=out)
+    np.square(k, out=k)
+    np.divide(k, -(2.0 * length_scale**2), out=k)
+    np.exp(k, out=k)
+    np.multiply(scale, k, out=k)
+    return k
+
+
 def _cholesky(design: np.ndarray, hyper: Hyperparameters, noise, what: str) -> np.ndarray:
     """Lower Cholesky factor of K(design) + diag(noise), Fortran-ordered.
 
@@ -364,9 +359,8 @@ def _lattice_panels(inverse: np.ndarray, hyper: Hyperparameters, layout):
     """``_panels`` on a masked lattice, from per-axis kernel tables.
 
     The kernel separates per axis (Saatci, PhD thesis, Cambridge 2011):
-    K(site, node (i, j)) = Ex[i, site] Ey[j, b] with
-    Ex = s2 exp(-(lattice x - site x)^2 / 2l^2) and
-    Ey = exp(-(lattice y - y_b)^2 / 2l^2), b the site's index among the
+    K(site, node (i, j)) = Ex[i, site] Ey[j, b] for the ``_axis_kernel``
+    tables Ex (scaled by s2) and Ey, b the site's index among the
     distinct site y values. So with the sites grouped by b,
     C[:, b, i] = M[:, group b] Ex[i, group b] and V at node (i, j) is
     sum_b C[:, b, i] Ey[j, b]: for a block of lattice columns one product
@@ -376,11 +370,7 @@ def _lattice_panels(inverse: np.ndarray, hyper: Hyperparameters, layout):
     """
     ux, uy, starts, jy, xs, syu, perm, bounds, w, chunk = layout
     n = inverse.shape[0]
-    scale = -(2.0 * hyper.length_scale**2)
-    ey = np.subtract.outer(uy, syu)
-    np.multiply(ey, ey, out=ey)
-    np.divide(ey, scale, out=ey)
-    np.exp(ey, out=ey)
+    ey = _axis_kernel(uy, syu, hyper.length_scale, 1.0)
     # M's columns are the rows of its C-ordered transpose
     rows = inverse.T
     # C[i] is (my x n): column i's partial sums, one row per site y
@@ -391,12 +381,7 @@ def _lattice_panels(inverse: np.ndarray, hyper: Hyperparameters, layout):
     for lo in range(0, ux.size, w):
         hi = min(lo + w, ux.size)
         cols = hi - lo
-        table = ex[:cols]
-        np.subtract.outer(ux[lo:hi], xs, out=table)
-        np.multiply(table, table, out=table)
-        np.divide(table, scale, out=table)
-        np.exp(table, out=table)
-        np.multiply(hyper.signal_variance, table, out=table)
+        _axis_kernel(ux[lo:hi], xs, hyper.length_scale, hyper.signal_variance, out=ex[:cols])
         for x_part, members, out in groups:
             np.matmul(x_part[:cols], rows[members], out=out[:cols])
         column = lo

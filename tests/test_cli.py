@@ -6,6 +6,8 @@ import os
 import signal
 import subprocess
 import sys
+import time
+import tracemalloc
 import xml.etree.ElementTree as ET
 from collections import Counter
 from pathlib import Path
@@ -13,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fieldcover import cli, fields
+from fieldcover import cli, errors, fields
 from fieldcover import io as fileio
 from fieldcover.gp import Hyperparameters, Posterior, kernel_matrix
 from fieldcover.placement import VerificationReport
@@ -116,7 +118,7 @@ class TestFit:
         # rows fit in 2 GiB, 16,385 do not
         monkeypatch.setattr(gp, "kernel_matrix", allocated)
         pts = np.concatenate([pts[:9_459]] * 2)[:16_385]
-        with pytest.raises(gp.GramTooLargeError, match="NLML over 16385 observations"):
+        with pytest.raises(errors.GramTooLargeError, match="NLML over 16385 observations"):
             gp.nlml(pts, np.zeros(16_385), Hyperparameters(1.0, 1.0, 0.1))
         with pytest.raises(Allocated):
             gp.nlml(pts[:-1], np.zeros(16_384), Hyperparameters(1.0, 1.0, 0.1))
@@ -316,9 +318,14 @@ class TestSimulate:
         for f in ("trial_summary.csv", "trial_points.csv"):
             assert (tmp_path / "a" / f).read_bytes() == (tmp_path / "b" / f).read_bytes()
 
-    def test_oversized_truth_grid_exits_2(self, tmp_path):
-        args = plan_args(tmp_path, "out", "--seed", "7", "--trials", "2", "--grid-res", "0.1")
+    def test_oversized_truth_grid_exits_2(self, tmp_path, capsys):
+        # the truth box holds the plan's sites, about 24 m across: some
+        # 243,000^2 nodes at 40 bytes each, far above the 2 GiB cap
+        args = plan_args(tmp_path, "out", "--seed", "7", "--trials", "2", "--grid-res", "1e-4")
         assert cli.main(["simulate", *args]) == 2
+        err = capsys.readouterr().err
+        assert "above the 2 GiB cap, for a truth draw on " in err
+        assert "nodes at spacing 0.0001;" in err
 
     def test_too_many_trials_exit_2_before_any_trial(self, tmp_path, monkeypatch, capsys):
         import fieldcover.baselines as baselines
@@ -444,6 +451,35 @@ def test_compare_with_a_lawnmower_grid_over_the_curves_cap_exits_2_before_any_wo
     assert "survey grid at resolution 0.05 " in capsys.readouterr().err
     assert work == []
     assert list(out.glob("curve_*.csv")) == []
+
+
+@pytest.mark.parametrize(
+    "hi, hyper, delta, extra, named",
+    [
+        # each would build gigabytes or more: the grid (5.5 GiB, and a
+        # 745 GiB axis at 1e-9), the cover (5.7 GiB), the sweeps (2.2 TiB)
+        (100.0, "8.33,12.87,0.0361", "4", ("--grid-res", "0.01"), "10001 x 10001 points at spacing 0.01;"),
+        (100.0, "8.33,12.87,0.0361", "4", ("--grid-res", "1e-9"), "100000000001 x 100000000001 points at spacing 1e-09;"),
+        (14.0, HYPER, "1e-6", (), "4667 x 4667 squares by disks of radius 0.00212132 at variance target 1e-06;"),
+        (14.0, HYPER, "1.2", ("--alpha", "1e4"), "4 sweeps of up to 1800050329 sites at shrink factor 10000;"),
+    ],
+    ids=["grid-res 0.01", "grid-res 1e-9", "delta 1e-6", "alpha 1e4"],
+)
+def test_a_flag_that_sizes_an_array_above_the_budget_exits_2_at_once(hi, hyper, delta, extra, named, tmp_path, capsys):
+    argv = ["plan", "--env", write_env(tmp_path, hi=(hi, hi)), "--hyper", hyper, "--delta", delta, *extra]
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        code = cli.main([*argv, "--out", str(tmp_path / "out")])
+        seconds = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "above the 2 GiB cap" in err and named in err
+    assert seconds < 1.0
+    assert peak < 50_000_000
 
 
 class TestInProcess:

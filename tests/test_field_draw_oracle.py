@@ -49,10 +49,15 @@ def stream(seed: int, size: int, key: int = 0) -> np.ndarray:
     return np.random.default_rng([seed, key]).standard_normal(size)
 
 
+def axis_nodes(lo: float, hi: float, spacing: float) -> np.ndarray:
+    """The truth draw's nodes along one axis."""
+    return lo + spacing * np.arange(fields._axis_count(lo, hi, spacing))
+
+
 def axis_factors(env: Environment, hyper: Hyperparameters, spacing: float):
     x0, y0, x1, y1 = env.bounds
-    xs = fields._axis_nodes(x0, x1, spacing)
-    ys = fields._axis_nodes(y0, y1, spacing)
+    xs = axis_nodes(x0, x1, spacing)
+    ys = axis_nodes(y0, y1, spacing)
     return (
         fields._axis_factor(xs, hyper.signal_variance, hyper.length_scale),
         fields._axis_factor(ys, 1.0, hyper.length_scale),
@@ -99,7 +104,7 @@ AXIS_CASES = [c[:3] for c in CONFIGS] + BOXES + [
 def test_axis_factor_is_a_cholesky_factor_of_the_cdist_axis_covariance(env, hyper, spacing, axis):
     x0, y0, x1, y1 = env.bounds
     lo, hi, variance = (x0, x1, hyper.signal_variance) if axis == "x" else (y0, y1, 1.0)
-    nodes = fields._axis_nodes(lo, hi, spacing)
+    nodes = axis_nodes(lo, hi, spacing)
     given = nodes.copy()
     lower = fields._axis_factor(nodes, variance, hyper.length_scale)
     assert np.array_equal(nodes, given)

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fieldcover.errors import GridTooLargeError
+from fieldcover.errors import GramTooLargeError
 from fieldcover.fields import FieldGrid, sample_gp_field
 from fieldcover.geometry import Environment
 from fieldcover.gp import Hyperparameters
@@ -68,8 +68,11 @@ def test_sampled_grid_covers_the_box():
 
 def test_grid_size_cap():
     big = Environment.rectangle((0, 0), (100.0, 100.0))
-    with pytest.raises(GridTooLargeError):
-        sample_gp_field(big, H, 0.5, 0)
+    # 40 bytes per node of the 1,000,001^2-node draw, refused before any is built
+    with pytest.raises(GramTooLargeError, match="truth draw on 1000001 x 1000001 nodes at spacing 0.0001"):
+        sample_gp_field(big, H, 1e-4, 0)
+    # the byte budget, not a node count, decides: 201^2 = 40,401 nodes draw
+    assert sample_gp_field(big, H, 0.5, 0).shape == (201, 201)
 
 
 def test_deterministic_per_seed():

@@ -8,7 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
+from fieldcover import errors
+from fieldcover.errors import GramTooLargeError
 from fieldcover.geometry import (
+    _GRID_NODE_BYTES,
     _TANGENCY_PAD,
     Disk,
     Environment,
@@ -93,6 +96,15 @@ def test_grid_includes_far_edges():
     assert exact.shape == (121, 2)
 
 
+def test_grid_budget_counts_nodes_before_building_them(monkeypatch):
+    # a budget of exactly 25 nodes: 5 x 5 (x far edge appended at 3.5)
+    # fits, and 2 x 13 = 26 is refused
+    monkeypatch.setattr(errors, "_MAX_GRAM_BYTES", 25 * _GRID_NODE_BYTES)
+    assert Environment.rectangle((0, 0), (3.5, 4)).grid(1.0).shape == (25, 2)
+    with pytest.raises(GramTooLargeError, match="2 x 13 points at spacing 1;"):
+        Environment.rectangle((0, 0), (1, 12)).grid(1.0)
+
+
 def test_grid_respects_polygon():
     env = Environment.polygon([(0, 0), (10, 0), (0, 10)])
     pts = env.grid(1.0)
@@ -134,7 +146,8 @@ def test_cover_single_square_env():
     assert len(disks) == 1
     assert disks[0].center == pytest.approx((side / 2, side / 2))
     pts = env.grid(0.5)
-    assert disks[0].contains(pts).all()
+    d2 = ((pts - disks[0].center) ** 2).sum(axis=1)
+    assert (d2 <= disks[0].radius ** 2 * (1.0 + _TANGENCY_PAD)).all()
 
 
 def test_cover_100x100_by_radius_10():
@@ -229,7 +242,7 @@ def test_lawnmower_alpha2_count_and_coverage():
     small = 0.5
     pts = np.array(lawnmower_points(big, small))
     assert len(pts) <= math.ceil(2 * 3.0 / (small * math.sqrt(2))) ** 2 == 81
-    assert big.contains(pts).all()
+    assert ((pts**2).sum(axis=1) <= 3.0**2 * (1.0 + _TANGENCY_PAD)).all()
     xs = np.arange(-3.0, 3.0 + 0.005, 0.01)
     gx, gy = np.meshgrid(xs, xs, indexing="ij")
     grid = np.column_stack([gx.ravel(), gy.ravel()])

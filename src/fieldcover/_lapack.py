@@ -24,7 +24,7 @@ import sys
 
 __all__ = [
     "cdist_sqeuclidean", "dormqr", "dpotrf", "dpotrs", "dptsv",
-    "dsterf", "dsytrd", "dsytrd_lwork", "dtrmm", "dtrmv", "dtrtri",
+    "dstebz", "dsytrd", "dsytrd_lwork", "dtrmm", "dtrmv", "dtrtri",
 ]
 
 
@@ -65,7 +65,7 @@ dormqr = _flapack.dormqr
 dpotrf = _flapack.dpotrf
 dpotrs = _flapack.dpotrs
 dptsv = _flapack.dptsv
-dsterf = _flapack.dsterf
+dstebz = _flapack.dstebz
 dsytrd = _flapack.dsytrd
 dsytrd_lwork = _flapack.dsytrd_lwork
 dtrtri = _flapack.dtrtri

@@ -29,7 +29,7 @@ from .errors import DegenerateDataError, NumericalError, VerificationError
 from .fields import sample_gp_field
 from .fleet import makespan_certificate, split_tour
 from .geometry import Environment
-from .gp import Hyperparameters, HyperparameterGrid, fit_hyperparameters, nlml
+from .gp import Hyperparameters, HyperparameterGrid, fit_hyperparameters
 from .placement import (
     AccuracySpec,
     default_grid_spacing,
@@ -123,14 +123,14 @@ def _default_search(points: np.ndarray, values: np.ndarray) -> HyperparameterGri
 
 def cmd_fit(args: argparse.Namespace) -> None:
     points, values, mean = fileio.load_dataset(args.data)
-    best = fit_hyperparameters(points, values, _default_search(points, values))
+    best, best_nlml = fit_hyperparameters(points, values, _default_search(points, values))
     fileio.write_json(
         args.out / "hyperparameters.json",
         {
             "length_scale": best.length_scale,
             "signal_variance": best.signal_variance,
             "noise_variance": best.noise_variance,
-            "nlml": nlml(points, values, best),
+            "nlml": best_nlml,
             "data_mean": mean,
         },
     )

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._lapack import (
-    cdist_sqeuclidean, dormqr, dpotrf, dpotrs, dptsv, dsterf, dsytrd, dsytrd_lwork, dtrmm, dtrmv, dtrtri,
+    cdist_sqeuclidean, dormqr, dpotrf, dpotrs, dptsv, dstebz, dsytrd, dsytrd_lwork, dtrmm, dtrmv, dtrtri,
 )
 from .errors import DegenerateDataError, NumericalError, check_dense_budget
 
@@ -67,7 +67,8 @@ _LATTICE_FLOPS = 2e7
 # length scale, then re-scores by Cholesky (``nlml``) every point whose
 # tridiagonal-path NLML lies within this relative distance of the minimum,
 # so rounding in that path cannot change which point wins. The distance
-# is relative to the sum of the magnitudes of the NLML's terms, which is
+# is relative to the sum of the magnitudes of the NLML's terms, y' K^-1 y,
+# each |log d_i| of the tridiagonal's LDL' pivots and n log 2pi, which is
 # what bounds its rounding error. Trusted scores near ``_EIGEN_FLOOR``
 # have been seen 1.15e-9 of that sum away from Cholesky (a collinear
 # survey), so the window leaves a factor of about nine above that.
@@ -75,7 +76,11 @@ _RESCORE_RTOL = 1e-8
 # A tridiagonal-path score is trusted only while the smallest eigenvalue of
 # the regularized Gram matrix is at least this fraction of its largest.
 # Below that the Cholesky factorization may fail (and the search must skip
-# the point), so such points are always re-scored by Cholesky.
+# the point), so such points are always re-scored by Cholesky. The two
+# eigenvalues are s2 lambda + w2 at the tridiagonal's extreme eigenvalues,
+# found by bisection; the LDL' pivots lie between those two, so the
+# smallest pivot can stand far above the smallest eigenvalue and is no
+# substitute for it.
 _EIGEN_FLOOR = 1e-8
 
 
@@ -624,25 +629,32 @@ class HyperparameterGrid:
         return itertools.product(self.length_scales, self.signal_variances, self.noise_variances)
 
 
-def _tridiagonal_nlml(d2: np.ndarray, y: np.ndarray, length_scale: float, s2: np.ndarray, w2: np.ndarray):
+def _tridiagonal_nlml(d2: np.ndarray, y: np.ndarray, length_scale: float, s2: np.ndarray, w2: np.ndarray, r=None):
     """NLML of every (s2, w2) pair at one length scale, from one tridiagonal reduction.
 
-    R = exp(-d2 / 2l^2) is reduced in place to Q' R Q = T. Then
-    K = s2 R + w2 I = Q (s2 T + w2 I) Q', so with z = Q' y each pair's
-    y' K^-1 y is one O(n) tridiagonal solve, and its log det comes from
-    R's eigenvalues, which T yields in O(n^2) without eigenvectors.
-    Returns an (len(s2), len(w2)) array of values, NaN where the path is
-    not trusted or a solve fails, and the sum of the magnitudes of each
-    value's terms, which bounds its rounding error.
+    R = exp(-d2 / 2l^2) is formed in ``r`` (a fresh n x n array if None)
+    and reduced there to Q' R Q = T. Then K = s2 R + w2 I = Q (s2 T + w2 I) Q',
+    so with z = Q' y each pair costs one O(n) LDL' solve of the
+    tridiagonal s2 T + w2 I against z: it gives y' K^-1 y = z' x, and its
+    pivots d_i give log det K = sum log d_i. The pair is trusted only
+    while K's smallest eigenvalue, s2 min(T) + w2, is at least
+    ``_EIGEN_FLOOR`` of its largest; T's two extreme eigenvalues come
+    from two bisections, so no other eigenvalue is computed. Returns an
+    (len(s2), len(w2)) array of values, NaN where the path is not trusted
+    or a solve fails, and the sum of the magnitudes of each value's
+    terms, 0.5 (y' K^-1 y + sum |log d_i| + n log 2pi), which bounds its
+    rounding error.
     """
+    n = y.size
     shape = (s2.size, w2.size)
     failed = np.full(shape, np.nan), np.full(shape, np.nan)
-    r = np.empty_like(d2)
+    if r is None:
+        r = np.empty_like(d2)
     np.divide(d2, -(2.0 * length_scale**2), out=r)
     np.exp(r, out=r)
     # R is exactly symmetric, so its transpose is the Fortran-ordered view
     # LAPACK reduces in place, without a copy
-    lwork, _ = dsytrd_lwork(y.size, lower=1)
+    lwork, _ = dsytrd_lwork(n, lower=1)
     c, d, e, tau, info = dsytrd(r.T, lower=1, lwork=int(lwork), overwrite_a=1)
     if info != 0:
         return failed
@@ -650,40 +662,51 @@ def _tridiagonal_nlml(d2: np.ndarray, y: np.ndarray, length_scale: float, s2: np
     # below the subdiagonal form the QR-style Q of the trailing n-1 rows
     z = np.array(y, dtype=float)
     z[1:] = dormqr("L", "T", c[1:, :-1], tau, z[1:, None], lwork=1)[0][:, 0]
-    lam, info = dsterf(d, e)
-    if info != 0:
+    # eigenvalues 1 and n of T by bisection (index range, default tolerance)
+    extremes = [dstebz(d, e, 2, 0.0, 1.0, k, k, 0.0, "E") for k in (1, n)]
+    if any(info != 0 or m != 1 for m, *_, info in extremes):
         return failed
-    ev = s2[:, None, None] * lam + w2[None, :, None]
+    low, high = (w[0] for _, w, *_ in extremes)
     quad = np.full(shape, np.nan)
+    logdet = np.empty(shape)
+    abslog = np.empty(shape)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for i, j in np.ndindex(shape):
-            *_, x, info = dptsv(s2[i] * d + w2[j], s2[i] * e, z[:, None], overwrite_d=1, overwrite_e=1)
-            if info == 0:
-                quad[i, j] = z @ x[:, 0]
-        logs = np.log(ev)
-    const = y.size * math.log(2.0 * math.pi)
-    trusted = np.min(ev, axis=-1) >= _EIGEN_FLOOR * np.max(ev, axis=-1)
-    value = 0.5 * (quad + np.sum(logs, axis=-1) + const)
-    magnitude = 0.5 * (quad + np.sum(np.abs(logs), axis=-1) + const)
+        for i in range(s2.size):
+            # one row of diagonals per noise variance; each solve factors
+            # its row in place into the pivots d_i
+            pivots = s2[i] * d + w2[:, None]
+            for j in range(w2.size):
+                *_, x, info = dptsv(pivots[j], s2[i] * e, z[:, None], overwrite_d=1, overwrite_e=1)
+                if info == 0:
+                    quad[i, j] = z @ x[:, 0]
+            logs = np.log(pivots)
+            logdet[i] = np.sum(logs, axis=-1)
+            abslog[i] = np.sum(np.abs(logs), axis=-1)
+    const = n * math.log(2.0 * math.pi)
+    trusted = s2[:, None] * low + w2 >= _EIGEN_FLOOR * (s2[:, None] * high + w2)
+    value = 0.5 * (quad + logdet + const)
+    magnitude = 0.5 * (quad + abslog + const)
     return np.where(trusted, value, np.nan), magnitude
 
 
-def fit_hyperparameters(points, values, search: HyperparameterGrid) -> Hyperparameters:
+def fit_hyperparameters(points, values, search: HyperparameterGrid) -> tuple[Hyperparameters, float]:
     """Exhaustive NLML grid search over ``values`` measured at ``points``, first minimum wins ties.
 
-    ``points`` is (n, 2) and ``values`` has one entry per point. Needs at
-    least two distinct measurement locations; raises
-    DegenerateDataError otherwise. Grid points whose factorization fails
-    are skipped. The search is budgeted at three n x n matrices, so more
-    than 9,459 observations raise GramTooLargeError before any is built.
+    ``points`` is (n, 2) and ``values`` has one entry per point. Returns
+    the winning grid point and its Cholesky ``nlml``. Needs at least two
+    distinct measurement locations; raises DegenerateDataError
+    otherwise. Grid points whose factorization fails are skipped. The
+    search is budgeted at three n x n matrices, so more than 9,459
+    observations raise GramTooLargeError before any is built.
 
     The regularized Gram matrix is K = s2 * R_l + w2 * I with R_l the
     unit-variance correlation matrix. One tridiagonal reduction
-    Q' R_l Q = T per length scale gives the NLML of every (s2, w2) pair
-    at that length scale in O(n): K = Q (s2 * T + w2 * I) Q', so y' K^-1 y
-    is one tridiagonal solve against z = Q' y, and K's eigenvalues are
-    s2 * lambda + w2 with lambda the eigenvalues of T, which are R_l's.
-    No eigenvector is ever formed. The result is the one a Cholesky
+    Q' R_l Q = T per length scale, all in one reused n x n array, gives
+    the NLML of every (s2, w2) pair at that length scale in O(n):
+    K = Q (s2 * T + w2 * I) Q', so the LDL' solve of s2 * T + w2 * I
+    against z = Q' y gives y' K^-1 y, and its pivots give log det K. No
+    eigenvector is ever formed, and of T's eigenvalues only the smallest
+    and largest, for the trust test. The result is the one a Cholesky
     ``nlml`` of every grid point would select: ``nlml`` re-scores, in
     grid order, each point whose tridiagonal-path value lies within
     ``_RESCORE_RTOL`` of that path's minimum and each point whose
@@ -700,14 +723,15 @@ def fit_hyperparameters(points, values, search: HyperparameterGrid) -> Hyperpara
     n = y.size
     # Three n x n matrices at once: the squared distances, the correlation
     # matrix reduced in place and the copy of its reflectors that
-    # ``dormqr`` reads; the distances are dropped before re-scoring, where
+    # ``dormqr`` reads; the first two are dropped before re-scoring, where
     # ``nlml`` holds one
     check_dense_budget(3 * 8 * n * n, f"a hyperparameter fit over {n} observations; use fewer CSV rows")
     d2 = cdist_sqeuclidean(design, design)
+    r = np.empty_like(d2)
     s2 = np.asarray(search.signal_variances)
     w2 = np.asarray(search.noise_variances)
-    scored = [_tridiagonal_nlml(d2, y, l, s2, w2) for l in search.length_scales]
-    del d2
+    scored = [_tridiagonal_nlml(d2, y, l, s2, w2, r) for l in search.length_scales]
+    del d2, r
     # (length scale, signal variance, noise variance) in C order is the
     # order of ``search.combinations()``
     approx = np.ravel([value for value, _ in scored])
@@ -730,4 +754,4 @@ def fit_hyperparameters(points, values, search: HyperparameterGrid) -> Hyperpara
             best, best_val = h, val
     if best is None:
         raise NumericalError("no grid point produced a finite NLML")
-    return best
+    return best, best_val

@@ -248,14 +248,15 @@ def test_fit_recovers_length_scale_within_factor():
         signal_variances=(0.5, 2.0, 8.0),
         noise_variances=(0.0125, 0.05, 0.2),
     )
-    fitted = fit_hyperparameters(pts, y, grid)
+    fitted, _ = fit_hyperparameters(pts, y, grid)
     assert 5.0 / 1.5 <= fitted.length_scale <= 5.0 * 1.5
 
 
 def test_fit_single_point_grid_is_forced():
     grid = HyperparameterGrid((2.0,), (3.0,), (0.25,))
-    fitted = fit_hyperparameters([(0.0, 0.0), (1.0, 1.0)], [1.0, -1.0], grid)
+    fitted, value = fit_hyperparameters([(0.0, 0.0), (1.0, 1.0)], [1.0, -1.0], grid)
     assert fitted == Hyperparameters(2.0, 3.0, 0.25)
+    assert value.hex() == nlml([(0.0, 0.0), (1.0, 1.0)], [1.0, -1.0], fitted).hex()
 
 
 def test_fit_rejects_degenerate_data():

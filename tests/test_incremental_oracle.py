@@ -6,7 +6,8 @@ Gram matrix at every step, and the fit factors every grid point by
 Cholesky. The incremental versions must pick the same sequence, score
 every step to rounding, and select the same hyperparameters; the fit's
 tridiagonal scores must also agree with Cholesky, within the re-score
-tolerance, at every trusted point of the seeded surveys. The greedy
+tolerance, at every trusted point of the seeded and of random small
+surveys, whose trust flags must match a dense eigenvalue test. The greedy
 ones are also pinned to a copy of their earlier right-looking form,
 which downdated C x C matrices at every pick; below noise variance
 0.0361 that copy is the only reference that pins their picks.
@@ -19,6 +20,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fieldcover import baselines, cli, gp
 from fieldcover.baselines import _pick_with_tie_break, baseline_candidates, entropy_greedy, mi_greedy
@@ -184,8 +187,8 @@ def test_first_entropy_step_is_an_exact_tie_at_the_prior(monkeypatch):
 # --- grid-search fit ---------------------------------------------------------
 
 
-def reference_fit(pts, values, search: HyperparameterGrid) -> Hyperparameters:
-    """Cholesky NLML at every grid point in order; first strict minimum wins."""
+def reference_fit(pts, values, search: HyperparameterGrid) -> tuple[Hyperparameters, float]:
+    """Cholesky NLML at every grid point in order; the first strict minimum and its NLML win."""
     best, best_val = None, math.inf
     for l, s2, w2 in search.combinations():
         h = Hyperparameters(l, s2, w2)
@@ -195,7 +198,7 @@ def reference_fit(pts, values, search: HyperparameterGrid) -> Hyperparameters:
             continue
         if math.isfinite(val) and val < best_val:
             best, best_val = h, val
-    return best
+    return best, best_val
 
 
 def seeded_survey(seed: int, duplicates: bool = False):
@@ -219,7 +222,10 @@ def test_fit_selects_what_per_point_cholesky_selects(seed):
     if seed == 0:
         assert len({tuple(p) for p in pts}) < len(pts)
     search = cli._default_search(pts, values)
-    assert fit_hyperparameters(pts, values, search) == reference_fit(pts, values, search)
+    best, value = fit_hyperparameters(pts, values, search)
+    assert (best, value) == reference_fit(pts, values, search)
+    # the returned NLML is the one ``nlml`` gives the winner, bit for bit
+    assert value.hex() == nlml(pts, values, best).hex()
 
 
 def counting_nlml(monkeypatch) -> list:
@@ -239,14 +245,14 @@ def test_fit_rescores_only_near_the_minimum(monkeypatch):
     pts, values = seeded_survey(3)
     search = cli._default_search(pts, values)
     scored = counting_nlml(monkeypatch)
-    best = fit_hyperparameters(pts, values, search)
+    best, _ = fit_hyperparameters(pts, values, search)
     assert best in scored
     assert len(scored) < 5
 
 
 def test_forced_near_tie_is_resolved_by_cholesky(monkeypatch):
     pts, values = seeded_survey(5)
-    winner = reference_fit(pts, values, cli._default_search(pts, values))
+    winner, _ = reference_fit(pts, values, cli._default_search(pts, values))
     # two length scales one part in 1e13 apart: their NLMLs differ far
     # below the re-score tolerance, so the tridiagonal path must not decide
     near = winner.length_scale * (1.0 + 1e-13)
@@ -340,6 +346,94 @@ def test_stress_scores_agree_with_cholesky(case):
     # eigenvalue floor, which round the most (collinear: 1.15e-9 of the
     # magnitude away from Cholesky)
     assert_scores_agree_with_cholesky(*stress_survey(case))
+
+
+# A trust flag may differ from the dense floor test, K's smallest
+# eigenvalue s2 lambda_min(R) + w2 against ``_EIGEN_FLOOR`` times its
+# largest, only where the two sides lie within this many n eps s2
+# lambda_max(R) of each other: the absolute rounding of R's extreme
+# eigenvalues, whether from the tridiagonal or from ``eigvalsh``
+TRUST_BAND_ULPS = 64.0
+
+# half-metre lattice coordinates repeat and line up; arbitrary floats do not
+coordinate = st.one_of(st.integers(0, 40).map(lambda k: 0.5 * k), st.floats(0.0, 20.0).map(lambda x: x + 0.0))
+
+
+def log_uniform(lo: float, hi: float):
+    return st.floats(lo, hi).map(lambda e: 10.0**e)
+
+
+@st.composite
+def fit_cases(draw):
+    """A survey of up to 24 readings, with duplicates or on a line, and a small search grid."""
+    base = draw(st.lists(st.tuples(coordinate, coordinate), min_size=2, max_size=16, unique=True))
+    if draw(st.booleans()):
+        # every point moved onto one line through the first
+        slope = draw(st.sampled_from([0.0, 0.5, 1.0, -2.0]))
+        base = sorted({(x, base[0][1] + slope * (x - base[0][0])) for x, _ in base})
+        if len(base) < 2:
+            base.append((base[0][0] + 1.0, base[0][1] + slope))
+    repeats = draw(st.lists(st.integers(0, len(base) - 1), max_size=8))
+    pts = np.array(base + [base[i] for i in repeats])
+    if draw(st.booleans()):
+        values = np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=len(pts), max_size=len(pts))))
+    else:
+        # a smooth field, which small noise and long length scales explain
+        # well enough for a negative NLML
+        values = np.sin(pts[:, 0] / 3.0) + np.cos(pts[:, 1] / 5.0)
+    search = HyperparameterGrid(
+        draw(st.lists(log_uniform(-1.0, 2.0), min_size=1, max_size=3)),
+        draw(st.lists(log_uniform(-2.0, 2.0), min_size=1, max_size=3)),
+        draw(st.lists(log_uniform(-10.0, 0.0), min_size=1, max_size=4)),
+    )
+    return pts, values, search
+
+
+# a repeated location makes R singular, so K's smallest eigenvalue is the
+# noise variance, far below T's smallest LDL' pivot
+REPEATED = np.array([(0.0, 0.0), (3.0, 1.0), (5.0, 4.0), (2.0, 7.0), (0.0, 0.0)])
+# a smooth field on a line, where long length scales give negative NLMLs
+LINE = np.column_stack([np.arange(12.0), np.full(12, 2.0)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=fit_cases())
+@example(case=(REPEATED, np.array([1.0, -0.5, 0.3, 0.2, 0.9]), HyperparameterGrid((2.0, 5.0), (1.0,), (1e-9, 1e-7))))
+@example(case=(LINE, np.sin(LINE[:, 0] / 3.0), HyperparameterGrid((5.0, 20.0), (1.0,), (1e-6, 1e-3))))
+def test_tridiagonal_scores_and_trust_flags_hold_on_random_surveys(case):
+    pts, values, search = case
+    recorded = []
+    real = gp._tridiagonal_nlml
+
+    def record(*args):
+        recorded.append(real(*args))
+        return recorded[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gp, "_tridiagonal_nlml", record)
+        scored = counting_nlml(mp)
+        try:
+            fit_hyperparameters(pts, values, search)
+        except NumericalError:
+            pass
+    s2 = np.asarray(search.signal_variances)
+    w2 = np.asarray(search.noise_variances)
+    d2 = cdist(pts, pts, "sqeuclidean")
+    n = len(values)
+    for l, (value, magnitude) in zip(search.length_scales, recorded):
+        eigenvalues = np.linalg.eigvalsh(np.exp(-d2 / (2.0 * l * l)))
+        low, high = eigenvalues[0], eigenvalues[-1]
+        for (i, j), score in np.ndenumerate(value):
+            h = Hyperparameters(l, s2[i], w2[j])
+            # K's smallest eigenvalue above or below the floor, by more than the band
+            gap = s2[i] * low + w2[j] - gp._EIGEN_FLOOR * (s2[i] * high + w2[j])
+            if abs(gap) > TRUST_BAND_ULPS * n * np.finfo(float).eps * s2[i] * high:
+                assert np.isfinite(score) == (gap > 0), (h, gap)
+            if np.isfinite(score):
+                exact = nlml(pts, values, h)
+                assert abs(score - exact) <= gp._RESCORE_RTOL * magnitude[i, j], h
+            else:
+                assert h in scored, h
 
 
 def test_fit_stays_within_the_matrices_its_guard_counts():

@@ -23,8 +23,8 @@ import os
 import sys
 
 __all__ = [
-    "cdist_sqeuclidean", "dormqr", "dpotrf", "dpotrs", "dptsv",
-    "dstebz", "dsytrd", "dsytrd_lwork", "dtrmm", "dtrmv", "dtrtri",
+    "cdist_sqeuclidean", "dpotrf", "dpotrs", "dptsv", "dstebz",
+    "dsytrd", "dsytrd_lwork", "dtrmm", "dtrmv", "dtrtri",
 ]
 
 
@@ -61,7 +61,6 @@ def _extension(package: str, name: str):
 _flapack = _extension("linalg", "_flapack")
 _fblas = _extension("linalg", "_fblas")
 cdist_sqeuclidean = _extension("spatial", "_distance_pybind").cdist_sqeuclidean
-dormqr = _flapack.dormqr
 dpotrf = _flapack.dpotrf
 dpotrs = _flapack.dpotrs
 dptsv = _flapack.dptsv

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._lapack import (
-    cdist_sqeuclidean, dormqr, dpotrf, dpotrs, dptsv, dstebz, dsytrd, dsytrd_lwork, dtrmm, dtrmv, dtrtri,
+    cdist_sqeuclidean, dpotrf, dpotrs, dptsv, dstebz, dsytrd, dsytrd_lwork, dtrmm, dtrmv, dtrtri,
 )
 from .errors import DegenerateDataError, NumericalError, check_dense_budget
 
@@ -68,11 +68,11 @@ _LATTICE_FLOPS = 2e7
 # tridiagonal-path NLML lies within this relative distance of the minimum,
 # so rounding in that path cannot change which point wins. The distance
 # is relative to the sum of the magnitudes of the NLML's terms, y' K^-1 y,
-# each |log d_i| of the tridiagonal's LDL' pivots and n log 2pi, which is
-# what bounds its rounding error. Trusted scores near ``_EIGEN_FLOOR``
-# have been seen 1.15e-9 of that sum away from Cholesky (a collinear
-# survey), so the window leaves a factor of about nine above that.
-_RESCORE_RTOL = 1e-8
+# each |log d_i| of the tridiagonal's LDL' pivots and n log 2pi. The path's
+# error grows with K's condition number: trusted scores of random surveys
+# with repeats lay up to 3.3e-8 of that sum from Cholesky, all at condition
+# numbers above 3e7 (the floor allows 1e8), a third of this distance.
+_RESCORE_RTOL = 1e-7
 # A tridiagonal-path score is trusted only while the smallest eigenvalue of
 # the regularized Gram matrix is at least this fraction of its largest.
 # Below that the Cholesky factorization may fail (and the search must skip
@@ -629,39 +629,39 @@ class HyperparameterGrid:
         return itertools.product(self.length_scales, self.signal_variances, self.noise_variances)
 
 
-def _tridiagonal_nlml(d2: np.ndarray, y: np.ndarray, length_scale: float, s2: np.ndarray, w2: np.ndarray, r=None):
+def _tridiagonal_nlml(d2: np.ndarray, y: np.ndarray, length_scale: float, s2: np.ndarray, w2: np.ndarray, b: np.ndarray):
     """NLML of every (s2, w2) pair at one length scale, from one tridiagonal reduction.
 
-    R = exp(-d2 / 2l^2) is formed in ``r`` (a fresh n x n array if None)
-    and reduced there to Q' R Q = T. Then K = s2 R + w2 I = Q (s2 T + w2 I) Q',
-    so with z = Q' y each pair costs one O(n) LDL' solve of the
-    tridiagonal s2 T + w2 I against z: it gives y' K^-1 y = z' x, and its
-    pivots d_i give log det K = sum log d_i. The pair is trusted only
-    while K's smallest eigenvalue, s2 min(T) + w2, is at least
-    ``_EIGEN_FLOOR`` of its largest; T's two extreme eigenvalues come
-    from two bisections, so no other eigenvalue is computed. Returns an
-    (len(s2), len(w2)) array of values, NaN where the path is not trusted
-    or a solve fails, and the sum of the magnitudes of each value's
-    terms, 0.5 (y' K^-1 y + sum |log d_i| + n log 2pi), which bounds its
-    rounding error.
+    R = exp(-d2 / 2l^2) bordered by y, [[0, y'], [y, R]], is formed in
+    the (n + 1) x (n + 1) array ``b`` and reduced there. The first
+    reflector maps y to beta e_1 and the later ones leave it alone, so the
+    trailing tridiagonal is P' R P = T with P' y = beta e_1. Then
+    K = s2 R + w2 I = P (s2 T + w2 I) P', so with z = beta e_1 each pair
+    costs one O(n) LDL' solve of the tridiagonal s2 T + w2 I against z:
+    it gives y' K^-1 y = z' x, and its pivots d_i give log det K =
+    sum log d_i. The pair is trusted only while K's smallest eigenvalue,
+    s2 min(T) + w2, is at least ``_EIGEN_FLOOR`` of its largest; T's two
+    extreme eigenvalues come from two bisections, so no other eigenvalue
+    is computed. Returns an (len(s2), len(w2)) array of values, NaN where
+    the path is not trusted or a solve fails, and the sum of the
+    magnitudes of each value's terms, 0.5 (y' K^-1 y + sum |log d_i| +
+    n log 2pi), which scales its rounding error.
     """
     n = y.size
     shape = (s2.size, w2.size)
     failed = np.full(shape, np.nan), np.full(shape, np.nan)
-    if r is None:
-        r = np.empty_like(d2)
-    np.divide(d2, -(2.0 * length_scale**2), out=r)
-    np.exp(r, out=r)
-    # R is exactly symmetric, so its transpose is the Fortran-ordered view
-    # LAPACK reduces in place, without a copy
-    lwork, _ = dsytrd_lwork(n, lower=1)
-    c, d, e, tau, info = dsytrd(r.T, lower=1, lwork=int(lwork), overwrite_a=1)
+    np.divide(d2, -(2.0 * length_scale**2), out=b[1:, 1:])
+    np.exp(b[1:, 1:], out=b[1:, 1:])
+    # the transpose is the Fortran-ordered view LAPACK reduces in place;
+    # its lower triangle is b's upper one, whose row 0 the last reduction
+    # overwrote with a reflector
+    b[0, 1:] = y
+    lwork, _ = dsytrd_lwork(n + 1, lower=1)
+    _, d, e, _, info = dsytrd(b.T, lower=1, lwork=int(lwork), overwrite_a=1)
     if info != 0:
         return failed
-    # Q = H(1) ... H(n-1) leaves the first coordinate alone; its reflectors
-    # below the subdiagonal form the QR-style Q of the trailing n-1 rows
-    z = np.array(y, dtype=float)
-    z[1:] = dormqr("L", "T", c[1:, :-1], tau, z[1:, None], lwork=1)[0][:, 0]
+    z = np.zeros(n)
+    z[0], d, e = e[0], d[1:], e[1:]
     # eigenvalues 1 and n of T by bisection (index range, default tolerance)
     extremes = [dstebz(d, e, 2, 0.0, 1.0, k, k, 0.0, "E") for k in (1, n)]
     if any(info != 0 or m != 1 for m, *_, info in extremes):
@@ -696,15 +696,17 @@ def fit_hyperparameters(points, values, search: HyperparameterGrid) -> tuple[Hyp
     the winning grid point and its Cholesky ``nlml``. Needs at least two
     distinct measurement locations; raises DegenerateDataError
     otherwise. Grid points whose factorization fails are skipped. The
-    search is budgeted at three n x n matrices, so more than 9,459
-    observations raise GramTooLargeError before any is built.
+    search is budgeted at two matrices, n x n and (n + 1) x (n + 1), so
+    more than 11,584 observations raise GramTooLargeError before any is
+    built.
 
     The regularized Gram matrix is K = s2 * R_l + w2 * I with R_l the
-    unit-variance correlation matrix. One tridiagonal reduction
-    Q' R_l Q = T per length scale, all in one reused n x n array, gives
-    the NLML of every (s2, w2) pair at that length scale in O(n):
-    K = Q (s2 * T + w2 * I) Q', so the LDL' solve of s2 * T + w2 * I
-    against z = Q' y gives y' K^-1 y, and its pivots give log det K. No
+    unit-variance correlation matrix. One tridiagonal reduction per length
+    scale, of R_l bordered by y in one reused (n + 1) x (n + 1) array,
+    gives P' R_l P = T and P' y = beta e_1 at once, and so the NLML of
+    every (s2, w2) pair at that length scale in O(n):
+    K = P (s2 * T + w2 * I) P', so the LDL' solve of s2 * T + w2 * I
+    against beta e_1 gives y' K^-1 y, and its pivots give log det K. No
     eigenvector is ever formed, and of T's eigenvalues only the smallest
     and largest, for the trust test. The result is the one a Cholesky
     ``nlml`` of every grid point would select: ``nlml`` re-scores, in
@@ -721,17 +723,16 @@ def fit_hyperparameters(points, values, search: HyperparameterGrid) -> tuple[Hyp
     if distinct < 2:
         raise DegenerateDataError(f"fitting needs >= 2 distinct locations, got {distinct}")
     n = y.size
-    # Three n x n matrices at once: the squared distances, the correlation
-    # matrix reduced in place and the copy of its reflectors that
-    # ``dormqr`` reads; the first two are dropped before re-scoring, where
-    # ``nlml`` holds one
-    check_dense_budget(3 * 8 * n * n, f"a hyperparameter fit over {n} observations; use fewer CSV rows")
+    # Two matrices at once: the squared distances and the correlation
+    # matrix bordered by y, reduced in place; both are dropped before
+    # re-scoring, where ``nlml`` holds one n x n matrix
+    check_dense_budget(8 * (n * n + (n + 1) ** 2), f"a hyperparameter fit over {n} observations; use fewer CSV rows")
     d2 = cdist_sqeuclidean(design, design)
-    r = np.empty_like(d2)
+    b = np.zeros((n + 1, n + 1))
     s2 = np.asarray(search.signal_variances)
     w2 = np.asarray(search.noise_variances)
-    scored = [_tridiagonal_nlml(d2, y, l, s2, w2, r) for l in search.length_scales]
-    del d2, r
+    scored = [_tridiagonal_nlml(d2, y, l, s2, w2, b) for l in search.length_scales]
+    del d2, b
     # (length scale, signal variance, noise variance) in C order is the
     # order of ``search.combinations()``
     approx = np.ravel([value for value, _ in scored])

@@ -103,21 +103,22 @@ class TestFit:
             raise Allocated
 
         monkeypatch.setattr(gp, "cdist_sqeuclidean", allocated)
-        # three 8 * n^2 byte matrices at once: 9,459 rows fit in 2 GiB, 9,460 do not
-        pts = np.column_stack([np.arange(9_460) % 100, np.arange(9_460) // 100]).astype(float)
+        # the n x n distances and the (n + 1) x (n + 1) bordered correlation
+        # matrix at once: 11,584 rows fit in 2 GiB, 11,585 do not
+        pts = np.column_stack([np.arange(11_585) % 100, np.arange(11_585) // 100]).astype(float)
         data = tmp_path / "big.csv"
         write_dataset(data, pts, np.sin(pts[:, 0]))
         assert cli.main(["fit", "--data", str(data), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         # the refusal names the row count and the remedy that fits a dataset
-        assert "hyperparameter fit over 9460 observations; use fewer CSV rows" in err
+        assert "hyperparameter fit over 11585 observations; use fewer CSV rows" in err
         assert "variance target" not in err
         with pytest.raises(Allocated):
-            gp.fit_hyperparameters(pts[:9_459], np.zeros(9_459), gp.HyperparameterGrid((1.0,), (1.0,), (0.1,)))
+            gp.fit_hyperparameters(pts[:11_584], np.zeros(11_584), gp.HyperparameterGrid((1.0,), (1.0,), (0.1,)))
         # the NLML holds one: the Gram matrix, factored in place; 16,384
         # rows fit in 2 GiB, 16,385 do not
         monkeypatch.setattr(gp, "kernel_matrix", allocated)
-        pts = np.concatenate([pts[:9_459]] * 2)[:16_385]
+        pts = np.concatenate([pts[:11_584]] * 2)[:16_385]
         with pytest.raises(errors.GramTooLargeError, match="NLML over 16385 observations"):
             gp.nlml(pts, np.zeros(16_385), Hyperparameters(1.0, 1.0, 0.1))
         with pytest.raises(Allocated):

@@ -279,9 +279,11 @@ def assert_scores_agree_with_cholesky(pts, values, search: HyperparameterGrid) -
     d2 = cdist(pts, pts, "sqeuclidean")
     s2 = np.asarray(search.signal_variances)
     w2 = np.asarray(search.noise_variances)
+    # one bordered array for every length scale, as the fit reuses it
+    bordered = np.zeros((len(values) + 1, len(values) + 1))
     trusted = 0
     for l in search.length_scales:
-        value, magnitude = gp._tridiagonal_nlml(d2, values, l, s2, w2)
+        value, magnitude = gp._tridiagonal_nlml(d2, values, l, s2, w2, bordered)
         for (i, j), score in np.ndenumerate(value):
             if np.isnan(score):
                 continue
@@ -297,15 +299,18 @@ def test_tridiagonal_scores_agree_with_cholesky_wherever_trusted(seed):
     assert_scores_agree_with_cholesky(pts, values, cli._default_search(pts, values))
 
 
-STRESS_CASES = ("low-noise", "long-scales", "duplicates", "collinear", "two-rows", "three-rows")
+STRESS_CASES = (
+    "low-noise", "long-scales", "duplicates", "collinear", "two-rows", "three-rows",
+    "zero-values", "first-reading-two-rows", "first-reading-three-rows",
+)
 
 
 def stress_survey(case: str):
     """A small dataset and search grid that stress the tridiagonal path."""
     rng = np.random.default_rng([13, STRESS_CASES.index(case)])
-    if case == "two-rows":
+    if case in ("two-rows", "first-reading-two-rows"):
         pts = np.array([(0.0, 0.0), (3.0, 4.0)])
-    elif case == "three-rows":
+    elif case in ("three-rows", "first-reading-three-rows"):
         pts = np.array([(0.0, 0.0), (3.0, 4.0), (-2.0, 1.5)])
     elif case == "collinear":
         pts = np.column_stack([np.sort(rng.uniform(0.0, 40.0, 60)), np.full(60, 5.0)])
@@ -316,8 +321,16 @@ def stress_survey(case: str):
             pts = np.repeat(pts[:20], 3, axis=0)
     values = np.sin(pts[:, 0] / 3.0) + np.cos(pts[:, 1] / 5.0) + 0.05 * rng.standard_normal(len(pts))
     values -= values.mean()
+    if case == "zero-values":
+        # y = 0: the border's reflector is the identity (tau = 0) and beta = 0
+        values = np.zeros(len(pts))
+    elif case.startswith("first-reading"):
+        # y = beta e_1 already, so the first reflector leaves it alone
+        values = np.zeros(len(pts))
+        values[0] = -1.5
     extent = float(np.hypot(*np.ptp(pts, axis=0)))
-    spread = float(np.var(values))
+    # y = 0 has no spread to scale the signal variances by
+    spread = float(np.var(values)) or 1.0
     if case == "low-noise":
         return pts, values, HyperparameterGrid(
             np.geomspace(extent / 20.0, extent, 4), (spread / 3.0, spread * 3.0), (1e-6, 1e-5, 1e-4, 1e-3)
@@ -341,10 +354,10 @@ def test_fit_matches_cholesky_on_stress_cases(case):
 
 @pytest.mark.parametrize("case", STRESS_CASES)
 def test_stress_scores_agree_with_cholesky(case):
-    # z = Q' y from one (2 rows) or two (3 rows) stored reflectors, where
-    # the selection alone does not pin z; and trusted scores near the
-    # eigenvalue floor, which round the most (collinear: 1.15e-9 of the
-    # magnitude away from Cholesky)
+    # beta e_1 from a border of two or three rows, of zeros, or already
+    # a multiple of e_1, where the selection alone does not pin beta; and
+    # trusted scores near the eigenvalue floor, which round the most
+    # (collinear: 2.1e-9 of the magnitude away from Cholesky)
     assert_scores_agree_with_cholesky(*stress_survey(case))
 
 
@@ -437,9 +450,11 @@ def test_tridiagonal_scores_and_trust_flags_hold_on_random_surveys(case):
 
 
 def test_fit_stays_within_the_matrices_its_guard_counts():
-    # the guard budgets three n x n matrices, which caps a fit at 9,459
-    # rows; the O(n) vectors (design, values, the tridiagonal and its
-    # reflector scalars) come on top, at well under 32 floats per row
+    # the guard budgets the n x n squared distances and the (n + 1) x
+    # (n + 1) bordered correlation matrix, which caps a fit at 11,584 rows;
+    # the O(n) arrays come on top, at well under 64 floats per row: the
+    # reduction's blocked workspace (32 per row) and the vectors (design,
+    # values, the tridiagonal and its reflector scalars)
     n = 1_500
     rng = np.random.default_rng(11)
     pts = rng.uniform(0.0, 60.0, size=(n, 2))
@@ -451,4 +466,4 @@ def test_fit_stays_within_the_matrices_its_guard_counts():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 3 * 8 * n * n + 32 * 8 * n
+    assert peak <= 8 * (n * n + (n + 1) ** 2) + 64 * 8 * n

@@ -28,7 +28,8 @@ def check_dense_budget(nbytes: int, what: str) -> None:
     """Raise GramTooLargeError when ``what`` would allocate more than the cap.
 
     ``what`` names the computation, then the caller's remedy after a semicolon.
+    The need is given in bytes, so one just above the cap never reads as equal to it.
     """
     if nbytes > _MAX_GRAM_BYTES:
         cap = _MAX_GRAM_BYTES / 2**30
-        raise GramTooLargeError(f"need {nbytes / 2**30:.2f} GiB, above the {cap:g} GiB cap, for {what}")
+        raise GramTooLargeError(f"need {nbytes:,} bytes, above the {cap:g} GiB cap, for {what}")

@@ -31,9 +31,17 @@ _BOUNDARY_TOL = 1e-9
 # Array passes over pairs (squares x edges, points x edges, edge x edge)
 # take blocks of about this many pairs, so temporaries stay near a MB.
 _PAIRS_PER_PASS = 1 << 14
-# Peak bytes per node of ``Environment.grid`` and per square of
-# ``cover_environment``; tracemalloc measured 57-59 and 276-281.
+# ``Environment.lattice`` tests a polygon's nodes in blocks of whole
+# columns, about this many nodes each.
+_NODES_PER_PASS = 1 << 16
+# Bytes per node of the bounding box's lattice that a grid is priced at,
+# counted before any node is built. 59 was the peak of ``Environment.grid``
+# when it tested the whole box in one pass (tracemalloc: 57-59). Built
+# from ``lattice`` it peaks at 32 on a rectangle and 51 on a polygon, and
+# tiled verification holds 8 per node inside plus one flag per polygon
+# node; the price stays, so no refusal moves.
 _GRID_NODE_BYTES = 59
+# Peak bytes per square of ``cover_environment``; tracemalloc measured 276-281.
 _COVER_SQUARE_BYTES = 282
 
 
@@ -147,6 +155,46 @@ def _on_polygon_boundary(verts: np.ndarray, pts: np.ndarray) -> np.ndarray:
     return on
 
 
+@dataclass(frozen=True)
+class Lattice:
+    """Grid nodes as two ascending axes: the x-major lattice of ``xs`` by ``ys``.
+
+    ``inside`` holds one flag per node, shape (len(xs), len(ys)), or is
+    None when every node counts. The nodes that count, in x-major order,
+    are the grid's points, and their positions in that order are its
+    indices.
+    """
+
+    xs: np.ndarray
+    ys: np.ndarray
+    inside: np.ndarray | None
+
+    @property
+    def count(self) -> int:
+        if self.inside is None:
+            return self.xs.size * self.ys.size
+        return int(np.count_nonzero(self.inside))
+
+    def points(self, columns: slice = slice(None), rows: slice = slice(None)) -> np.ndarray:
+        """The nodes that count in a block of columns and rows, as (n, 2) points in grid order."""
+        gx, gy = np.meshgrid(self.xs[columns], self.ys[rows], indexing="ij")
+        pts = np.column_stack([gx.ravel(), gy.ravel()])
+        if self.inside is not None:
+            pts = pts[self.inside[columns, rows].ravel()]
+        return pts
+
+    def point(self, index: int) -> tuple[float, float]:
+        """The grid point at ``index``, found from per-column counts."""
+        if self.inside is None:
+            i, j = divmod(int(index), self.ys.size)
+        else:
+            ends = np.cumsum(np.count_nonzero(self.inside, axis=1))
+            i = int(np.searchsorted(ends, index, side="right"))
+            before = int(ends[i - 1]) if i else 0
+            j = int(np.flatnonzero(self.inside[i])[int(index) - before])
+        return float(self.xs[i]), float(self.ys[j])
+
+
 class Environment:
     """A bounded planar region: axis-aligned rectangle or simple polygon.
 
@@ -248,6 +296,19 @@ class Environment:
         not land on them, so boundary extremes are never missed. Raises
         ValueError, naming the spacing, when no grid point falls inside,
         and, before any array exists, when the nodes exceed the budget.
+        The points are ``lattice(spacing).points()``.
+        """
+        return self.lattice(spacing).points()
+
+    def lattice(self, spacing: float) -> Lattice:
+        """The nodes of ``grid(spacing)`` as two axes, without an array of points.
+
+        A rectangle keeps the axis values that ``contains`` accepts, its
+        test being one comparison per axis, so every node is inside. A
+        polygon keeps the whole bounding box's axes and one inside flag
+        per node, from ``contains`` a block of columns at a time; a point
+        gets the same verdict in any batch, so the flags are the grid's.
+        Raises as ``grid`` does.
         """
         step = float(spacing)
         if not math.isfinite(step) or step <= 0.0:
@@ -266,14 +327,22 @@ class Environment:
         check_dense_budget(_GRID_NODE_BYTES * mx * my, f"{grid}; use a coarser spacing")
         xs = np.append(x0 + step * np.arange(nx + 1), [x1] * ax)
         ys = np.append(y0 + step * np.arange(ny + 1), [y1] * ay)
-        gx, gy = np.meshgrid(xs, ys, indexing="ij")
-        pts = np.column_stack([gx.ravel(), gy.ravel()])
-        pts = pts[self.contains(pts)]
-        if pts.shape[0] == 0:
+        inside = None
+        if self.kind == "rectangle":
+            xs = xs[(xs >= x0 - _BOUNDARY_TOL) & (xs <= x1 + _BOUNDARY_TOL)]
+            ys = ys[(ys >= y0 - _BOUNDARY_TOL) & (ys <= y1 + _BOUNDARY_TOL)]
+        else:
+            inside = np.empty((mx, my), dtype=bool)
+            columns = max(1, _NODES_PER_PASS // my)
+            for start in range(0, mx, columns):
+                block = Lattice(xs[start : start + columns], ys, None)
+                inside[start : start + columns] = self.contains(block.points()).reshape(-1, my)
+        lattice = Lattice(xs, ys, inside)
+        if lattice.count == 0:
             raise ValueError(
                 f"no point of a grid with spacing {step:g} falls inside the environment; use a finer spacing"
             )
-        return pts
+        return lattice
 
     def project(self, points) -> np.ndarray:
         """Each point where it lies inside the region, else the region's closest point to it.

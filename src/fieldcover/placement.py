@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GramTooLargeError, NumericalError, check_dense_budget
-from .geometry import Disk, Environment, _near, cover_environment, greedy_mis, lawnmower_rows
+from .geometry import Disk, Environment, Lattice, _near, cover_environment, greedy_mis, lawnmower_rows
 from .gp import Hyperparameters, MeasurementMultiset, Posterior
 
 # Largest dense verification, in flops (``_solve_flops``: N^3 / 3 to
@@ -277,28 +277,30 @@ def verify_plan(
 
     ``plan`` is any measurement multiset, a ``MeasurementPlan`` or bare
     sites. Recomputes everything from its distinct sites; nothing is
-    trusted from the planner. The grid values come from
-    ``_variance_ladder``, and ``passed`` holds when their maximum is at
-    most ``delta``, with no tolerance. With no tile cut every value is
-    exact; with tiles a value may be an upper bound, but only where it is
-    at most ``delta``, so the verdict is the exact one either way.
+    trusted from the planner. The grid is ``env.lattice``, the points of
+    ``env.grid`` kept as two axes, and one value per grid point comes
+    from ``_variance_ladder``, in grid order. ``passed`` holds when their
+    maximum is at most ``delta``, with no tolerance. With no tile cut
+    every value is exact; with tiles a value may be an upper bound, but
+    only where it is at most ``delta``, so the verdict is the exact one
+    either way.
     """
     d = float(delta)
     if grid_spacing is None:
         grid_spacing = default_grid_spacing(env, h, d)
     step = float(grid_spacing)
-    # validated, and counted against the byte budget, by the grid itself
-    grid = env.grid(step)
+    # validated, and counted against the byte budget, by the lattice itself
+    lattice = env.lattice(step)
     sites, counts = plan.distinct()
-    var, settled = _variance_ladder(sites, counts, grid, h, d)
+    var, settled = _variance_ladder(sites, counts, lattice, h, d)
     top = int(np.argmax(var))
     return VerificationReport(
         max_variance=float(var[top]),
-        argmax=(float(grid[top, 0]), float(grid[top, 1])),
+        argmax=lattice.point(top),
         mean_variance=float(var.mean()),
         passed=bool(var[top] <= d),
         grid_spacing=step,
-        grid_count=int(grid.shape[0]),
+        grid_count=var.size,
         tiles=settled,
     )
 
@@ -316,38 +318,84 @@ def _solve_flops(sites: int, points: int) -> float:
     return sites**3 / 3.0 + float(sites) * sites * points
 
 
-def _tiles(grid: np.ndarray, side: float) -> tuple[list, np.ndarray]:
-    """The grid point indices of each square tile of the grid, and the tiles' centres.
+class _Tiles:
+    """Square tiles of a lattice, as index ranges of its axes.
 
-    Tiles of the given side are anchored at the grid's lower-left point
-    and listed in lexicographic order, each tile's points in grid order,
-    so every run sees the same tiles.
+    Tiles of the given side are anchored at the smallest x and y of the
+    nodes that count: per axis, a node's tile is
+    floor((coordinate - origin) / side), so a tile is a range of columns
+    by a range of rows. Tiles holding no node are skipped, the rest are
+    listed in lexicographic order of their tile indices, and each
+    tile's points are in grid order, so every run sees the same tiles.
+    A tile's grid indices come from the nodes counted per column and
+    per tile row; no array over every node is built.
     """
-    # two column minima: a tenth of the time of min(axis=0) over (n, 2) rows
-    origin = np.array([grid[:, 0].min(), grid[:, 1].min()])
-    keys = np.floor((grid - origin) / side).astype(np.int64)
-    # one integer per tile in lexicographic order; one stable sort of them
-    # groups the points by tile, each tile's in grid order
-    rows = int(keys[:, 1].max()) + 1
-    key = keys[:, 0] * rows + keys[:, 1]
-    order = np.argsort(key, kind="stable")
-    starts = np.flatnonzero(np.diff(key[order], prepend=-1))
-    centres = origin + (np.column_stack(np.divmod(key[order[starts]], rows)) + 0.5) * side
-    cuts = starts.tolist() + [order.size]
-    return [order[a:b] for a, b in zip(cuts, cuts[1:])], centres
+
+    def __init__(self, lattice: Lattice, side: float):
+        self.lattice = lattice
+        axes = (lattice.xs, lattice.ys)
+        if lattice.inside is None:
+            spans = [(0, axis.size) for axis in axes]
+        else:
+            used = (np.flatnonzero(lattice.inside.any(axis=1)), np.flatnonzero(lattice.inside.any(axis=0)))
+            spans = [(int(u[0]), int(u[-1]) + 1) for u in used]
+        origin = np.array([axis[lo] for axis, (lo, _) in zip(axes, spans)])
+        # per axis: where the tile index changes, and the index from there on
+        cuts, keys = [], []
+        for axis, o, (lo, hi) in zip(axes, origin, spans):
+            key = np.floor((axis[lo:hi] - o) / side).astype(np.int64)
+            first = np.flatnonzero(np.diff(key, prepend=-1))
+            cuts.append(np.append(lo + first, hi))
+            keys.append(key[first])
+        self._columns, self._rows = cuts
+        # the nodes of each column within each tile row, and the grid index
+        # of the first of them
+        if lattice.inside is None:
+            per = np.broadcast_to(np.diff(self._rows), (lattice.xs.size, self._rows.size - 1))
+        else:
+            per = np.add.reduceat(lattice.inside[:, : self._rows[-1]], self._rows[:-1], axis=1, dtype=np.int64)
+        column = per.sum(axis=1)
+        self._per = per
+        self._first = (np.cumsum(column) - column)[:, None] + np.cumsum(per, axis=1) - per
+        sizes = np.add.reduceat(per[: self._columns[-1]], self._columns[:-1], axis=0)
+        band, row = np.nonzero(sizes)
+        self._tiles = list(zip(band.tolist(), row.tolist()))
+        self.sizes = sizes[band, row].tolist()
+        self.centres = origin + (np.column_stack([keys[0][band], keys[1][row]]) + 0.5) * side
+
+    def __len__(self) -> int:
+        return len(self._tiles)
+
+    def _block(self, t: int) -> tuple[slice, slice, int]:
+        band, row = self._tiles[t]
+        columns = slice(self._columns[band], self._columns[band + 1])
+        return columns, slice(self._rows[row], self._rows[row + 1]), row
+
+    def points(self, t: int) -> np.ndarray:
+        """The points of tile ``t``, in grid order, from slices of the axes."""
+        columns, rows, _ = self._block(t)
+        return self.lattice.points(columns, rows)
+
+    def indices(self, t: int) -> np.ndarray:
+        """The grid indices of tile ``t``'s points, ascending."""
+        columns, _, row = self._block(t)
+        per, first = self._per[columns, row], self._first[columns, row]
+        # a column's points are consecutive in grid order
+        return np.repeat(first - (np.cumsum(per) - per), per) + np.arange(per.sum())
 
 
 def _variance_ladder(
     sites: np.ndarray,
     counts: np.ndarray,
-    grid: np.ndarray,
+    lattice: Lattice,
     h: Hyperparameters,
     delta: float,
 ) -> tuple[np.ndarray, tuple[int, ...]]:
     """Posterior variance at every grid point, or an upper bound on it that meets ``delta``.
 
-    Above ``_DENSE_VERIFY_FLOPS`` the grid is cut into tiles one length
-    scale wide (see ``_tiles``), and each rung bounds the tiles still
+    Above ``_DENSE_VERIFY_FLOPS`` the lattice is cut into tiles one
+    length scale wide (see ``_Tiles``), each building its own points
+    from slices of the axes, and each rung bounds the tiles still
     pending by the variance given only the sites within that rung's
     margin of ``_TILE_MARGINS`` of the tile, found by ``_near`` for
     those tiles alone and factored once per tile; dropping observations
@@ -357,45 +405,48 @@ def _variance_ladder(
     rung's stay below one dense solve over all sites; otherwise they skip
     straight to it. When even the first rung would cost that much, no
     tile is cut. The last rung is that dense solve: it takes the points
-    of every tile still pending, or the whole grid when no tile was cut.
+    of every tile still pending, sorted into grid order, or the whole
+    grid when every tile is pending or none was cut.
 
-    Returns the values and the number of tiles settled at each margin,
-    then the number that took the exact rung; with no tile cut every
-    count is zero.
+    Returns the values, one per grid point in grid order, and the number
+    of tiles settled at each margin, then the number that took the exact
+    rung; with no tile cut every count is zero. Where tiles are cut the
+    only array over every point is the values.
     """
     settled = [0] * (len(_TILE_MARGINS) + 1)
-    budget, spent = _solve_flops(sites.shape[0], grid.shape[0]), 0.0
+    var = np.empty(lattice.count)
+    budget, spent = _solve_flops(sites.shape[0], var.size), 0.0
     l = h.length_scale
-    members, pending = [], []
+    tiles, pending = [], []
     if budget > _DENSE_VERIFY_FLOPS:
-        members, centres = _tiles(grid, l)
-        pending = list(range(len(members)))
-    var = np.empty(grid.shape[0])
+        tiles = _Tiles(lattice, l)
+        pending = list(range(len(tiles)))
     for rung, margin in enumerate(_TILE_MARGINS):
         if not pending:
             break
-        near = _near(centres[pending], sites, 0.5 * l + margin * l)
-        cost = sum(_solve_flops(n.size, members[t].size) for t, n in zip(pending, near))
+        near = _near(tiles.centres[pending], sites, 0.5 * l + margin * l)
+        cost = sum(_solve_flops(n.size, tiles.sizes[t]) for t, n in zip(pending, near))
         if spent + cost >= budget:
             if rung == 0:
                 # tiling would cost more than the dense solve: cut no tile
-                members = pending = []
+                tiles = pending = []
             break
         spent += cost
         failing = []
         for t, n in zip(pending, near):
-            points = members[t]
-            var[points] = Posterior(sites[n], h, counts[n]).variance(grid[points])
-            if var[points].max() > delta:
+            values = Posterior(sites[n], h, counts[n]).variance(tiles.points(t))
+            var[tiles.indices(t)] = values
+            if values.max() > delta:
                 failing.append(t)
         settled[rung] = len(pending) - len(failing)
         pending = failing
     settled[-1] = len(pending)
-    if pending or not members:
-        # every point pending reads the grid itself, not a copy of it
-        exact = slice(None)
-        if len(pending) < len(members):
-            exact = np.zeros(grid.shape[0], dtype=bool)
-            exact[np.concatenate([members[t] for t in pending])] = True
-        var[exact] = Posterior(sites, h, counts).variance(grid[exact])
+    if len(pending) == len(tiles):
+        # no tile cut, or every tile failed: the whole grid, in grid order
+        var[:] = Posterior(sites, h, counts).variance(lattice.points())
+    elif pending:
+        index = np.concatenate([tiles.indices(t) for t in pending])
+        order = np.argsort(index)
+        points = np.concatenate([tiles.points(t) for t in pending])[order]
+        var[index[order]] = Posterior(sites, h, counts).variance(points)
     return var, tuple(settled)

@@ -30,7 +30,7 @@ from fieldcover.placement import (
     VerificationReport,
     _TILE_MARGINS,
     _solve_flops,
-    _tiles,
+    _Tiles,
     _variance_ladder,
     default_grid_spacing,
     disk_cover_placement,
@@ -63,24 +63,33 @@ def instance(seed: int):
     return env, h, AccuracySpec(delta, alpha)
 
 
-def margin_bound(sites, counts, grid, h, margin):
-    """The local bound at one margin, in length scales, computed tile by tile
-    from ``_tiles``, ``_near`` and ``Posterior``, and the flops it costs."""
+def members(env, step, l) -> list:
+    """The grid indices of each tile of ``env``'s lattice, from ``_Tiles``."""
+    tiles = _Tiles(env.lattice(step), l)
+    return [tiles.indices(t) for t in range(len(tiles))]
+
+
+def margin_bound(sites, counts, env, step, h, margin):
+    """The local bound at one margin, in length scales, over ``env.grid(step)``,
+    computed tile by tile from ``_Tiles``, ``_near`` and ``Posterior``, and
+    the flops it costs."""
     l = h.length_scale
-    members, centres = _tiles(grid, l)
+    grid = env.grid(step)
+    centres = _Tiles(env.lattice(step), l).centres
     bound, flops = np.empty(grid.shape[0]), 0.0
-    for points, near in zip(members, _near(centres, sites, 0.5 * l + margin * l)):
+    for points, near in zip(members(env, step, l), _near(centres, sites, 0.5 * l + margin * l)):
         bound[points] = Posterior(sites[near], h, counts[near]).variance(grid[points])
         flops += _solve_flops(near.size, points.size)
     return bound, flops
 
 
-def ladder(monkeypatch, sites, counts, grid, h, delta, margins=_TILE_MARGINS):
-    """``_variance_ladder`` at the given margins with no dense budget, so the
-    grid is tiled whenever the first rung costs less than the dense solve."""
+def ladder(monkeypatch, sites, counts, env, step, h, delta, margins=_TILE_MARGINS):
+    """``_variance_ladder`` over ``env.lattice(step)`` at the given margins with
+    no dense budget, so the grid is tiled whenever the first rung costs less
+    than the dense solve."""
     monkeypatch.setattr(placement, "_TILE_MARGINS", tuple(margins))
     monkeypatch.setattr(placement, "_DENSE_VERIFY_FLOPS", 0.0)
-    return _variance_ladder(sites, counts, grid, h, delta)
+    return _variance_ladder(sites, counts, env.lattice(step), h, delta)
 
 
 def dense_and_local(monkeypatch, plan, env, h, delta, spacing):
@@ -114,13 +123,14 @@ def test_local_bound_never_below_dense(seed, keep):
     chosen = np.random.default_rng(seed).random(sites.shape[0]) < keep
     chosen[0] = True
     sites, counts = sites[chosen], counts[chosen]
-    grid = env.grid(h.length_scale / 4.0)
+    step = h.length_scale / 4.0
+    grid = env.grid(step)
     exact = Posterior(sites, h, counts).variance(grid)
-    tiles = len(_tiles(grid, h.length_scale)[0])
+    tiles = len(members(env, step, h.length_scale))
     dense = _solve_flops(sites.shape[0], grid.shape[0])
     wider = None
     for margin in reversed(_TILE_MARGINS):
-        bound, flops = margin_bound(sites, counts, grid, h, margin)
+        bound, flops = margin_bound(sites, counts, env, step, h, margin)
         assert np.all(bound >= exact - 1e-12 * h.signal_variance)
         # a narrower margin drops sites, so its bound is no lower
         if wider is not None:
@@ -129,7 +139,7 @@ def test_local_bound_never_below_dense(seed, keep):
         # one rung and no target: every tile keeps its bound at this
         # margin, unless the rung costs more than the dense solve
         with pytest.MonkeyPatch.context() as mp:
-            var, settled = ladder(mp, sites, counts, grid, h, math.inf, (margin,))
+            var, settled = ladder(mp, sites, counts, env, step, h, math.inf, (margin,))
         if flops < dense:
             assert settled == (tiles, 0)
             np.testing.assert_array_equal(var, bound)
@@ -168,18 +178,18 @@ def test_local_verdict_matches_dense(seed, monkeypatch):
 def test_tiles_failing_at_the_narrow_margin_settle_at_the_wide_one(monkeypatch):
     env, h, spec = instance(0)
     sites, counts = disk_cover_placement(env, h, spec).distinct()
-    grid = env.grid(h.length_scale / 4.0)
-    narrow, _ = margin_bound(sites, counts, grid, h, _TILE_MARGINS[0])
-    wide, _ = margin_bound(sites, counts, grid, h, _TILE_MARGINS[1])
+    step = h.length_scale / 4.0
+    narrow, _ = margin_bound(sites, counts, env, step, h, _TILE_MARGINS[0])
+    wide, _ = margin_bound(sites, counts, env, step, h, _TILE_MARGINS[1])
     # a target the wide bound meets everywhere and the narrow one does not
     assert wide.max() < narrow.max()
     target = (narrow.max() + wide.max()) / 2.0
     sizes = spy_factorizations(monkeypatch)
-    var, settled = ladder(monkeypatch, sites, counts, grid, h, target)
+    var, settled = ladder(monkeypatch, sites, counts, env, step, h, target)
     assert settled[0] > 0 and settled[1] > 0 and settled[2] == 0
     # one factorization per tile, one per re-run tile, no dense solve
     assert len(sizes) == settled[0] + 2 * settled[1]
-    for points in _tiles(grid, h.length_scale)[0]:
+    for points in members(env, step, h.length_scale):
         rerun = narrow[points].max() > target
         np.testing.assert_array_equal(var[points], (wide if rerun else narrow)[points])
     assert var.max() <= target
@@ -188,18 +198,18 @@ def test_tiles_failing_at_the_narrow_margin_settle_at_the_wide_one(monkeypatch):
 def test_tiles_failing_both_margins_report_exact_values(monkeypatch):
     env, h, spec = instance(0)
     sites, counts = disk_cover_placement(env, h, spec).distinct()
-    grid = env.grid(h.length_scale / 4.0)
-    exact = Posterior(sites, h, counts).variance(grid)
-    wide, _ = margin_bound(sites, counts, grid, h, _TILE_MARGINS[1])
+    step = h.length_scale / 4.0
+    exact = Posterior(sites, h, counts).variance(env.grid(step))
+    wide, _ = margin_bound(sites, counts, env, step, h, _TILE_MARGINS[1])
     target = exact.max() * (1.0 - 1e-9)
     sizes = spy_factorizations(monkeypatch)
-    var, settled = ladder(monkeypatch, sites, counts, grid, h, target)
+    var, settled = ladder(monkeypatch, sites, counts, env, step, h, target)
     assert settled[1] > 0 and settled[2] > 0
     # every tile failed the narrow margin, so each was re-run at the wide
     # one before the dense solve over all sites
     assert settled[0] == 0 and len(sizes) == 2 * sum(settled) + 1
     assert sizes[-1] == sites.shape[0]
-    for points in _tiles(grid, h.length_scale)[0]:
+    for points in members(env, step, h.length_scale):
         if wide[points].max() > target:
             np.testing.assert_allclose(var[points], exact[points], rtol=1e-12)
         else:
@@ -217,14 +227,15 @@ def test_failing_tiles_skip_the_wide_margin_when_it_costs_more_than_dense(monkey
     exact = Posterior(sites, h, counts).variance(grid)
     target = exact.max() * (1.0 - 1e-9)
     l = h.length_scale
-    members, centres = _tiles(grid, l)
+    tiles = members(env, spacing, l)
+    centres = _Tiles(env.lattice(spacing), l).centres
     narrow_near, wide_near = (_near(centres, sites, 0.5 * l + m * l) for m in _TILE_MARGINS)
-    narrow, spent = margin_bound(sites, counts, grid, h, _TILE_MARGINS[0])
-    failing = [t for t, points in enumerate(members) if narrow[points].max() > target]
+    narrow, spent = margin_bound(sites, counts, env, spacing, h, _TILE_MARGINS[0])
+    failing = [t for t, points in enumerate(tiles) if narrow[points].max() > target]
     # the narrow bound fails almost everywhere, and re-running those tiles
     # at the wide margin would cost more than the dense solve
-    assert len(failing) >= 0.75 * len(members)
-    rerun = sum(_solve_flops(wide_near[t].size, members[t].size) for t in failing)
+    assert len(failing) >= 0.75 * len(tiles)
+    rerun = sum(_solve_flops(wide_near[t].size, tiles[t].size) for t in failing)
     assert spent + rerun >= _solve_flops(sites.shape[0], grid.shape[0])
 
     monkeypatch.setattr(placement, "_DENSE_VERIFY_FLOPS", 0.0)
@@ -232,7 +243,7 @@ def test_failing_tiles_skip_the_wide_margin_when_it_costs_more_than_dense(monkey
     report = verify_plan(plan, env, h, target, spacing)
     assert sizes == [near.size for near in narrow_near] + [sites.shape[0]]
     assert report.method == "local" and not report.passed
-    assert report.tiles == (len(members) - len(failing), 0, len(failing))
+    assert report.tiles == (len(tiles) - len(failing), 0, len(failing))
     top = int(np.argmax(exact))
     assert report.max_variance == pytest.approx(exact[top], rel=1e-12)
     assert report.argmax == (float(grid[top, 0]), float(grid[top, 1]))
@@ -249,7 +260,7 @@ def test_tiles_costing_more_than_the_dense_solve_are_not_cut(monkeypatch):
     plan = MeasurementMultiset(tuple(((x, y), 2) for x in lattice for y in lattice))
     sites, counts = plan.distinct()
     grid = env.grid(0.1)
-    _, narrow_flops = margin_bound(sites, counts, grid, h, _TILE_MARGINS[0])
+    _, narrow_flops = margin_bound(sites, counts, env, 0.1, h, _TILE_MARGINS[0])
     assert narrow_flops >= _solve_flops(sites.shape[0], grid.shape[0])
 
     monkeypatch.setattr(placement, "_DENSE_VERIFY_FLOPS", 0.0)
@@ -276,19 +287,19 @@ def test_tiles_all_failing_the_narrow_margin_take_the_exact_rung_as_tiles(monkey
     exact = Posterior(sites, h, counts).variance(grid)
     target = exact.min() / 2.0
     l = h.length_scale
-    members, centres = _tiles(grid, l)
-    _, narrow_flops = margin_bound(sites, counts, grid, h, _TILE_MARGINS[0])
-    _, wide_flops = margin_bound(sites, counts, grid, h, _TILE_MARGINS[1])
+    tiles = _Tiles(env.lattice(spacing), l)
+    _, narrow_flops = margin_bound(sites, counts, env, spacing, h, _TILE_MARGINS[0])
+    _, wide_flops = margin_bound(sites, counts, env, spacing, h, _TILE_MARGINS[1])
     dense = _solve_flops(sites.shape[0], grid.shape[0])
     assert narrow_flops < dense <= narrow_flops + wide_flops
 
     monkeypatch.setattr(placement, "_DENSE_VERIFY_FLOPS", 0.0)
     sizes = spy_factorizations(monkeypatch)
     report = verify_plan(plan, env, h, target, spacing)
-    narrow_near = _near(centres, sites, 0.5 * l + _TILE_MARGINS[0] * l)
+    narrow_near = _near(tiles.centres, sites, 0.5 * l + _TILE_MARGINS[0] * l)
     assert sizes == [near.size for near in narrow_near] + [sites.shape[0]]
     # tiles were cut, so the report is local, though every value is exact
-    assert report.tiles == (0, 0, len(members)) and report.method == "local"
+    assert report.tiles == (0, 0, len(tiles)) and report.method == "local"
     assert not report.passed
     top = int(np.argmax(exact))
     assert report.max_variance == float(exact[top])
@@ -326,18 +337,19 @@ def test_ablated_plan_fails_exactly_inside_missing_disk(monkeypatch):
 def test_empty_neighbourhood_falls_back_to_prior(monkeypatch):
     # every tile but the few around the single site sees no local site
     h = Hyperparameters(1.0, 2.0, 0.1)
-    grid = Environment.rectangle((0.0, 0.0), (12.0, 1.0)).grid(0.5)
+    env = Environment.rectangle((0.0, 0.0), (12.0, 1.0))
+    grid = env.grid(0.5)
     sites, counts = np.array([[0.5, 0.5]]), np.array([3])
     exact = Posterior(sites, h, counts).variance(grid)
     for margin in _TILE_MARGINS:
-        bound, _ = margin_bound(sites, counts, grid, h, margin)
+        bound, _ = margin_bound(sites, counts, env, 0.5, h, margin)
         # the tile [k, k + 1) sees the site only while k <= margin + 0.5
         far = grid[:, 0] >= math.floor(margin + 0.5) + 1.0
         assert np.all(bound[far] == h.signal_variance)
         assert np.all(bound[~far] < h.signal_variance)
         assert np.all(bound >= exact)
         # with a finite target those tiles are recomputed exactly
-        var, settled = ladder(monkeypatch, sites, counts, grid, h, 1.0, (margin,))
+        var, settled = ladder(monkeypatch, sites, counts, env, 0.5, h, 1.0, (margin,))
         assert settled[-1] > 0
         np.testing.assert_allclose(var[far], exact[far], rtol=1e-12)
 
@@ -403,9 +415,9 @@ def test_local_path_is_taken_when_tiles_are_cheaper(monkeypatch):
     sites, counts = plan.distinct()
     grid = env.grid(0.3)
     exact = Posterior(sites, h, counts).variance(grid)
-    bound, settled = _variance_ladder(sites, counts, grid, h, spec.max_variance)
+    bound, settled = _variance_ladder(sites, counts, env.lattice(0.3), h, spec.max_variance)
     # the narrow margin certifies every tile
-    assert report.tiles == settled == (len(_tiles(grid, h.length_scale)[0]), 0, 0)
+    assert report.tiles == settled == (len(members(env, 0.3, h.length_scale)), 0, 0)
     top = int(np.argmax(bound))
     assert report.max_variance == float(bound[top]) >= float(exact.max())
     assert report.argmax == (float(grid[top, 0]), float(grid[top, 1]))
@@ -458,3 +470,169 @@ def test_square_a_few_length_scales_wide_takes_the_local_path_with_the_dense_ver
     exact = Posterior(sites, h, counts).variance(env.grid(2.0))
     assert report.passed == bool(exact.max() <= 0.12)
     assert report.max_variance >= exact.max()
+
+
+def legacy_tiles(grid, side):
+    """The tiles as they were cut from a materialised grid: one stable sort of
+    per-point keys. A test-only copy, kept as the byte-identity oracle."""
+    origin = np.array([grid[:, 0].min(), grid[:, 1].min()])
+    keys = np.floor((grid - origin) / side).astype(np.int64)
+    rows = int(keys[:, 1].max()) + 1
+    key = keys[:, 0] * rows + keys[:, 1]
+    order = np.argsort(key, kind="stable")
+    starts = np.flatnonzero(np.diff(key[order], prepend=-1))
+    centres = origin + (np.column_stack(np.divmod(key[order[starts]], rows)) + 0.5) * side
+    cuts = starts.tolist() + [order.size]
+    return [order[a:b] for a, b in zip(cuts, cuts[1:])], centres
+
+
+def legacy_verify_plan(plan, env, h, delta, spacing):
+    """``verify_plan`` over ``env.grid``, cut by ``legacy_tiles``: a test-only
+    copy of the ladder as it was before tiles were built from the axes."""
+    grid = env.grid(spacing)
+    sites, counts = plan.distinct()
+    margins = placement._TILE_MARGINS
+    settled = [0] * (len(margins) + 1)
+    budget, spent = _solve_flops(sites.shape[0], grid.shape[0]), 0.0
+    l = h.length_scale
+    members, pending = [], []
+    if budget > placement._DENSE_VERIFY_FLOPS:
+        members, centres = legacy_tiles(grid, l)
+        pending = list(range(len(members)))
+    var = np.empty(grid.shape[0])
+    for rung, margin in enumerate(margins):
+        if not pending:
+            break
+        near = _near(centres[pending], sites, 0.5 * l + margin * l)
+        cost = sum(_solve_flops(n.size, members[t].size) for t, n in zip(pending, near))
+        if spent + cost >= budget:
+            if rung == 0:
+                members = pending = []
+            break
+        spent += cost
+        failing = []
+        for t, n in zip(pending, near):
+            points = members[t]
+            var[points] = Posterior(sites[n], h, counts[n]).variance(grid[points])
+            if var[points].max() > delta:
+                failing.append(t)
+        settled[rung] = len(pending) - len(failing)
+        pending = failing
+    settled[-1] = len(pending)
+    if pending or not members:
+        exact = slice(None)
+        if len(pending) < len(members):
+            exact = np.zeros(grid.shape[0], dtype=bool)
+            exact[np.concatenate([members[t] for t in pending])] = True
+        var[exact] = Posterior(sites, h, counts).variance(grid[exact])
+    top = int(np.argmax(var))
+    return VerificationReport(
+        float(var[top]),
+        (float(grid[top, 0]), float(grid[top, 1])),
+        float(var.mean()),
+        bool(var[top] <= delta),
+        float(spacing),
+        int(grid.shape[0]),
+        tuple(settled),
+    )
+
+
+def assert_same_verification_json(tmp_path, monkeypatch, plan, env, h, delta, spacing=None) -> VerificationReport:
+    """``verify_plan``'s verification.json against the legacy ladder's, byte for
+    byte, with every posterior read given the same points in the same order."""
+    if spacing is None:
+        spacing = default_grid_spacing(env, h, delta)
+    reads = {"lattice": [], "legacy": []}
+    variance = Posterior.variance
+    written = []
+    for name, verify in (("lattice", verify_plan), ("legacy", legacy_verify_plan)):
+
+        def spy(self, points, seen=reads[name]):
+            seen.append((self.size, np.array(points)))
+            return variance(self, points)
+
+        monkeypatch.setattr(Posterior, "variance", spy)
+        report = verify(plan, env, h, delta, spacing)
+        path = tmp_path / f"{name}.json"
+        fileio.write_json(path, fileio.verification_to_payload(report))
+        written.append(path.read_bytes())
+    assert written[0] == written[1]
+    assert len(reads["lattice"]) == len(reads["legacy"])
+    for (size, points), (want_size, want) in zip(reads["lattice"], reads["legacy"]):
+        assert size == want_size and points.tobytes() == want.tobytes()
+    return report
+
+
+README_H = Hyperparameters(8.33, 12.87, 0.0361)
+
+
+def test_tiles_from_the_axes_write_the_grids_verification_json_on_a_square(tmp_path, monkeypatch):
+    env = Environment.rectangle((0.0, 0.0), (60.0, 60.0))
+    plan = disk_cover_placement(env, README_H, AccuracySpec(4.0))
+    report = assert_same_verification_json(tmp_path, monkeypatch, plan, env, README_H, 4.0)
+    assert report.tiles == (64, 0, 0)
+
+
+def test_tiles_from_the_axes_write_the_grids_verification_json_on_an_l_polygon(tmp_path, monkeypatch):
+    # the 120 m L: the tiles along the inner corner hold part of their box
+    s = 120.0
+    env = Environment.polygon([(0, 0), (s, 0), (s, s / 2), (s / 2, s / 2), (s / 2, s), (0, s)])
+    plan = disk_cover_placement(env, README_H, AccuracySpec(4.0))
+    report = assert_same_verification_json(tmp_path, monkeypatch, plan, env, README_H, 4.0)
+    assert report.method == "local" and report.passed
+
+
+@pytest.mark.parametrize("seed", [1, 3, 7])
+def test_tiles_from_the_axes_write_the_grids_verification_json_on_star_polygons(seed, tmp_path, monkeypatch):
+    env, h, spec = instance(seed)
+    assert env.kind == "polygon"
+    plan = disk_cover_placement(env, h, spec)
+    monkeypatch.setattr(placement, "_DENSE_VERIFY_FLOPS", 0.0)
+    report = assert_same_verification_json(tmp_path, monkeypatch, plan, env, h, spec.max_variance, h.length_scale / 4.0)
+    assert report.method == "local"
+    # a target below the bound's maximum sends some tiles on up the ladder
+    assert_same_verification_json(tmp_path, monkeypatch, plan, env, h, report.max_variance * 0.9, h.length_scale / 4.0)
+
+
+def test_tiles_from_the_axes_write_the_grids_verification_json_where_tiles_take_the_exact_rung(
+    tmp_path, monkeypatch
+):
+    # the instance of test_ablated_plan_fails_exactly_inside_missing_disk:
+    # the tiles around the missing disk take the exact rung, and only they
+    h = Hyperparameters(1.0, 1.0, 30.0)
+    delta = 0.9
+    s = necessary_radius(h, delta) * math.sqrt(2.0)
+    env = Environment.rectangle((0, 0), (3 * s - 1e-9, s - 1e-9))
+    plan = disk_cover_placement(env, h, AccuracySpec(delta, 2.0))
+    keep = [i for i, p in enumerate(plan.provenance) if p != 1]
+    ablated = dataclasses.replace(
+        plan,
+        entries=tuple(plan.entries[i] for i in keep),
+        provenance=tuple(plan.provenance[i] for i in keep),
+        rows=tuple(plan.rows[i] for i in keep),
+    )
+    monkeypatch.setattr(placement, "_DENSE_VERIFY_FLOPS", 0.0)
+    report = assert_same_verification_json(tmp_path, monkeypatch, ablated, env, h, delta)
+    assert 0 < report.tiles[-1] < sum(report.tiles) and not report.passed
+
+
+def test_tiled_verification_holds_one_value_per_grid_point():
+    # 474^2 = 224,676 nodes on the 120 m square, all inside: the values
+    # take 8 bytes a node, the tile descriptors a few bytes a column, and
+    # one tile's solve and read at most a fixed allowance. A materialised
+    # grid alone is 16 bytes a node
+    import tracemalloc
+
+    env = Environment.rectangle((0.0, 0.0), (120.0, 120.0))
+    plan = disk_cover_placement(env, README_H, AccuracySpec(4.0))
+    # a rectangle's grid holds every node of its box
+    nodes = env.grid(default_grid_spacing(env, README_H, 4.0)).shape[0]
+    assert nodes == 224_676
+    tracemalloc.start()
+    try:
+        report = verify_plan(plan, env, README_H, 4.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.tiles == (225, 0, 0)
+    assert peak < 9 * nodes + 1_500_000, peak

@@ -6,9 +6,11 @@ squared distances are ``cdist``'s own compiled routine, loaded without
 code that used to be ``scipy.spatial.cKDTree`` queries, and it serves
 both the verification tiles and the disk independent set. The
 references below are test-only copies of the ``cdist`` and ``cKDTree``
-versions. Every kernel entry, every distance and every index set must
-match them bit for bit, because ``plan.csv``, ``verification.json`` and
-the fitted hyperparameters depend on them.
+versions. The verification tiles are checked against a grouping of
+``env.grid`` by ``np.unique``. Every kernel entry, every distance, every
+tile point and every index set must match them bit for bit, because
+``plan.csv``, ``verification.json`` and the fitted hyperparameters
+depend on them.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from fieldcover.gp import HyperparameterGrid, Hyperparameters, kernel_matrix
 from fieldcover.placement import (
     AccuracySpec,
     _TILE_MARGINS,
-    _tiles,
+    _Tiles,
     default_grid_spacing,
     disk_cover_placement,
 )
@@ -120,7 +122,7 @@ def test_fit_scores_the_distances_cdist_gives(monkeypatch):
 
 
 def reference_tiles(grid: np.ndarray, side: float) -> tuple[list, np.ndarray]:
-    """``_tiles`` grouped by ``np.unique``: each tile's points and the centres."""
+    """The grid's tiles grouped by ``np.unique``: each tile's points and the centres."""
     origin = grid.min(axis=0)
     keys = np.floor((grid - origin) / side).astype(np.int64)
     rows = int(keys[:, 1].max()) + 1
@@ -129,15 +131,32 @@ def reference_tiles(grid: np.ndarray, side: float) -> tuple[list, np.ndarray]:
     return members, origin + (np.column_stack(np.divmod(tiles, rows)) + 0.5) * side
 
 
-def assert_same_tiles(sites: np.ndarray, grid: np.ndarray, side: float, margins) -> list:
-    """Check ``_tiles``, and ``_near`` on its centres at each margin, against the
-    references; returns the nearby sites per margin, one array per tile."""
-    members, centres = _tiles(grid, side)
+def assert_tiles_match_reference(env: Environment, step: float, side: float) -> _Tiles:
+    """Check ``_Tiles`` over ``env.lattice(step)`` against the reference over
+    ``env.grid(step)``: the members, sizes and centres, and each tile's
+    points, which joined in grid order are the grid's bits."""
+    grid = env.grid(step)
+    tiles = _Tiles(env.lattice(step), side)
     want_members, want_centres = reference_tiles(grid, side)
-    assert len(members) == len(want_members)
-    for points, want in zip(members, want_members):
-        np.testing.assert_array_equal(points, want)
-    assert_same_bits(centres, want_centres)
+    assert len(tiles) == len(want_members) == len(tiles.sizes)
+    joined = np.full_like(grid, np.nan)
+    for t, want in enumerate(want_members):
+        index = tiles.indices(t)
+        assert index.dtype == np.int64
+        np.testing.assert_array_equal(index, want)
+        assert tiles.sizes[t] == want.size
+        points = tiles.points(t)
+        assert_same_bits(points, grid[want])
+        joined[index] = points
+    assert_same_bits(joined, grid)
+    assert_same_bits(tiles.centres, want_centres)
+    return tiles
+
+
+def assert_same_tiles(sites: np.ndarray, env: Environment, step: float, side: float, margins) -> list:
+    """Check ``_Tiles``, and ``_near`` on its centres at each margin, against the
+    references; returns the nearby sites per margin, one array per tile."""
+    centres = assert_tiles_match_reference(env, step, side).centres
     tree = cKDTree(sites)
     by_margin = []
     for m in margins:
@@ -156,23 +175,18 @@ def test_tiles_of_plans_match_the_kd_tree(side):
     env = Environment.rectangle((0.0, 0.0), (side, side))
     plan = disk_cover_placement(env, README_H, AccuracySpec(4.0))
     sites, _ = plan.distinct()
-    grid = env.grid(default_grid_spacing(env, README_H, 4.0))
+    step = default_grid_spacing(env, README_H, 4.0)
     l = README_H.length_scale
-    assert_same_tiles(sites, grid, l, [m * l for m in _TILE_MARGINS])
+    assert_same_tiles(sites, env, step, l, [m * l for m in _TILE_MARGINS])
 
 
 @pytest.mark.parametrize("side", [60.0, 300.0])
 def test_tiles_of_verification_grids_match_the_reference(side):
-    # ``_tiles`` takes its origin from the two column minima, the
-    # reference from min(axis=0); a minimum is exact, so the tiles agree
+    # ``_Tiles`` takes its origin from the first axis values with a node
+    # inside, the reference from min(axis=0) over the grid; a minimum is
+    # exact, so the tiles agree
     env = Environment.rectangle((0.0, 0.0), (side, side))
-    grid = env.grid(default_grid_spacing(env, README_H, 4.0))
-    members, centres = _tiles(grid, README_H.length_scale)
-    want_members, want_centres = reference_tiles(grid, README_H.length_scale)
-    assert len(members) == len(want_members)
-    for points, want in zip(members, want_members):
-        np.testing.assert_array_equal(points, want)
-    assert_same_bits(centres, want_centres)
+    assert_tiles_match_reference(env, default_grid_spacing(env, README_H, 4.0), README_H.length_scale)
 
 
 def test_tiles_keep_sites_exactly_on_the_chebyshev_margin():
@@ -180,7 +194,8 @@ def test_tiles_keep_sites_exactly_on_the_chebyshev_margin():
     # coordinates; margins 0.5 and 1.5 put the boundary of a tile's
     # neighbourhood at distances 1.5 and 2.5, where these sites sit, on
     # one axis or both, together with sites one ulp inside and outside
-    grid = np.column_stack(np.divmod(np.arange(36), 6)).astype(float)
+    env = Environment.rectangle((0.0, 0.0), (5.0, 5.0))
+    assert_same_bits(env.grid(1.0), np.column_stack(np.divmod(np.arange(36), 6)).astype(float))
     on = [(1.0 + 1.5, 1.0), (1.0, 1.0 - 1.5), (1.0 - 2.5, 1.0 + 2.5), (3.0 + 2.5, 5.0 - 1.5)]
     around = [
         (np.nextafter(x, sign * np.inf), y)
@@ -188,12 +203,63 @@ def test_tiles_keep_sites_exactly_on_the_chebyshev_margin():
         for sign in (-1.0, 1.0)
     ]
     sites = np.array(on + around + [(2.0, 2.0), (9.0, 9.0)])
-    narrow, _ = assert_same_tiles(sites, grid, 2.0, [0.5, 1.5])
+    narrow, _ = assert_same_tiles(sites, env, 1.0, 2.0, [0.5, 1.5])
     # the first tile's centre is (1, 1): the site 1.5 away along x is in
     # its narrow neighbourhood, as is the one an ulp nearer, while the one
     # an ulp further is not
     first = set(narrow[0].tolist())
     assert {0, 4} <= first and 5 not in first
+
+
+def star(seed: int, offset: float) -> Environment:
+    """A seeded star polygon about 20 across; every third seed is a sliver."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(5, 10))
+    angles = 2 * np.pi * (np.arange(n) + rng.uniform(0.15, 0.85, size=n)) / n
+    radii = rng.uniform(4.0, 10.0, size=n)
+    if seed % 3 == 0:
+        # a thin wedge: every other vertex pulled almost onto the centre
+        radii[::2] *= 0.02
+    return Environment.polygon(offset + np.column_stack([radii * np.cos(angles), radii * np.sin(angles)]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    offset=st.sampled_from([0.0, 1e5, 1e7]),
+    polygon=st.booleans(),
+    step=st.sampled_from([0.3, 0.7, 1.1, 2.5]),
+    side=st.sampled_from([1.0, 2.9, 8.33]),
+)
+def test_tiles_rebuild_the_grid_from_the_axes(seed, offset, polygon, step, side):
+    # the tiles' points, joined in grid order, are ``env.grid``'s bits, and
+    # each tile's members are the reference's; the spacings rarely divide
+    # the width, so the far edge is appended in most cases
+    if polygon:
+        env = star(seed, offset)
+    else:
+        w, h = np.random.default_rng(seed).uniform(1.0, 30.0, size=2)
+        env = Environment.rectangle((offset, offset), (offset + w, offset + h))
+    try:
+        env.grid(step)
+    except ValueError:
+        # a sliver no node of this spacing lands in: the lattice refuses it
+        # in the same words
+        with pytest.raises(ValueError, match="falls inside the environment"):
+            env.lattice(step)
+        return
+    assert_tiles_match_reference(env, step, side)
+
+
+def test_tiles_of_grids_with_an_appended_far_edge_match_the_reference():
+    # 3.5 is not a whole number of 1.0 steps, so x = 3.5 is appended; on the
+    # star the appended column and row hold nodes only where it reaches them
+    rect = Environment.rectangle((1e7, 1e7), (1e7 + 3.5, 1e7 + 4.0))
+    xs = rect.lattice(1.0).xs
+    assert xs[-1] == 1e7 + 3.5 and xs[-2] == 1e7 + 3.0
+    assert_tiles_match_reference(rect, 1.0, 2.0)
+    for seed in range(6):
+        assert_tiles_match_reference(star(seed, 1e5), 0.45, 2.9)
 
 
 @settings(max_examples=60, deadline=None)

@@ -112,6 +112,24 @@ def simulate_trial(
     return simulate_trials(truth, plan, sensor, hyper, (trial_index,))[0]
 
 
+def check_trial_budget(trials: int, sites: int, points: int) -> None:
+    """Refuse ``trials`` simulated trials above the byte budget.
+
+    ``sites`` counts the plan's distinct sites and ``points`` the truth
+    grid's nodes, so the check can run before the truth is drawn. Per
+    trial: the site readings, which take the truth in place, and their
+    product with the inverse factor (one value per site each); the means
+    and the squared errors (one value per truth point each), the second
+    word also covering the read's running sums, which are one panel's;
+    and 128 words for the Python objects of these arrays and of the
+    report.
+    """
+    check_dense_budget(
+        8 * trials * (2 * sites + 2 * points + 128),
+        f"{trials} simulated trials over {points} truth points; use fewer trials",
+    )
+
+
 def simulate_trials(
     truth: FieldGrid,
     plan: MeasurementMultiset,
@@ -130,17 +148,8 @@ def simulate_trials(
     sequence, so its length is checked before anything is drawn.
     """
     sites, counts, rows = plan._merge()
-    trials, points = len(trial_indices), truth.values.size
-    # Per trial: the site readings, which take the truth in place, and
-    # their product with the inverse factor (one value per site each); the
-    # means and the squared errors (one value per truth point each), the
-    # second word also covering the read's running sums, which are one
-    # panel's; and 128 words for the Python objects of these arrays and of
-    # the report.
-    check_dense_budget(
-        8 * trials * (2 * sites.shape[0] + 2 * points + 128),
-        f"{trials} simulated trials over {points} truth points; use fewer trials",
-    )
+    trials = len(trial_indices)
+    check_trial_budget(trials, sites.shape[0], truth.values.size)
     readings = np.empty((sites.shape[0], trials))
     for k, t in enumerate(trial_indices):
         readings[:, k] = _site_means(counts, rows, _noise(sensor, t, rows.size))

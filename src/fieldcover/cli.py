@@ -18,6 +18,7 @@ from . import io as fileio
 from .baselines import (
     SensorModel,
     baseline_candidates,
+    check_trial_budget,
     curves_over_time,
     entropy_greedy,
     lawnmower_plan,
@@ -26,7 +27,7 @@ from .baselines import (
     simulate_trials,
 )
 from .errors import DegenerateDataError, NumericalError, VerificationError
-from .fields import sample_gp_field
+from .fields import draw_shape, sample_gp_field
 from .fleet import makespan_certificate, split_tour
 from .geometry import Environment
 from .gp import Hyperparameters, HyperparameterGrid, fit_hyperparameters
@@ -213,7 +214,12 @@ def cmd_simulate(args: argparse.Namespace) -> None:
     env = fileio.load_environment(args.env)
     plan = _build_plan(args, env)
     box = _truth_env(env, plan)
-    truth = sample_gp_field(box, args.hyper, _truth_spacing(args, env, box), args.seed)
+    spacing = _truth_spacing(args, env, box)
+    # the draw's time grows with the cube of the box's side, so a trial
+    # set over the byte budget is refused before the truth is drawn
+    nx, ny = draw_shape(box, spacing)
+    check_trial_budget(args.trials, plan.distinct()[0].shape[0], nx * ny)
+    truth = sample_gp_field(box, args.hyper, spacing, args.seed)
     sensor = SensorModel(args.hyper.noise_variance, args.seed)
     reports = simulate_trials(truth, plan, sensor, args.hyper, range(args.trials))
     fileio.write_curve_csv(
@@ -225,14 +231,17 @@ def cmd_simulate(args: argparse.Namespace) -> None:
         ),
     )
     first = reports[0]
+    points = truth.points()
+    # plain Python floats, so no cell goes through a numpy scalar
     fileio.write_curve_csv(
         args.out / "trial_points.csv",
         ("x", "y", "mean", "variance", "squared_error"),
-        (
-            (p[0], p[1], m, v, e)
-            for p, m, v, e in zip(
-                truth.points(), first.means, first.variances, first.squared_errors
-            )
+        zip(
+            points[:, 0].tolist(),
+            points[:, 1].tolist(),
+            first.means.tolist(),
+            first.variances.tolist(),
+            first.squared_errors.tolist(),
         ),
     )
 

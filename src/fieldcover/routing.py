@@ -1,10 +1,12 @@
 """Single-robot touring of a measurement plan's own sites.
 
 The route structure is fixed: an approximate traveling-salesman order
-over the sweep-disk centers, with a serpentine detour through each
-disk's plan entries wedged between center visits. The tour visits
-exactly the entries it is given, each with its own count as dwell, so
-it measures the sites that verification certified. Travel runs at unit
+over the sweep-disk centers fixes the order of the disks, and the robot
+runs a serpentine through each disk's plan entries, from the last entry
+of the disk before. A center is a stop only for a disk with no entries.
+The tour visits exactly the entries it is given, each with its own
+count as dwell, so it measures the sites that verification certified;
+entries at one location are visited back to back. Travel runs at unit
 speed, so a distance is also a time, and every measurement costs a
 fixed dwell, so tour time is one number with no hidden state.
 """
@@ -42,8 +44,9 @@ class TimeModel:
 class Tour:
     """A visit of waypoints, each with a dwell count, that returns to its depot.
 
-    Dwell count zero marks a transit waypoint (a sweep-disk center);
-    positive counts are measurement sites. ``disk_index`` tags each
+    Dwell count zero marks a transit waypoint; positive counts are
+    measurement sites. A tour from a plan has a transit waypoint only at
+    the center of a sweep disk with no entries. ``disk_index`` tags each
     waypoint with the sweep disk it belongs to when the tour came from a
     plan.
     """
@@ -174,15 +177,20 @@ def _serpentine_variants(rows) -> list[list]:
 
 
 def tour_from_plan(plan: MeasurementPlan, depot: tuple[float, float] | None = None) -> Tour:
-    """Build the center-tour-plus-detours route through the plan's entries.
+    """Build the serpentine-per-disk route through the plan's entries.
 
     Visits sweep disks in the heuristic center order from the depot
     (default: the first sweep center). Within each disk the entries are
     grouped by ``plan.rows`` and run as a serpentine in whichever of its
-    four orientations couples best with the incoming center and the next
-    leg. Every entry is one waypoint with its own count as dwell, so the
-    tour measures exactly the plan's multiset. The independent-set
-    travel lower bound is re-checked on every call.
+    four orientations couples best with where the robot is, the last
+    entry of the disk before (the depot, for the first disk), and with
+    the next disk's center. A disk's center is a waypoint, with dwell 0,
+    only when the disk has no entries, so the route still enters every
+    independent disk. Every entry is one waypoint with its own count as
+    dwell, so the tour measures exactly the plan's multiset; an entry at
+    a location that an earlier waypoint holds moves to directly after
+    the waypoints there, with its own count and disk tag. The
+    independent-set travel lower bound is re-checked on every call.
     """
     if not plan.sweep_disks:
         raise ValueError("plan has no sweep disks to tour")
@@ -195,27 +203,31 @@ def tour_from_plan(plan: MeasurementPlan, depot: tuple[float, float] | None = No
     disk_rows: dict[int, dict[int, list[int]]] = {}
     for k, (disk_i, row) in enumerate(zip(plan.provenance, plan.rows)):
         disk_rows.setdefault(disk_i, {}).setdefault(row, []).append(k)
-    waypoints: list[tuple[tuple[float, float], int]] = []
-    tags: list[int] = []
+    # location -> its (dwell, disk) waypoints, in order of first visit
+    stops: dict[tuple[float, float], list[tuple[int, int]]] = {}
+    here = depot
     for pos, center in enumerate(center_order):
         disk_i = index_of[center]
-        waypoints.append((center, 0))
-        tags.append(disk_i)
         # odd rows are stored backwards; undo that so every row reads one way
         by_row = sorted(disk_rows.get(disk_i, {}).items())
         rows = [idx[::-1] if row % 2 else idx for row, idx in by_row]
         if not rows:
+            stops.setdefault(center, []).append((0, disk_i))
+            here = center
             continue
         next_anchor = depot if pos == len(center_order) - 1 else center_order[pos + 1]
         best = None
         for order in _serpentine_variants(rows):
             first, last = plan.entries[order[0]][0], plan.entries[order[-1]][0]
-            cost = math.dist(center, first) + math.dist(last, next_anchor)
+            cost = math.dist(here, first) + math.dist(last, next_anchor)
             if best is None or cost < best[0] - 1e-15:
                 best = (cost, order)
         for k in best[1]:
-            waypoints.append(plan.entries[k])
-            tags.append(disk_i)
+            loc, count = plan.entries[k]
+            stops.setdefault(loc, []).append((count, disk_i))
+        here = plan.entries[best[1][-1]][0]
+    waypoints = [(loc, count) for loc, group in stops.items() for count, _ in group]
+    tags = [disk_i for group in stops.values() for _, disk_i in group]
     tour = Tour(depot=depot, waypoints=tuple(waypoints), disk_index=tuple(tags))
     floor = mis_tour_lower_bound(list(plan.mis_disks))
     if tour.travel_length() < floor * (1.0 - 1e-12):
@@ -228,7 +240,7 @@ def tour_from_plan(plan: MeasurementPlan, depot: tuple[float, float] | None = No
 
 
 def intra_disk_travel(tour: Tour) -> dict[int, float]:
-    """Travel spent inside each sweep disk's contiguous waypoint run."""
+    """Travel between consecutive waypoints tagged with the same sweep disk."""
     if tour.disk_index is None:
         raise ValueError("tour carries no disk tags")
     out: dict[int, float] = {}

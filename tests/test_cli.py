@@ -236,7 +236,7 @@ class TestTour:
             signal.signal(signal.SIGALRM, previous)
         if depot == "1e20,1e20":
             assert code == 0
-            assert sum(dwell == 0 for _, dwell in tour_stops(out / "tour.json")) > 1
+            assert len({w["disk"] for w in read_json(out / "tour.json")["waypoints"]}) > 1
         else:
             assert code == 2
             assert "depot (1e+308, 1e+308)" in capsys.readouterr().err
@@ -347,6 +347,19 @@ class TestSimulate:
         args = plan_args(tmp_path, "out", "--seed", "7", "--trials", "2")
         with pytest.raises(Drawn):
             cli.main(["simulate", *args])
+
+    def test_too_many_trials_exit_2_before_the_truth_is_drawn(self, tmp_path, monkeypatch, capsys):
+        # the draw's time grows with the cube of the box's side, so the
+        # trial budget is checked from the truth grid's node count first
+        def drawn(*args, **kwargs):
+            raise AssertionError("the truth was drawn")
+
+        monkeypatch.setattr(cli, "sample_gp_field", drawn)
+        args = plan_args(tmp_path, "out", "--seed", "7", "--trials", "1000000")
+        assert cli.main(["simulate", *args]) == 2
+        err = capsys.readouterr().err
+        assert "above the 2 GiB cap, for 1000000 simulated trials" in err
+        assert not (tmp_path / "out" / "trial_summary.csv").exists()
 
     def test_trials_share_one_factorization(self, tmp_path, monkeypatch):
         factored = []

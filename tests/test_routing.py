@@ -10,11 +10,13 @@ import pytest
 
 from fieldcover.geometry import Disk, Environment, lawnmower_rows, mis_tour_lower_bound
 from fieldcover.gp import Hyperparameters
+from fieldcover.fleet import makespan, split_tour
 from fieldcover.placement import (
     AccuracySpec,
     MeasurementPlan,
     disk_cover_placement,
     necessary_radius,
+    project_into_environment,
     verify_plan,
 )
 from fieldcover.routing import (
@@ -172,14 +174,19 @@ def test_tour_matches_plan_dwell_set():
 def test_tour_disk_runs_are_contiguous():
     env, plan = small_instance()
     tour = tour_from_plan(plan)
-    tags = tour.disk_index
+    # a waypoint at the location of the one before it is an entry moved
+    # back to where an earlier waypoint measured; the first visits to each
+    # location run disk by disk
+    locs = [loc for loc, _ in tour.waypoints]
+    tags = [i for k, i in enumerate(tour.disk_index) if k == 0 or locs[k] != locs[k - 1]]
     seen = set()
     for prev, cur in zip(tags, tags[1:]):
         if cur != prev:
             assert cur not in seen
             seen.add(prev)
-    transit = [(loc, i) for (loc, d), i in zip(tour.waypoints, tags) if d == 0]
-    assert {loc for loc, _ in transit} == {d.center for d in plan.sweep_disks}
+    assert set(tags) == set(range(len(plan.sweep_disks)))
+    # every disk has entries, so no center is a stop
+    assert all(d > 0 for _, d in tour.waypoints)
 
 
 def test_tour_zero_dwell_cost_is_pure_travel():
@@ -201,9 +208,10 @@ def test_single_disk_tour_shape():
     plan = disk_cover_placement(env, H1, SPEC)
     assert len(plan.sweep_disks) == 1
     tour = tour_from_plan(plan)
-    assert tour.waypoints[0] == (plan.sweep_disks[0].center, 0)
-    assert all(d == plan.measurements_per_site for _, d in tour.waypoints[1:])
-    assert len(tour.waypoints) == 1 + len(plan.entries)
+    assert plan.sweep_disks[0].center not in {loc for loc, _ in plan.entries}
+    assert all(d == plan.measurements_per_site for _, d in tour.waypoints)
+    assert len(tour.waypoints) == len(plan.entries)
+    assert tour.disk_index == (0,) * len(plan.entries)
 
 
 def test_intra_disk_travel_reported_and_bounded():
@@ -247,7 +255,9 @@ def test_pruned_plan_tour_visits_exactly_the_pruned_entries():
     )
     tour = tour_from_plan(pruned)
     assert dwell_multiset(tour.waypoints) == dwell_multiset(pruned.entries)
-    assert len(tour.waypoints) == len(pruned.entries) + len(pruned.sweep_disks)
+    # every disk keeps entries, so every waypoint is one of them
+    assert set(pruned.provenance) == set(range(len(pruned.sweep_disks)))
+    assert Counter(tour.waypoints) == Counter(pruned.entries)
 
 
 def test_one_row_plan_is_toured_over_its_own_sites():
@@ -258,7 +268,7 @@ def test_one_row_plan_is_toured_over_its_own_sites():
     plan = MeasurementPlan(entries, (0,) * 15, (0,) * 15, (disk,), (disk,), 2)
     tour = tour_from_plan(plan, depot=(0.0, 0.0))
     assert dwell_multiset(tour.waypoints) == dwell_multiset(plan.entries)
-    assert len(tour.waypoints) == 1 + len(plan.entries)
+    assert len(tour.waypoints) == len(plan.entries)
     assert tour.disk_index == (0,) * len(tour.waypoints)
 
 
@@ -267,7 +277,9 @@ def test_one_row_plan_is_toured_over_its_own_sites():
 # Before the tour read ``plan.entries`` it rebuilt each sweep disk's sites
 # from ``lawnmower_rows`` and the accuracy spec's shrink factor. On a plan
 # fresh from ``disk_cover_placement`` (not projected, not pruned) both
-# must produce the same waypoints in the same order.
+# must produce the same waypoints in the same order, under the same rule:
+# each sweep oriented from the last site of the sweep before, no center
+# stops, and every later visit to a location moved to the first one's.
 
 
 def reference_serpentine_variants(rows):
@@ -290,22 +302,24 @@ def reference_tour_from_plan(plan, h, spec, depot=None) -> Tour:
     center_order = tsp_heuristic(centers, depot)
     index_of = {c: i for i, c in enumerate(centers)}
     small = necessary_radius(h, spec.max_variance) / spec.shrink_factor
-    waypoints, tags = [], []
+    visits, here = [], depot
     for pos, center in enumerate(center_order):
         disk_i = index_of[center]
         rows = lawnmower_rows(plan.sweep_disks[disk_i], small)
         next_anchor = depot if pos == len(center_order) - 1 else center_order[pos + 1]
         best = None
         for pts in reference_serpentine_variants(rows):
-            cost = math.dist(center, pts[0]) + math.dist(pts[-1], next_anchor)
+            cost = math.dist(here, pts[0]) + math.dist(pts[-1], next_anchor)
             if best is None or cost < best[0] - 1e-15:
                 best = (cost, pts)
-        waypoints.append((center, 0))
-        tags.append(disk_i)
-        for p in best[1]:
-            waypoints.append((p, plan.measurements_per_site))
-            tags.append(disk_i)
-    return Tour(depot=depot, waypoints=tuple(waypoints), disk_index=tuple(tags))
+        visits.extend((p, disk_i) for p in best[1])
+        here = best[1][-1]
+    first = {}
+    for k, (p, _) in enumerate(visits):
+        first.setdefault(p, k)
+    visits.sort(key=lambda visit: first[visit[0]])
+    waypoints = tuple((p, plan.measurements_per_site) for p, _ in visits)
+    return Tour(depot=depot, waypoints=waypoints, disk_index=tuple(i for _, i in visits))
 
 
 def star_polygon(seed: int, n: int = 8) -> Environment:
@@ -366,3 +380,70 @@ def test_disk_without_entries_is_passed_through():
     tour = tour_from_plan(ablated)
     assert dwell_multiset(tour.waypoints) == dwell_multiset(ablated.entries)
     assert [i for (_, n), i in zip(tour.waypoints, tour.disk_index) if n == 0].count(1) == 1
+
+
+# --- the route that stopped at every sweep center -------------------------
+#
+# Before, the tour stopped at each sweep center with dwell 0, oriented each
+# serpentine from that center, and visited every entry where its sweep put
+# it, so a location shared by neighbouring sweeps, or by entries projected
+# onto one boundary point, was visited once per entry.
+
+
+def center_stop_tour_from_plan(plan, depot=None) -> Tour:
+    centers = [d.center for d in plan.sweep_disks]
+    if depot is None:
+        depot = centers[0]
+    depot = (float(depot[0]), float(depot[1]))
+    center_order = tsp_heuristic(centers, depot)
+    index_of = {c: i for i, c in enumerate(centers)}
+    disk_rows = {}
+    for k, (disk_i, row) in enumerate(zip(plan.provenance, plan.rows)):
+        disk_rows.setdefault(disk_i, {}).setdefault(row, []).append(k)
+    waypoints, tags = [], []
+    for pos, center in enumerate(center_order):
+        disk_i = index_of[center]
+        waypoints.append((center, 0))
+        tags.append(disk_i)
+        by_row = sorted(disk_rows.get(disk_i, {}).items())
+        rows = [idx[::-1] if row % 2 else idx for row, idx in by_row]
+        if not rows:
+            continue
+        next_anchor = depot if pos == len(center_order) - 1 else center_order[pos + 1]
+        best = None
+        for order in reference_serpentine_variants(rows):
+            first, last = plan.entries[order[0]][0], plan.entries[order[-1]][0]
+            cost = math.dist(center, first) + math.dist(last, next_anchor)
+            if best is None or cost < best[0] - 1e-15:
+                best = (cost, order)
+        for k in best[1]:
+            waypoints.append(plan.entries[k])
+            tags.append(disk_i)
+    return Tour(depot=depot, waypoints=tuple(waypoints), disk_index=tuple(tags))
+
+
+@pytest.mark.parametrize("hard_boundary", [False, True])
+@pytest.mark.parametrize("seed", range(7000, 7012))
+def test_tour_is_no_longer_than_the_center_stop_tour(seed, hard_boundary):
+    env, h, spec = acceptance_instance(seed)
+    plan = disk_cover_placement(env, h, spec)
+    if hard_boundary:
+        plan = project_into_environment(plan, env)
+    time = TimeModel(1.0)
+    for depot in (None, (float(env.bounds[0]), float(env.bounds[1]))):
+        tour = tour_from_plan(plan, depot=depot)
+        before = center_stop_tour_from_plan(plan, depot=depot)
+        # every entry is one stop with its own dwell
+        assert Counter(tour.waypoints) == Counter(plan.entries)
+        # all stops at one location run back to back
+        locs = [loc for loc, _ in tour.waypoints]
+        runs = [loc for k, loc in enumerate(locs) if k == 0 or loc != locs[k - 1]]
+        assert len(runs) == len(set(locs))
+        # a transit stop only for a disk with no entries
+        empty = set(range(len(plan.sweep_disks))) - set(plan.provenance)
+        assert all(i in empty for (_, n), i in zip(tour.waypoints, tour.disk_index) if n == 0)
+        assert tour.travel_length() <= before.travel_length() * (1.0 + 1e-12)
+        for robots in (2, 3, 4):
+            assert makespan(split_tour(tour, robots, time)) <= makespan(
+                split_tour(before, robots, time)
+            ) * (1.0 + 1e-12)

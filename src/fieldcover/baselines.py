@@ -392,12 +392,11 @@ def ordered_tour(locations, depot) -> Tour:
 
 def _finished_waypoints(tour: Tour, time: TimeModel, eval_points, checkpoints):
     """Validate checkpoint queries; return the query points, the locations
-    and dwell counts of the measuring waypoints in visiting order, and per
+    and dwell counts of the waypoints in visiting order, and per
     checkpoint how many of them have finished by then.
 
     A waypoint's measurements count once its dwell completes, matching the
-    tour's elapsed-time ledger; pass-through waypoints (no dwell) measure
-    nothing and are dropped.
+    tour's elapsed-time ledger.
     """
     pts = np.asarray(eval_points, dtype=float).reshape(-1, 2)
     if pts.shape[0] == 0:
@@ -411,16 +410,15 @@ def _finished_waypoints(tour: Tour, time: TimeModel, eval_points, checkpoints):
         if not math.isfinite(c) or c < -1e-9 or c > reach:
             raise ValueError(f"checkpoint {c} outside [0, {horizon}]")
     dwells = np.asarray([n for _, n in tour.waypoints], dtype=int)
-    measuring = dwells > 0
-    locations = np.asarray([loc for loc, _ in tour.waypoints], dtype=float).reshape(-1, 2)[measuring]
+    locations = np.asarray([loc for loc, _ in tour.waypoints], dtype=float).reshape(-1, 2)
     # the ledger never decreases, so the waypoints finished by a checkpoint
-    # are a prefix of the measuring ones
-    finished = np.searchsorted(cumulative_times(tour, time)[measuring], marks, side="right")
-    return pts, locations, dwells[measuring], finished
+    # are a prefix of the tour
+    finished = np.searchsorted(cumulative_times(tour, time), marks, side="right")
+    return pts, locations, dwells, finished
 
 
 def _waypoint_posterior(locations: np.ndarray, counts: np.ndarray, hyper: Hyperparameters) -> Posterior:
-    """One Gram row per measuring waypoint, in visiting order."""
+    """One Gram row per waypoint, in visiting order."""
     n = locations.shape[0]
     check_dense_budget(
         8 * n * n, f"the curves of a tour with {n} finished waypoints; use a tour with fewer stops"
@@ -441,7 +439,7 @@ def curves_over_time(
     """Average posterior variance and one trial's mean squared prediction
     error, using the measurements finished by each checkpoint.
 
-    Every measuring waypoint gets its own Gram row, with noise w2 / dwell
+    Every waypoint gets its own Gram row, with noise w2 / dwell
     count and a reading that averages its own draws, in visiting order.
     A revisit adds a row rather than raising an earlier row's count;
     both give the same posterior, and this way each checkpoint's design

@@ -2,12 +2,12 @@
 
 The cut rule walks the elapsed-time ledger of the source tour, where
 elapsed time at a stop includes travel so far plus every dwell up to and
-including that stop, and ends subtour j at the last measurement stop
-whose elapsed time stays within j/k of the adjusted horizon.  Each robot
-pays at most two extra depot legs over its share of the source tour;
-where transit stops take the tour off the straight legs between
-measurement stops, it may pay instead the longest stretch between two
-of them.  The makespan certificate charges whichever is larger.
+including that stop, and ends subtour j at the last stop whose elapsed
+time stays within j/k of the adjusted horizon.  Each robot pays at most
+two extra depot legs over its share of the source tour.  Every stop
+measures, so the step from one stop to the next is at most two depot
+legs and one dwell budget, and the makespan certificate needs no other
+term.
 
 Travel runs at unit speed, so a distance is also a time.  The split
 takes nothing but the tour, the robot count and the time model: the
@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .routing import TimeModel, Tour, cumulative_times, tour_time
 
@@ -33,12 +35,8 @@ __all__ = [
 
 
 def farthest_dwell_distance(tour: Tour) -> float:
-    """Depot distance of the farthest waypoint that takes measurements."""
-    reach = 0.0
-    for location, dwell in tour.waypoints:
-        if dwell > 0:
-            reach = max(reach, math.dist(tour.depot, location))
-    return reach
+    """Depot distance of the farthest waypoint; every waypoint measures."""
+    return max((math.dist(tour.depot, location) for location, _ in tour.waypoints), default=0.0)
 
 
 def _largest_dwell(tour: Tour) -> int:
@@ -72,11 +70,10 @@ class SubtourSet:
 def split_tour(tour: Tour, robots: int, time: TimeModel) -> SubtourSet:
     """Cut a closed tour into ``robots`` depot-anchored subtours.
 
-    Subtour j ends at the last measurement stop whose elapsed time is at
-    most (j/k)(T - (2L + eta*n)) + L + eta*n, with T the full tour time,
-    L the depot distance of the farthest measurement stop and n the
-    largest dwell at any one stop.  Stops after the cut, including
-    measurement-free transit waypoints, ride with the next subtour.
+    Subtour j ends at the last stop whose elapsed time is at most
+    (j/k)(T - (2L + eta*n)) + L + eta*n, with T the full tour time, L the
+    depot distance of the farthest stop and n the largest dwell at any
+    one stop.  Stops after the cut ride with the next subtour.
     """
     if not isinstance(robots, int) or robots < 1:
         raise ValueError("robots must be an integer >= 1")
@@ -89,20 +86,13 @@ def split_tour(tour: Tour, robots: int, time: TimeModel) -> SubtourSet:
     launch = reach + time.measurement_time * _largest_dwell(tour)
     slack = total - (launch + reach)
 
-    dwell_idx = [i for i, (_, n) in enumerate(tour.waypoints) if n > 0]
-    cuts: list[int] = []
-    prev = -1
-    for j in range(1, robots):
-        threshold = (j / robots) * slack + launch
-        cut = prev
-        for i in dwell_idx:
-            if elapsed[i] <= threshold:
-                # thresholds are non-decreasing whenever the tour covers
-                # the farthest round trip; the running max guards
-                # degenerate tours
-                cut = max(cut, i)
-        cuts.append(cut)
-        prev = cut
+    # the ledger never decreases, so the stops within a threshold are a
+    # prefix of the tour; thresholds are non-decreasing whenever the tour
+    # covers the farthest round trip, and the running max guards
+    # degenerate tours
+    thresholds = [(j / robots) * slack + launch for j in range(1, robots)]
+    ends = np.searchsorted(elapsed, thresholds, side="right") - 1
+    cuts = np.maximum.accumulate(ends).tolist()
 
     bounds = [-1] + cuts + [len(tour.waypoints) - 1]
     subtours = []
@@ -141,12 +131,7 @@ def makespan_certificate(split: SubtourSet) -> MakespanCertificate:
 
     The bound charges each robot its 1/k share of the source tour beyond
     the farthest round trip, plus four depot-reach legs and two dwell
-    budgets, all under the time model the split was cut with. Transit
-    stops off the straight legs between measurement stops can outrun
-    that charge, so the bound is never less than the share plus two
-    depot-reach legs, one dwell budget and the largest step of elapsed
-    time between consecutive measurement stops, the depot at the start
-    and end of the tour included.
+    budgets, all under the time model the split was cut with.
     """
     source, time = split.source, split.time
     robots = len(split.subtours)
@@ -154,11 +139,8 @@ def makespan_certificate(split: SubtourSet) -> MakespanCertificate:
     dwell_count = _largest_dwell(source)
     total = tour_time(source, time)
     dwell_budget = time.measurement_time * dwell_count
-    elapsed = cumulative_times(source, time)[[n > 0 for _, n in source.waypoints]]
-    marks = [0.0, *elapsed.tolist(), total]
-    gap = max(b - a for a, b in zip(marks, marks[1:]))
     share = (total - (2.0 * reach + dwell_budget)) / robots
-    bound = max(share + 4.0 * reach + 2.0 * dwell_budget, share + 2.0 * reach + gap + dwell_budget)
+    bound = share + 4.0 * reach + 2.0 * dwell_budget
     worst = makespan(split)
     return MakespanCertificate(
         bound=bound,

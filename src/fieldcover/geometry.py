@@ -213,10 +213,16 @@ class Environment:
 
     @classmethod
     def rectangle(cls, min_corner, max_corner) -> "Environment":
-        x0, y0 = (float(v) for v in min_corner)
-        x1, y1 = (float(v) for v in max_corner)
-        if not all(math.isfinite(v) for v in (x0, y0, x1, y1)):
-            raise ValueError("rectangle corners must be finite")
+        try:
+            lo, hi = (np.asarray(c, dtype=float) for c in (min_corner, max_corner))
+        except (TypeError, ValueError, OverflowError):
+            lo = hi = np.empty(0)
+        if lo.shape != (2,) or hi.shape != (2,) or not np.isfinite([lo, hi]).all():
+            raise ValueError(
+                "rectangle corners min and max must each be two finite numbers, "
+                f"got {min_corner!r} / {max_corner!r}"
+            )
+        (x0, y0), (x1, y1) = lo.tolist(), hi.tolist()
         if x1 <= x0 or y1 <= y0:
             raise ValueError(
                 f"rectangle needs max strictly above min per axis, got {min_corner} / {max_corner}"

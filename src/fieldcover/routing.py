@@ -3,12 +3,12 @@
 The route structure is fixed: an approximate traveling-salesman order
 over the sweep-disk centers fixes the order of the disks, and the robot
 runs a serpentine through each disk's plan entries, from the last entry
-of the disk before. A center is a stop only for a disk with no entries.
-The tour visits exactly the entries it is given, each with its own
-count as dwell, so it measures the sites that verification certified;
-entries at one location are visited back to back. Travel runs at unit
-speed, so a distance is also a time, and every measurement costs a
-fixed dwell, so tour time is one number with no hidden state.
+of the disk before. Every stop measures: the tour visits exactly the
+entries it is given, each with its own count as dwell, so it measures
+the sites that verification certified; entries at one location are
+visited back to back. Travel runs at unit speed, so a distance is also
+a time, and every measurement costs a fixed dwell, so tour time is one
+number with no hidden state.
 """
 
 from __future__ import annotations
@@ -44,11 +44,9 @@ class TimeModel:
 class Tour:
     """A visit of waypoints, each with a dwell count, that returns to its depot.
 
-    Dwell count zero marks a transit waypoint; positive counts are
-    measurement sites. A tour from a plan has a transit waypoint only at
-    the center of a sweep disk with no entries. ``disk_index`` tags each
-    waypoint with the sweep disk it belongs to when the tour came from a
-    plan.
+    Every waypoint is a measurement site: its dwell count is at least
+    one. ``disk_index`` tags each waypoint with the sweep disk it
+    belongs to when the tour came from a plan.
     """
 
     depot: tuple[float, float]
@@ -63,8 +61,8 @@ class Tour:
         norm = []
         for loc, dwell in self.waypoints:
             dwell = int(dwell)
-            if dwell < 0:
-                raise ValueError(f"dwell count must be >= 0, got {dwell}")
+            if dwell < 1:
+                raise ValueError(f"dwell count must be >= 1, got {dwell}")
             x, y = float(loc[0]), float(loc[1])
             if not (math.isfinite(x) and math.isfinite(y)):
                 raise ValueError(f"waypoint must be finite, got {loc}")
@@ -184,13 +182,12 @@ def tour_from_plan(plan: MeasurementPlan, depot: tuple[float, float] | None = No
     grouped by ``plan.rows`` and run as a serpentine in whichever of its
     four orientations couples best with where the robot is, the last
     entry of the disk before (the depot, for the first disk), and with
-    the next disk's center. A disk's center is a waypoint, with dwell 0,
-    only when the disk has no entries, so the route still enters every
-    independent disk. Every entry is one waypoint with its own count as
-    dwell, so the tour measures exactly the plan's multiset; an entry at
-    a location that an earlier waypoint holds moves to directly after
-    the waypoints there, with its own count and disk tag. The
-    independent-set travel lower bound is re-checked on every call.
+    the next disk's center. Every entry is one waypoint with its own
+    count as dwell, so the tour measures exactly the plan's multiset; an
+    entry at a location that an earlier waypoint holds moves to directly
+    after the waypoints there, with its own count and disk tag. A sweep
+    disk with no entries is refused, since the tour would not enter it.
+    The independent-set travel lower bound is re-checked on every call.
     """
     if not plan.sweep_disks:
         raise ValueError("plan has no sweep disks to tour")
@@ -212,9 +209,7 @@ def tour_from_plan(plan: MeasurementPlan, depot: tuple[float, float] | None = No
         by_row = sorted(disk_rows.get(disk_i, {}).items())
         rows = [idx[::-1] if row % 2 else idx for row, idx in by_row]
         if not rows:
-            stops.setdefault(center, []).append((0, disk_i))
-            here = center
-            continue
+            raise ValueError(f"sweep disk {disk_i} has no entries to tour")
         next_anchor = depot if pos == len(center_order) - 1 else center_order[pos + 1]
         best = None
         for order in _serpentine_variants(rows):

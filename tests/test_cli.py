@@ -157,6 +157,27 @@ class TestPlan:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "corners",
+        [
+            {"min": 5, "max": [14, 14]},
+            {"min": None, "max": [14, 14]},
+            {"min": [[0], [0]], "max": [14, 14]},
+            {"min": [0, 0], "max": [1, 1, 1]},
+        ],
+    )
+    def test_malformed_rectangle_corners_exit_2_naming_them(self, corners, tmp_path, capsys):
+        bad = tmp_path / "env.json"
+        fileio.write_json(bad, {"type": "rectangle", **corners})
+        code = cli.main(
+            ["plan", "--env", str(bad), "--hyper", HYPER, "--delta", "1.2",
+             "--out", str(tmp_path / "o")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "rectangle corners min and max must each be two finite numbers" in err
+        assert f"got {corners['min']!r} / {corners['max']!r}" in err
+
     def test_delta_at_or_above_signal_variance_exits_2(self, tmp_path):
         args = plan_args(tmp_path, "o")
         args[args.index("--delta") + 1] = "2.0"

@@ -3,8 +3,8 @@
 ``reference_curves`` is a test-only copy of ``curves_over_time`` as it
 was before the curves shared one factorization: every checkpoint builds
 its own design from the finished waypoints, merges revisits into one
-site and factors it from scratch. The prefix path gives each measuring
-waypoint its own Gram row instead, which is the same posterior, so the
+site and factors it from scratch. The prefix path gives each waypoint
+its own Gram row instead, which is the same posterior, so the
 two must agree to rounding.
 """
 
@@ -55,12 +55,12 @@ def reference_curves(tour, truth, sensor, hyper, eval_points, time, checkpoints,
 
 
 def seeded_tour(seed: int) -> Tour:
-    """Random stops with revisits, dwell counts up to 3 and pass-throughs."""
+    """Random stops with revisits and dwell counts from 1 to 3."""
     rng = np.random.default_rng(seed)
     stops = [tuple(p) for p in rng.uniform(0.0, 6.0, size=(7, 2))]
     visits = [stops[i] for i in rng.integers(0, len(stops), size=18)]
-    dwells = rng.integers(0, 4, size=len(visits))
-    dwells[:2] = (2, 0)  # a repeat at the first stop, then a pass-through
+    dwells = rng.integers(1, 4, size=len(visits))
+    dwells[0] = 2  # a repeat at the first stop
     return Tour((0.0, 0.0), tuple(((float(x), float(y)), int(n)) for (x, y), n in zip(visits, dwells)))
 
 
@@ -76,7 +76,7 @@ def test_curves_match_per_checkpoint_reference(seed):
     tour = seeded_tour(seed)
     locations = [loc for loc, n in tour.waypoints if n > 0]
     assert len(set(locations)) < len(locations), "the tour must revisit a location"
-    assert any(n == 0 for _, n in tour.waypoints) and any(n > 1 for _, n in tour.waypoints)
+    assert any(n > 1 for _, n in tour.waypoints)
 
     tm = TimeModel(0.5)
     marks = checkpoints_of(tour, tm)
@@ -125,7 +125,7 @@ def test_empty_prefix_gives_the_prior():
 
 
 def test_tour_without_measurements_gives_the_prior_everywhere():
-    tour = Tour((0.0, 0.0), (((2.0, 2.0), 0), ((4.0, 1.0), 0)))
+    tour = Tour((0.0, 0.0), ())
     tm = TimeModel(1.0)
     truth = sample_gp_field(ENV, H, 0.5, 1)
     pts = ENV.grid(1.5)

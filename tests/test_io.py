@@ -183,17 +183,17 @@ class TestPayloads:
         assert tuple(w["disk"] for w in payload["waypoints"]) == tour.disk_index
 
     def test_tour_round_trip_untagged(self):
-        tour = Tour((0.0, 0.0), (((1.0, 0.0), 2), ((1.0, 1.0), 0)))
+        tour = Tour((0.0, 0.0), (((1.0, 0.0), 2), ((1.0, 1.0), 1)))
         payload = fileio.tour_to_payload(tour, TimeModel(1.0))
         assert all(w["disk"] is None for w in payload["waypoints"])
         assert tuple((tuple(w["location"]), w["dwell"]) for w in payload["waypoints"]) == tour.waypoints
 
     def test_tour_elapsed_column_matches_ledger(self):
-        # depot (0,0) -> (3,0) dwell 2 -> (3,4) transit -> (0,4) dwell 1
-        tour = Tour((0.0, 0.0), (((3.0, 0.0), 2), ((3.0, 4.0), 0), ((0.0, 4.0), 1)))
+        # depot (0,0) -> (3,0) dwell 2 -> (3,4) dwell 1 -> (0,4) dwell 1
+        tour = Tour((0.0, 0.0), (((3.0, 0.0), 2), ((3.0, 4.0), 1), ((0.0, 4.0), 1)))
         payload = fileio.tour_to_payload(tour, TimeModel(2.0))
-        assert [w["elapsed"] for w in payload["waypoints"]] == [7.0, 11.0, 16.0]
-        assert payload["total_time"] == pytest.approx(16.0 + 4.0)
+        assert [w["elapsed"] for w in payload["waypoints"]] == [7.0, 13.0, 18.0]
+        assert payload["total_time"] == pytest.approx(18.0 + 4.0)
 
     def test_non_finite_numbers_are_refused_not_written(self, tmp_path):
         path = tmp_path / "out.json"

@@ -57,15 +57,19 @@ def test_time_model_validation():
 
 def test_tour_validation():
     with pytest.raises(ValueError):
-        Tour((0, 0), (((1.0, 1.0), -1),))
-    with pytest.raises(ValueError):
         Tour((0, 0), (((1.0, 1.0), 1),), disk_index=(0, 1))
+
+
+@pytest.mark.parametrize("dwell", [0, -1])
+def test_tour_rejects_a_stop_that_measures_nothing(dwell):
+    with pytest.raises(ValueError, match=f"dwell count must be >= 1, got {dwell}"):
+        Tour((0.0, 0.0), (((1.0, 1.0), 1), ((2.0, 2.0), dwell)))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_tour_rejects_non_finite_waypoints(bad):
     with pytest.raises(ValueError, match="waypoint must be finite"):
-        Tour((0.0, 0.0), (((1.0, 1.0), 1), ((bad, 2.0), 0)))
+        Tour((0.0, 0.0), (((1.0, 1.0), 1), ((bad, 2.0), 1)))
     with pytest.raises(ValueError, match="waypoint must be finite"):
         Tour((0.0, 0.0), (((1.0, bad), 1),))
     with pytest.raises(ValueError, match="depot must be finite"):
@@ -75,8 +79,8 @@ def test_tour_rejects_non_finite_waypoints(bad):
 def test_tour_time_empty_and_square():
     tm = TimeModel(5.0)
     assert tour_time(Tour((0, 0), ()), tm) == 0.0
-    square = Tour((0, 0), (((10, 0), 0), ((10, 10), 0), ((0, 10), 0)))
-    assert tour_time(square, tm) == pytest.approx(40.0)
+    square = Tour((0, 0), (((10, 0), 1), ((10, 10), 1), ((0, 10), 1)))
+    assert tour_time(square, tm) == pytest.approx(40.0 + 3 * 5.0)
 
 
 def test_tour_time_dwell_formula():
@@ -97,8 +101,8 @@ def test_tour_time_additive_over_concatenation():
 
 def test_cumulative_times_include_dwell():
     tm = TimeModel(2.0)
-    tour = Tour((0, 0), (((3, 0), 2), ((3, 4), 0), ((0, 4), 1)))
-    np.testing.assert_allclose(cumulative_times(tour, tm), [7.0, 11.0, 16.0])
+    tour = Tour((0, 0), (((3, 0), 2), ((3, 4), 1), ((0, 4), 1)))
+    np.testing.assert_allclose(cumulative_times(tour, tm), [7.0, 13.0, 18.0])
 
 
 def test_tsp_single_point():
@@ -367,7 +371,7 @@ def test_tour_matches_rederiving_reference_on_the_readme_field():
     assert got.disk_index == want.disk_index
 
 
-def test_disk_without_entries_is_passed_through():
+def test_disk_without_entries_is_refused():
     env = Environment.rectangle((0, 0), (4.0, 3.0))
     plan = disk_cover_placement(env, H1, SPEC)
     keep = [i for i, p in enumerate(plan.provenance) if p != 1]
@@ -377,9 +381,8 @@ def test_disk_without_entries_is_passed_through():
         provenance=tuple(plan.provenance[i] for i in keep),
         rows=tuple(plan.rows[i] for i in keep),
     )
-    tour = tour_from_plan(ablated)
-    assert dwell_multiset(tour.waypoints) == dwell_multiset(ablated.entries)
-    assert [i for (_, n), i in zip(tour.waypoints, tour.disk_index) if n == 0].count(1) == 1
+    with pytest.raises(ValueError, match="sweep disk 1 has no entries"):
+        tour_from_plan(ablated)
 
 
 # --- the route that stopped at every sweep center -------------------------
@@ -387,10 +390,15 @@ def test_disk_without_entries_is_passed_through():
 # Before, the tour stopped at each sweep center with dwell 0, oriented each
 # serpentine from that center, and visited every entry where its sweep put
 # it, so a location shared by neighbouring sweeps, or by entries projected
-# onto one boundary point, was visited once per entry.
+# onto one boundary point, was visited once per entry. A stop with dwell 0
+# is no longer a ``Tour``, so that route is a plain list of (location,
+# dwell) stops here, and its split follows the cut rule of the time: each
+# cut at the last measuring stop within the threshold, with the reach
+# taken over the measuring stops.
 
 
-def center_stop_tour_from_plan(plan, depot=None) -> Tour:
+def center_stop_route(plan, depot=None):
+    """The old route's depot and (location, dwell) stops, centers at dwell 0."""
     centers = [d.center for d in plan.sweep_disks]
     if depot is None:
         depot = centers[0]
@@ -400,11 +408,10 @@ def center_stop_tour_from_plan(plan, depot=None) -> Tour:
     disk_rows = {}
     for k, (disk_i, row) in enumerate(zip(plan.provenance, plan.rows)):
         disk_rows.setdefault(disk_i, {}).setdefault(row, []).append(k)
-    waypoints, tags = [], []
+    stops = []
     for pos, center in enumerate(center_order):
         disk_i = index_of[center]
-        waypoints.append((center, 0))
-        tags.append(disk_i)
+        stops.append((center, 0))
         by_row = sorted(disk_rows.get(disk_i, {}).items())
         rows = [idx[::-1] if row % 2 else idx for row, idx in by_row]
         if not rows:
@@ -416,10 +423,33 @@ def center_stop_tour_from_plan(plan, depot=None) -> Tour:
             cost = math.dist(center, first) + math.dist(last, next_anchor)
             if best is None or cost < best[0] - 1e-15:
                 best = (cost, order)
-        for k in best[1]:
-            waypoints.append(plan.entries[k])
-            tags.append(disk_i)
-    return Tour(depot=depot, waypoints=tuple(waypoints), disk_index=tuple(tags))
+        stops.extend(plan.entries[k] for k in best[1])
+    return depot, stops
+
+
+def center_stop_makespan(depot, stops, robots, eta):
+    """The longest subtour time of the old route under the old cut rule."""
+
+    def time_of(part):
+        return route_length(depot, [loc for loc, _ in part]) + eta * sum(n for _, n in part)
+
+    reach = max((math.dist(depot, loc) for loc, n in stops if n > 0), default=0.0)
+    launch = reach + eta * max((n for _, n in stops), default=0)
+    elapsed, clock, prev = [], 0.0, depot
+    for loc, n in stops:
+        clock += math.dist(prev, loc) + eta * n
+        elapsed.append(clock)
+        prev = loc
+    slack = time_of(stops) - (launch + reach)
+    cuts, cut = [], -1
+    for j in range(1, robots):
+        threshold = (j / robots) * slack + launch
+        for i, ((_, n), t) in enumerate(zip(stops, elapsed)):
+            if n > 0 and t <= threshold:
+                cut = max(cut, i)
+        cuts.append(cut)
+    bounds = [-1] + cuts + [len(stops) - 1]
+    return max(time_of(stops[lo + 1 : hi + 1]) for lo, hi in zip(bounds, bounds[1:]))
 
 
 @pytest.mark.parametrize("hard_boundary", [False, True])
@@ -432,18 +462,15 @@ def test_tour_is_no_longer_than_the_center_stop_tour(seed, hard_boundary):
     time = TimeModel(1.0)
     for depot in (None, (float(env.bounds[0]), float(env.bounds[1]))):
         tour = tour_from_plan(plan, depot=depot)
-        before = center_stop_tour_from_plan(plan, depot=depot)
+        start, before = center_stop_route(plan, depot=depot)
         # every entry is one stop with its own dwell
         assert Counter(tour.waypoints) == Counter(plan.entries)
         # all stops at one location run back to back
         locs = [loc for loc, _ in tour.waypoints]
         runs = [loc for k, loc in enumerate(locs) if k == 0 or loc != locs[k - 1]]
         assert len(runs) == len(set(locs))
-        # a transit stop only for a disk with no entries
-        empty = set(range(len(plan.sweep_disks))) - set(plan.provenance)
-        assert all(i in empty for (_, n), i in zip(tour.waypoints, tour.disk_index) if n == 0)
-        assert tour.travel_length() <= before.travel_length() * (1.0 + 1e-12)
+        assert tour.travel_length() <= route_length(start, [loc for loc, _ in before]) * (1.0 + 1e-12)
         for robots in (2, 3, 4):
-            assert makespan(split_tour(tour, robots, time)) <= makespan(
-                split_tour(before, robots, time)
+            assert makespan(split_tour(tour, robots, time)) <= center_stop_makespan(
+                start, before, robots, time.measurement_time
             ) * (1.0 + 1e-12)

@@ -143,7 +143,7 @@ time_models = st.builds(
 @st.composite
 def tours(draw):
     depot = (draw(cell), draw(cell))
-    waypoints = draw(st.lists(st.tuples(st.tuples(cell, cell), st.integers(0, 6)), max_size=12))
+    waypoints = draw(st.lists(st.tuples(st.tuples(cell, cell), st.integers(1, 6)), max_size=12))
     tagged = draw(st.booleans())
     tags = draw(st.lists(st.integers(0, 10**6), min_size=len(waypoints), max_size=len(waypoints)))
     return Tour(depot, tuple(waypoints), tuple(tags) if tagged else None)

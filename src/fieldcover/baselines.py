@@ -18,8 +18,8 @@ import numpy as np
 
 from .errors import _MAX_GRAM_BYTES, check_dense_budget
 from .fields import FieldGrid
-from .geometry import Environment
-from .gp import Hyperparameters, MeasurementMultiset, Posterior, _site_means, kernel_matrix
+from .geometry import Environment, Lattice
+from .gp import Hyperparameters, MeasurementMultiset, Posterior, _points, _site_means, kernel_matrix
 from .placement import necessary_radius
 from .routing import TimeModel, Tour, cumulative_times, tour_time
 
@@ -154,7 +154,7 @@ def simulate_trials(
     for k, t in enumerate(trial_indices):
         readings[:, k] = _site_means(counts, rows, _noise(sensor, t, rows.size))
     readings += truth.value_at(sites)[:, None]
-    means, variances = Posterior(sites, hyper, counts).mean_and_variance(truth.points(), readings)
+    means, variances = Posterior(sites, hyper, counts).mean_and_variance(truth.lattice, readings)
     truth_values = truth.values.ravel()
     return [
         TrialReport(means[:, k], variances, (means[:, k] - truth_values) ** 2)
@@ -398,7 +398,7 @@ def _finished_waypoints(tour: Tour, time: TimeModel, eval_points, checkpoints):
     A waypoint's measurements count once its dwell completes, matching the
     tour's elapsed-time ledger.
     """
-    pts = np.asarray(eval_points, dtype=float).reshape(-1, 2)
+    pts = eval_points.points() if isinstance(eval_points, Lattice) else _points(eval_points)
     if pts.shape[0] == 0:
         raise ValueError("need at least one evaluation point")
     horizon = tour_time(tour, time)
@@ -447,14 +447,15 @@ def curves_over_time(
     ``Posterior.prefix_mean_and_variance`` reads every checkpoint off
     one triangular multiply. The noise for the whole tour is drawn up front,
     one value per measurement in waypoint order, so a measurement carries
-    the same reading at every checkpoint that includes it.
+    the same reading at every checkpoint that includes it. ``eval_points``
+    is an (n, 2) array or a ``Lattice``, which the read is given as it is.
     """
     pts, locations, counts, finished = _finished_waypoints(tour, time, eval_points, checkpoints)
     post = _waypoint_posterior(locations, counts, hyper)
     noise = _noise(sensor, trial_index, int(counts.sum()))
     readings = np.add.reduceat(noise, np.cumsum(counts) - counts) / counts
     means, variances = post.prefix_mean_and_variance(
-        pts, truth.value_at(locations) + readings, finished
+        eval_points, truth.value_at(locations) + readings, finished
     )
     return variances.mean(axis=1), np.mean((means - truth.value_at(pts)) ** 2, axis=1)
 
@@ -467,9 +468,9 @@ def variance_over_time(
     The variance half of ``curves_over_time``, for callers without a
     truth field; it needs no measured values.
     """
-    pts, locations, counts, finished = _finished_waypoints(tour, time, eval_points, checkpoints)
+    _, locations, counts, finished = _finished_waypoints(tour, time, eval_points, checkpoints)
     post = _waypoint_posterior(locations, counts, hyper)
-    _, variances = post.prefix_mean_and_variance(pts, np.zeros(post.size), finished)
+    _, variances = post.prefix_mean_and_variance(eval_points, np.zeros(post.size), finished)
     return variances.mean(axis=1)
 
 

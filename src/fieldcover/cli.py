@@ -255,7 +255,7 @@ def cmd_compare(args: argparse.Namespace) -> None:
     spacing = _truth_spacing(args, env, box)
     # an evaluation grid with no point inside, or a lawn-mower grid too
     # large for its curves, fails here, before any draw or greedy baseline
-    eval_points = env.grid(spacing)
+    eval_grid = env.lattice(spacing)
     resolutions = args.resolutions or (necessary_radius(args.hyper, args.delta),)
     lawnmowers = {f"lawnmower_{res:g}": lawnmower_plan(env, res, depot) for res in resolutions}
     # the draw has its own random stream and the baselines use none, so
@@ -277,7 +277,7 @@ def cmd_compare(args: argparse.Namespace) -> None:
         horizon = tour_time(candidate_tour, args.eta)
         marks = [i * horizon / 10.0 for i in range(11)]
         variances, errors = curves_over_time(
-            candidate_tour, truth, sensor, args.hyper, eval_points, args.eta, marks
+            candidate_tour, truth, sensor, args.hyper, eval_grid, args.eta, marks
         )
         fileio.write_curve_csv(
             args.out / f"curve_{name}.csv",

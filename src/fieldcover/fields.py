@@ -15,7 +15,7 @@ import numpy as np
 
 from ._lapack import dpotrf
 from .errors import NumericalError, check_dense_budget
-from .geometry import Environment
+from .geometry import Environment, Lattice
 from .gp import Hyperparameters, _axis_kernel
 
 
@@ -42,13 +42,15 @@ class FieldGrid:
     def shape(self) -> tuple[int, int]:
         return self.values.shape
 
+    @property
+    def lattice(self) -> Lattice:
+        """The grid nodes as two axes, every node counted."""
+        xs, ys = (o + self.spacing * np.arange(n) for o, n in zip(self.origin, self.values.shape))
+        return Lattice(xs, ys, None)
+
     def points(self) -> np.ndarray:
         """All grid nodes in x-major order, matching ``values.ravel()``."""
-        nx, ny = self.values.shape
-        xs = self.origin[0] + self.spacing * np.arange(nx)
-        ys = self.origin[1] + self.spacing * np.arange(ny)
-        gx, gy = np.meshgrid(xs, ys, indexing="ij")
-        return np.column_stack([gx.ravel(), gy.ravel()])
+        return self.lattice.points()
 
     def value_at(self, points) -> np.ndarray:
         """Bilinear interpolation at each query point.

@@ -73,15 +73,18 @@ def split_tour(tour: Tour, robots: int, time: TimeModel) -> SubtourSet:
     Subtour j ends at the last stop whose elapsed time is at most
     (j/k)(T - (2L + eta*n)) + L + eta*n, with T the full tour time, L the
     depot distance of the farthest stop and n the largest dwell at any
-    one stop.  Stops after the cut ride with the next subtour.
+    one stop.  Stops after the cut ride with the next subtour.  A tour
+    whose time is not finite is refused, naming its depot.
     """
     if not isinstance(robots, int) or robots < 1:
         raise ValueError("robots must be an integer >= 1")
+    total = tour_time(tour, time)
+    if not math.isfinite(total):
+        raise ValueError(f"the tour's time from depot {tour.depot} is not finite")
     if robots == 1:
         return SubtourSet((tour,), tour, time)
 
     reach = farthest_dwell_distance(tour)
-    total = tour_time(tour, time)
     elapsed = cumulative_times(tour, time)
     launch = reach + time.measurement_time * _largest_dwell(tour)
     slack = total - (launch + reach)

@@ -161,26 +161,25 @@ class Lattice:
 
     ``inside`` holds one flag per node, shape (len(xs), len(ys)), or is
     None when every node counts. The nodes that count, in x-major order,
-    are the grid's points, and their positions in that order are its
-    indices.
+    are the grid's points, ``len`` of them, and their positions in that
+    order are its indices.
     """
 
     xs: np.ndarray
     ys: np.ndarray
     inside: np.ndarray | None
 
-    @property
-    def count(self) -> int:
+    def __len__(self) -> int:
         if self.inside is None:
             return self.xs.size * self.ys.size
         return int(np.count_nonzero(self.inside))
 
-    def points(self, columns: slice = slice(None), rows: slice = slice(None)) -> np.ndarray:
-        """The nodes that count in a block of columns and rows, as (n, 2) points in grid order."""
-        gx, gy = np.meshgrid(self.xs[columns], self.ys[rows], indexing="ij")
+    def points(self) -> np.ndarray:
+        """The nodes that count, as (n, 2) points in grid order."""
+        gx, gy = np.meshgrid(self.xs, self.ys, indexing="ij")
         pts = np.column_stack([gx.ravel(), gy.ravel()])
         if self.inside is not None:
-            pts = pts[self.inside[columns, rows].ravel()]
+            pts = pts[self.inside.ravel()]
         return pts
 
     def point(self, index: int) -> tuple[float, float]:
@@ -296,25 +295,21 @@ class Environment:
         return _polygon_raycast(self._verts, pts) | _on_polygon_boundary(self._verts, pts)
 
     def grid(self, spacing: float) -> np.ndarray:
-        """Points of an axis-aligned grid that fall inside the region.
+        """The points of ``lattice(spacing)``, as an (n, 2) array in grid order."""
+        return self.lattice(spacing).points()
+
+    def lattice(self, spacing: float) -> Lattice:
+        """The axis-aligned grid nodes that fall inside the region, as two axes.
 
         Both far edges are always sampled, appended when the spacing does
         not land on them, so boundary extremes are never missed. Raises
         ValueError, naming the spacing, when no grid point falls inside,
         and, before any array exists, when the nodes exceed the budget.
-        The points are ``lattice(spacing).points()``.
-        """
-        return self.lattice(spacing).points()
-
-    def lattice(self, spacing: float) -> Lattice:
-        """The nodes of ``grid(spacing)`` as two axes, without an array of points.
-
         A rectangle keeps the axis values that ``contains`` accepts, its
         test being one comparison per axis, so every node is inside. A
         polygon keeps the whole bounding box's axes and one inside flag
         per node, from ``contains`` a block of columns at a time; a point
         gets the same verdict in any batch, so the flags are the grid's.
-        Raises as ``grid`` does.
         """
         step = float(spacing)
         if not math.isfinite(step) or step <= 0.0:
@@ -344,7 +339,7 @@ class Environment:
                 block = Lattice(xs[start : start + columns], ys, None)
                 inside[start : start + columns] = self.contains(block.points()).reshape(-1, my)
         lattice = Lattice(xs, ys, inside)
-        if lattice.count == 0:
+        if len(lattice) == 0:
             raise ValueError(
                 f"no point of a grid with spacing {step:g} falls inside the environment; use a finer spacing"
             )

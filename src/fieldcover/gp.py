@@ -24,12 +24,12 @@ ways. The panel build forms K for a panel of points and multiplies it
 by M in place: a triangular multiply rather than a substitution with L,
 the same flops run as a matrix-matrix product, about three times as
 fast, and within a few units of rounding of the substitution. The
-lattice build serves points that form a masked lattice in x-major
-order, as every grid the package reads does: the kernel separates per
-axis, so V comes from per-axis kernel tables and one product per
-distinct site y value, and K is never formed. A count of multiply-adds
-from the sizes of the read picks the cheaper build; the two agree to
-rounding, and any one read takes one of them for all its queries.
+lattice build serves a query given as a ``geometry.Lattice``, as every
+grid the package reads is: the kernel separates per axis, so V comes
+from per-axis kernel tables and one product per distinct site y value,
+and K is never formed. A count of multiply-adds from the sizes of a
+lattice read picks the cheaper build, and an array of points takes the
+panels; the two agree to rounding, and a read takes one for all.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from ._lapack import (
     cdist_sqeuclidean, dpotrf, dpotrs, dptsv, dstebz, dsytrd, dsytrd_lwork, dtrmm, dtrmv, dtrtri,
 )
 from .errors import DegenerateDataError, NumericalError, check_dense_budget
+from .geometry import Lattice
 
 # ``Posterior``'s read builds, multiplies and sums the cross-covariances
 # of this many query points at a time, so one (sites x points) panel is
@@ -56,9 +57,10 @@ _PANEL_POINTS = 512
 # ``_ENTRY_FLOPS`` more than the lattice build spends on one entry of V;
 # the lattice build's products, whose inner dimension is tens, cost
 # ``_THIN_FLOPS`` per multiply-add, each of its BLAS calls
-# ``_CALL_FLOPS``, and finding the lattice ``_LATTICE_FLOPS``. Fitted to
+# ``_CALL_FLOPS``, and its fixed cost is ``_LATTICE_FLOPS``. Fitted to
 # timings of 40 reads of 18 to 1,180 sites on two cores, where the rule
-# picked the slower build three times, at a cost of 0.33 ms in all.
+# picked the slower build three times, at a cost of 0.33 ms in all;
+# refitting them may move builds, and so written values by rounding.
 _ENTRY_FLOPS = 270.0
 _THIN_FLOPS = 3.0
 _CALL_FLOPS = 3e5
@@ -82,6 +84,14 @@ _RESCORE_RTOL = 1e-7
 # smallest pivot can stand far above the smallest eigenvalue and is no
 # substitute for it.
 _EIGEN_FLOOR = 1e-8
+
+
+def _points(points) -> np.ndarray:
+    """``points`` as an (n, 2) float array; a last axis other than 2 is refused."""
+    pts = np.asarray(points, dtype=float)
+    if pts.shape[-1:] != (2,):
+        raise ValueError(f"points need a last axis of 2 coordinates, got shape {pts.shape}")
+    return pts.reshape(-1, 2)
 
 
 def _as_point(p) -> tuple[float, float]:
@@ -256,71 +266,45 @@ def _cholesky(design: np.ndarray, hyper: Hyperparameters, noise, what: str) -> n
     return lower
 
 
-def _panels(inverse: np.ndarray, design: np.ndarray, hyper: Hyperparameters, pts: np.ndarray):
-    """V = M K(design, pts) a block of query points at a time, in query order.
+def _panels(inverse: np.ndarray, design: np.ndarray, hyper: Hyperparameters, query):
+    """V = M K(design, points) a block of query points at a time, in query order.
 
-    Yields (slice of ``pts``, V block), each block (sites x points) and
-    Fortran-ordered; ``inverse`` is M, lower triangular with a zero
-    strict upper triangle. A caller that drops each block before asking
-    for the next holds one at a time. The lattice build
-    (``_lattice_panels``) serves the points when ``_lattice_layout``
-    finds them a masked lattice on which it costs fewer multiply-adds;
-    otherwise every block is one ``_PANEL_POINTS`` panel of K, multiplied
-    by M in place.
+    ``query`` is (n, 2) points or a ``Lattice``, read in grid order.
+    Yields (slice of the points, V block), each (sites x points) and
+    Fortran-ordered; ``inverse`` is M, lower triangular, its strict
+    upper triangle zero. A caller dropping each block before asking for
+    the next holds one at a time. Where ``_lattice_layout`` finds it
+    cheaper a lattice takes the lattice build (``_lattice_panels``);
+    else each block is a ``_PANEL_POINTS`` panel of K, times M in place.
     """
-    layout = _lattice_layout(design, pts)
-    if layout is not None:
-        yield from _lattice_panels(inverse, hyper, layout)
-        return
-    for lo in range(0, pts.shape[0], _PANEL_POINTS):
+    if isinstance(query, Lattice):
+        layout = _lattice_layout(design, query)
+        if layout is not None:
+            yield from _lattice_panels(inverse, hyper, layout)
+            return
+        query = query.points()
+    for lo in range(0, query.shape[0], _PANEL_POINTS):
         block = slice(lo, lo + _PANEL_POINTS)
         # K(sites, block) is Fortran-ordered, so it is multiplied in place
-        v = kernel_matrix(pts[block], design, hyper).T
+        v = kernel_matrix(query[block], design, hyper).T
         dtrmm(1.0, inverse, v, lower=1, overwrite_b=1)
         yield block, v
         del v
 
 
-def _lattice(pts: np.ndarray, columns: float = math.inf):
-    """The points as a masked lattice in x-major order, or None.
-
-    They are one when their x values never fall and, within each run of
-    one x, their y values rise strictly: then the sorted distinct x and
-    y values index them in increasing (i, j) order, as ``Environment.grid``
-    and ``FieldGrid.points`` list them. Returns the distinct x and y
-    values, the start of each x column in ``pts`` with ``len(pts)``
-    last, and each point's y index; None also when there are more than
-    ``columns`` x columns, before the y values are sorted.
-    """
-    x, y = pts[:, 0], pts[:, 1]
-    # a NaN fails the comparison, so it takes the panel build
-    if not np.all(x[1:] >= x[:-1]):
-        return None
-    starts = np.flatnonzero(x[1:] != x[:-1]) + 1
-    if starts.size + 1 > columns:
-        return None
-    uy, jy = np.unique(y, return_inverse=True)
-    rises = jy[1:] > jy[:-1]
-    rises[starts - 1] = True
-    if not rises.all():
-        return None
-    starts = np.concatenate([[0], starts, [x.size]])
-    return x[starts[:-1]], uy, starts, jy
-
-
-def _lattice_layout(design: np.ndarray, pts: np.ndarray):
-    """Blocking of the lattice build over ``pts``, or None where the panel build is used.
+def _lattice_layout(design: np.ndarray, lattice: Lattice):
+    """Blocking of the lattice build over ``lattice``, or None where the panel build is used.
 
     The rule compares costs counted from sizes alone, in the panel
     build's multiply-adds (the weights are explained where they are
     defined). The panel build costs n(n+1)/2 per point for the multiply
     by M, plus ``_ENTRY_FLOPS`` per entry of K. The lattice build costs
-    n^2 per lattice x column to multiply M's columns into C, n per
-    distinct site y per point for V, and one BLAS call per group and
-    block of columns, per column and per V block. The lattice is not
-    looked for where the panel build costs no more than finding it
-    (``_LATTICE_FLOPS``), the V product with one site y and one call per
-    lattice column.
+    n^2 per lattice column to multiply M's columns into C, n per
+    distinct site y per point for V, one BLAS call per group and block
+    of columns, per column and per V block, and its fixed cost
+    ``_LATTICE_FLOPS``; it skips columns and rows with no node. It is
+    not laid out where the panel build costs no more than the least it
+    could: one site y and one call per lattice column.
 
     Memory: a block of w lattice columns holds C, w (my x n), and the x
     table, w x n, in half a panel's bytes, and each V block is at most
@@ -329,16 +313,24 @@ def _lattice_layout(design: np.ndarray, pts: np.ndarray):
     distinct site y values and a ``_PANEL_POINTS`` panel,
     w = (panel / 2) // (my + 1), so the build needs my < panel / 2.
     """
-    n, count = design.shape[0], pts.shape[0]
+    n, count = design.shape[0], len(lattice)
     panel = n * (n + 1) / 2.0 * count + _ENTRY_FLOPS * n * count
     half = _PANEL_POINTS // 2
     # what is left of the panel build's cost after the least any lattice
     # build costs, which has one site y, pays for its calls per column
     spare = panel - _LATTICE_FLOPS - _THIN_FLOPS * n * count
-    lattice = _lattice(pts, spare / _CALL_FLOPS) if spare > 0 else None
-    if lattice is None:
+    if spare <= 0:
         return None
-    ux, uy, starts, jy = lattice
+    inside = np.ones((lattice.xs.size, lattice.ys.size), bool) if lattice.inside is None else lattice.inside
+    per_column = np.count_nonzero(inside, axis=1)
+    columns = np.flatnonzero(per_column)
+    if columns.size > spare / _CALL_FLOPS:
+        return None
+    rows = inside.any(axis=0)
+    ux, uy = lattice.xs[columns], lattice.ys[rows]
+    starts = np.concatenate([[0], np.cumsum(per_column[columns])])
+    # each point's row among the rows kept, in grid order
+    jy = np.broadcast_to(np.cumsum(rows) - 1, inside.shape)[inside]
     syu, sy = np.unique(design[:, 1], return_inverse=True)
     my = syu.size
     if my + 1 > half:
@@ -421,14 +413,15 @@ class Posterior:
     and inverts the factor in place, its strict upper triangle zeroed;
     every query then goes through one read of V = L^-1 K(sites, points),
     a block of query points at a time, that gives variances and any
-    number of means together. Which build makes the blocks (``_panels``)
-    depends on the sites and points alone, so a variance is the same
-    bits whichever query asked for it.
+    number of means together. Sites and points have a last axis of two
+    coordinates; a query may instead be a ``geometry.Lattice``. Which
+    build makes the blocks (``_panels``) depends on the sites and the
+    query alone, so a variance is the same bits whichever query asked.
     """
 
     def __init__(self, sites, hyper: Hyperparameters, counts=None):
         self.hyper = hyper
-        self.design = np.asarray(sites, dtype=float).reshape(-1, 2)
+        self.design = _points(sites)
         n = self.design.shape[0]
         noise = hyper.noise_variance
         if counts is not None:
@@ -505,28 +498,28 @@ class Posterior:
         the rows in order, so a longer prefix never reports a larger
         variance at any point. V comes a block of query points at a time
         from ``_panels``: a ``_PANEL_POINTS`` panel of K multiplied by M in
-        place, or on a masked lattice, where a count of multiply-adds
-        says it is cheaper, a block built from per-axis kernel tables
+        place, or on a ``Lattice``, where a count of multiply-adds says it
+        is cheaper, a block built from per-axis kernel tables
         (``_lattice_layout`` has the rule). Each block is summed and
         dropped before the next is built, so at most a panel's bytes of
         V are live at a time whatever the query asks for. Returns means
         of shape (len(lengths), len(points)) + the trailing shape of
         ``values`` and variances of shape (len(lengths), len(points)).
         """
-        pts = np.asarray(points, dtype=float).reshape(-1, 2)
+        query = points if isinstance(points, Lattice) else _points(points)
         y = np.asarray(values, dtype=float)
         if y.shape[0] != self.size:
             raise ValueError(f"expected {self.size} value rows, one per site, got {y.shape[0]}")
         columns = y.reshape(self.size, math.prod(y.shape[1:])).T
         s2 = self.hyper.signal_variance
         # column-major, so each column's means are contiguous
-        means = np.zeros((columns.shape[0], len(lengths), pts.shape[0])).transpose(1, 2, 0)
-        variances = np.full((len(lengths), pts.shape[0]), s2)
+        means = np.zeros((columns.shape[0], len(lengths), len(query))).transpose(1, 2, 0)
+        variances = np.full((len(lengths), len(query)), s2)
         inverse = self._inverse
         if inverse is not None:
             betas = [dtrmv(inverse, c, lower=1) for c in columns]
             order = sorted(range(len(lengths)), key=lengths.__getitem__)
-            for block, v in _panels(inverse, self.design, self.hyper, pts):
+            for block, v in _panels(inverse, self.design, self.hyper, query):
                 explained, sums, done = 0.0, [0.0] * len(betas), 0
                 for j in order:
                     n = lengths[j]

@@ -308,12 +308,10 @@ def verify_plan(
 def _solve_flops(sites: int, points: int) -> float:
     """Flops of a dense variance sweep: N^3 / 3 to factor, N^2 per query point.
 
-    This is the panel read's count. Where the query points are a grid,
-    ``Posterior`` may read them by its cheaper lattice build, but the
-    ladder still prices every rung, the exact one included, at the
-    panel read's flops, so the ``tiles`` counts are those of a panel
-    read. Repricing the exact rung is a change of its own, because it
-    can move tiles.
+    This is the panel read's count. ``Posterior`` may read a rung's
+    lattice by its cheaper lattice build, but the ladder prices every
+    rung, the exact one included, at this count; repricing can move
+    tiles.
     """
     return sites**3 / 3.0 + float(sites) * sites * points
 
@@ -326,7 +324,7 @@ class _Tiles:
     floor((coordinate - origin) / side), so a tile is a range of columns
     by a range of rows. Tiles holding no node are skipped, the rest are
     listed in lexicographic order of their tile indices, and each
-    tile's points are in grid order, so every run sees the same tiles.
+    tile's nodes are read in grid order, so every run sees the same tiles.
     A tile's grid indices come from the nodes counted per column and
     per tile row; no array over every node is built.
     """
@@ -371,10 +369,18 @@ class _Tiles:
         columns = slice(self._columns[band], self._columns[band + 1])
         return columns, slice(self._rows[row], self._rows[row + 1]), row
 
-    def points(self, t: int) -> np.ndarray:
-        """The points of tile ``t``, in grid order, from slices of the axes."""
-        columns, rows, _ = self._block(t)
-        return self.lattice.points(columns, rows)
+    def sub(self, t: int) -> Lattice:
+        """The nodes of tile ``t`` as a lattice on slices of the axes."""
+        (columns, rows, _), g = self._block(t), self.lattice
+        return Lattice(g.xs[columns], g.ys[rows], None if g.inside is None else g.inside[columns, rows])
+
+    def union(self, ts) -> Lattice:
+        """The nodes of tiles ``ts`` as one lattice on the whole axes, masked to them."""
+        g = self.lattice
+        mask = np.zeros((g.xs.size, g.ys.size), dtype=bool)
+        for columns, rows, _ in map(self._block, ts):
+            mask[columns, rows] = True if g.inside is None else g.inside[columns, rows]
+        return Lattice(g.xs, g.ys, mask)
 
     def indices(self, t: int) -> np.ndarray:
         """The grid indices of tile ``t``'s points, ascending."""
@@ -394,8 +400,8 @@ def _variance_ladder(
     """Posterior variance at every grid point, or an upper bound on it that meets ``delta``.
 
     Above ``_DENSE_VERIFY_FLOPS`` the lattice is cut into tiles one
-    length scale wide (see ``_Tiles``), each building its own points
-    from slices of the axes, and each rung bounds the tiles still
+    length scale wide (see ``_Tiles``), each read as a lattice on
+    slices of the axes, and each rung bounds the tiles still
     pending by the variance given only the sites within that rung's
     margin of ``_TILE_MARGINS`` of the tile, found by ``_near`` for
     those tiles alone and factored once per tile; dropping observations
@@ -404,17 +410,18 @@ def _variance_ladder(
     on to the next rung, but only while the flops spent so far plus that
     rung's stay below one dense solve over all sites; otherwise they skip
     straight to it. When even the first rung would cost that much, no
-    tile is cut. The last rung is that dense solve: it takes the points
-    of every tile still pending, sorted into grid order, or the whole
+    tile is cut. The last rung is that dense solve: it reads the tiles
+    still pending as one lattice masked to their nodes, or the whole
     grid when every tile is pending or none was cut.
 
     Returns the values, one per grid point in grid order, and the number
     of tiles settled at each margin, then the number that took the exact
     rung; with no tile cut every count is zero. Where tiles are cut the
-    only array over every point is the values.
+    only arrays over every node are the values and, at a partial exact
+    rung, a one-byte mask.
     """
     settled = [0] * (len(_TILE_MARGINS) + 1)
-    var = np.empty(lattice.count)
+    var = np.empty(len(lattice))
     budget, spent = _solve_flops(sites.shape[0], var.size), 0.0
     l = h.length_scale
     tiles, pending = [], []
@@ -434,7 +441,7 @@ def _variance_ladder(
         spent += cost
         failing = []
         for t, n in zip(pending, near):
-            values = Posterior(sites[n], h, counts[n]).variance(tiles.points(t))
+            values = Posterior(sites[n], h, counts[n]).variance(tiles.sub(t))
             var[tiles.indices(t)] = values
             if values.max() > delta:
                 failing.append(t)
@@ -443,10 +450,8 @@ def _variance_ladder(
     settled[-1] = len(pending)
     if len(pending) == len(tiles):
         # no tile cut, or every tile failed: the whole grid, in grid order
-        var[:] = Posterior(sites, h, counts).variance(lattice.points())
+        var[:] = Posterior(sites, h, counts).variance(lattice)
     elif pending:
-        index = np.concatenate([tiles.indices(t) for t in pending])
-        order = np.argsort(index)
-        points = np.concatenate([tiles.points(t) for t in pending])[order]
-        var[index[order]] = Posterior(sites, h, counts).variance(points)
+        index = np.sort(np.concatenate([tiles.indices(t) for t in pending]))
+        var[index] = Posterior(sites, h, counts).variance(tiles.union(pending))
     return var, tuple(settled)

@@ -15,8 +15,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fieldcover import cli, errors, fields
+from fieldcover import cli, errors, fields, gp
 from fieldcover import io as fileio
+from fieldcover.geometry import Lattice
 from fieldcover.gp import Hyperparameters, Posterior, kernel_matrix
 from fieldcover.placement import VerificationReport
 
@@ -454,6 +455,30 @@ class TestCompare:
         args = plan_args(tmp_path, "out", "--eta", "0.5", "--depot", "0,0", "--seed", "7")
         assert cli.main(["compare", *args]) == 0
         assert calls == ["sample_gp_field", "entropy_greedy", "mi_greedy"]
+
+
+@pytest.mark.parametrize(
+    "command, extra",
+    [
+        ("plan", ()),
+        ("split", ("--k", "2", "--depot", "0,0")),
+        ("simulate", ("--seed", "7", "--trials", "2", "--hard-boundary")),
+        ("compare", ("--eta", "0.5", "--depot", "0,0", "--seed", "7", "--resolutions", "4")),
+    ],
+)
+def test_every_grid_read_is_given_its_lattice(command, extra, tmp_path, monkeypatch):
+    # verification, the truth's nodes and the evaluation grid are held as
+    # axes, and each read gets them so, never their points
+    queries = []
+    real = gp._panels
+
+    def spy(inverse, design, hyper, query):
+        queries.append(query)
+        return real(inverse, design, hyper, query)
+
+    monkeypatch.setattr(gp, "_panels", spy)
+    assert cli.main([command, *plan_args(tmp_path, "out", *extra)]) == 0
+    assert queries and all(isinstance(q, Lattice) for q in queries)
 
 
 DIAMOND = {"type": "polygon", "vertices": [[5, 0], [10, 5], [5, 10], [0, 5]]}

@@ -74,6 +74,16 @@ def test_parameter_validation():
             split_tour(HAND_TOUR, robots, HAND_TIME)
 
 
+def test_a_tour_whose_time_is_not_finite_is_refused_naming_the_depot():
+    # the legs from this depot overflow to inf, so the thresholds would
+    # be NaN and every comparison against them false
+    tour = Tour((-1e308, 0.0), (((1e308, 0.0), 1), ((0.0, 0.0), 1)))
+    assert not math.isfinite(tour_time(tour, HAND_TIME))
+    for robots in (1, 3):
+        with pytest.raises(ValueError, match=r"depot \(-1e\+308, 0\.0\)"):
+            split_tour(tour, robots, HAND_TIME)
+
+
 def test_subtour_set_rejects_bad_partitions():
     sub = Tour((0.0, 0.0), HAND_TOUR.waypoints[:2])
     with pytest.raises(ValueError):

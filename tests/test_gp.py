@@ -191,6 +191,23 @@ def test_posterior_mean_requires_values():
         Posterior(sites, H1, counts).mean([(0.0, 0.0)], [])
 
 
+@pytest.mark.parametrize("shape", [(4, 3), (4, 1), (3,), (2, 3, 1)])
+def test_points_whose_last_axis_is_not_two_coordinates_are_refused(shape):
+    # (4, 3) would otherwise be re-sliced into 6 points
+    bad = np.zeros(shape)
+    post = Posterior([(0.0, 0.0), (1.0, 1.0)], H1)
+    reads = [
+        lambda: post.variance(bad),
+        lambda: post.mean(bad, np.ones(2)),
+        lambda: post.mean_and_variance(bad, np.ones(2)),
+        lambda: post.prefix_mean_and_variance(bad, np.ones(2), [1]),
+        lambda: Posterior(bad, H1),
+    ]
+    for read in reads:
+        with pytest.raises(ValueError, match=rf"last axis of 2 coordinates, got shape \({shape[0]},"):
+            read()
+
+
 def test_posterior_object_matches_function_route():
     rng = np.random.default_rng(3)
     design = rng.uniform(-4, 4, size=(30, 2))

@@ -1,18 +1,18 @@
 """The lattice build of ``Posterior``'s read against the panel build.
 
-Where the query points are a masked lattice in x-major order, the read
-may build V = M K(sites, points) from per-axis kernel tables instead of
-from K's panels (``gp._lattice_panels``). The two builds must give the
-same means and variances to rounding, and the lattice build must keep
-the panel build's guarantees: one block live at a time, and the same
-variance bits whichever query asks. ``forced`` makes the cost rule take
-the lattice build wherever the points and sites allow it, so small
-cases reach it; ``panel_read`` switches the lattice build off.
+Where the query is a ``Lattice``, the read may build
+V = M K(sites, points) from per-axis kernel tables instead of from K's
+panels (``gp._lattice_panels``). The two builds must give the same means
+and variances to rounding, and the lattice build must keep the panel
+build's guarantees: one block live at a time, and the same variance bits
+whichever query asks. ``forced`` makes the cost rule take the lattice
+build wherever the sites allow it, so small cases reach it;
+``panel_read`` reads the lattice's points as an array, which always
+takes the panel build.
 """
 
 from __future__ import annotations
 
-import contextlib
 import tracemalloc
 
 import numpy as np
@@ -23,8 +23,7 @@ from scipy.linalg.lapack import dpotrf, dtrtri
 from test_read_oracle import extended_variance, reference_variance
 
 import fieldcover.gp as gp
-from fieldcover.fields import FieldGrid
-from fieldcover.geometry import Environment
+from fieldcover.geometry import Lattice
 from fieldcover.gp import Hyperparameters, Posterior, kernel_matrix
 
 
@@ -34,23 +33,13 @@ def forced(monkeypatch):
     monkeypatch.setattr(gp, "_ENTRY_FLOPS", 1e30)
 
 
-@contextlib.contextmanager
-def panel_build():
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(gp, "_lattice_layout", lambda design, pts: None)
-        yield
+def panel_read(post, grid, values, lengths):
+    return post.prefix_mean_and_variance(grid.points(), values, lengths)
 
 
-def panel_read(post, pts, values, lengths):
-    with panel_build():
-        return post.prefix_mean_and_variance(pts, values, lengths)
-
-
-def lattice(xs, ys, keep=None) -> np.ndarray:
-    """The nodes of xs x ys in x-major order, those where ``keep`` holds."""
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    pts = np.column_stack([gx.ravel(), gy.ravel()])
-    return pts if keep is None else pts[np.asarray(keep).ravel()]
+def lattice(xs, ys, keep=None) -> Lattice:
+    """The nodes of xs x ys, those where ``keep`` holds."""
+    return Lattice(np.asarray(xs, dtype=float), np.asarray(ys, dtype=float), keep)
 
 
 def assert_close_reads(post, got, want):
@@ -64,9 +53,14 @@ H = Hyperparameters(1.7, 2.5, 0.08)
 AXIS = np.linspace(-1.0, 9.0, 11)
 L_SHAPE = np.ones((11, 9), dtype=bool)
 L_SHAPE[6:, 5:] = False
+# the L with interior column 3 and interior row 2 emptied
+HOLED = L_SHAPE.copy()
+HOLED[3, :] = False
+HOLED[:, 2] = False
 SHAPES = {
     "rectangle": lattice(AXIS, np.linspace(0.0, 8.0, 9)),
     "L-shape": lattice(AXIS, np.linspace(0.0, 8.0, 9), L_SHAPE),
+    "holed": lattice(AXIS, np.linspace(0.0, 8.0, 9), HOLED),
     "single row": lattice(AXIS, [3.0]),
     "single column": lattice([4.5], AXIS),
     "single point": lattice([2.0], [6.0]),
@@ -74,9 +68,9 @@ SHAPES = {
 SITE_AXIS = np.linspace(0.0, 8.0, 5)
 DESIGNS = {
     # a lattice of sites, some dropped, in a scrambled order
-    "repeated ordinates": lattice(SITE_AXIS, SITE_AXIS)[[3, 17, 0, 22, 9, 11, 5, 24, 14, 1, 20, 7, 18]],
-    "one distinct y": lattice(SITE_AXIS, [4.0]),
-    "one distinct x": lattice([4.0], SITE_AXIS),
+    "repeated ordinates": lattice(SITE_AXIS, SITE_AXIS).points()[[3, 17, 0, 22, 9, 11, 5, 24, 14, 1, 20, 7, 18]],
+    "one distinct y": lattice(SITE_AXIS, [4.0]).points(),
+    "one distinct x": lattice([4.0], SITE_AXIS).points(),
     "one site": np.array([[3.0, 3.0]]),
 }
 
@@ -100,7 +94,7 @@ def test_lattice_build_matches_the_panel_build_where_the_gram_matrix_is_nearly_c
     # s2, so M's columns would pick up large entries from any part of the
     # factor's strict upper triangle left standing
     h = Hyperparameters(2.0, 3.0, 0.05)
-    sites = lattice(np.arange(5) * 0.1, np.arange(5) * 0.1)[::-1]
+    sites = lattice(np.arange(5) * 0.1, np.arange(5) * 0.1).points()[::-1]
     post = Posterior(sites, h)
     gram = kernel_matrix(sites, sites, h)
     assert gram[np.triu_indices_from(gram, 1)].min() > 0.95 * h.signal_variance
@@ -109,7 +103,7 @@ def test_lattice_build_matches_the_panel_build_where_the_gram_matrix_is_nearly_c
     values = np.random.default_rng(2).normal(size=(post.size, 2))
     got = post.prefix_mean_and_variance(pts, values, [0, 7, post.size])
     assert_close_reads(post, got, panel_read(post, pts, values, [0, 7, post.size]))
-    want = reference_variance(post, np.ones(post.size), pts)
+    want = reference_variance(post, np.ones(post.size), pts.points())
     np.testing.assert_allclose(got[1][-1], want, rtol=1e-12, atol=1e-13)
 
 
@@ -143,30 +137,25 @@ def test_all_distinct_site_ordinates_take_the_panel_build(sites):
     # large enough to look for a lattice
     post = Posterior(sites, H)
     pts = lattice(np.linspace(-1.0, 10.0, 200), np.linspace(-1.0, 8.0, 150))
-    n, count = post.size, pts.shape[0]
+    n, count = post.size, len(pts)
     assert n * (n + 1) / 2 * count + gp._ENTRY_FLOPS * n * count > gp._LATTICE_FLOPS
-    assert gp._lattice(pts) is not None
     assert gp._lattice_layout(post.design, pts) is None
 
 
-def test_only_masked_lattices_in_x_major_order_are_lattices():
-    pts = SHAPES["L-shape"]
-    xs, ys, starts, jy = gp._lattice(pts)
-    np.testing.assert_array_equal(xs, AXIS)
-    np.testing.assert_array_equal(ys, np.linspace(0.0, 8.0, 9))
-    np.testing.assert_array_equal(np.diff(starts), L_SHAPE.sum(axis=1))
+def test_layout_skips_the_columns_and_rows_without_a_node(forced, monkeypatch):
+    # the axes of the holed L keep every column and row, the layout only
+    # those holding a node, as in the points' grid order
+    grid = SHAPES["holed"]
+    pts = grid.points()
+    xs, ys, starts, jy = gp._lattice_layout(DESIGNS["repeated ordinates"], grid)[:4]
+    np.testing.assert_array_equal(xs, np.delete(AXIS, 3))
+    np.testing.assert_array_equal(ys, np.delete(np.linspace(0.0, 8.0, 9), 2))
+    np.testing.assert_array_equal(np.diff(starts), np.delete(HOLED.sum(axis=1), 3))
+    np.testing.assert_array_equal(np.repeat(xs, np.diff(starts)), pts[:, 0])
     np.testing.assert_array_equal(ys[jy], pts[:, 1])
-    assert gp._lattice(pts[:, ::-1]) is None  # y-major
-    assert gp._lattice(pts[::-1]) is None  # x falls
-    assert gp._lattice(np.vstack([pts[:5], pts[4:]])) is None  # a node twice
-    assert gp._lattice(pts, columns=10) is None
-    nan = pts.copy()
-    nan[7, 0] = np.nan
-    assert gp._lattice(nan) is None
-    # the grids the package reads are lattices
-    env = Environment.polygon([(0, 0), (14, 0), (14, 7), (7, 7), (7, 14), (0, 14)])
-    assert gp._lattice(env.grid(0.3)) is not None
-    assert gp._lattice(FieldGrid((0.5, -1.0), 0.25, np.zeros((30, 20))).points()) is not None
+    # calls per column that the panel build's cost cannot pay for
+    monkeypatch.setattr(gp, "_CALL_FLOPS", 1e300)
+    assert gp._lattice_layout(DESIGNS["repeated ordinates"], grid) is None
 
 
 @settings(max_examples=60, deadline=None)
@@ -183,7 +172,7 @@ def test_lattice_build_matches_the_panel_build_on_random_lattices(seed, nx, ny, 
     keep = rng.random((nx, ny)) < rng.uniform(0.3, 1.0)
     keep.flat[rng.integers(keep.size)] = True
     pts = lattice(np.sort(rng.uniform(-6.0, 6.0, nx)), np.sort(rng.uniform(-6.0, 6.0, ny)), keep)
-    site_pool = lattice(rng.uniform(-5.0, 5.0, site_shape[0]), rng.uniform(-5.0, 5.0, site_shape[1]))
+    site_pool = lattice(rng.uniform(-5.0, 5.0, site_shape[0]), rng.uniform(-5.0, 5.0, site_shape[1])).points()
     sites = site_pool[rng.choice(len(site_pool), size=int(rng.integers(1, len(site_pool) + 1)), replace=False)]
     post = Posterior(sites, h, rng.integers(1, 5, size=len(sites)))
     values = rng.normal(size=(post.size, columns))
@@ -202,14 +191,13 @@ def test_lattice_build_is_as_accurate_as_the_panel_build_in_extended_precision(n
     # the Gram matrix is as ill-conditioned as the noise lets it be and
     # every site y is shared
     h = Hyperparameters(1.5, 2.0, noise)
-    base = lattice(np.linspace(0.0, 8.0, 6), np.linspace(0.0, 8.0, 6))
+    base = lattice(np.linspace(0.0, 8.0, 6), np.linspace(0.0, 8.0, 6)).points()
     post = Posterior(np.concatenate([base, base + (0.05, 0.0)]), h)
     pts = lattice(np.linspace(-1.0, 9.0, 23), np.linspace(-1.0, 9.0, 19))
     assert gp._lattice_layout(post.design, pts) is not None
-    exact = extended_variance(post, pts)
+    exact = extended_variance(post, pts.points())
     read = np.abs(post.variance(pts) - exact).max()
-    with panel_build():
-        panel = np.abs(post.variance(pts) - exact).max()
+    panel = np.abs(post.variance(pts.points()) - exact).max()
     assert read <= 4.0 * panel + 1e-15 * h.signal_variance
 
 
@@ -219,7 +207,7 @@ def test_every_query_reads_the_same_lattice_variance_bits():
     # (``_PANEL_POINTS`` less the x column blocks' 286) end on a short one
     rng = np.random.default_rng(9)
     h = Hyperparameters(8.33, 12.87, 0.0361)
-    sites = lattice(np.linspace(0.0, 60.0, 20), np.linspace(0.0, 60.0, 10))[rng.permutation(200)]
+    sites = lattice(np.linspace(0.0, 60.0, 20), np.linspace(0.0, 60.0, 10)).points()[rng.permutation(200)]
     post = Posterior(sites, h, rng.integers(1, 4, 200))
     pts = lattice(np.linspace(-5.0, 65.0, 60), np.linspace(-5.0, 65.0, 50))
     layout = gp._lattice_layout(post.design, pts)
@@ -232,8 +220,7 @@ def test_every_query_reads_the_same_lattice_variance_bits():
     assert np.array_equal(joint, variances)
     assert np.array_equal(prefix[0], variances)
     # three blocks of 23 lattice columns, each V block spanning several
-    with panel_build():
-        np.testing.assert_allclose(variances, post.variance(pts), rtol=1e-13, atol=1e-13 * h.signal_variance)
+    np.testing.assert_allclose(variances, post.variance(pts.points()), rtol=1e-13, atol=1e-13 * h.signal_variance)
 
 
 @pytest.mark.parametrize(
@@ -251,7 +238,7 @@ def test_lattice_queries_hold_one_panel_at_a_time(query):
     # 600 sites with 20 distinct y values, where the whole read's
     # cross-covariances would take 14.4 MB
     rng = np.random.default_rng(5)
-    sites = lattice(np.linspace(0.0, 60.0, 30), np.linspace(0.0, 60.0, 20))[rng.permutation(600)]
+    sites = lattice(np.linspace(0.0, 60.0, 30), np.linspace(0.0, 60.0, 20)).points()[rng.permutation(600)]
     post = Posterior(sites, Hyperparameters(8.33, 12.87, 0.0361))
     y = rng.normal(size=post.size)
     pts = lattice(np.linspace(0.0, 60.0, 60), np.linspace(0.0, 60.0, 50))

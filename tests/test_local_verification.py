@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from fieldcover import io as fileio
 from fieldcover import placement
-from fieldcover.geometry import Environment, _near
+from fieldcover.geometry import Environment, Lattice, _near
 from fieldcover.gp import Hyperparameters, MeasurementMultiset, Posterior
 from fieldcover.placement import (
     AccuracySpec,
@@ -74,11 +74,11 @@ def margin_bound(sites, counts, env, step, h, margin):
     computed tile by tile from ``_Tiles``, ``_near`` and ``Posterior``, and
     the flops it costs."""
     l = h.length_scale
-    grid = env.grid(step)
-    centres = _Tiles(env.lattice(step), l).centres
-    bound, flops = np.empty(grid.shape[0]), 0.0
-    for points, near in zip(members(env, step, l), _near(centres, sites, 0.5 * l + margin * l)):
-        bound[points] = Posterior(sites[near], h, counts[near]).variance(grid[points])
+    tiles = _Tiles(env.lattice(step), l)
+    bound, flops = np.empty(len(tiles.lattice)), 0.0
+    for t, near in enumerate(_near(tiles.centres, sites, 0.5 * l + margin * l)):
+        points = tiles.indices(t)
+        bound[points] = Posterior(sites[near], h, counts[near]).variance(tiles.sub(t))
         flops += _solve_flops(near.size, points.size)
     return bound, flops
 
@@ -96,7 +96,7 @@ def dense_and_local(monkeypatch, plan, env, h, delta, spacing):
     """The exact variances over the verification grid, and ``verify_plan``'s
     report with no dense budget."""
     sites, counts = plan.distinct()
-    exact = Posterior(sites, h, counts).variance(env.grid(spacing))
+    exact = Posterior(sites, h, counts).variance(env.lattice(spacing))
     monkeypatch.setattr(placement, "_DENSE_VERIFY_FLOPS", 0.0)
     return exact, verify_plan(plan, env, h, delta, spacing)
 
@@ -125,7 +125,7 @@ def test_local_bound_never_below_dense(seed, keep):
     sites, counts = sites[chosen], counts[chosen]
     step = h.length_scale / 4.0
     grid = env.grid(step)
-    exact = Posterior(sites, h, counts).variance(grid)
+    exact = Posterior(sites, h, counts).variance(env.lattice(step))
     tiles = len(members(env, step, h.length_scale))
     dense = _solve_flops(sites.shape[0], grid.shape[0])
     wider = None
@@ -199,7 +199,7 @@ def test_tiles_failing_both_margins_report_exact_values(monkeypatch):
     env, h, spec = instance(0)
     sites, counts = disk_cover_placement(env, h, spec).distinct()
     step = h.length_scale / 4.0
-    exact = Posterior(sites, h, counts).variance(env.grid(step))
+    exact = Posterior(sites, h, counts).variance(env.lattice(step))
     wide, _ = margin_bound(sites, counts, env, step, h, _TILE_MARGINS[1])
     target = exact.max() * (1.0 - 1e-9)
     sizes = spy_factorizations(monkeypatch)
@@ -224,7 +224,7 @@ def test_failing_tiles_skip_the_wide_margin_when_it_costs_more_than_dense(monkey
     sites, counts = plan.distinct()
     spacing = h.length_scale / 4.0
     grid = env.grid(spacing)
-    exact = Posterior(sites, h, counts).variance(grid)
+    exact = Posterior(sites, h, counts).variance(env.lattice(spacing))
     target = exact.max() * (1.0 - 1e-9)
     l = h.length_scale
     tiles = members(env, spacing, l)
@@ -268,7 +268,7 @@ def test_tiles_costing_more_than_the_dense_solve_are_not_cut(monkeypatch):
     report = verify_plan(plan, env, h, 0.5, 0.1)
     assert sizes == [sites.shape[0]]
     assert report.tiles == (0, 0, 0) and report.method == "dense"
-    exact = Posterior(sites, h, counts).variance(grid)
+    exact = Posterior(sites, h, counts).variance(env.lattice(0.1))
     top = int(np.argmax(exact))
     assert report.max_variance == float(exact[top])
     assert report.argmax == (float(grid[top, 0]), float(grid[top, 1]))
@@ -284,7 +284,7 @@ def test_tiles_all_failing_the_narrow_margin_take_the_exact_rung_as_tiles(monkey
     sites, counts = plan.distinct()
     spacing = h.length_scale / 4.0
     grid = env.grid(spacing)
-    exact = Posterior(sites, h, counts).variance(grid)
+    exact = Posterior(sites, h, counts).variance(env.lattice(spacing))
     target = exact.min() / 2.0
     l = h.length_scale
     tiles = _Tiles(env.lattice(spacing), l)
@@ -340,7 +340,7 @@ def test_empty_neighbourhood_falls_back_to_prior(monkeypatch):
     env = Environment.rectangle((0.0, 0.0), (12.0, 1.0))
     grid = env.grid(0.5)
     sites, counts = np.array([[0.5, 0.5]]), np.array([3])
-    exact = Posterior(sites, h, counts).variance(grid)
+    exact = Posterior(sites, h, counts).variance(env.lattice(0.5))
     for margin in _TILE_MARGINS:
         bound, _ = margin_bound(sites, counts, env, 0.5, h, margin)
         # the tile [k, k + 1) sees the site only while k <= margin + 0.5
@@ -414,7 +414,7 @@ def test_local_path_is_taken_when_tiles_are_cheaper(monkeypatch):
     assert report.method == "local" and report.passed
     sites, counts = plan.distinct()
     grid = env.grid(0.3)
-    exact = Posterior(sites, h, counts).variance(grid)
+    exact = Posterior(sites, h, counts).variance(env.lattice(0.3))
     bound, settled = _variance_ladder(sites, counts, env.lattice(0.3), h, spec.max_variance)
     # the narrow margin certifies every tile
     assert report.tiles == settled == (len(members(env, 0.3, h.length_scale)), 0, 0)
@@ -467,7 +467,7 @@ def test_square_a_few_length_scales_wide_takes_the_local_path_with_the_dense_ver
     report = verify_plan(plan, env, h, 0.12, 2.0)
     assert report.method == "local"
     sites, counts = plan.distinct()
-    exact = Posterior(sites, h, counts).variance(env.grid(2.0))
+    exact = Posterior(sites, h, counts).variance(env.lattice(2.0))
     assert report.passed == bool(exact.max() <= 0.12)
     assert report.max_variance >= exact.max()
 
@@ -486,9 +486,22 @@ def legacy_tiles(grid, side):
     return [order[a:b] for a, b in zip(cuts, cuts[1:])], centres
 
 
+def lattice_of(points):
+    """Grid points in grid order as a ``Lattice`` on their distinct x and y
+    values, masked to the points."""
+    xs, i = np.unique(points[:, 0], return_inverse=True)
+    ys, j = np.unique(points[:, 1], return_inverse=True)
+    inside = np.zeros((xs.size, ys.size), dtype=bool)
+    inside[i, j] = True
+    grid = Lattice(xs, ys, inside)
+    assert grid.points().tobytes() == points.tobytes()
+    return grid
+
+
 def legacy_verify_plan(plan, env, h, delta, spacing):
     """``verify_plan`` over ``env.grid``, cut by ``legacy_tiles``: a test-only
-    copy of the ladder as it was before tiles were built from the axes."""
+    copy of the ladder as it was before tiles were built from the axes. Its
+    reads take the lattice of their points (``lattice_of``)."""
     grid = env.grid(spacing)
     sites, counts = plan.distinct()
     margins = placement._TILE_MARGINS
@@ -513,7 +526,7 @@ def legacy_verify_plan(plan, env, h, delta, spacing):
         failing = []
         for t, n in zip(pending, near):
             points = members[t]
-            var[points] = Posterior(sites[n], h, counts[n]).variance(grid[points])
+            var[points] = Posterior(sites[n], h, counts[n]).variance(lattice_of(grid[points]))
             if var[points].max() > delta:
                 failing.append(t)
         settled[rung] = len(pending) - len(failing)
@@ -524,7 +537,7 @@ def legacy_verify_plan(plan, env, h, delta, spacing):
         if len(pending) < len(members):
             exact = np.zeros(grid.shape[0], dtype=bool)
             exact[np.concatenate([members[t] for t in pending])] = True
-        var[exact] = Posterior(sites, h, counts).variance(grid[exact])
+        var[exact] = Posterior(sites, h, counts).variance(lattice_of(grid[exact]))
     top = int(np.argmax(var))
     return VerificationReport(
         float(var[top]),
@@ -539,7 +552,8 @@ def legacy_verify_plan(plan, env, h, delta, spacing):
 
 def assert_same_verification_json(tmp_path, monkeypatch, plan, env, h, delta, spacing=None) -> VerificationReport:
     """``verify_plan``'s verification.json against the legacy ladder's, byte for
-    byte, with every posterior read given the same points in the same order."""
+    byte, with every posterior read given a lattice of the same points in the
+    same order."""
     if spacing is None:
         spacing = default_grid_spacing(env, h, delta)
     reads = {"lattice": [], "legacy": []}
@@ -547,9 +561,10 @@ def assert_same_verification_json(tmp_path, monkeypatch, plan, env, h, delta, sp
     written = []
     for name, verify in (("lattice", verify_plan), ("legacy", legacy_verify_plan)):
 
-        def spy(self, points, seen=reads[name]):
-            seen.append((self.size, np.array(points)))
-            return variance(self, points)
+        def spy(self, grid, seen=reads[name]):
+            assert isinstance(grid, Lattice)
+            seen.append((self.size, grid.points()))
+            return variance(self, grid)
 
         monkeypatch.setattr(Posterior, "variance", spy)
         report = verify(plan, env, h, delta, spacing)

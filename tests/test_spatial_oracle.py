@@ -145,7 +145,7 @@ def assert_tiles_match_reference(env: Environment, step: float, side: float) -> 
         assert index.dtype == np.int64
         np.testing.assert_array_equal(index, want)
         assert tiles.sizes[t] == want.size
-        points = tiles.points(t)
+        points = tiles.sub(t).points()
         assert_same_bits(points, grid[want])
         joined[index] = points
     assert_same_bits(joined, grid)
